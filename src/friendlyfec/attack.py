@@ -173,16 +173,6 @@ def apply_attack(s, attack, constellation: modem.Constellation) -> np.ndarray:
 # the search itself
 # ---------------------------------------------------------------------------
 
-def _batch_rates(soft_final, code):
-    """Message-bit BER and frame BLER of a batch decoded against all-zero."""
-    hard = (soft_final < 0).astype(np.uint8)
-    msg = code.message_from_codeword(hard)
-    errs = msg != 0
-    ber = float(errs.mean())
-    bler = float(np.any(errs, axis=-1).mean())
-    return ber, bler
-
-
 def _improves(criterion, ber_new, bler_new, ber_old, bler_old) -> bool:
     if criterion == "ber":
         return ber_new < ber_old
@@ -215,19 +205,25 @@ def search_attack(code, decoder: bp.DecoderConfig, scheme: str, config: SearchCo
     n_real = s_base.shape[0]
     rng = channel.FrameRng(seed)
 
-    def batch_gradient(s, z):
+    def decode(s, z, record_tape):
+        """Decode s + z; the output, with batch BER and BLER against all-zero."""
         out = bp.bp_forward(modem.demodulate_llr(s + z, side, const), graph,
-                            decoder.iters, decoder.clamp)
+                            decoder.iters, decoder.clamp, record_tape=record_tape)
+        errs = code.message_from_codeword(out.hard) != 0
+        return out, float(errs.mean()), float(np.any(errs, axis=-1).mean())
+
+    def loss_gradient(out):
+        """Per-sample d(loss)/d(s) from a taped decode."""
         if not np.all(np.isfinite(out.soft[-1])):
             raise RuntimeError("decoder produced non-finite soft output during the search")
         dj_dllr = bp.bp_backward(out.tape, target, loss_mode)
-        return out, modem.demodulate_adjoint(dj_dllr, side, const)
+        return modem.demodulate_adjoint(dj_dllr, side, const)
 
     if config.epsilon0 is None:
         # calibrate the step size against this decoder's gradient scale
         z = config.sigma * rng.frame(0, channel.STREAM_PROBE).standard_normal(
             (config.batch_size, n_real))
-        _, probe = batch_gradient(s_base, z)
+        probe = loss_gradient(decode(s_base, z, record_tape=True)[0])
         scale = float(np.mean(np.abs(probe.mean(axis=0))))
         config = replace(config, epsilon0=EPSILON_GRAD_SCALE / max(scale, 1e-12))
 
@@ -238,15 +234,12 @@ def search_attack(code, decoder: bp.DecoderConfig, scheme: str, config: SearchCo
         eps = gradient_scheduler(accepted, config)
         z = config.sigma * rng.frame(trials, channel.STREAM_SEARCH).standard_normal(
             (config.batch_size, n_real))
-        out, dj_ds = batch_gradient(s_cur, z)
-        ber0, bler0 = _batch_rates(out.soft[-1], code)
-        step = -eps * dj_ds.mean(axis=0)
+        out, ber0, bler0 = decode(s_cur, z, record_tape=True)
+        step = -eps * loss_gradient(out).mean(axis=0)
         # evaluate the candidate exactly as it would be transmitted: at the
         # power budget, so acceptance can never come from power inflation
         s_cand, _ = normalize_power(s_cur + step, POWER, const.coords_per_symbol)
-        out2 = bp.bp_forward(modem.demodulate_llr(s_cand + z, side, const), graph,
-                             decoder.iters, decoder.clamp, record_tape=False)
-        ber1, bler1 = _batch_rates(out2.soft[-1], code)
+        _, ber1, bler1 = decode(s_cand, z, record_tape=False)
         ok = _improves(config.accept, ber1, bler1, ber0, bler0)
         trials += 1
         if ok:
@@ -434,11 +427,19 @@ def attack_record(attack: AttackVector) -> dict:
 
 
 def load_attack(path) -> AttackVector:
-    """Read an attack record; unknown fields are ignored."""
+    """Read an attack record; unknown fields are ignored.
+
+    A record with a missing field, an unknown version, or a vector whose
+    length disagrees with `n`, `N` and the scheme raises ValueError naming
+    the field.
+    """
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("attack file does not hold a JSON object")
     try:
-        return AttackVector(
+        version = raw["version"]
+        av = AttackVector(
             a=np.asarray(raw["a"], dtype=np.float64),
             code_id=raw["code_id"], scheme=raw["scheme"], n=int(raw["n"]),
             n_symbols=int(raw["N"]), search_sigma=float(raw["search_sigma"]),
@@ -446,3 +447,13 @@ def load_attack(path) -> AttackVector:
             accepted_iters=int(raw["accepted_iters"]), created=str(raw.get("created", "")))
     except KeyError as missing:
         raise ValueError(f"attack file is missing field {missing}") from None
+    if version != ATTACK_FILE_VERSION:
+        raise ValueError(f"attack field 'version' is {version!r}, "
+                         f"this program reads version {ATTACK_FILE_VERSION}")
+    if av.a.shape != (av.n,):
+        raise ValueError(f"attack field 'a' has shape {av.a.shape}, expected ({av.n},)")
+    bits = modem.get_constellation(av.scheme).bits_per_symbol
+    if av.n_symbols != av.n // bits:
+        raise ValueError(f"attack field 'N' is {av.n_symbols}, expected n // {bits} = "
+                         f"{av.n // bits} for {av.scheme}")
+    return av

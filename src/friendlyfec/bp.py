@@ -57,8 +57,6 @@ class TannerGraph:
         self.n_edges = int(len(self.edge_check))
         self.check_edges = _group_table(self.edge_check, self.n_check, self.n_edges)
         self.var_edges = _group_table(self.edge_var, self.n_var, self.n_edges)
-        # per-edge weight hook for trainable variants; constant 1 here
-        self.edge_weights = np.ones(self.n_edges)
 
     def syndrome_ok(self, hard_bits) -> np.ndarray:
         """True where H x = 0; accepts (n,) or (B, n) bit arrays."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -81,46 +81,12 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
-_KEYS = {
-    "code.family": ("code_family", str),
-    "code.alist": ("code_alist", str),
-    "code.n": ("code_n", int),
-    "code.k": ("code_k", int),
-    "code.design_ebn0_db": ("code_design_ebn0_db", float),
-    "decoder.iters": ("decoder_iters", int),
-    "decoder.clamp": ("decoder_clamp", float),
-    "decoder.loss_mode": ("decoder_loss_mode", str),
-    "modem.scheme": ("modem_scheme", str),
-    "channel.kind": ("channel_kind", str),
-    "channel.sigma_b": ("channel_sigma_b", float),
-    "channel.rho": ("channel_rho", float),
-    "channel.si": ("channel_si", _parse_bool),
-    "search.approach": ("search_approach", int),
-    "search.batch_size": ("search_batch_size", int),
-    "search.iters": ("search_iters", int),
-    "search.max_trials": ("search_max_trials", int),
-    "search.sigma": ("search_sigma", float),
-    "search.target_bler": ("search_target_bler", float),
-    "search.scheduler": ("search_scheduler", str),
-    "search.epsilon0": ("search_epsilon0", float),
-    "search.decay": ("search_decay", float),
-    "search.step_len": ("search_step_len", int),
-    "search.accept": ("search_accept", str),
-    "search.runs": ("search_runs", int),
-    "search.cluster": ("search_cluster", str),
-    "search.cluster_k": ("search_cluster_k", int),
-    "search.linkage": ("search_linkage", str),
-    "search.require_nonzero": ("search_require_nonzero", _parse_bool),
-    "search.validation_ebn0_db": ("search_validation_ebn0_db", float),
-    "search.validation_frames": ("search_validation_frames", int),
-    "eval.frames": ("eval_frames", int),
-    "eval.ebn0_db": ("eval_ebn0_db", float),
-    "eval.grid": ("eval_grid", _parse_grid),
-    "eval.seed": ("eval_seed", int),
-    "eval.message_source": ("eval_message_source", str),
-    "eval.min_block_errors": ("eval_min_block_errors", int),
-    "output.attack": ("output_attack", str),
-}
+# RunConfig field `section_key` is configured as `section.key`; the value
+# parser follows the field's annotation
+_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool,
+            "tuple[float, ...]": _parse_grid}
+_KEYS = {f.name.replace("_", ".", 1): (f.name, _PARSERS[f.type.removesuffix(" | None")])
+         for f in fields(RunConfig)}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -311,7 +277,7 @@ def cmd_eval(cfg: RunConfig, attack_path: str | None, out_path: str | None,
         montecarlo.write_csv(results, out_path)
         _log(f"wrote {out_path}")
     else:
-        sys.stdout.write(montecarlo.csv_text(results))
+        montecarlo.write_csv(results, sys.stdout)
     return EXIT_OK
 
 
@@ -406,19 +372,17 @@ def main(argv=None) -> int:
             cfg = parse_config(fh.read())
         seed = args.seed if args.seed is not None else cfg.eval_seed
         if args.command == "search":
-            return cmd_search(cfg, args.out, seed)
+            try:
+                return cmd_search(cfg, args.out, seed)
+            except RuntimeError as exc:  # non-finite decoder output aborts the search
+                _log(f"search failed: {exc}")
+                return EXIT_SEARCH
         if args.command == "eval":
             return cmd_eval(cfg, args.attack, args.out, seed, args.workers, grid=False)
         if args.command == "sweep":
             return cmd_eval(cfg, args.attack, args.out, seed, args.workers, grid=True)
         return cmd_gradcheck(cfg, seed)
-    except OSError as exc:
-        _log(f"config error: {exc}")
-        return EXIT_CONFIG
-    except ConfigError as exc:
-        _log(f"config error: {exc}")
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         _log(f"config error: {exc}")
         return EXIT_CONFIG
 

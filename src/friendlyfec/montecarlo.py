@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -58,11 +59,47 @@ def _result(frames, bit_errors, block_errors, k, meta) -> MonteCarloResult:
         **meta)
 
 
-def _chunk_counts(code, decoder, scheme, params, attack_a, message_source,
-                  seed, start, stop):
+def _draw_messages(code, rng, start, stop) -> np.ndarray:
+    """Random message bits of frames [start, stop), one stream per frame."""
+    return np.stack([rng.frame(i, channel.STREAM_MESSAGE).integers(0, 2, code.k)
+                     for i in range(start, stop)]).astype(np.uint8)
+
+
+def _message_errors(llr, msgs, code, graph, decoder) -> np.ndarray:
+    """Message-bit error matrix of an early-stopped decode of the LLRs.
+
+    With `decoder.iters == 0` the hard decision is taken straight off the
+    LLR sign (the uncoded proxy).
+    """
+    soft = llr
+    if decoder.iters:
+        soft = bp.bp_forward(llr, graph, decoder.iters, decoder.clamp,
+                             early_stop=True, record_tape=False).soft[-1]
+    return code.message_from_codeword((soft < 0).astype(np.uint8)) != msgs
+
+
+def _counts(errs) -> tuple[int, int, int]:
+    """(frames, bit errors, block errors) of a message-bit error matrix."""
+    return len(errs), int(errs.sum()), int(np.any(errs, axis=-1).sum())
+
+
+def _attack_array(attack, scheme, code) -> np.ndarray | None:
+    """The perturbation as an array; an AttackVector must match scheme and code."""
+    if attack is None:
+        return None
+    if isinstance(attack, attack_mod.AttackVector):
+        if attack.scheme != scheme:
+            raise ValueError(f"attack scheme {attack.scheme!r} does not match {scheme!r}")
+        if attack.code_id and attack.code_id != code.name:
+            raise ValueError(f"attack was searched on {attack.code_id!r}, not {code.name!r}")
+        return attack.a
+    return np.asarray(attack, dtype=np.float64)
+
+
+def _chunk_counts(code, decoder, graph, const, params, attack_a, message_source,
+                  seed, bounds):
     """Exact (frames, bit errors, block errors) for frames [start, stop)."""
-    const = modem.get_constellation(scheme)
-    graph = bp.TannerGraph(code.H)
+    start, stop = bounds
     rng = channel.FrameRng(seed)
     cps = const.coords_per_symbol
     count = stop - start
@@ -70,8 +107,7 @@ def _chunk_counts(code, decoder, scheme, params, attack_a, message_source,
     if message_source == "all_zero":
         msgs = np.zeros((count, code.k), dtype=np.uint8)
     else:
-        msgs = np.stack([rng.frame(i, channel.STREAM_MESSAGE).integers(0, 2, code.k)
-                         for i in range(start, stop)]).astype(np.uint8)
+        msgs = _draw_messages(code, rng, start, stop)
     s = modem.modulate(gf2.encode(msgs, code.G), const)
     if attack_a is not None:
         s = attack_mod.apply_attack(s, attack_a, const)
@@ -88,25 +124,7 @@ def _chunk_counts(code, decoder, scheme, params, attack_a, message_source,
 
     side = modem.ChannelSide(sigma=params.sigma, gains=gains)
     llr = modem.demodulate_llr(ys, side, const)
-    if decoder.iters == 0:
-        soft = llr  # uncoded proxy: hard decision straight off the LLR sign
-    else:
-        out = bp.bp_forward(llr, graph, decoder.iters, decoder.clamp,
-                            early_stop=True, record_tape=False)
-        soft = out.soft[-1]
-    decoded = code.message_from_codeword((soft < 0).astype(np.uint8))
-    errs = decoded != msgs
-    return count, int(errs.sum()), int(np.any(errs, axis=-1).sum())
-
-
-def _chunk_worker(payload):
-    idx, args = payload
-    return idx, _chunk_counts(*args)
-
-
-def _make_params(kind, sigma, channel_opts):
-    opts = dict(channel_opts or {})
-    return channel.ChannelParams(sigma=sigma, kind=kind, **opts)
+    return _counts(_message_errors(llr, msgs, code, graph, decoder))
 
 
 def run_point(code, decoder: bp.DecoderConfig, scheme: str, ebn0_db: float,
@@ -127,68 +145,34 @@ def run_point(code, decoder: bp.DecoderConfig, scheme: str, ebn0_db: float,
         raise ValueError(f"unknown message source {message_source!r}")
     const = modem.get_constellation(scheme)
     sigma = channel.ebn0_to_sigma(ebn0_db, code.rate, const.bits_per_symbol)
-    params = _make_params(channel_kind, sigma, channel_opts)
+    params = channel.ChannelParams(sigma=sigma, kind=channel_kind, **(channel_opts or {}))
     if params.kind == "rayleigh" and not params.si:
         raise ValueError("no side-information demapper is not implemented; set channel si=true")
+    attack_a = _attack_array(attack, scheme, code)
 
-    attack_a = None
-    if attack is not None:
-        if isinstance(attack, attack_mod.AttackVector):
-            if attack.scheme != scheme:
-                raise ValueError(f"attack scheme {attack.scheme!r} does not match {scheme!r}")
-            if attack.code_id and attack.code_id != code.name:
-                raise ValueError(f"attack was searched on {attack.code_id!r}, not {code.name!r}")
-            attack_a = attack.a
-        else:
-            attack_a = np.asarray(attack, dtype=np.float64)
-
-    bounds = list(range(0, frames, CHUNK_FRAMES)) + [frames]
-    chunks = [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
-    args = [(code, decoder, scheme, params, attack_a, message_source,
-             seed, start, stop) for start, stop in chunks]
-
-    per_chunk: list[tuple[int, int, int] | None] = [None] * len(chunks)
-    if workers <= 1:
-        for i, a in enumerate(args):
-            per_chunk[i] = _chunk_counts(*a)
-            if min_block_errors is not None:
-                done = sum(c[2] for c in per_chunk if c is not None)
-                if done >= min_block_errors:
-                    break
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            if min_block_errors is None:
-                for idx, counts in pool.map(_chunk_worker, list(enumerate(args))):
-                    per_chunk[idx] = counts
-            else:
-                # waves keep the early-stop decision a prefix property of the
-                # fixed chunk order, independent of the worker count
-                pos = 0
-                while pos < len(args):
-                    wave = list(enumerate(args))[pos:pos + workers]
-                    for idx, counts in pool.map(_chunk_worker, wave):
-                        per_chunk[idx] = counts
-                    pos += len(wave)
-                    done = sum(c[2] for c in per_chunk[:pos])
-                    if done >= min_block_errors:
-                        break
-
-    total_f = total_bit = total_blk = 0
-    for counts in per_chunk:
-        if counts is None:
-            continue
-        total_f += counts[0]
-        total_bit += counts[1]
-        total_blk += counts[2]
-        if min_block_errors is not None and total_blk >= min_block_errors:
-            break
+    job = partial(_chunk_counts, code, decoder, bp.TannerGraph(code.H), const, params,
+                  attack_a, message_source, seed)
+    chunks = [(start, min(start + CHUNK_FRAMES, frames))
+              for start in range(0, frames, CHUNK_FRAMES)]
+    # waves keep the early-stop decision a prefix property of the fixed
+    # chunk order, independent of the worker count
+    wave = len(chunks) if min_block_errors is None else max(workers, 1)
+    totals = (0, 0, 0)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        mapper = pool.map if pool is not None else map
+        in_order = (counts for pos in range(0, len(chunks), wave)
+                    for counts in mapper(job, chunks[pos:pos + wave]))
+        for counts in in_order:
+            totals = tuple(map(sum, zip(totals, counts)))
+            if min_block_errors is not None and totals[2] >= min_block_errors:
+                break
 
     meta = dict(ebn0_db=ebn0_db, seed=seed, attacked=attack_a is not None,
                 code_id=code.name, decoder="bp", iters=decoder.iters, scheme=scheme,
                 channel_kind=channel_kind,
                 config_digest=_digest(code.name, decoder, scheme, channel_kind,
                                       channel_opts, ebn0_db, message_source))
-    return _result(total_f, total_bit, total_blk, code.k, meta)
+    return _result(*totals, code.k, meta)
 
 
 def sweep(ebn0_grid, code, decoder: bp.DecoderConfig, scheme: str, frames: int,
@@ -264,39 +248,32 @@ def transfer_check(attack, code, decoder: bp.DecoderConfig, ebn0_db: float,
     sigma = channel.ebn0_to_sigma(ebn0_db, code.rate, 1)
     side = modem.ChannelSide(sigma=sigma)
     rng = channel.FrameRng(seed)
-    a = attack.a if isinstance(attack, attack_mod.AttackVector) else np.asarray(attack)
+    a = _attack_array(attack, scheme, code)
     s_zero = attack_mod.apply_attack(modem.modulate(np.zeros(code.n, dtype=np.uint8), const),
                                      a, const)
 
-    totals = dict(bit_r=0, blk_r=0, bit_z=0, blk_z=0)
+    totals_r = totals_z = (0, 0, 0)
     match = True
     for start in range(0, frames, CHUNK_FRAMES):
         stop = min(start + CHUNK_FRAMES, frames)
-        count = stop - start
-        msgs = np.stack([rng.frame(i, channel.STREAM_MESSAGE).integers(0, 2, code.k)
-                         for i in range(start, stop)]).astype(np.uint8)
+        msgs = _draw_messages(code, rng, start, stop)
         x = gf2.encode(msgs, code.G)
         t = 1.0 - 2.0 * x.astype(np.float64)
         z = sigma * np.stack([rng.frame(i, channel.STREAM_CHANNEL).standard_normal(code.n)
                               for i in range(start, stop)])
         s_rand = attack_mod.apply_attack(modem.modulate(x, const), a, const)
-
-        def decode_msgs(y):
-            llr = modem.demodulate_llr(y, side, const)
-            out = bp.bp_forward(llr, graph, decoder.iters, decoder.clamp,
-                                early_stop=True, record_tape=False)
-            return code.message_from_codeword((out.soft[-1] < 0).astype(np.uint8))
-
-        err_r = decode_msgs(s_rand + z) != msgs
-        err_z = decode_msgs(s_zero + t * z) != 0
-        totals["bit_r"] += int(err_r.sum()); totals["blk_r"] += int(np.any(err_r, -1).sum())
-        totals["bit_z"] += int(err_z.sum()); totals["blk_z"] += int(np.any(err_z, -1).sum())
+        err_r = _message_errors(modem.demodulate_llr(s_rand + z, side, const),
+                                msgs, code, graph, decoder)
+        err_z = _message_errors(modem.demodulate_llr(s_zero + t * z, side, const),
+                                0, code, graph, decoder)
+        totals_r = tuple(map(sum, zip(totals_r, _counts(err_r))))
+        totals_z = tuple(map(sum, zip(totals_z, _counts(err_z))))
         match = match and bool(np.array_equal(err_r, err_z))
 
     return TransferReport(
         mode="exact", frames=frames,
-        bit_errors_random=totals["bit_r"], block_errors_random=totals["blk_r"],
-        bit_errors_allzero=totals["bit_z"], block_errors_allzero=totals["blk_z"],
+        bit_errors_random=totals_r[1], block_errors_random=totals_r[2],
+        bit_errors_allzero=totals_z[1], block_errors_allzero=totals_z[2],
         passed=match)
 
 
@@ -349,8 +326,3 @@ def read_csv(fh) -> list[MonteCarloResult]:
             scheme=row["scheme"], channel_kind=row["channel"]))
     return out
 
-
-def csv_text(results: list[MonteCarloResult]) -> str:
-    buf = io.StringIO()
-    write_csv(results, buf)
-    return buf.getvalue()

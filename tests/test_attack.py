@@ -290,6 +290,25 @@ def test_attack_load_missing_field(tmp_path):
     path.write_text('{"version": 1, "a": [0.0]}')
     with pytest.raises(ValueError, match="missing"):
         attack.load_attack(path)
+    path.write_text('[1, 2]')
+    with pytest.raises(ValueError, match="JSON object"):
+        attack.load_attack(path)
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("version", 99, "version"),
+    ("a", [0.0] * 10, "a"),
+    ("N", 3, "N"),
+    ("scheme", "qam4", "N"),  # qam4 carries N = n // 2 symbols
+])
+def test_attack_load_rejects_inconsistent_record(tmp_path, field, value, named):
+    import json
+    rec = attack.attack_record(_vec([0.1] * 6))
+    rec[field] = value
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(rec))
+    with pytest.raises(ValueError, match=f"field '{named}'"):
+        attack.load_attack(path)
 
 
 def test_attack_vector_rejects_nonfinite():

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -34,8 +35,35 @@ def test_parse_config_defaults_and_comments():
 
 
 def test_parse_config_rejects_unknown_key():
-    with pytest.raises(cli.ConfigError, match="bacth_size"):
-        cli.parse_config("search.bacth_size = 100\n")
+    # a typo, a bare field name and an unknown section
+    for key in ("search.bacth_size", "search_batch_size", "codes.n"):
+        with pytest.raises(cli.ConfigError, match=key):
+            cli.parse_config(f"{key} = 100\n")
+
+
+def test_every_runconfig_field_is_a_key():
+    samples = {"bool": ("on", True), "tuple[float, ...]": ("1 2", (1.0, 2.0)),
+               "int": ("7", 7), "float": ("0.5", 0.5)}
+    for f in fields(cli.RunConfig):
+        section, key = f.name.split("_", 1)
+        text, want = samples.get(f.type.removesuffix(" | None"), (None, None))
+        if text is None:  # str: the default is a value that passes validation
+            text = want = f.default or "x"
+        cfg = cli.parse_config(f"{section}.{key} = {text}\n")
+        assert getattr(cfg, f.name) == want, f.name
+
+
+@pytest.mark.parametrize("line, attr, value", [
+    ("channel.si = off", "channel_si", False),
+    ("eval.grid = 1, 2", "eval_grid", (1.0, 2.0)),
+    ("search.scheduler = step", "search_scheduler", "step"),
+    ("code.design_ebn0_db = 1.5", "code_design_ebn0_db", 1.5),
+    ("eval.min_block_errors = 10", "eval_min_block_errors", 10),
+])
+def test_parse_config_value_types(line, attr, value):
+    got = getattr(cli.parse_config(line + "\n"), attr)
+    assert got == value
+    assert type(got) is type(value)
 
 
 def test_parse_config_rejects_bad_values():
@@ -88,6 +116,17 @@ def test_search_require_nonzero_exit_3(tmp_path):
         "search.sigma = 3.16", "search.sigma = 1e-6") + "search.require_nonzero = true\n")
     rc = cli.main(["search", "--config", cfg, "--out", str(tmp_path / "a.json")])
     assert rc == cli.EXIT_SEARCH
+
+
+def test_search_nonfinite_output_exit_3(tmp_path, monkeypatch, capsys):
+    def nonfinite(*args, **kwargs):
+        raise RuntimeError("decoder produced non-finite soft output during the search")
+
+    monkeypatch.setattr(attack, "search_attack", nonfinite)
+    cfg = write(tmp_path, "rep.cfg", REP_SEARCH_CFG)
+    rc = cli.main(["search", "--config", cfg, "--out", str(tmp_path / "a.json")])
+    assert rc == cli.EXIT_SEARCH
+    assert "search failed: decoder produced non-finite" in capsys.readouterr().err
 
 
 def test_eval_emits_paired_csv(tmp_path, capsys):

@@ -77,6 +77,8 @@ def test_attack_mismatch_rejected(ldpc, dec3):
                              accepted_iters=0)
     with pytest.raises(ValueError, match="other_code"):
         montecarlo.run_point(ldpc, dec3, "bpsk", 2.0, frames=10, seed=0, attack=av)
+    with pytest.raises(ValueError, match="other_code"):
+        montecarlo.transfer_check(av, ldpc, dec3, ebn0_db=2.0, frames=10, seed=0)
     av2 = attack.AttackVector(a=np.zeros(32), code_id=ldpc.name, scheme="qam4", n=64,
                               n_symbols=32, search_sigma=0.7, seed=0, approach="1",
                               accepted_iters=0)
@@ -140,6 +142,17 @@ def test_transfer_check_exact_bpsk(ldpc, dec3):
     assert rep.bit_errors_random == rep.bit_errors_allzero
     assert rep.block_errors_random == rep.block_errors_allzero
     assert rep.bit_errors_random > 0  # the check saw actual errors
+
+
+def test_transfer_check_uncoded_proxy(ldpc):
+    # iters = 0 decides straight off the LLR sign, as run_point does
+    a = attack.normalize_power(np.ones(64) + np.linspace(-0.2, 0.2, 64))[0] - np.ones(64)
+    av = attack.AttackVector(a=a, code_id=ldpc.name, scheme="bpsk", n=64, n_symbols=64,
+                             search_sigma=0.75, seed=0, approach="1", accepted_iters=1)
+    dec0 = bp.DecoderConfig(iters=0)
+    rep = montecarlo.transfer_check(av, ldpc, dec0, ebn0_db=3.0, frames=600, seed=3)
+    assert rep.mode == "exact" and rep.passed
+    assert rep.bit_errors_random == rep.bit_errors_allzero > 0
 
 
 def test_transfer_check_zero_attack(ldpc, dec3):
