@@ -141,7 +141,9 @@ def apply_attack(s, attack, constellation: modem.Constellation) -> np.ndarray:
     out_i = s_i + s_i a_i / s0 per symbol (complex multiplication for qam4),
     then renormalized to the power budget. For BPSK and for the all-zero
     word this reduces to s + s * a, and the renormalization constant is 1
-    whenever the perturbed all-zero word already meets the budget.
+    whenever the perturbed all-zero word already meets the budget. A
+    perturbation that zeroes a word (BPSK a_i = -1 everywhere) is rejected,
+    since no scale brings it to the budget.
     """
     if isinstance(attack, AttackVector):
         if attack.scheme != constellation.scheme:
@@ -166,6 +168,10 @@ def apply_attack(s, attack, constellation: modem.Constellation) -> np.ndarray:
         out[..., 1::2] = oc.imag
     n_symbols = s.shape[-1] // cps
     norms = np.linalg.norm(out, axis=-1, keepdims=True)
+    zero = np.flatnonzero(norms == 0)
+    if zero.size:
+        raise ValueError(f"the perturbation zeroes word {zero[0]}; "
+                         f"it cannot be scaled to the power budget")
     return out * (np.sqrt(n_symbols * POWER) / norms)
 
 

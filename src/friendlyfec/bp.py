@@ -57,11 +57,21 @@ class TannerGraph:
         self.n_edges = int(len(self.edge_check))
         self.check_edges = _group_table(self.edge_check, self.n_check, self.n_edges)
         self.var_edges = _group_table(self.edge_var, self.n_var, self.n_edges)
+        # (checks, max_degree) variable ids; pads read a zero column at n_var
+        self.check_vars = np.append(self.edge_var, self.n_var)[self.check_edges]
 
     def syndrome_ok(self, hard_bits) -> np.ndarray:
-        """True where H x = 0; accepts (n,) or (B, n) bit arrays."""
-        x = np.asarray(hard_bits, dtype=np.int64)
-        return ~np.any((x @ self.H.T.astype(np.int64)) & 1, axis=-1)
+        """True where H x = 0; accepts (n,) or (B, n) bit arrays.
+
+        Each check XORs the bits gathered through `check_vars`.
+        """
+        x = np.asarray(hard_bits)
+        if x.shape[-1:] != (self.n_var,):
+            raise ValueError(f"bit array shape {x.shape} does not match {self.n_var} variables")
+        padded = np.zeros(x.shape[:-1] + (self.n_var + 1,), dtype=np.uint8)
+        padded[..., :-1] = x
+        parity = np.bitwise_xor.reduce(padded[..., self.check_vars], axis=-1)
+        return ~np.any(parity & 1, axis=-1)
 
 
 def _group_table(owner, n_groups, sentinel) -> np.ndarray:
@@ -118,7 +128,18 @@ def _scatter(per_slot, table, n_edges):
     return out[:, :n_edges]
 
 def _sum_per_var(per_edge, graph):
-    return _gather(per_edge, graph.var_edges, 0.0).sum(axis=-1)
+    """(B, E) edge values -> (B, n) per-variable sums.
+
+    Slots are added one at a time, in slot order, so a lane's sum is the
+    same in a batch of any size; numpy's `sum` over the slots adds a lone
+    lane's in another order than a batch's and rounds differently.
+    """
+    padded = np.concatenate([per_edge, np.zeros((per_edge.shape[0], 1))], axis=1)
+    slots = graph.var_edges.T
+    total = padded[:, slots[0]]
+    for slot in slots[1:]:
+        total += padded[:, slot]
+    return total
 
 
 def _check_internals(m_clamped, graph):
@@ -153,10 +174,12 @@ def bp_forward(llr, graph: TannerGraph, iters: int, clamp: float = DEFAULT_CLAMP
     check messages, and next variable-to-check messages = output minus the
     edge's own incoming message. Messages are clamped to [-clamp, clamp].
 
-    With `early_stop`, a frame's messages freeze once its hard decision
-    satisfies the syndrome, so its result equals a standalone early-stopped
-    decode regardless of batch composition; no tape is recorded. Recording
-    a tape (for gradients) and early stopping are mutually exclusive.
+    With `early_stop`, a frame stops decoding once its hard decision
+    satisfies the syndrome and repeats that output in every later
+    iteration, so its result equals a standalone early-stopped decode
+    regardless of batch composition; only unconverged frames are computed.
+    Recording a tape (for gradients) and early stopping are mutually
+    exclusive.
     """
     L = np.asarray(llr, dtype=np.float64)
     squeeze = L.ndim == 1
@@ -179,29 +202,33 @@ def bp_forward(llr, graph: TannerGraph, iters: int, clamp: float = DEFAULT_CLAMP
 
     v2c_pre = L[:, evar]
     m = np.clip(v2c_pre, -clamp, clamp)
-    active = np.ones(B, dtype=bool)
-    soft_steps = []
+    soft = np.empty((iters, B, graph.n_var))
+    lanes = np.arange(B)  # batch rows of L, m, c2v and marg (early stop drops converged ones)
     iterations = 0
     for it in range(iters):
         u = _check_messages(m, graph)
         c2v = np.clip(u, -clamp, clamp)
         marg = L + _sum_per_var(c2v, graph)
-        soft_steps.append(marg)
+        soft[it, lanes] = marg
         iterations = it + 1
         if record_tape:
             tape.v2c_pre.append(v2c_pre)
             tape.c2v_pre.append(u)
             tape.soft.append(marg)
+        if iterations == iters:
+            break
         if early_stop:
-            active = active & ~graph.syndrome_ok(marg < 0)
-            if not active.any():
+            done = graph.syndrome_ok(marg < 0)
+            if done.all():
                 break
-        if it + 1 < iters:
-            v2c_pre = marg[:, evar] - c2v
-            nxt = np.clip(v2c_pre, -clamp, clamp)
-            m = np.where(active[:, None], nxt, m) if early_stop else nxt
+            if done.any():
+                soft[it + 1:, lanes[done]] = marg[done]  # converged lanes repeat their output
+                run = ~done
+                lanes, L, m, c2v, marg = lanes[run], L[run], m[run], c2v[run], marg[run]
+        v2c_pre = marg[:, evar] - c2v
+        m = np.clip(v2c_pre, -clamp, clamp)
 
-    soft = np.stack(soft_steps)
+    soft = soft[:iterations]
     hard = (soft[-1] < 0).astype(np.uint8)
     ok = graph.syndrome_ok(hard)
     if squeeze:

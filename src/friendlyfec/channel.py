@@ -64,6 +64,24 @@ class FrameRng:
         counter = np.array([0, 0, index, stream], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=self.seed, counter=counter))
 
+    def frames(self, start: int, stop: int, stream: int = STREAM_CHANNEL):
+        """Yield the generator of each frame in [start, stop), drawing as frame(i, stream).
+
+        One Philox is re-keyed per frame by resetting its state, which is
+        much cheaper than building a generator per frame. The same
+        generator object is yielded every time: draw from it before
+        advancing to the next frame.
+        """
+        if start < 0:
+            raise ValueError("frame index must be non-negative")
+        bit_gen = np.random.Philox(key=self.seed)
+        state = bit_gen.state  # fresh: empty output buffer, no cached uint32
+        gen = np.random.Generator(bit_gen)
+        for index in range(start, stop):
+            state["state"]["counter"][:] = (0, 0, index, stream)
+            bit_gen.state = state
+            yield gen
+
 
 def child_seed(seed: int, *key: int) -> int:
     """Derive an independent 64-bit seed from (seed, key...); deterministic."""

@@ -104,8 +104,6 @@ def parse_config(text: str) -> RunConfig:
         attr, conv = _KEYS[key]
         try:
             setattr(cfg, attr, conv(value))
-        except ConfigError:
-            raise
         except (TypeError, ValueError):
             raise ConfigError(f"line {lineno}: bad value {value!r} for {key}") from None
     _validate(cfg)

@@ -61,8 +61,8 @@ def _result(frames, bit_errors, block_errors, k, meta) -> MonteCarloResult:
 
 def _draw_messages(code, rng, start, stop) -> np.ndarray:
     """Random message bits of frames [start, stop), one stream per frame."""
-    return np.stack([rng.frame(i, channel.STREAM_MESSAGE).integers(0, 2, code.k)
-                     for i in range(start, stop)]).astype(np.uint8)
+    return np.stack([gen.integers(0, 2, code.k)
+                     for gen in rng.frames(start, stop, channel.STREAM_MESSAGE)]).astype(np.uint8)
 
 
 def _message_errors(llr, msgs, code, graph, decoder) -> np.ndarray:
@@ -116,8 +116,8 @@ def _chunk_counts(code, decoder, graph, const, params, attack_a, message_source,
     gains = None
     if params.kind == "rayleigh" and params.si:
         gains = np.empty((count, s.shape[-1] // cps))
-    for row, i in enumerate(range(start, stop)):
-        y, g = channel.transmit(s[row], params, rng.frame(i, channel.STREAM_CHANNEL), cps)
+    for row, gen in enumerate(rng.frames(start, stop, channel.STREAM_CHANNEL)):
+        y, g = channel.transmit(s[row], params, gen, cps)
         ys[row] = y
         if gains is not None:
             gains[row] = g
@@ -259,8 +259,8 @@ def transfer_check(attack, code, decoder: bp.DecoderConfig, ebn0_db: float,
         msgs = _draw_messages(code, rng, start, stop)
         x = gf2.encode(msgs, code.G)
         t = 1.0 - 2.0 * x.astype(np.float64)
-        z = sigma * np.stack([rng.frame(i, channel.STREAM_CHANNEL).standard_normal(code.n)
-                              for i in range(start, stop)])
+        z = sigma * np.stack([gen.standard_normal(code.n)
+                              for gen in rng.frames(start, stop, channel.STREAM_CHANNEL)])
         s_rand = attack_mod.apply_attack(modem.modulate(x, const), a, const)
         err_r = _message_errors(modem.demodulate_llr(s_rand + z, side, const),
                                 msgs, code, graph, decoder)

@@ -78,6 +78,17 @@ def test_apply_attack_zero_is_noop():
     assert np.array_equal(attack.apply_attack(s, np.zeros(4), c), s)
 
 
+def test_apply_attack_rejects_zeroed_word(ldpc):
+    c = modem.get_constellation("bpsk")
+    s = modem.modulate(np.array([[0, 1, 1, 0], [1, 1, 0, 0]]), c)
+    with pytest.raises(ValueError, match="zeroes word 0"):
+        attack.apply_attack(s, -np.ones(4), c)
+    # the Monte Carlo path fails at the attack, not in the decoder
+    with pytest.raises(ValueError, match="zeroes word"):
+        montecarlo.run_point(ldpc, bp.DecoderConfig(iters=5), "bpsk", 2.0, frames=8, seed=0,
+                             attack=-np.ones(64))
+
+
 def test_apply_attack_qam4_rotates_per_symbol():
     c = modem.get_constellation("qam4")
     a = np.array([0.1, -0.05])  # one complex symbol perturbation

@@ -201,10 +201,51 @@ def test_early_stop_matches_standalone_decode():
     g = bp.TannerGraph(code.H)
     rng = np.random.default_rng(7)
     L = (2.0 / 0.64) * (1.0 + 0.8 * rng.standard_normal((16, 64)))
-    batch = bp.bp_forward(L, g, iters=10, early_stop=True, record_tape=False)
-    for i in range(16):
-        alone = bp.bp_forward(L[i], g, iters=10, early_stop=True, record_tape=False)
-        assert np.array_equal(alone.hard, batch.hard[i])
+    full = bp.bp_forward(L, g, iters=10, record_tape=False)
+    for lanes in (range(16), range(7)):
+        batch = bp.bp_forward(L[lanes], g, iters=10, early_stop=True, record_tape=False)
+        assert batch.soft.shape == (batch.iterations, len(lanes), 64)
+        stops = []
+        for i in lanes:
+            alone = bp.bp_forward(L[i], g, iters=10, early_stop=True, record_tape=False)
+            assert np.array_equal(alone.hard, batch.hard[i])
+            assert alone.syndrome_ok == batch.syndrome_ok[i]
+            ran = alone.iterations
+            stops.append(ran)
+            # the iterations the lane ran, as without early stop, then its last output repeated
+            assert np.array_equal(alone.soft, batch.soft[:ran, i])
+            assert np.array_equal(alone.soft, full.soft[:ran, i])
+            for t in range(ran, batch.iterations):
+                assert np.array_equal(batch.soft[t, i], alone.soft[-1])
+        assert batch.iterations == max(stops)
+        assert len(set(stops)) >= 4  # lanes converge at different iterations
+    assert sorted(stops)[-2] < max(stops)  # among the first 7 lanes, one decodes on alone
+
+
+@pytest.mark.parametrize("H", [
+    codes.ldpc_64_32().H,
+    # irregular, with a degree-1 check, so most rows of the check table are padded
+    np.array([[1, 0, 0, 0, 0, 0],
+              [1, 1, 0, 1, 0, 0],
+              [0, 1, 1, 0, 1, 1],
+              [0, 0, 1, 1, 1, 0]], dtype=np.uint8),
+], ids=["ldpc_64_32", "irregular"])
+def test_syndrome_ok_matches_matmul(H):
+    g = bp.TannerGraph(H)
+    rng = np.random.default_rng(11)
+    n = H.shape[1]
+    x = rng.integers(0, 2, (400, n))
+    # codewords (null-space vectors) for half the rows, so both answers occur
+    G = gf2.generator_from_parity(H)
+    x[:200] = gf2.encode(rng.integers(0, 2, (200, G.shape[0])), G)
+    want = np.all((x @ H.T.astype(np.int64)) % 2 == 0, axis=-1)
+    assert want.any() and not want.all()
+    for dtype in (bool, np.uint8):
+        bits = x.astype(dtype)
+        assert np.array_equal(g.syndrome_ok(bits), want)
+        assert [bool(g.syndrome_ok(row)) for row in bits] == want.tolist()
+    with pytest.raises(ValueError, match="shape"):
+        g.syndrome_ok(np.zeros((3, n + 1), dtype=np.uint8))
 
 
 def test_zero_iteration_graphs_and_degree_one_checks():

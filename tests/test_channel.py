@@ -105,6 +105,29 @@ def test_frame_streams_deterministic_and_order_free():
     assert not np.array_equal(a, b)
 
 
+def _transmit_draws(gen):
+    # every kind of draw transmit and the message draw make, an odd count first
+    return (gen.integers(0, 2, 31), gen.rayleigh(channel.RAYLEIGH_SCALE, 7),
+            gen.standard_normal(13), gen.random(5), gen.standard_normal(3))
+
+
+@pytest.mark.parametrize("stream", [channel.STREAM_MESSAGE, channel.STREAM_CHANNEL,
+                                    channel.STREAM_SEARCH, channel.STREAM_PROBE])
+@pytest.mark.parametrize("start", [0, 37])
+def test_frame_range_draws_equal_frame(stream, start):
+    rng = channel.FrameRng(channel.child_seed(21, stream))
+    seen = []
+    for gen in rng.frames(start, start + 6, stream):
+        i = start + len(seen)
+        got, want = _transmit_draws(gen), _transmit_draws(rng.frame(i, stream))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        seen.append(i)
+    assert seen == list(range(start, start + 6))
+    assert list(rng.frames(start, start, stream)) == []
+    with pytest.raises(ValueError):
+        next(rng.frames(-1, 2, stream))
+
+
 def test_child_seed_deterministic():
     assert channel.child_seed(9, 1) == channel.child_seed(9, 1)
     assert channel.child_seed(9, 1) != channel.child_seed(9, 2)

@@ -69,6 +69,8 @@ def test_parse_config_value_types(line, attr, value):
 def test_parse_config_rejects_bad_values():
     with pytest.raises(cli.ConfigError, match="line 1"):
         cli.parse_config("decoder.iters = many\n")
+    with pytest.raises(cli.ConfigError, match=r"line 1: .*channel\.si"):
+        cli.parse_config("channel.si = maybe\n")
     with pytest.raises(cli.ConfigError):
         cli.parse_config("just some words\n")
     with pytest.raises(cli.ConfigError, match="scheme"):
