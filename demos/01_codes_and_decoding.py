@@ -16,7 +16,7 @@ for code in (codes.hamming_7_4(), codes.ldpc_64_32(), codes.polar_construct(64, 
     print(f"\n=== {code.name}: n={code.n} k={code.k} rate={code.rate:.2f} ===")
     print("G H^T == 0:", not gf2.matmul(code.G, code.H.T).any())
 
-    message = rng.frame(0, channel.STREAM_MESSAGE).integers(0, 2, code.k).astype(np.uint8)
+    message = next(rng.frames(0, 1, channel.STREAM_MESSAGE)).integers(0, 2, code.k).astype(np.uint8)
     word = gf2.encode(message, code.G)
     print("message:", "".join(map(str, message[:16])), "...")
 
@@ -26,7 +26,7 @@ for code in (codes.hamming_7_4(), codes.ldpc_64_32(), codes.polar_construct(64, 
     ebn0_db = 4.0
     sigma = channel.ebn0_to_sigma(ebn0_db, code.rate, const.bits_per_symbol)
     params = channel.ChannelParams(sigma=sigma)
-    y, _ = channel.transmit(s, params, rng.frame(0))
+    y, _ = channel.transmit(s, params, next(rng.frames(0, 1)))
 
     llr = modem.demodulate_llr(y, modem.ChannelSide(sigma=sigma), const)
     graph = bp.TannerGraph(code.H)

@@ -61,7 +61,6 @@ class SearchConfig:
     decay: float = 0.99
     step_len: int = 10
     accept: str = "ber"               # ber | bler | both
-    loss_mode: str | None = None      # None: use the decoder config's mode
     runs: int = 1
     cluster: str = "none"             # none | kmeans | agglomerative
     cluster_k: int = 3
@@ -202,7 +201,6 @@ def search_attack(code, decoder: bp.DecoderConfig, scheme: str, config: SearchCo
     if decoder.iters < 1:
         raise ValueError("the search needs a decoder with at least one iteration")
     const = modem.get_constellation(scheme)
-    loss_mode = config.loss_mode or decoder.loss_mode
     graph = bp.TannerGraph(code.H)
     target = np.zeros(code.n)
     side = modem.ChannelSide(sigma=config.sigma)
@@ -222,12 +220,12 @@ def search_attack(code, decoder: bp.DecoderConfig, scheme: str, config: SearchCo
         """Per-sample d(loss)/d(s) from a taped decode."""
         if not np.all(np.isfinite(out.soft[-1])):
             raise RuntimeError("decoder produced non-finite soft output during the search")
-        dj_dllr = bp.bp_backward(out.tape, target, loss_mode)
+        dj_dllr = bp.bp_backward(out.tape, target, decoder.loss_mode)
         return modem.demodulate_adjoint(dj_dllr, side, const)
 
     if config.epsilon0 is None:
         # calibrate the step size against this decoder's gradient scale
-        z = config.sigma * rng.frame(0, channel.STREAM_PROBE).standard_normal(
+        z = config.sigma * next(rng.frames(0, 1, channel.STREAM_PROBE)).standard_normal(
             (config.batch_size, n_real))
         probe = loss_gradient(decode(s_base, z, record_tape=True)[0])
         scale = float(np.mean(np.abs(probe.mean(axis=0))))
@@ -235,11 +233,9 @@ def search_attack(code, decoder: bp.DecoderConfig, scheme: str, config: SearchCo
 
     s_cur = s_base.copy()
     accepted = 0
-    trials = 0
-    while accepted < config.accepted_iters and trials < config.trial_cap:
+    for trial, gen in enumerate(rng.frames(0, config.trial_cap, channel.STREAM_SEARCH), 1):
         eps = gradient_scheduler(accepted, config)
-        z = config.sigma * rng.frame(trials, channel.STREAM_SEARCH).standard_normal(
-            (config.batch_size, n_real))
+        z = config.sigma * gen.standard_normal((config.batch_size, n_real))
         out, ber0, bler0 = decode(s_cur, z, record_tape=True)
         step = -eps * loss_gradient(out).mean(axis=0)
         # evaluate the candidate exactly as it would be transmitted: at the
@@ -247,14 +243,15 @@ def search_attack(code, decoder: bp.DecoderConfig, scheme: str, config: SearchCo
         s_cand, _ = normalize_power(s_cur + step, POWER, const.coords_per_symbol)
         _, ber1, bler1 = decode(s_cand, z, record_tape=False)
         ok = _improves(config.accept, ber1, bler1, ber0, bler0)
-        trials += 1
         if ok:
             accepted += 1
             s_cur = s_cand
         if on_trial is not None:
-            on_trial(dict(trial=trials, epsilon=eps, accepted=ok,
+            on_trial(dict(trial=trial, epsilon=eps, accepted=ok,
                           ber=ber0, ber_new=ber1, bler=bler0, bler_new=bler1,
                           accepted_total=accepted))
+        if accepted == config.accepted_iters:
+            break
 
     return AttackVector(
         a=s_cur - s_base, code_id=code.name, scheme=scheme, n=code.n,

@@ -314,21 +314,17 @@ def bp_backward(tape: BpTape, target, mode: str = "final") -> np.ndarray:
         raise ValueError("target batch size does not match the tape")
 
     dL = np.zeros((B, n))
-    d_m_next = None  # gradient w.r.t. the clamped v2c messages of iteration t+1
+    # gradient w.r.t. the pre-clamp v2c messages w_t = marg_t[edge var] - c2v_t
+    # that iteration t+1 read; nothing reads the last iteration's
+    d_w = np.zeros((B, E))
     for t in range(T - 1, -1, -1):
         if mode == "final":
-            d_out = _bce_grad(tape.soft[t], x) if t == T - 1 else np.zeros((B, n))
+            d_loss = _bce_grad(tape.soft[t], x) if t == T - 1 else np.zeros((B, n))
         else:
-            d_out = _bce_grad(tape.soft[t], x) / T
-        if d_m_next is not None:
-            # w_t = marg_t[edge var] - c2v_t fed iteration t+1 through a clamp
-            d_w = d_m_next * (np.abs(tape.v2c_pre[t + 1]) <= clamp)
-            d_out = d_out + _sum_per_var(d_w, graph)
-            d_c2v = -d_w
-        else:
-            d_c2v = np.zeros((B, E))
-        d_c2v = d_c2v + d_out[:, evar]
+            d_loss = _bce_grad(tape.soft[t], x) / T
+        d_out = d_loss + _sum_per_var(d_w, graph)
         dL += d_out
+        d_c2v = d_out[:, evar] - d_w
 
         d_u = d_c2v * (np.abs(tape.c2v_pre[t]) <= clamp)
         m_t = np.clip(tape.v2c_pre[t], -clamp, clamp)
@@ -347,13 +343,9 @@ def bp_backward(tape: BpTape, target, mode: str = "final") -> np.ndarray:
             right[..., i] = right[..., i + 1] * tg[..., i + 1] + q[..., i + 1] * suf[..., i + 1]
         d_t = _scatter(suf * left + pre * right, graph.check_edges, E)
 
-        d_m = d_t * 0.5 * (1.0 - t_e * t_e)
-        d_v2c_pre = d_m * (np.abs(tape.v2c_pre[t]) <= clamp)
-        if t == 0:
-            dL += _sum_per_var(d_v2c_pre, graph)  # iteration-0 messages copy L
-        else:
-            d_m_next = d_v2c_pre
+        d_w = d_t * 0.5 * (1.0 - t_e * t_e) * (np.abs(tape.v2c_pre[t]) <= clamp)
 
+    dL += _sum_per_var(d_w, graph)  # iteration-0 messages copy L
     return dL[0] if tape.squeeze else dL
 
 

@@ -58,15 +58,10 @@ class FrameRng:
 
     seed: int
 
-    def frame(self, index: int, stream: int = STREAM_CHANNEL) -> np.random.Generator:
-        if index < 0:
-            raise ValueError("frame index must be non-negative")
-        counter = np.array([0, 0, index, stream], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=self.seed, counter=counter))
-
     def frames(self, start: int, stop: int, stream: int = STREAM_CHANNEL):
-        """Yield the generator of each frame in [start, stop), drawing as frame(i, stream).
+        """Yield the generator of each frame in [start, stop).
 
+        Frame i draws from Philox(key=seed) at counter [0, 0, i, stream].
         One Philox is re-keyed per frame by resetting its state, which is
         much cheaper than building a generator per frame. The same
         generator object is yielded every time: draw from it before

@@ -198,11 +198,12 @@ def cmd_search(cfg: RunConfig, out_path: str | None, seed: int) -> int:
     search_cfg = build_search(cfg)
     if cfg.channel_kind != "awgn":
         raise ConfigError("the perturbation search runs over the AWGN channel only")
+    bits = modem.get_constellation(cfg.modem_scheme).bits_per_symbol
     if search_cfg.sigma is None:
         sigma = attack_mod.find_search_sigma(code, decoder, cfg.modem_scheme, seed=seed,
                                              target_bler=cfg.search_target_bler)
         _log(f"auto search sigma {sigma:.6g} "
-             f"({channel.sigma_to_ebn0(sigma, code.rate, 1 if cfg.modem_scheme == 'bpsk' else 2):.3f} dB)")
+             f"({channel.sigma_to_ebn0(sigma, code.rate, bits):.3f} dB)")
         search_cfg = replace(search_cfg, sigma=sigma)
 
     def trace(rec):
@@ -222,8 +223,7 @@ def cmd_search(cfg: RunConfig, out_path: str | None, seed: int) -> int:
             candidates = nonzero or vectors[:1]
         val_ebn0 = cfg.search_validation_ebn0_db
         if val_ebn0 is None:
-            val_ebn0 = channel.sigma_to_ebn0(search_cfg.sigma, code.rate,
-                                             1 if cfg.modem_scheme == "bpsk" else 2) + 1.0
+            val_ebn0 = channel.sigma_to_ebn0(search_cfg.sigma, code.rate, bits) + 1.0
         best = attack_mod.select_best(candidates, code, decoder, ebn0_db=val_ebn0,
                                       frames=cfg.search_validation_frames, seed=channel.child_seed(seed, 9))
         _log(f"selected candidate {best.approach!r} at validation Eb/N0 {val_ebn0:.3f} dB")

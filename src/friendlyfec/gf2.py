@@ -10,7 +10,6 @@ logger = logging.getLogger(__name__)
 
 # A "bit matrix" throughout this package is a 2-D uint8 array with entries
 # in {0, 1}. Codes here stay at or below ~1024 bits, so dense storage is fine.
-BitMatrix = np.ndarray
 
 
 def as_bitmatrix(matrix) -> np.ndarray:

@@ -84,7 +84,8 @@ def _counts(errs) -> tuple[int, int, int]:
 
 
 def _attack_array(attack, scheme, code) -> np.ndarray | None:
-    """The perturbation as an array; an AttackVector must match scheme and code."""
+    """The perturbation as an array; an AttackVector must match scheme and code,
+    and a raw array must be finite with shape (code.n,)."""
     if attack is None:
         return None
     if isinstance(attack, attack_mod.AttackVector):
@@ -93,7 +94,12 @@ def _attack_array(attack, scheme, code) -> np.ndarray | None:
         if attack.code_id and attack.code_id != code.name:
             raise ValueError(f"attack was searched on {attack.code_id!r}, not {code.name!r}")
         return attack.a
-    return np.asarray(attack, dtype=np.float64)
+    a = np.asarray(attack, dtype=np.float64)
+    if a.shape != (code.n,):
+        raise ValueError(f"raw attack array has shape {a.shape}, expected ({code.n},)")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("raw attack array entries must be finite")
+    return a
 
 
 def _chunk_counts(code, decoder, graph, const, params, attack_a, message_source,
@@ -101,29 +107,21 @@ def _chunk_counts(code, decoder, graph, const, params, attack_a, message_source,
     """Exact (frames, bit errors, block errors) for frames [start, stop)."""
     start, stop = bounds
     rng = channel.FrameRng(seed)
-    cps = const.coords_per_symbol
-    count = stop - start
 
     if message_source == "all_zero":
-        msgs = np.zeros((count, code.k), dtype=np.uint8)
+        msgs = np.zeros((stop - start, code.k), dtype=np.uint8)
     else:
         msgs = _draw_messages(code, rng, start, stop)
     s = modem.modulate(gf2.encode(msgs, code.G), const)
     if attack_a is not None:
         s = attack_mod.apply_attack(s, attack_a, const)
 
-    ys = np.empty_like(s)
-    gains = None
-    if params.kind == "rayleigh" and params.si:
-        gains = np.empty((count, s.shape[-1] // cps))
-    for row, gen in enumerate(rng.frames(start, stop, channel.STREAM_CHANNEL)):
-        y, g = channel.transmit(s[row], params, gen, cps)
-        ys[row] = y
-        if gains is not None:
-            gains[row] = g
+    y, g = zip(*[channel.transmit(row, params, gen, const.coords_per_symbol)
+                 for row, gen in zip(s, rng.frames(start, stop, channel.STREAM_CHANNEL))])
+    gains = np.stack(g) if params.kind == "rayleigh" and params.si else None
 
     side = modem.ChannelSide(sigma=params.sigma, gains=gains)
-    llr = modem.demodulate_llr(ys, side, const)
+    llr = modem.demodulate_llr(np.stack(y), side, const)
     return _counts(_message_errors(llr, msgs, code, graph, decoder))
 
 
@@ -286,34 +284,27 @@ CSV_COLUMNS = ["ebn0_db", "frames", "bit_errors", "block_errors", "ber", "bler",
                "scheme", "channel", "seed"]
 
 
-def write_csv(results: list[MonteCarloResult], fh) -> None:
-    close = False
+def _opened(fh, mode):
+    """A context yielding a file: a path is opened (and closed on exit), an open file is lent."""
     if isinstance(fh, (str, bytes)) or hasattr(fh, "__fspath__"):
-        fh = open(fh, "w", newline="")
-        close = True
-    try:
-        w = csv.writer(fh)
+        return open(fh, mode, newline="")
+    return nullcontext(fh)
+
+
+def write_csv(results: list[MonteCarloResult], fh) -> None:
+    with _opened(fh, "w") as f:
+        w = csv.writer(f)
         w.writerow(CSV_COLUMNS)
         for r in results:
             w.writerow([repr(r.ebn0_db), r.frames, r.bit_errors, r.block_errors,
                         repr(r.ber), repr(r.bler), repr(r.ci95_ber), repr(r.ci95_bler),
                         int(r.attacked), r.code_id, r.decoder, r.iters, r.scheme,
                         r.channel_kind, r.seed])
-    finally:
-        if close:
-            fh.close()
 
 
 def read_csv(fh) -> list[MonteCarloResult]:
-    close = False
-    if isinstance(fh, (str, bytes)) or hasattr(fh, "__fspath__"):
-        fh = open(fh, newline="")
-        close = True
-    try:
-        rows = list(csv.DictReader(fh))
-    finally:
-        if close:
-            fh.close()
+    with _opened(fh, "r") as f:
+        rows = list(csv.DictReader(f))
     out = []
     for row in rows:
         out.append(MonteCarloResult(

@@ -123,11 +123,11 @@ def test_criterion_2_bp_exactness():
     agree = 0
     total = 10_000
     for start in range(0, total, 1000):
-        msgs = np.stack([rng_f.frame(i, channel.STREAM_MESSAGE).integers(0, 2, 4)
-                         for i in range(start, start + 1000)]).astype(np.uint8)
+        msgs = np.stack([gen.integers(0, 2, 4) for gen in
+                         rng_f.frames(start, start + 1000, channel.STREAM_MESSAGE)]).astype(np.uint8)
         x = gf2.encode(msgs, ham.G)
-        z = sigma * np.stack([rng_f.frame(i, channel.STREAM_CHANNEL).standard_normal(7)
-                              for i in range(start, start + 1000)])
+        z = sigma * np.stack([gen.standard_normal(7) for gen in
+                              rng_f.frames(start, start + 1000, channel.STREAM_CHANNEL)])
         llr = modem.demodulate_llr(modem.modulate(x, const) + z, side, const)
         out = bp.bp_forward(llr, gh, iters=20, early_stop=True, record_tape=False)
         ml = words[np.argmax(llr @ signs.T, axis=1)]

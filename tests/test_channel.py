@@ -24,7 +24,7 @@ def test_sigma_ebn0_round_trip():
 
 
 def make_rng(seed=0, frame=0):
-    return channel.FrameRng(seed).frame(frame)
+    return next(channel.FrameRng(seed).frames(frame, frame + 1))
 
 
 def test_transmit_degenerate_noise():
@@ -94,14 +94,14 @@ def test_frame_streams_deterministic_and_order_free():
     params = channel.ChannelParams(sigma=1.0)
     s = np.zeros(64)
     rng = channel.FrameRng(1234)
-    y5_first, _ = channel.transmit(s, params, rng.frame(5))
-    y2, _ = channel.transmit(s, params, rng.frame(2))
-    y5_again, _ = channel.transmit(s, params, channel.FrameRng(1234).frame(5))
+    y5_first, _ = channel.transmit(s, params, next(rng.frames(5, 6)))
+    y2, _ = channel.transmit(s, params, next(rng.frames(2, 3)))
+    y5_again, _ = channel.transmit(s, params, next(channel.FrameRng(1234).frames(5, 6)))
     assert np.array_equal(y5_first, y5_again)
     assert not np.array_equal(y5_first, y2)
     # distinct stream ids are distinct
-    a = channel.FrameRng(7).frame(0, channel.STREAM_MESSAGE).standard_normal(8)
-    b = channel.FrameRng(7).frame(0, channel.STREAM_CHANNEL).standard_normal(8)
+    a = next(channel.FrameRng(7).frames(0, 1, channel.STREAM_MESSAGE)).standard_normal(8)
+    b = next(channel.FrameRng(7).frames(0, 1, channel.STREAM_CHANNEL)).standard_normal(8)
     assert not np.array_equal(a, b)
 
 
@@ -115,11 +115,14 @@ def _transmit_draws(gen):
                                     channel.STREAM_SEARCH, channel.STREAM_PROBE])
 @pytest.mark.parametrize("start", [0, 37])
 def test_frame_range_draws_equal_frame(stream, start):
-    rng = channel.FrameRng(channel.child_seed(21, stream))
+    seed = channel.child_seed(21, stream)
+    rng = channel.FrameRng(seed)
     seen = []
     for gen in rng.frames(start, start + 6, stream):
         i = start + len(seen)
-        got, want = _transmit_draws(gen), _transmit_draws(rng.frame(i, stream))
+        # the stream's definition: Philox keyed by the seed at counter [0, 0, i, stream]
+        ref = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, i, stream]))
+        got, want = _transmit_draws(gen), _transmit_draws(ref)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         seen.append(i)
     assert seen == list(range(start, start + 6))

@@ -86,6 +86,20 @@ def test_attack_mismatch_rejected(ldpc, dec3):
         montecarlo.run_point(ldpc, dec3, "bpsk", 2.0, frames=10, seed=0, attack=av2)
 
 
+def test_raw_attack_array_checked(ldpc, dec3):
+    # the (512, 64) array would broadcast against a full first chunk
+    bad = [(np.full(64, np.nan), "must be finite"), (np.zeros((2, 64)), r"shape \(2, 64\)"),
+           (np.zeros((512, 64)), r"shape \(512, 64\)")]
+    for a, match in bad:
+        with pytest.raises(ValueError, match="raw attack array.*" + match):
+            montecarlo.run_point(ldpc, dec3, "bpsk", 2.0, frames=512, seed=0, attack=a)
+    # a valid (n,) array still runs, and the zero array is a no-op
+    res = montecarlo.run_point(ldpc, dec3, "bpsk", 2.0, frames=100, seed=0, attack=np.zeros(64))
+    base = montecarlo.run_point(ldpc, dec3, "bpsk", 2.0, frames=100, seed=0)
+    assert res.attacked
+    assert (res.bit_errors, res.block_errors) == (base.bit_errors, base.block_errors)
+
+
 def test_no_si_fading_rejected(ldpc, dec3):
     with pytest.raises(ValueError, match="side-information"):
         montecarlo.run_point(ldpc, dec3, "bpsk", 4.0, frames=10, seed=0,
@@ -142,6 +156,24 @@ def test_transfer_check_exact_bpsk(ldpc, dec3):
     assert rep.bit_errors_random == rep.bit_errors_allzero
     assert rep.block_errors_random == rep.block_errors_allzero
     assert rep.bit_errors_random > 0  # the check saw actual errors
+
+
+def test_transfer_check_fails_unadapted_attack(ldpc, dec3, monkeypatch):
+    # adding the same a to every word, instead of adapting it to the word's
+    # signs, breaks the equivalence: the exact check must notice
+    def unadapted(s, a, constellation):
+        out = s + a
+        return out * np.sqrt(s.shape[-1] / np.sum(out * out, axis=-1, keepdims=True))
+
+    rng = np.random.default_rng(12)
+    a = attack.normalize_power(np.ones(64) + 0.2 * rng.normal(0, 1, 64))[0] - np.ones(64)
+    av = attack.AttackVector(a=a, code_id=ldpc.name, scheme="bpsk", n=64, n_symbols=64,
+                             search_sigma=0.75, seed=0, approach="1", accepted_iters=1)
+    monkeypatch.setattr(attack, "apply_attack", unadapted)
+    rep = montecarlo.transfer_check(av, ldpc, dec3, ebn0_db=2.5, frames=1024, seed=3)
+    assert rep.mode == "exact"
+    assert not rep.passed
+    assert rep.bit_errors_random != rep.bit_errors_allzero
 
 
 def test_transfer_check_uncoded_proxy(ldpc):
