@@ -70,8 +70,11 @@ class SearchConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.accepted_iters < 1:
             raise ValueError("batch size and accepted-iteration budget must be >= 1")
-        if self.epsilon0 is not None and self.epsilon0 <= 0:
-            raise ValueError("epsilon0 must be positive")
+        if self.epsilon0 is not None and not 0 < self.epsilon0 < np.inf:
+            raise ValueError(f"epsilon0 must be positive and finite, got {self.epsilon0!r}")
+        for name in ("step_len", "runs", "cluster_k"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.scheduler not in ("constant", "exp_decay", "step"):
             raise ValueError(f"unknown scheduler {self.scheduler!r}")
         if self.accept not in ("ber", "bler", "both"):
@@ -339,6 +342,8 @@ def cluster_attacks(vectors: list[AttackVector], method: str, k: int,
     Zero vectors from failed runs are dropped first, since they drag
     centroids toward the no-op.
     """
+    if k < 1:
+        raise ValueError(f"cluster count k must be >= 1, got {k}")
     nonzero = [v for v in vectors if not v.is_zero]
     if len(nonzero) < k:
         raise ValueError(f"need at least k={k} nonzero vectors, have {len(nonzero)}")

@@ -32,8 +32,8 @@ class DecoderConfig:
     def __post_init__(self):
         if self.iters < 0:
             raise ValueError("iteration count must be >= 0")
-        if self.clamp <= 0:
-            raise ValueError("clamp must be positive")
+        if not 0 < self.clamp < np.inf:
+            raise ValueError(f"clamp must be positive and finite, got {self.clamp!r}")
         if self.loss_mode not in ("final", "multiloss"):
             raise ValueError(f"unknown loss mode {self.loss_mode!r}")
 
@@ -191,8 +191,8 @@ def bp_forward(llr, graph: TannerGraph, iters: int, clamp: float = DEFAULT_CLAMP
         raise ValueError("input LLRs must be finite")
     if iters < 1:
         raise ValueError("iteration count must be >= 1")
-    if clamp <= 0:
-        raise ValueError("clamp must be positive")
+    if not 0 < clamp < np.inf:
+        raise ValueError(f"clamp must be positive and finite, got {clamp!r}")
     if early_stop and record_tape:
         raise ValueError("early stopping would make the tape input-dependent; disable one")
 
@@ -214,7 +214,7 @@ def bp_forward(llr, graph: TannerGraph, iters: int, clamp: float = DEFAULT_CLAMP
         if record_tape:
             tape.v2c_pre.append(v2c_pre)
             tape.c2v_pre.append(u)
-            tape.soft.append(marg)
+            tape.soft.append(soft[it])  # a view: each output is stored once
         if iterations == iters:
             break
         if early_stop:

@@ -28,7 +28,6 @@ class ChannelParams:
     kind: str = "awgn"
     sigma_b: float | None = None
     rho: float | None = None
-    si: bool = True
 
     def __post_init__(self):
         if self.kind not in ("awgn", "rayleigh", "bursty"):
@@ -107,7 +106,7 @@ def transmit(s, params: ChannelParams, rng: np.random.Generator,
 
     awgn:     y = s + z
     rayleigh: y = g s + z, g per symbol, Rayleigh with unit mean square;
-              gains are returned only when side information is on
+              the receiver knows g, so the gains are returned
     bursty:   y = s + z + w, w ~ N(0, sigma_b^2) with probability rho
 
     The draw order (gains, noise, burst mask, burst noise) is fixed so a
@@ -125,6 +124,4 @@ def transmit(s, params: ChannelParams, rng: np.random.Generator,
         mask = rng.random(s.shape) < params.rho
         w = params.sigma_b * rng.standard_normal(s.shape)
         y = y + np.where(mask, w, 0.0)
-    if params.kind == "rayleigh" and not params.si:
-        gains = None
     return y, gains

@@ -118,7 +118,7 @@ def _chunk_counts(code, decoder, graph, const, params, attack_a, message_source,
 
     y, g = zip(*[channel.transmit(row, params, gen, const.coords_per_symbol)
                  for row, gen in zip(s, rng.frames(start, stop, channel.STREAM_CHANNEL))])
-    gains = np.stack(g) if params.kind == "rayleigh" and params.si else None
+    gains = np.stack(g) if params.kind == "rayleigh" else None
 
     side = modem.ChannelSide(sigma=params.sigma, gains=gains)
     llr = modem.demodulate_llr(np.stack(y), side, const)
@@ -141,11 +141,11 @@ def run_point(code, decoder: bp.DecoderConfig, scheme: str, ebn0_db: float,
         raise ValueError("frames must be >= 1")
     if message_source not in ("random", "all_zero"):
         raise ValueError(f"unknown message source {message_source!r}")
+    if min_block_errors is not None and min_block_errors < 1:
+        raise ValueError("min_block_errors must be >= 1")
     const = modem.get_constellation(scheme)
     sigma = channel.ebn0_to_sigma(ebn0_db, code.rate, const.bits_per_symbol)
     params = channel.ChannelParams(sigma=sigma, kind=channel_kind, **(channel_opts or {}))
-    if params.kind == "rayleigh" and not params.si:
-        raise ValueError("no side-information demapper is not implemented; set channel si=true")
     attack_a = _attack_array(attack, scheme, code)
 
     job = partial(_chunk_counts, code, decoder, bp.TannerGraph(code.H), const, params,

@@ -27,6 +27,10 @@ def test_search_config_validation():
         attack.SearchConfig(batch_size=0)
     with pytest.raises(ValueError):
         attack.SearchConfig(epsilon0=-0.1)
+    for bad in ({"epsilon0": np.nan}, {"epsilon0": np.inf}, {"step_len": 0}, {"runs": 0},
+                {"cluster_k": 0}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            attack.SearchConfig(**bad)
     with pytest.raises(ValueError):
         attack.SearchConfig(accepted_iters=10, max_trials=5)
     with pytest.raises(ValueError):
@@ -230,6 +234,9 @@ def test_cluster_single_cluster_is_mean():
     assert np.allclose(out[0].a, [2.0, 1.0])
     out = attack.cluster_attacks(vs, "agglomerative", 1)
     assert np.allclose(out[0].a, [2.0, 1.0])
+    for method in ("kmeans", "agglomerative"):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            attack.cluster_attacks(vs, method, 0)
 
 
 @pytest.mark.parametrize("method,linkage", [("kmeans", "ward"),

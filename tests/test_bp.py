@@ -83,8 +83,11 @@ def test_forward_validation():
         bp.bp_forward(np.array([np.inf, 0.0, 0.0]), g, 2)
     with pytest.raises(ValueError):
         bp.bp_forward(np.zeros(3), g, 0)
-    with pytest.raises(ValueError):
-        bp.bp_forward(np.zeros(3), g, 2, clamp=0.0)
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="clamp"):
+            bp.bp_forward(np.zeros(3), g, 2, clamp=bad)
+        with pytest.raises(ValueError, match="clamp"):
+            bp.DecoderConfig(iters=2, clamp=bad)
     with pytest.raises(ValueError, match="tape"):
         bp.bp_forward(np.zeros(3), g, 2, early_stop=True, record_tape=True)
 
@@ -189,6 +192,9 @@ def test_batch_matches_single_lane_bit_exact():
     rng = np.random.default_rng(6)
     L = rng.normal(0, 2, (5, 7))
     batch = bp.bp_forward(L, g, iters=4)
+    # the tape's per-iteration outputs are the returned soft outputs, stored once
+    assert all(np.shares_memory(t, batch.soft) and np.array_equal(t, s)
+               for t, s in zip(batch.tape.soft, batch.soft))
     grads = bp.bp_backward(batch.tape, np.zeros(7))
     for i in range(5):
         single = bp.bp_forward(L[i], g, iters=4)

@@ -67,12 +67,6 @@ def test_rayleigh_unit_mean_square():
     assert np.mean(gains**2) == pytest.approx(1.0, rel=0.01)
 
 
-def test_rayleigh_no_si_hides_gains():
-    params = channel.ChannelParams(sigma=0.5, kind="rayleigh", si=False)
-    _, gains = channel.transmit(np.ones(100), params, make_rng(4))
-    assert gains is None
-
-
 def test_rayleigh_per_symbol_gains_for_pairs():
     params = channel.ChannelParams(sigma=1e-12, kind="rayleigh")
     s = np.ones(10)

@@ -3,7 +3,7 @@ from dataclasses import fields
 
 import pytest
 
-from friendlyfec import attack, cli, montecarlo
+from friendlyfec import attack, cli, modem, montecarlo
 
 REP_SEARCH_CFG = """\
 code.family = repetition
@@ -35,8 +35,8 @@ def test_parse_config_defaults_and_comments():
 
 
 def test_parse_config_rejects_unknown_key():
-    # a typo, a bare field name and an unknown section
-    for key in ("search.bacth_size", "search_batch_size", "codes.n"):
+    # a typo, a bare field name, an unknown section and a removed key
+    for key in ("search.bacth_size", "search_batch_size", "codes.n", "channel.si"):
         with pytest.raises(cli.ConfigError, match=key):
             cli.parse_config(f"{key} = 100\n")
 
@@ -54,7 +54,7 @@ def test_every_runconfig_field_is_a_key():
 
 
 @pytest.mark.parametrize("line, attr, value", [
-    ("channel.si = off", "channel_si", False),
+    ("search.require_nonzero = off", "search_require_nonzero", False),
     ("eval.grid = 1, 2", "eval_grid", (1.0, 2.0)),
     ("search.scheduler = step", "search_scheduler", "step"),
     ("code.design_ebn0_db = 1.5", "code_design_ebn0_db", 1.5),
@@ -69,8 +69,8 @@ def test_parse_config_value_types(line, attr, value):
 def test_parse_config_rejects_bad_values():
     with pytest.raises(cli.ConfigError, match="line 1"):
         cli.parse_config("decoder.iters = many\n")
-    with pytest.raises(cli.ConfigError, match=r"line 1: .*channel\.si"):
-        cli.parse_config("channel.si = maybe\n")
+    with pytest.raises(cli.ConfigError, match=r"line 1: .*search\.require_nonzero"):
+        cli.parse_config("search.require_nonzero = maybe\n")
     with pytest.raises(cli.ConfigError):
         cli.parse_config("just some words\n")
     with pytest.raises(cli.ConfigError, match="scheme"):
@@ -197,6 +197,17 @@ def test_gradcheck_exit_code_mapping(tmp_path, monkeypatch, capsys):
     assert "coordinate 7" in capsys.readouterr().err
 
 
+def test_gradcheck_names_the_worst_error_of_either_kind(monkeypatch):
+    # a 1% demapper-adjoint error must be named even though BP cases follow it
+    exact = modem.demodulate_adjoint
+    monkeypatch.setattr(modem, "demodulate_adjoint", lambda *a, **k: 1.01 * exact(*a, **k))
+    cfg = cli.parse_config("decoder.iters = 5\neval.ebn0_db = 2.0\n")
+    report = cli.run_gradcheck(cfg, seed=3)
+    assert not report.passed
+    assert report.max_rel_demod > 1e-3 > report.max_rel_bp
+    assert report.worst.startswith("demod case ")
+
+
 def test_gradcheck_pathological_clamp_completes(tmp_path):
     # saturation by a tiny clamp is allowed to fail the tolerance, but the
     # command must terminate with the documented codes either way
@@ -226,6 +237,20 @@ def test_build_search_approach_preset_with_overrides():
     assert sc.runs == 12  # explicit override wins
     assert sc.cluster == "kmeans"
     assert sc.sigma == 0.8
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--workers", "2"],
+    ["search", "--attack", "a.json"],
+    ["gradcheck", "--out", "o.csv"],
+    ["gradcheck", "--workers", "2"],
+])
+def test_subcommand_rejects_flags_it_does_not_read(tmp_path, argv, capsys):
+    cfg = write(tmp_path, "rep.cfg", REP_SEARCH_CFG)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([argv[0], "--config", cfg] + argv[1:])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_workers_flag_matches_single_worker(tmp_path, capsys):

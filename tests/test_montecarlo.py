@@ -100,10 +100,14 @@ def test_raw_attack_array_checked(ldpc, dec3):
     assert (res.bit_errors, res.block_errors) == (base.bit_errors, base.block_errors)
 
 
-def test_no_si_fading_rejected(ldpc, dec3):
-    with pytest.raises(ValueError, match="side-information"):
-        montecarlo.run_point(ldpc, dec3, "bpsk", 4.0, frames=10, seed=0,
-                             channel_kind="rayleigh", channel_opts={"si": False})
+def test_min_block_errors_must_be_positive(ldpc, dec3):
+    # 0 would stop after the first wave and report a truncated run as complete
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="min_block_errors"):
+            montecarlo.run_point(ldpc, dec3, "bpsk", 2.0, frames=2048, seed=0,
+                                 min_block_errors=bad)
+    one = montecarlo.run_point(ldpc, dec3, "bpsk", 2.0, frames=2048, seed=0, min_block_errors=1)
+    assert one.block_errors >= 1
 
 
 def test_fading_and_bursty_run(ldpc, dec3):
