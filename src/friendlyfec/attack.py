@@ -26,7 +26,8 @@ ATTACK_FILE_VERSION = 1
 class AttackVector:
     """A perturbation of the modulated all-zero codeword, plus the metadata
     needed to reproduce the search (qam4 vectors hold 2N interleaved
-    re/im coordinates)."""
+    re/im coordinates). Construction rejects an `a` that is not finite with
+    shape (n,), an unknown scheme, and N != n // bits per symbol."""
 
     a: np.ndarray
     code_id: str
@@ -43,7 +44,20 @@ class AttackVector:
         a = np.asarray(self.a, dtype=np.float64)
         if not np.all(np.isfinite(a)):
             raise ValueError("attack vector entries must be finite")
+        if a.shape != (self.n,):
+            raise ValueError(f"attack field 'a' has shape {a.shape}, expected ({self.n},)")
+        bits = modem.get_constellation(self.scheme).bits_per_symbol
+        if self.n_symbols != self.n // bits:
+            raise ValueError(f"attack field 'N' is {self.n_symbols}, expected n // {bits} = "
+                             f"{self.n // bits} for {self.scheme}")
         object.__setattr__(self, "a", a)
+
+    def check_fits(self, code, scheme: str) -> None:
+        """Raise ValueError unless this vector was searched for `scheme` on `code`."""
+        if self.scheme != scheme:
+            raise ValueError(f"attack scheme {self.scheme!r} does not match {scheme!r}")
+        if self.code_id != code.name:
+            raise ValueError(f"attack code id {self.code_id!r} does not match {code.name!r}")
 
     @property
     def is_zero(self) -> bool:
@@ -72,6 +86,8 @@ class SearchConfig:
             raise ValueError("batch size and accepted-iteration budget must be >= 1")
         if self.epsilon0 is not None and not 0 < self.epsilon0 < np.inf:
             raise ValueError(f"epsilon0 must be positive and finite, got {self.epsilon0!r}")
+        if not 0 < self.decay <= 1:
+            raise ValueError(f"decay must be in (0, 1], got {self.decay!r}")
         for name in ("step_len", "runs", "cluster_k"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -137,7 +153,7 @@ def normalize_power(s, power: float = POWER, coords_per_symbol: int = 1):
     return c * s, c
 
 
-def apply_attack(s, attack, constellation: modem.Constellation) -> np.ndarray:
+def apply_attack(s, a, constellation: modem.Constellation) -> np.ndarray:
     """Adapt an all-zero-codeword perturbation to arbitrary modulated words.
 
     out_i = s_i + s_i a_i / s0 per symbol (complex multiplication for qam4),
@@ -147,13 +163,7 @@ def apply_attack(s, attack, constellation: modem.Constellation) -> np.ndarray:
     perturbation that zeroes a word (BPSK a_i = -1 everywhere) is rejected,
     since no scale brings it to the budget.
     """
-    if isinstance(attack, AttackVector):
-        if attack.scheme != constellation.scheme:
-            raise ValueError(
-                f"attack searched for scheme {attack.scheme!r}, got {constellation.scheme!r}")
-        a = attack.a
-    else:
-        a = np.asarray(attack, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
     if a.shape[-1] != s.shape[-1]:
         raise ValueError(f"attack length {a.shape[-1]} does not match symbols {s.shape[-1]}")
@@ -364,15 +374,20 @@ def select_best(candidates: list[AttackVector], code, decoder: bp.DecoderConfig,
     """Monte Carlo validation of each candidate at a fixed Eb/N0.
 
     Returns the candidate with the lowest BER (ties: lowest BLER, then
-    lowest index). All candidates share the validation noise seed.
+    lowest index). All candidates share the validation noise seed. Each
+    must fit `code` and the first candidate's scheme, which is checked
+    before the first validation run.
     """
     from . import montecarlo  # deferred: montecarlo uses apply_attack
 
     if not candidates:
         raise ValueError("need at least one candidate")
+    scheme = candidates[0].scheme
+    for cand in candidates:
+        cand.check_fits(code, scheme)
     best_idx, best_key = 0, None
     for i, cand in enumerate(candidates):
-        res = montecarlo.run_point(code, decoder, cand.scheme, ebn0_db=ebn0_db,
+        res = montecarlo.run_point(code, decoder, scheme, ebn0_db=ebn0_db,
                                    frames=frames, seed=seed, attack=cand)
         key = (res.ber, res.bler, i)
         if best_key is None or key < best_key:
@@ -391,6 +406,8 @@ def find_search_sigma(code, decoder: bp.DecoderConfig, scheme: str, seed: int,
     """
     from . import montecarlo
 
+    if not 0 < target_bler < 1:
+        raise ValueError(f"target_bler must be in (0, 1), got {target_bler!r}")
     const = modem.get_constellation(scheme)
 
     def bler_at(sigma):
@@ -442,12 +459,17 @@ def load_attack(path) -> AttackVector:
     the field.
     """
     with open(path) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"attack file {path} is not JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError("attack file does not hold a JSON object")
     try:
-        version = raw["version"]
-        av = AttackVector(
+        if raw["version"] != ATTACK_FILE_VERSION:
+            raise ValueError(f"attack field 'version' is {raw['version']!r}, "
+                             f"this program reads version {ATTACK_FILE_VERSION}")
+        return AttackVector(
             a=np.asarray(raw["a"], dtype=np.float64),
             code_id=raw["code_id"], scheme=raw["scheme"], n=int(raw["n"]),
             n_symbols=int(raw["N"]), search_sigma=float(raw["search_sigma"]),
@@ -455,13 +477,3 @@ def load_attack(path) -> AttackVector:
             accepted_iters=int(raw["accepted_iters"]), created=str(raw.get("created", "")))
     except KeyError as missing:
         raise ValueError(f"attack file is missing field {missing}") from None
-    if version != ATTACK_FILE_VERSION:
-        raise ValueError(f"attack field 'version' is {version!r}, "
-                         f"this program reads version {ATTACK_FILE_VERSION}")
-    if av.a.shape != (av.n,):
-        raise ValueError(f"attack field 'a' has shape {av.a.shape}, expected ({av.n},)")
-    bits = modem.get_constellation(av.scheme).bits_per_symbol
-    if av.n_symbols != av.n // bits:
-        raise ValueError(f"attack field 'N' is {av.n_symbols}, expected n // {bits} = "
-                         f"{av.n // bits} for {av.scheme}")
-    return av

@@ -124,6 +124,10 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("decoder.iters must be >= 0")
     if cfg.eval_frames < 1:
         raise ConfigError("eval.frames must be >= 1")
+    if cfg.search_validation_frames < 1:
+        raise ConfigError("search.validation_frames must be >= 1")
+    if not 0 < cfg.search_target_bler < 1:
+        raise ConfigError("search.target_bler must be in (0, 1)")
 
 
 def build_code(cfg: RunConfig) -> codes.CodeSpec:
@@ -151,16 +155,13 @@ def build_decoder(cfg: RunConfig) -> bp.DecoderConfig:
 
 
 def build_search(cfg: RunConfig) -> attack_mod.SearchConfig:
+    # SearchConfig field `f` is set by key `search.f` (accepted_iters: search.iters);
+    # sigma is resolved below and approach names the preset
     overrides = {}
-    for key, attr in [("batch_size", "search_batch_size"), ("accepted_iters", "search_iters"),
-                      ("max_trials", "search_max_trials"), ("scheduler", "search_scheduler"),
-                      ("epsilon0", "search_epsilon0"), ("decay", "search_decay"),
-                      ("step_len", "search_step_len"), ("accept", "search_accept"),
-                      ("runs", "search_runs"), ("cluster", "search_cluster"),
-                      ("cluster_k", "search_cluster_k"), ("linkage", "search_linkage")]:
-        value = getattr(cfg, attr)
-        if value is not None:
-            overrides[key] = value
+    for f in fields(attack_mod.SearchConfig):
+        value = getattr(cfg, "search_" + ("iters" if f.name == "accepted_iters" else f.name))
+        if value is not None and f.name not in ("sigma", "approach"):
+            overrides[f.name] = value
     try:
         if cfg.search_approach is not None:
             sc = attack_mod.approach_config(cfg.search_approach, **overrides)
@@ -238,23 +239,14 @@ def cmd_search(cfg: RunConfig, out_path: str | None, seed: int) -> int:
     return EXIT_OK
 
 
-def _load_attack_checked(path: str, cfg: RunConfig, code) -> attack_mod.AttackVector:
-    try:
-        av = attack_mod.load_attack(path)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot load attack file: {exc}") from None
-    if av.scheme != cfg.modem_scheme:
-        raise ConfigError(f"attack scheme {av.scheme!r} does not match config {cfg.modem_scheme!r}")
-    if av.code_id != code.name:
-        raise ConfigError(f"attack code id {av.code_id!r} does not match {code.name!r}")
-    return av
-
-
 def cmd_eval(cfg: RunConfig, attack_path: str | None, out_path: str | None,
              seed: int, workers: int, grid: bool) -> int:
     code = build_code(cfg)
     decoder = build_decoder(cfg)
-    av = _load_attack_checked(attack_path, cfg, code) if attack_path else None
+    av = None
+    if attack_path:
+        av = attack_mod.load_attack(attack_path)
+        av.check_fits(code, cfg.modem_scheme)
     shared = dict(frames=cfg.eval_frames, seed=seed, message_source=cfg.eval_message_source,
                   channel_kind=cfg.channel_kind, channel_opts=_channel_opts(cfg),
                   workers=workers, min_block_errors=cfg.eval_min_block_errors)

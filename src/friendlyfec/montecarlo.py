@@ -89,10 +89,7 @@ def _attack_array(attack, scheme, code) -> np.ndarray | None:
     if attack is None:
         return None
     if isinstance(attack, attack_mod.AttackVector):
-        if attack.scheme != scheme:
-            raise ValueError(f"attack scheme {attack.scheme!r} does not match {scheme!r}")
-        if attack.code_id and attack.code_id != code.name:
-            raise ValueError(f"attack was searched on {attack.code_id!r}, not {code.name!r}")
+        attack.check_fits(code, scheme)
         return attack.a
     a = np.asarray(attack, dtype=np.float64)
     if a.shape != (code.n,):
@@ -139,10 +136,13 @@ def run_point(code, decoder: bp.DecoderConfig, scheme: str, ebn0_db: float,
     """
     if frames < 1:
         raise ValueError("frames must be >= 1")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if message_source not in ("random", "all_zero"):
         raise ValueError(f"unknown message source {message_source!r}")
     if min_block_errors is not None and min_block_errors < 1:
         raise ValueError("min_block_errors must be >= 1")
+    ebn0_db = float(ebn0_db)
     const = modem.get_constellation(scheme)
     sigma = channel.ebn0_to_sigma(ebn0_db, code.rate, const.bits_per_symbol)
     params = channel.ChannelParams(sigma=sigma, kind=channel_kind, **(channel_opts or {}))
@@ -154,7 +154,7 @@ def run_point(code, decoder: bp.DecoderConfig, scheme: str, ebn0_db: float,
               for start in range(0, frames, CHUNK_FRAMES)]
     # waves keep the early-stop decision a prefix property of the fixed
     # chunk order, independent of the worker count
-    wave = len(chunks) if min_block_errors is None else max(workers, 1)
+    wave = len(chunks) if min_block_errors is None else workers
     totals = (0, 0, 0)
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         mapper = pool.map if pool is not None else map
@@ -186,6 +186,7 @@ def sweep(ebn0_grid, code, decoder: bp.DecoderConfig, scheme: str, frames: int,
     grid = sorted(float(x) for x in ebn0_grid)
     if not grid:
         raise ValueError("the Eb/N0 grid must be nonempty")
+    attack = _attack_array(attack, scheme, code)
     results = []
     for idx, point in enumerate(grid):
         point_seed = channel.child_seed(seed, idx)
@@ -226,6 +227,8 @@ def transfer_check(attack, code, decoder: bp.DecoderConfig, ebn0_db: float,
     to a statistical check: the BER confidence intervals of all-zero and
     random-codeword runs must overlap.
     """
+    if frames < 1:
+        raise ValueError(f"frames must be >= 1, got {frames}")
     scheme = attack.scheme if isinstance(attack, attack_mod.AttackVector) else "bpsk"
     if scheme != "bpsk":
         base = run_point(code, decoder, scheme, ebn0_db, frames=frames, seed=seed,

@@ -1,5 +1,10 @@
+import tempfile
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from friendlyfec import attack, bp, channel, codes, modem, montecarlo
 
@@ -28,7 +33,8 @@ def test_search_config_validation():
     with pytest.raises(ValueError):
         attack.SearchConfig(epsilon0=-0.1)
     for bad in ({"epsilon0": np.nan}, {"epsilon0": np.inf}, {"step_len": 0}, {"runs": 0},
-                {"cluster_k": 0}):
+                {"cluster_k": 0}, {"decay": np.nan}, {"decay": -1.0}, {"decay": 0.0},
+                {"decay": 1.5}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             attack.SearchConfig(**bad)
     with pytest.raises(ValueError):
@@ -107,11 +113,19 @@ def test_apply_attack_qam4_rotates_per_symbol():
     assert np.allclose(out3, want3, atol=1e-12)
 
 
-def test_apply_attack_scheme_mismatch():
-    av = attack.AttackVector(a=np.zeros(4), code_id="x", scheme="bpsk", n=4, n_symbols=4,
-                             search_sigma=1.0, seed=0, approach="1", accepted_iters=0)
-    with pytest.raises(ValueError, match="scheme"):
-        attack.apply_attack(np.ones(4), av, modem.get_constellation("qam4"))
+def test_check_fits_rejects_scheme_and_code_mismatch(ldpc):
+    def vec(code_id, scheme="bpsk"):
+        return attack.AttackVector(a=np.zeros(64), code_id=code_id, scheme=scheme, n=64,
+                                   n_symbols=64 // modem.get_constellation(scheme).bits_per_symbol,
+                                   search_sigma=1.0, seed=0, approach="1", accepted_iters=0)
+    vec(ldpc.name).check_fits(ldpc, "bpsk")
+    with pytest.raises(ValueError, match="scheme 'bpsk' does not match 'qam4'"):
+        vec(ldpc.name).check_fits(ldpc, "qam4")
+    with pytest.raises(ValueError, match="scheme 'qam4' does not match 'bpsk'"):
+        vec(ldpc.name, "qam4").check_fits(ldpc, "bpsk")
+    for code_id in ("other_code", ""):  # an empty id fits no code
+        with pytest.raises(ValueError, match=f"code id '{code_id}' does not match"):
+            vec(code_id).check_fits(ldpc, "bpsk")
 
 
 def test_power_conservation_many_words(ldpc):
@@ -205,7 +219,7 @@ def test_search_qam4_smoke(ldpc):
     assert av.n_symbols == 32
     assert av.accepted_iters > 0
     const = modem.get_constellation("qam4")
-    out = attack.apply_attack(modem.modulate(np.zeros(64, dtype=np.uint8), const), av, const)
+    out = attack.apply_attack(modem.modulate(np.zeros(64, dtype=np.uint8), const), av.a, const)
     assert np.sum(out**2) / 32 == pytest.approx(1.0, rel=1e-9)
 
 
@@ -282,6 +296,27 @@ def test_select_best(ldpc):
     assert np.array_equal(best.a, flipped.a)  # order-independent winner
 
 
+def test_select_best_checks_every_candidate_first(ldpc, monkeypatch):
+    calls = []
+    monkeypatch.setattr(montecarlo, "run_point", lambda *a, **kw: calls.append(a))
+    ok = attack.AttackVector(a=np.zeros(64), code_id=ldpc.name, scheme="bpsk", n=64,
+                             n_symbols=64, search_sigma=0.7, seed=0, approach="ok",
+                             accepted_iters=0)
+    bad = [replace(ok, code_id="other_code"), replace(ok, scheme="qam4", n_symbols=32)]
+    for last, match in zip(bad, ("other_code", "scheme")):
+        with pytest.raises(ValueError, match=match):
+            attack.select_best([ok, ok, last], ldpc, bp.DecoderConfig(iters=3), ebn0_db=4.0,
+                               frames=100, seed=5)
+    assert calls == []  # no validation run started
+
+
+def test_find_search_sigma_rejects_target_outside_unit_interval(ldpc):
+    for target in (0.0, 1.0, 5.0, -0.3, np.nan):
+        with pytest.raises(ValueError, match="target_bler"):
+            attack.find_search_sigma(ldpc, bp.DecoderConfig(iters=3), "bpsk", seed=0,
+                                     target_bler=target)
+
+
 def test_attack_persistence_round_trip(tmp_path):
     av = _vec(np.linspace(-0.2, 0.3, 6), tag="1")
     path = tmp_path / "attack.json"
@@ -332,3 +367,41 @@ def test_attack_load_rejects_inconsistent_record(tmp_path, field, value, named):
 def test_attack_vector_rejects_nonfinite():
     with pytest.raises(ValueError):
         _vec([np.nan, 0.0])
+
+
+_SCHEMES = st.sampled_from(["bpsk", "qam4"])
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 80), scheme=_SCHEMES, data=st.data())
+def test_attack_save_load_round_trip_property(n, scheme, data):
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    av = attack.AttackVector(
+        a=np.array(data.draw(st.lists(finite, min_size=n, max_size=n)), dtype=np.float64),
+        code_id=data.draw(st.text(max_size=12)), scheme=scheme, n=n,
+        n_symbols=n // modem.get_constellation(scheme).bits_per_symbol,
+        search_sigma=data.draw(finite), seed=data.draw(st.integers(0, 2**63)),
+        approach=data.draw(st.text(max_size=12)), accepted_iters=data.draw(st.integers(0, 10**6)),
+        created=data.draw(st.text(max_size=12)))
+    with tempfile.TemporaryDirectory() as d:
+        attack.save_attack(av, d + "/a.json")
+        back = attack.load_attack(d + "/a.json")
+    assert np.array_equal(back.a, av.a) and back.a.dtype == np.float64
+    for f in fields(attack.AttackVector):
+        if f.name != "a":
+            assert getattr(back, f.name) == getattr(av, f.name), f.name
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(6, 80), scheme=_SCHEMES, named=st.sampled_from(["a", "N"]),
+       delta=st.integers(-5, 5).filter(bool))
+def test_inconsistent_attack_vector_names_the_field_property(n, scheme, named, delta):
+    length, n_symbols = n, n // modem.get_constellation(scheme).bits_per_symbol
+    if named == "a":
+        length += delta
+    else:
+        n_symbols += delta
+    with pytest.raises(ValueError, match=f"field '{named}'"):
+        attack.AttackVector(a=np.zeros(length), code_id="c", scheme=scheme, n=n,
+                            n_symbols=n_symbols, search_sigma=1.0, seed=0, approach="1",
+                            accepted_iters=0)

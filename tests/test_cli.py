@@ -75,6 +75,14 @@ def test_parse_config_rejects_bad_values():
         cli.parse_config("just some words\n")
     with pytest.raises(cli.ConfigError, match="scheme"):
         cli.parse_config("modem.scheme = qam256\n")
+    # search settings read only after the searches run are checked up front
+    for line, named in [("search.validation_frames = 0", "validation_frames"),
+                        ("search.target_bler = 1.0", "target_bler"),
+                        ("search.target_bler = 5.0", "target_bler"),
+                        ("search.target_bler = 0", "target_bler"),
+                        ("search.target_bler = nan", "target_bler")]:
+        with pytest.raises(cli.ConfigError, match=named):
+            cli.parse_config(line + "\n")
 
 
 def test_unknown_key_exits_2(tmp_path, capsys):
@@ -169,6 +177,29 @@ def test_eval_attack_mismatch_exit_2(tmp_path, capsys):
     rc = cli.main(["eval", "--config", other, "--attack", out])
     assert rc == cli.EXIT_CONFIG
     assert "does not match" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--workers", "0"], "workers"),
+    (["--attack", "{bad_n}"], "field 'N'"),
+    (["--attack", "{not_json}"], "t.json is not JSON"),
+])
+def test_eval_bad_workers_or_attack_file_exit_2(tmp_path, monkeypatch, capsys, flags, named):
+    cfg = write(tmp_path, "rep.cfg", REP_SEARCH_CFG)
+    rec = attack.attack_record(attack.AttackVector(
+        a=[0.0] * 3, code_id="repetition_3", scheme="bpsk", n=3, n_symbols=3,
+        search_sigma=1.0, seed=0, approach="1", accepted_iters=0))
+    paths = {"bad_n": write(tmp_path, "n.json", json.dumps(rec | {"N": 2})),
+             "not_json": write(tmp_path, "t.json", "")}
+
+    def no_draws(seed):
+        raise AssertionError("random streams were opened")
+
+    monkeypatch.setattr(montecarlo.channel, "FrameRng", no_draws)
+    for command in ("eval", "sweep"):
+        argv = [command, "--config", cfg] + [f.format(**paths) for f in flags]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert named in capsys.readouterr().err
 
 
 def test_gradcheck_default_ldpc_passes(tmp_path, capsys):

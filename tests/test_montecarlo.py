@@ -71,7 +71,7 @@ def test_all_zero_message_source(ldpc, dec3):
                              message_source="typical")
 
 
-def test_attack_mismatch_rejected(ldpc, dec3):
+def test_attack_mismatch_rejected(ldpc, dec3, monkeypatch):
     av = attack.AttackVector(a=np.zeros(64), code_id="other_code", scheme="bpsk", n=64,
                              n_symbols=64, search_sigma=0.7, seed=0, approach="1",
                              accepted_iters=0)
@@ -79,11 +79,18 @@ def test_attack_mismatch_rejected(ldpc, dec3):
         montecarlo.run_point(ldpc, dec3, "bpsk", 2.0, frames=10, seed=0, attack=av)
     with pytest.raises(ValueError, match="other_code"):
         montecarlo.transfer_check(av, ldpc, dec3, ebn0_db=2.0, frames=10, seed=0)
-    av2 = attack.AttackVector(a=np.zeros(32), code_id=ldpc.name, scheme="qam4", n=64,
+    av2 = attack.AttackVector(a=np.zeros(64), code_id=ldpc.name, scheme="qam4", n=64,
                               n_symbols=32, search_sigma=0.7, seed=0, approach="1",
                               accepted_iters=0)
     with pytest.raises(ValueError, match="scheme"):
         montecarlo.run_point(ldpc, dec3, "bpsk", 2.0, frames=10, seed=0, attack=av2)
+    # sweep checks the attack before it simulates its first baseline point
+    calls = []
+    monkeypatch.setattr(montecarlo, "run_point", lambda *a, **kw: calls.append(a))
+    for bad in (av, av2):
+        with pytest.raises(ValueError, match="does not match"):
+            montecarlo.sweep([1.0, 2.0], ldpc, dec3, "bpsk", frames=10, seed=0, attack=bad)
+    assert calls == []
 
 
 def test_raw_attack_array_checked(ldpc, dec3):
@@ -108,6 +115,23 @@ def test_min_block_errors_must_be_positive(ldpc, dec3):
                                  min_block_errors=bad)
     one = montecarlo.run_point(ldpc, dec3, "bpsk", 2.0, frames=2048, seed=0, min_block_errors=1)
     assert one.block_errors >= 1
+
+
+def test_frames_and_workers_must_be_positive(ldpc, dec3, monkeypatch):
+    av = attack.AttackVector(a=np.zeros(64), code_id=ldpc.name, scheme="bpsk", n=64,
+                             n_symbols=64, search_sigma=0.7, seed=0, approach="1",
+                             accepted_iters=0)
+
+    def no_draws(seed):
+        raise AssertionError("random streams were opened")
+
+    monkeypatch.setattr(channel, "FrameRng", no_draws)
+    for frames in (0, -5):
+        with pytest.raises(ValueError, match="frames"):
+            montecarlo.transfer_check(av, ldpc, dec3, ebn0_db=2.0, frames=frames, seed=1)
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            montecarlo.run_point(ldpc, dec3, "bpsk", 2.0, frames=10, seed=0, workers=workers)
 
 
 def test_fading_and_bursty_run(ldpc, dec3):
@@ -229,6 +253,15 @@ def test_csv_round_trip(ldpc, dec3, tmp_path):
     path = tmp_path / "out.csv"
     montecarlo.write_csv(res, path)
     assert montecarlo.read_csv(path)[0].frames == res[0].frames
+
+
+def test_numpy_ebn0_round_trips_through_csv(ldpc, dec3):
+    res = montecarlo.run_point(ldpc, dec3, "bpsk", np.float64(2.0), frames=64, seed=3)
+    assert type(res.ebn0_db) is float
+    buf = io.StringIO()
+    montecarlo.write_csv([res], buf)
+    assert buf.getvalue().splitlines()[1].startswith("2.0,64,")
+    assert montecarlo.read_csv(io.StringIO(buf.getvalue()))[0].ebn0_db == 2.0
 
 
 def test_paired_runs_have_lower_difference_variance():
