@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
-from dataclasses import dataclass, replace
+import math
+import reprlib
+import sys
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -27,13 +30,15 @@ class AttackVector:
     """A perturbation of the modulated all-zero codeword, plus the metadata
     needed to reproduce the search (qam4 vectors hold 2N interleaved
     re/im coordinates). Construction rejects an `a` that is not finite with
-    shape (n,), an unknown scheme, and N != n // bits per symbol."""
+    shape (n,), an unknown scheme, N != n // bits per symbol, a search sigma
+    that is not finite, and a seed or accepted count that is not an
+    integer >= 0. The attack file holds these fields in this order."""
 
-    a: np.ndarray
     code_id: str
     scheme: str
     n: int                  # code bits
     n_symbols: int
+    a: np.ndarray
     search_sigma: float
     seed: int
     approach: str
@@ -50,6 +55,12 @@ class AttackVector:
         if self.n_symbols != self.n // bits:
             raise ValueError(f"attack field 'N' is {self.n_symbols}, expected n // {bits} = "
                              f"{self.n // bits} for {self.scheme}")
+        if not math.isfinite(self.search_sigma):
+            raise ValueError(f"attack field 'search_sigma' must be finite, got {self.search_sigma!r}")
+        for name in ("seed", "accepted_iters"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise ValueError(f"attack field '{name}' must be an integer >= 0, got {value!r}")
         object.__setattr__(self, "a", a)
 
     def check_fits(self, code, scheme: str) -> None:
@@ -84,6 +95,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.accepted_iters < 1:
             raise ValueError("batch size and accepted-iteration budget must be >= 1")
+        if self.sigma is not None and not 0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
         if self.epsilon0 is not None and not 0 < self.epsilon0 < np.inf:
             raise ValueError(f"epsilon0 must be positive and finite, got {self.epsilon0!r}")
         if not 0 < self.decay <= 1:
@@ -313,36 +326,29 @@ def _kmeans(X, k, seed=0, iters=100):
 
 
 def _agglomerative(X, k, linkage):
-    """Bottom-up merging under ward or complete linkage until k clusters."""
-    clusters = [[i] for i in range(len(X))]
+    """Bottom-up merging under ward or complete linkage until k clusters; the
+    closest pair (first in row-major order) merges into its lower index."""
     n = len(X)
+    clusters = [[i] for i in range(n)]
     # pairwise dissimilarity; ward uses the within-variance increase
     diff = X[:, None, :] - X[None, :, :]
     d2 = np.sum(diff * diff, axis=2)
     D = 0.5 * d2 if linkage == "ward" else np.sqrt(d2)
-    np.fill_diagonal(D, np.inf)
+    np.fill_diagonal(D, np.inf)  # as are the rows and columns of merged-away clusters
     sizes = np.ones(n)
-    alive = list(range(n))
-    while len(alive) > k:
-        sub = D[np.ix_(alive, alive)]
-        flat = int(np.argmin(sub))
-        i, j = sorted((alive[flat // len(alive)], alive[flat % len(alive)]))
-        # Lance-Williams updates
-        for h in alive:
-            if h in (i, j):
-                continue
-            if linkage == "complete":
-                D[i, h] = D[h, i] = max(D[i, h], D[j, h])
-            else:
-                si, sj, sh = sizes[i], sizes[j], sizes[h]
-                D[i, h] = D[h, i] = ((si + sh) * D[i, h] + (sj + sh) * D[j, h]
-                                     - sh * D[i, j]) / (si + sj + sh)
-        clusters[i] = clusters[i] + clusters[j]
+    for _ in range(n - k):
+        i, j = sorted(divmod(int(np.argmin(D)), n))
+        # Lance-Williams update of the merged row; +inf entries stay +inf
+        if linkage == "complete":
+            row = np.maximum(D[i], D[j])
+        else:
+            si, sj = sizes[i], sizes[j]
+            row = ((si + sizes) * D[i] + (sj + sizes) * D[j] - sizes * D[i, j]) / (si + sj + sizes)
+        D[i, :] = D[:, i] = row
+        D[j, :] = D[:, j] = np.inf
+        clusters[i], clusters[j] = clusters[i] + clusters[j], []
         sizes[i] += sizes[j]
-        alive.remove(j)
-        D[j, :] = np.inf
-        D[:, j] = np.inf
-    return np.array([X[clusters[i]].mean(axis=0) for i in alive])
+    return np.array([X[c].mean(axis=0) for c in clusters if c])
 
 
 def cluster_attacks(vectors: list[AttackVector], method: str, k: int,
@@ -429,34 +435,47 @@ def find_search_sigma(code, decoder: bp.DecoderConfig, scheme: str, seed: int,
 # persistence
 # ---------------------------------------------------------------------------
 
+# the file writes `version`, then each AttackVector field under its name,
+# except n_symbols as `N`; `a` is a list of floats
+_FILE_KEYS = {f.name: {"n_symbols": "N"}.get(f.name, f.name) for f in fields(AttackVector)}
+
+
+def _is_finite_number(value) -> bool:
+    """A JSON number (not true/false) that a float64 holds without overflow."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+# per field annotation: what the JSON value must be, and the test for it
+_JSON_TYPES = {
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": ("a finite number", _is_finite_number),
+    "np.ndarray": ("a list of finite numbers",
+                   lambda v: isinstance(v, list) and all(map(_is_finite_number, v))),
+}
+
+
 def save_attack(attack: AttackVector, path) -> None:
     with open(path, "w") as fh:
-        json.dump(attack_record(attack), fh, indent=1)
+        json.dump(attack_record(attack), fh, indent=1, allow_nan=False)
         fh.write("\n")
 
 
 def attack_record(attack: AttackVector) -> dict:
-    return {
-        "version": ATTACK_FILE_VERSION,
-        "code_id": attack.code_id,
-        "scheme": attack.scheme,
-        "n": attack.n,
-        "N": attack.n_symbols,
-        "a": [float(v) for v in attack.a],
-        "search_sigma": attack.search_sigma,
-        "seed": attack.seed,
-        "approach": attack.approach,
-        "accepted_iters": attack.accepted_iters,
-        "created": attack.created,
-    }
+    rec = {"version": ATTACK_FILE_VERSION}
+    for name, key in _FILE_KEYS.items():
+        value = getattr(attack, name)
+        rec[key] = value.tolist() if isinstance(value, np.ndarray) else value
+    return rec
 
 
 def load_attack(path) -> AttackVector:
-    """Read an attack record; unknown fields are ignored.
+    """Read an attack record; unknown fields are ignored, `created` may be absent.
 
-    A record with a missing field, an unknown version, or a vector whose
-    length disagrees with `n`, `N` and the scheme raises ValueError naming
-    the field.
+    A record with a missing field, a value of the wrong JSON type, an
+    unknown version, or a vector whose length disagrees with `n`, `N` and
+    the scheme raises ValueError naming the field.
     """
     with open(path) as fh:
         try:
@@ -469,11 +488,16 @@ def load_attack(path) -> AttackVector:
         if raw["version"] != ATTACK_FILE_VERSION:
             raise ValueError(f"attack field 'version' is {raw['version']!r}, "
                              f"this program reads version {ATTACK_FILE_VERSION}")
-        return AttackVector(
-            a=np.asarray(raw["a"], dtype=np.float64),
-            code_id=raw["code_id"], scheme=raw["scheme"], n=int(raw["n"]),
-            n_symbols=int(raw["N"]), search_sigma=float(raw["search_sigma"]),
-            seed=int(raw["seed"]), approach=str(raw["approach"]),
-            accepted_iters=int(raw["accepted_iters"]), created=str(raw.get("created", "")))
+        values = {}
+        for f in fields(AttackVector):
+            key = _FILE_KEYS[f.name]
+            if key not in raw and f.default is not MISSING:
+                continue
+            expected, fits = _JSON_TYPES[f.type]
+            if not fits(raw[key]):
+                raise ValueError(f"attack field '{key}' must be {expected}, "
+                                 f"got {reprlib.repr(raw[key])}")
+            values[f.name] = float(raw[key]) if f.type == "float" else raw[key]
+        return AttackVector(**values)
     except KeyError as missing:
         raise ValueError(f"attack file is missing field {missing}") from None

@@ -32,16 +32,16 @@ class ChannelParams:
     def __post_init__(self):
         if self.kind not in ("awgn", "rayleigh", "bursty"):
             raise ValueError(f"unknown channel kind {self.kind!r}")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
         if self.kind == "bursty":
             # defaults when unspecified: strong, sparse interference
             if self.sigma_b is None:
                 object.__setattr__(self, "sigma_b", 2.0 * self.sigma)
             if self.rho is None:
                 object.__setattr__(self, "rho", 0.1)
-            if self.sigma_b <= 0:
-                raise ValueError("sigma_b must be positive")
+            if not 0 < self.sigma_b < math.inf:
+                raise ValueError(f"sigma_b must be positive and finite, got {self.sigma_b!r}")
             if not 0.0 <= self.rho <= 1.0:
                 raise ValueError("rho must lie in [0, 1]")
 
@@ -89,12 +89,17 @@ def ebn0_to_sigma(ebn0_db: float, rate: float, bits_per_symbol: int) -> float:
         raise ValueError("rate must lie in (0, 1]")
     if bits_per_symbol not in (1, 2):
         raise ValueError("bits_per_symbol must be 1 or 2")
-    return math.sqrt(1.0 / (2.0 * rate * bits_per_symbol * 10.0 ** (ebn0_db / 10.0)))
+    if not math.isfinite(ebn0_db):
+        raise ValueError(f"Eb/N0 must be finite, got {ebn0_db!r} dB")
+    try:
+        return math.sqrt(1.0 / (2.0 * rate * bits_per_symbol * 10.0 ** (ebn0_db / 10.0)))
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"Eb/N0 {ebn0_db!r} dB is out of range") from None
 
 
 def sigma_to_ebn0(sigma: float, rate: float, bits_per_symbol: int) -> float:
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
     if not 0.0 < rate <= 1.0:
         raise ValueError("rate must lie in (0, 1]")
     return -10.0 * math.log10(2.0 * rate * bits_per_symbol * sigma * sigma)

@@ -8,6 +8,7 @@ error, 3 search failure, 4 gradient-check failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field, fields, replace
 
@@ -128,6 +129,14 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("search.validation_frames must be >= 1")
     if not 0 < cfg.search_target_bler < 1:
         raise ConfigError("search.target_bler must be in (0, 1)")
+    ebn0s = [("eval.ebn0_db", cfg.eval_ebn0_db),
+             ("search.validation_ebn0_db", cfg.search_validation_ebn0_db)]
+    for key, ebn0 in ebn0s + [("eval.grid", x) for x in cfg.eval_grid]:
+        if ebn0 is not None and not math.isfinite(ebn0):
+            raise ConfigError(f"{key} must be finite, got {ebn0!r}")
+    for key, sigma in (("search.sigma", cfg.search_sigma), ("channel.sigma_b", cfg.channel_sigma_b)):
+        if sigma is not None and not 0 < sigma < math.inf:
+            raise ConfigError(f"{key} must be positive and finite, got {sigma!r}")
 
 
 def build_code(cfg: RunConfig) -> codes.CodeSpec:

@@ -70,8 +70,8 @@ class ChannelSide:
     gains: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
 
 
 def modulate(bits, constellation: Constellation) -> np.ndarray:

@@ -11,7 +11,7 @@ import csv
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -33,7 +33,6 @@ class MonteCarloResult:
     ci95_ber: float
     ci95_bler: float
     ebn0_db: float
-    config_digest: str
     seed: int
     attacked: bool = False
     code_id: str = ""
@@ -41,6 +40,7 @@ class MonteCarloResult:
     iters: int = 0
     scheme: str = "bpsk"
     channel_kind: str = "awgn"
+    config_digest: str = ""   # not written to CSV, so read back as ""
 
 
 def _digest(*parts) -> str:
@@ -282,9 +282,13 @@ def transfer_check(attack, code, decoder: bp.DecoderConfig, ebn0_db: float,
 # CSV emission
 # ---------------------------------------------------------------------------
 
+# each column holds the MonteCarloResult field of its name, except `channel`
 CSV_COLUMNS = ["ebn0_db", "frames", "bit_errors", "block_errors", "ber", "bler",
                "ci95_ber", "ci95_bler", "attacked", "code_id", "decoder", "iters",
                "scheme", "channel", "seed"]
+_CSV_FIELDS = [{"channel": "channel_kind"}.get(col, col) for col in CSV_COLUMNS]
+# cell parser per field annotation; a bool is written as 0 or 1
+_PARSERS = {"int": int, "float": float, "str": str, "bool": lambda cell: bool(int(cell))}
 
 
 def _opened(fh, mode):
@@ -299,24 +303,14 @@ def write_csv(results: list[MonteCarloResult], fh) -> None:
         w = csv.writer(f)
         w.writerow(CSV_COLUMNS)
         for r in results:
-            w.writerow([repr(r.ebn0_db), r.frames, r.bit_errors, r.block_errors,
-                        repr(r.ber), repr(r.bler), repr(r.ci95_ber), repr(r.ci95_bler),
-                        int(r.attacked), r.code_id, r.decoder, r.iters, r.scheme,
-                        r.channel_kind, r.seed])
+            w.writerow([int(v) if isinstance(v, bool) else v
+                        for v in (getattr(r, name) for name in _CSV_FIELDS)])
 
 
 def read_csv(fh) -> list[MonteCarloResult]:
     with _opened(fh, "r") as f:
         rows = list(csv.DictReader(f))
-    out = []
-    for row in rows:
-        out.append(MonteCarloResult(
-            frames=int(row["frames"]), bit_errors=int(row["bit_errors"]),
-            block_errors=int(row["block_errors"]), ber=float(row["ber"]),
-            bler=float(row["bler"]), ci95_ber=float(row["ci95_ber"]),
-            ci95_bler=float(row["ci95_bler"]), ebn0_db=float(row["ebn0_db"]),
-            config_digest="", seed=int(row["seed"]), attacked=bool(int(row["attacked"])),
-            code_id=row["code_id"], decoder=row["decoder"], iters=int(row["iters"]),
-            scheme=row["scheme"], channel_kind=row["channel"]))
-    return out
-
+    parse = {f.name: _PARSERS[f.type] for f in fields(MonteCarloResult)}
+    return [MonteCarloResult(**{name: parse[name](row[col])
+                                for col, name in zip(CSV_COLUMNS, _CSV_FIELDS)})
+            for row in rows]

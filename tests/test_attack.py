@@ -1,3 +1,4 @@
+import itertools
 import tempfile
 from dataclasses import fields, replace
 
@@ -34,7 +35,8 @@ def test_search_config_validation():
         attack.SearchConfig(epsilon0=-0.1)
     for bad in ({"epsilon0": np.nan}, {"epsilon0": np.inf}, {"step_len": 0}, {"runs": 0},
                 {"cluster_k": 0}, {"decay": np.nan}, {"decay": -1.0}, {"decay": 0.0},
-                {"decay": 1.5}):
+                {"decay": 1.5}, {"sigma": np.nan}, {"sigma": np.inf}, {"sigma": -1.0},
+                {"sigma": 0.0}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             attack.SearchConfig(**bad)
     with pytest.raises(ValueError):
@@ -267,6 +269,37 @@ def test_cluster_two_blobs(method, linkage):
     assert np.linalg.norm(cents[1].a - blob_a.mean(axis=0)) < 0.5
 
 
+def _agglomerative_reference(X, k, linkage):
+    """Merge the cheapest pair of clusters by brute force until k remain: complete
+    linkage costs the largest pairwise distance, ward the increase in within-cluster SSE."""
+    def sse(idx):
+        return float(np.sum((X[idx] - X[idx].mean(axis=0)) ** 2))
+
+    def cost(p, q):
+        if linkage == "complete":
+            return max(float(np.linalg.norm(X[i] - X[j])) for i in p for j in q)
+        return sse(p + q) - sse(p) - sse(q)
+
+    clusters = [[i] for i in range(len(X))]
+    while len(clusters) > k:
+        a, b = min(itertools.combinations(range(len(clusters)), 2),
+                   key=lambda ab: cost(clusters[ab[0]], clusters[ab[1]]))
+        clusters[a] += clusters.pop(b)
+    return np.array([X[c].mean(axis=0) for c in clusters])
+
+
+@pytest.mark.parametrize("linkage", ["ward", "complete"])
+def test_agglomerative_merges_match_brute_force(linkage):
+    # every k from n down to 1 pins the whole merge order, and the centroid order
+    rng = np.random.default_rng(3)
+    for n in range(2, 11):
+        X = rng.standard_normal((n, 3))
+        for k in range(1, n + 1):
+            got = attack._agglomerative(X, k, linkage)
+            assert got.shape == (k, 3)
+            assert np.allclose(got, _agglomerative_reference(X, k, linkage), rtol=0, atol=1e-12)
+
+
 def test_cluster_degenerate_k_equals_n():
     vs = [_vec([float(i), 0.0]) for i in range(1, 5)]
     out = attack.cluster_attacks(vs, "kmeans", 4)
@@ -353,6 +386,19 @@ def test_attack_load_missing_field(tmp_path):
     ("a", [0.0] * 10, "a"),
     ("N", 3, "N"),
     ("scheme", "qam4", "N"),  # qam4 carries N = n // 2 symbols
+    ("a", ["x"] + [0.0] * 5, "a"),
+    ("a", [True] * 6, "a"),
+    ("a", 0.5, "a"),
+    ("n", "three", "n"),
+    ("n", 6.0, "n"),
+    ("seed", 1.5, "seed"),
+    ("seed", -3, "seed"),
+    ("accepted_iters", False, "accepted_iters"),
+    ("search_sigma", "1.0", "search_sigma"),
+    pytest.param("search_sigma", 10**400, "search_sigma", id="search_sigma-10**400"),
+    ("a", [10**400] + [0.0] * 5, "a"),
+    ("code_id", None, "code_id"),
+    ("created", 5, "created"),
 ])
 def test_attack_load_rejects_inconsistent_record(tmp_path, field, value, named):
     import json
@@ -367,6 +413,10 @@ def test_attack_load_rejects_inconsistent_record(tmp_path, field, value, named):
 def test_attack_vector_rejects_nonfinite():
     with pytest.raises(ValueError):
         _vec([np.nan, 0.0])
+    for bad in ({"search_sigma": np.nan}, {"search_sigma": np.inf}, {"seed": -3},
+                {"seed": 1.5}, {"accepted_iters": -2}, {"accepted_iters": True}):
+        with pytest.raises(ValueError, match=f"field '{next(iter(bad))}'"):
+            replace(_vec([0.0, 0.0]), **bad)
 
 
 _SCHEMES = st.sampled_from(["bpsk", "qam4"])

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from friendlyfec import bp, codes, gf2
 
@@ -262,3 +264,32 @@ def test_zero_iteration_graphs_and_degree_one_checks():
     assert np.isfinite(out.soft).all()
     grad = bp.bp_backward(out.tape, np.zeros(2))
     assert np.isfinite(grad).all()
+
+
+_LDPC_GRAPH = bp.TannerGraph(codes.ldpc_64_32().H)
+
+
+@settings(max_examples=40, deadline=None)
+@given(B=st.integers(1, 8), iters=st.integers(1, 8), sigma=st.sampled_from([0.55, 0.75, 0.95]),
+       seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["final", "multiloss"]),
+       data=st.data())
+def test_lane_results_do_not_depend_on_the_batch_property(B, iters, sigma, seed, mode, data):
+    # any batch holding a lane, in any order and with repeats, gives it the same bytes
+    rng = np.random.default_rng(seed)
+    L = (2.0 / sigma**2) * (1.0 + sigma * rng.standard_normal((B, 64)))
+    lanes = data.draw(st.lists(st.integers(0, B - 1), min_size=1, max_size=8))
+    for early_stop in (False, True):
+        full, sub = (bp.bp_forward(x, _LDPC_GRAPH, iters, early_stop=early_stop,
+                                   record_tape=False) for x in (L, L[lanes]))
+        ran = min(full.iterations, sub.iterations)
+        for pos, lane in enumerate(lanes):
+            assert full.soft[:ran, lane].tobytes() == sub.soft[:ran, pos].tobytes()
+            assert full.hard[lane].tobytes() == sub.hard[pos].tobytes()
+            assert full.syndrome_ok[lane] == sub.syndrome_ok[pos]
+    target = np.zeros(64)
+    full, sub = (bp.bp_forward(x, _LDPC_GRAPH, iters) for x in (L, L[lanes]))
+    grad_full = bp.bp_backward(full.tape, target, mode)
+    grad_sub = bp.bp_backward(sub.tape, target, mode)
+    for pos, lane in enumerate(lanes):
+        assert full.soft[:, lane].tobytes() == sub.soft[:, pos].tobytes()
+        assert grad_full[lane].tobytes() == grad_sub[pos].tobytes()

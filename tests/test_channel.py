@@ -15,6 +15,15 @@ def test_ebn0_to_sigma_values():
         channel.ebn0_to_sigma(0.0, 0.0, 1)
     with pytest.raises(ValueError):
         channel.ebn0_to_sigma(0.0, 0.5, 3)
+    for ebn0 in (-math.inf, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            channel.ebn0_to_sigma(ebn0, 0.5, 1)
+    for ebn0 in (-1e4, 1e4):  # finite, but sigma under- or overflows
+        with pytest.raises(ValueError, match="out of range"):
+            channel.ebn0_to_sigma(ebn0, 0.5, 1)
+    for sigma in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="sigma"):
+            channel.sigma_to_ebn0(sigma, 0.5, 1)
 
 
 def test_sigma_ebn0_round_trip():
@@ -132,8 +141,11 @@ def test_child_seed_deterministic():
 
 
 def test_channel_params_validation():
-    with pytest.raises(ValueError):
-        channel.ChannelParams(sigma=-1.0)
+    for sigma in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            channel.ChannelParams(sigma=sigma)
+        with pytest.raises(ValueError, match="sigma_b must be positive and finite"):
+            channel.ChannelParams(sigma=1.0, kind="bursty", sigma_b=sigma)
     with pytest.raises(ValueError):
         channel.ChannelParams(sigma=1.0, kind="laplace")
     with pytest.raises(ValueError):

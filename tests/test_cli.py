@@ -75,12 +75,20 @@ def test_parse_config_rejects_bad_values():
         cli.parse_config("just some words\n")
     with pytest.raises(cli.ConfigError, match="scheme"):
         cli.parse_config("modem.scheme = qam256\n")
-    # search settings read only after the searches run are checked up front
+    # settings read only after the searches or simulations start are checked up front
     for line, named in [("search.validation_frames = 0", "validation_frames"),
                         ("search.target_bler = 1.0", "target_bler"),
                         ("search.target_bler = 5.0", "target_bler"),
                         ("search.target_bler = 0", "target_bler"),
-                        ("search.target_bler = nan", "target_bler")]:
+                        ("search.target_bler = nan", "target_bler"),
+                        ("eval.ebn0_db = -inf", "eval.ebn0_db"),
+                        ("eval.ebn0_db = nan", "eval.ebn0_db"),
+                        ("eval.grid = 1.0, inf", "eval.grid"),
+                        ("search.validation_ebn0_db = nan", "validation_ebn0_db"),
+                        ("search.sigma = nan", "search.sigma"),
+                        ("search.sigma = -1.0", "search.sigma"),
+                        ("channel.sigma_b = inf", "channel.sigma_b"),
+                        ("channel.sigma_b = 0", "channel.sigma_b")]:
         with pytest.raises(cli.ConfigError, match=named):
             cli.parse_config(line + "\n")
 

@@ -144,7 +144,8 @@ def test_adjoint_with_gains_matches_finite_differences():
 
 
 def test_channel_side_validation():
-    with pytest.raises(ValueError):
-        modem.ChannelSide(sigma=0.0)
+    for sigma in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            modem.ChannelSide(sigma=sigma)
     with pytest.raises(ValueError):
         modem.get_constellation("qam64")

@@ -1,8 +1,11 @@
 import io
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from friendlyfec import attack, bp, channel, codes, modem, montecarlo
 
@@ -253,6 +256,26 @@ def test_csv_round_trip(ldpc, dec3, tmp_path):
     path = tmp_path / "out.csv"
     montecarlo.write_csv(res, path)
     assert montecarlo.read_csv(path)[0].frames == res[0].frames
+
+
+_BY_ANNOTATION = {"int": st.integers(), "float": st.floats(allow_nan=False, allow_infinity=False),
+                  "str": st.text(), "bool": st.booleans()}
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.builds(montecarlo.MonteCarloResult,
+                          **{f.name: _BY_ANNOTATION[f.type]
+                             for f in fields(montecarlo.MonteCarloResult)}), max_size=4))
+def test_csv_round_trip_property(results):
+    buf = io.StringIO()
+    montecarlo.write_csv(results, buf)
+    back = montecarlo.read_csv(io.StringIO(buf.getvalue()))
+    assert len(back) == len(results)
+    for orig, rd in zip(results, back):
+        assert rd.config_digest == ""  # not in the file
+        for f in fields(montecarlo.MonteCarloResult):
+            if f.name != "config_digest":  # repr: same type, and -0.0 stays -0.0
+                assert repr(getattr(rd, f.name)) == repr(getattr(orig, f.name)), f.name
 
 
 def test_numpy_ebn0_round_trips_through_csv(ldpc, dec3):
