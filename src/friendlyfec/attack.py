@@ -235,25 +235,20 @@ def search_attack(code, decoder: bp.DecoderConfig, scheme: str, config: SearchCo
     n_real = s_base.shape[0]
     rng = channel.FrameRng(seed)
 
-    def decode(s, z, record_tape):
-        """Decode s + z; the output, with batch BER and BLER against all-zero."""
-        out = bp.bp_forward(modem.demodulate_llr(s + z, side, const), graph,
-                            decoder.iters, decoder.clamp, record_tape=record_tape)
-        errs = code.message_from_codeword(out.hard) != 0
-        return out, float(errs.mean()), float(np.any(errs, axis=-1).mean())
-
-    def loss_gradient(out):
-        """Per-sample d(loss)/d(s) from a taped decode."""
-        if not np.all(np.isfinite(out.soft[-1])):
-            raise RuntimeError("decoder produced non-finite soft output during the search")
-        dj_dllr = bp.bp_backward(out.tape, target, decoder.loss_mode)
-        return modem.demodulate_adjoint(dj_dllr, side, const)
+    def decode(s, z, gradient):
+        """Decode s + z; batch BER and BLER against all-zero, and with `gradient`
+        the per-sample d(loss)/d(s) (else None)."""
+        soft, dj_dllr = bp.decode_blocks(modem.demodulate_llr(s + z, side, const), graph,
+                                         decoder, target=target if gradient else None)
+        errs = code.message_from_codeword((soft < 0).astype(np.uint8)) != 0
+        grad = modem.demodulate_adjoint(dj_dllr, side, const) if gradient else None
+        return grad, float(errs.mean()), float(np.any(errs, axis=-1).mean())
 
     if config.epsilon0 is None:
         # calibrate the step size against this decoder's gradient scale
         z = config.sigma * next(rng.frames(0, 1, channel.STREAM_PROBE)).standard_normal(
             (config.batch_size, n_real))
-        probe = loss_gradient(decode(s_base, z, record_tape=True)[0])
+        probe = decode(s_base, z, gradient=True)[0]
         scale = float(np.mean(np.abs(probe.mean(axis=0))))
         config = replace(config, epsilon0=EPSILON_GRAD_SCALE / max(scale, 1e-12))
 
@@ -262,12 +257,12 @@ def search_attack(code, decoder: bp.DecoderConfig, scheme: str, config: SearchCo
     for trial, gen in enumerate(rng.frames(0, config.trial_cap, channel.STREAM_SEARCH), 1):
         eps = gradient_scheduler(accepted, config)
         z = config.sigma * gen.standard_normal((config.batch_size, n_real))
-        out, ber0, bler0 = decode(s_cur, z, record_tape=True)
-        step = -eps * loss_gradient(out).mean(axis=0)
+        grad, ber0, bler0 = decode(s_cur, z, gradient=True)
+        step = -eps * grad.mean(axis=0)
         # evaluate the candidate exactly as it would be transmitted: at the
         # power budget, so acceptance can never come from power inflation
         s_cand, _ = normalize_power(s_cur + step, POWER, const.coords_per_symbol)
-        _, ber1, bler1 = decode(s_cand, z, record_tape=False)
+        _, ber1, bler1 = decode(s_cand, z, gradient=False)
         ok = _improves(config.accept, ber1, bler1, ber0, bler0)
         if ok:
             accepted += 1

@@ -7,8 +7,16 @@ clamping differentiates as the identity inside the bound and zero outside.
 
 All internals are batched: a decode over B frames runs as (B, ...) arrays,
 and every lane's result is independent of which other lanes share the
-batch (elementwise ops plus reductions along per-lane axes only), which is
-what makes Monte Carlo counts reproducible under any worker split.
+batch (elementwise ops plus reductions along per-lane axes only, each
+summed in a fixed slot order), which is what makes Monte Carlo counts
+reproducible under any worker split.
+
+`decode_blocks` is the entry point of the search and of Monte Carlo. It
+decodes a large batch in blocks of `BLOCK_LANES` lanes, so the (lanes,
+edges) temporaries and the tape stay cache-sized and each block's tape is
+dropped once its gradient is taken. Since a lane's result does not depend
+on the other lanes of its batch, the blocked outputs and gradients equal
+those of one unblocked decode bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +28,9 @@ import numpy as np
 from . import gf2
 
 DEFAULT_CLAMP = 20.0
+# lanes per decode block: (128, E) float64 temporaries stay in cache, and
+# the tape of a BP-5 block of the bundled code is about 2 MB
+BLOCK_LANES = 128
 _LOG_PROB_FLOOR = float(np.log(1e-12))
 
 
@@ -145,16 +156,21 @@ def _sum_per_var(per_edge, graph):
 def _check_internals(m_clamped, graph):
     """Shared check-node quantities: tanh slots, exclusion prefix/suffix, products.
 
-    Exclusion products are built from prefix and suffix cumulative products,
-    never by division, so zero messages are handled exactly.
+    Exclusion products are built from prefix and suffix products, never by
+    division, so zero messages are handled exactly. Each is one scan along
+    the short check-degree axis, multiplying in the order `np.cumprod` would.
     """
     t = np.tanh(0.5 * m_clamped)
     tg = _gather(t, graph.check_edges, 1.0)
-    ones = np.ones(tg.shape[:-1] + (1,))
-    cp = np.cumprod(tg, axis=-1)
-    pre = np.concatenate([ones, cp[..., :-1]], axis=-1)
-    rcp = np.cumprod(tg[..., ::-1], axis=-1)[..., ::-1]
-    suf = np.concatenate([rcp[..., 1:], ones], axis=-1)
+    width = tg.shape[-1]
+    pre = np.empty_like(tg)
+    suf = np.empty_like(tg)
+    pre[..., 0] = 1.0
+    for i in range(1, width):
+        np.multiply(pre[..., i - 1], tg[..., i - 1], out=pre[..., i])
+    suf[..., -1] = 1.0
+    for i in range(width - 2, -1, -1):
+        np.multiply(suf[..., i + 1], tg[..., i + 1], out=suf[..., i])
     return t, tg, pre, suf, pre * suf
 
 
@@ -347,6 +363,39 @@ def bp_backward(tape: BpTape, target, mode: str = "final") -> np.ndarray:
 
     dL += _sum_per_var(d_w, graph)  # iteration-0 messages copy L
     return dL[0] if tape.squeeze else dL
+
+
+def decode_blocks(llr, graph: TannerGraph, decoder: DecoderConfig, early_stop: bool = False,
+                  target=None):
+    """Decode a (B, n) LLR batch in blocks of `BLOCK_LANES` lanes.
+
+    Each block runs the early-stopped forward (`early_stop`), or the taped
+    forward then `bp_backward` against the codeword `target` (n bits, the
+    same for every lane) under `decoder.loss_mode`, or else the untaped
+    forward. Returns the final soft output (B, n) and d(loss)/d(LLR)
+    (B, n), which is None without a target. A block's tape is dropped once
+    its gradient is taken, and a block whose soft output is not finite
+    raises RuntimeError before its backward pass.
+    """
+    L = np.asarray(llr, dtype=np.float64)
+    if L.ndim != 2 or L.shape[1] != graph.n_var:
+        raise ValueError(f"LLR shape {L.shape} does not match {graph.n_var} variables")
+    taped = target is not None
+    if taped and _target_array(target, graph.n_var).ndim != 1:
+        raise ValueError("target must be one codeword, shared by every lane")
+    soft = np.empty_like(L)
+    grad = np.empty_like(L) if taped else None
+    for lo in range(0, len(L), BLOCK_LANES):
+        block = slice(lo, lo + BLOCK_LANES)
+        out = bp_forward(L[block], graph, decoder.iters, decoder.clamp,
+                         early_stop=early_stop, record_tape=taped)
+        soft[block] = out.soft[-1]
+        if taped:
+            if not np.all(np.isfinite(soft[block])):
+                raise RuntimeError("decoder produced non-finite soft output during the search")
+            grad[block] = bp_backward(out.tape, target, decoder.loss_mode)
+        del out  # the block's tape goes before the next block's forward
+    return soft, grad
 
 
 def finite_difference(func, x, h: float = 1e-4, coords=None) -> np.ndarray:

@@ -73,8 +73,7 @@ def _message_errors(llr, msgs, code, graph, decoder) -> np.ndarray:
     """
     soft = llr
     if decoder.iters:
-        soft = bp.bp_forward(llr, graph, decoder.iters, decoder.clamp,
-                             early_stop=True, record_tape=False).soft[-1]
+        soft, _ = bp.decode_blocks(llr, graph, decoder, early_stop=True)
     return code.message_from_codeword((soft < 0).astype(np.uint8)) != msgs
 
 
@@ -308,9 +307,24 @@ def write_csv(results: list[MonteCarloResult], fh) -> None:
 
 
 def read_csv(fh) -> list[MonteCarloResult]:
-    with _opened(fh, "r") as f:
-        rows = list(csv.DictReader(f))
+    """Results from a file written by `write_csv`; a missing column raises
+    ValueError naming it, and a cell that does not parse one naming its
+    column and line."""
     parse = {f.name: _PARSERS[f.type] for f in fields(MonteCarloResult)}
-    return [MonteCarloResult(**{name: parse[name](row[col])
-                                for col, name in zip(CSV_COLUMNS, _CSV_FIELDS)})
-            for row in rows]
+
+    def result(row, line):
+        values = {}
+        for col, name in zip(CSV_COLUMNS, _CSV_FIELDS):
+            try:
+                values[name] = parse[name](row[col])
+            except ValueError:
+                raise ValueError(f"CSV line {line}, column {col!r}: "
+                                 f"cannot read {row[col]!r}") from None
+        return MonteCarloResult(**values)
+
+    with _opened(fh, "r") as f:
+        reader = csv.DictReader(f, restval="")  # a short row reads its last cells as ""
+        missing = [col for col in CSV_COLUMNS if col not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"CSV file has no column {missing[0]!r}")
+        return [result(row, reader.line_num) for row in reader]

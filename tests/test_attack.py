@@ -4,10 +4,10 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from friendlyfec import attack, bp, channel, codes, modem, montecarlo
+from friendlyfec import attack, bp, channel, codes, gf2, modem, montecarlo
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +143,24 @@ def test_power_conservation_many_words(ldpc):
     assert np.max(np.abs(energy - 1.0)) < 1e-9
 
 
+@settings(max_examples=60, deadline=None)
+@given(scheme=st.sampled_from(["bpsk", "qam4"]), data=st.data(),
+       msgs=st.lists(st.lists(st.integers(0, 1), min_size=32, max_size=32), min_size=1, max_size=5))
+def test_apply_attack_meets_the_power_budget_property(ldpc, scheme, data, msgs):
+    # every attacked codeword carries N P exactly, whatever the word and the vector
+    const = modem.get_constellation(scheme)
+    s = modem.modulate(gf2.encode(np.array(msgs, dtype=np.uint8), ldpc.G), const)
+    a = np.array(data.draw(st.lists(st.floats(-4.0, 4.0), min_size=64, max_size=64)))
+    try:
+        out = attack.apply_attack(s, a, const)
+    except ValueError as exc:  # a zeroed word has its own test
+        if "zeroes word" not in str(exc):
+            raise
+        reject()
+    budget = (64 // const.bits_per_symbol) * attack.POWER
+    assert np.all(np.abs(np.sum(out**2, axis=-1) / budget - 1.0) <= 1e-12)
+
+
 def test_sign_coupling_transfer_identity(ldpc):
     # decoding an attacked codeword under noise z matches decoding the
     # attacked all-zero word under sign-coupled noise, error for error
@@ -223,6 +241,32 @@ def test_search_qam4_smoke(ldpc):
     const = modem.get_constellation("qam4")
     out = attack.apply_attack(modem.modulate(np.zeros(64, dtype=np.uint8), const), av.a, const)
     assert np.sum(out**2) / 32 == pytest.approx(1.0, rel=1e-9)
+
+
+def test_search_nonfinite_soft_output_stops_before_the_backward_pass(ldpc, monkeypatch):
+    # the epsilon calibration is the first taped decode; poison one lane of its second block
+    forward, backward = bp.bp_forward, bp.bp_backward
+    taped_blocks, backward_tapes = [], []
+
+    def poisoned_forward(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        if out.tape is not None:
+            taped_blocks.append(out.tape)
+            if len(taped_blocks) == 2:
+                out.soft[-1][5] = np.nan
+        return out
+
+    def recorded_backward(tape, *args, **kwargs):
+        backward_tapes.append(tape)
+        return backward(tape, *args, **kwargs)
+
+    monkeypatch.setattr(bp, "bp_forward", poisoned_forward)
+    monkeypatch.setattr(bp, "bp_backward", recorded_backward)
+    cfg = attack.SearchConfig(batch_size=300, accepted_iters=2, sigma=0.8)
+    with pytest.raises(RuntimeError, match="non-finite soft output during the search"):
+        attack.search_attack(ldpc, bp.DecoderConfig(iters=3), "bpsk", cfg, seed=1)
+    assert len(taped_blocks) == 2 and taped_blocks[1].input_llr.shape == (128, 64)
+    assert len(backward_tapes) == 1 and backward_tapes[0] is taped_blocks[0]
 
 
 def test_run_regime_deterministic_and_smoke(ldpc):

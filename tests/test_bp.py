@@ -293,3 +293,70 @@ def test_lane_results_do_not_depend_on_the_batch_property(B, iters, sigma, seed,
     for pos, lane in enumerate(lanes):
         assert full.soft[:, lane].tobytes() == sub.soft[:, pos].tobytes()
         assert grad_full[lane].tobytes() == grad_sub[pos].tobytes()
+
+
+@pytest.mark.parametrize("B", [1, 127, 128, 129, 261])
+def test_decode_blocks_equals_one_unblocked_decode(B):
+    assert bp.BLOCK_LANES == 128  # the batch sizes straddle block edges
+    rng = np.random.default_rng(B)
+    L = (2.0 / 0.64) * (1.0 + 0.8 * rng.standard_normal((B, 64)))
+    target = rng.integers(0, 2, 64).astype(np.float64)
+    dec = bp.DecoderConfig(iters=5)
+    for early_stop in (True, False):
+        soft, grad = bp.decode_blocks(L, _LDPC_GRAPH, dec, early_stop=early_stop)
+        whole = bp.bp_forward(L, _LDPC_GRAPH, 5, early_stop=early_stop, record_tape=False)
+        assert grad is None
+        assert soft.tobytes() == whole.soft[-1].tobytes()
+    whole = bp.bp_forward(L, _LDPC_GRAPH, 5)
+    for mode in ("final", "multiloss"):
+        soft, grad = bp.decode_blocks(L, _LDPC_GRAPH, bp.DecoderConfig(iters=5, loss_mode=mode),
+                                      target=target)
+        assert soft.tobytes() == whole.soft[-1].tobytes()
+        assert grad.tobytes() == bp.bp_backward(whole.tape, target, mode).tobytes()
+
+
+def test_decode_blocks_validation():
+    dec = bp.DecoderConfig(iters=2)
+    with pytest.raises(ValueError, match="does not match 64 variables"):
+        bp.decode_blocks(np.zeros(64), _LDPC_GRAPH, dec)
+    with pytest.raises(ValueError, match="one codeword"):
+        bp.decode_blocks(np.zeros((3, 64)), _LDPC_GRAPH, dec, target=np.zeros((3, 64)))
+    with pytest.raises(ValueError, match="tape"):
+        bp.decode_blocks(np.zeros((3, 64)), _LDPC_GRAPH, dec, early_stop=True,
+                         target=np.zeros(64))
+    soft, grad = bp.decode_blocks(np.zeros((0, 64)), _LDPC_GRAPH, dec, target=np.zeros(64))
+    assert soft.shape == grad.shape == (0, 64)
+
+
+def _cumprod_exclusion(m_clamped, graph):
+    """Prefix and suffix exclusion products as np.cumprod builds them."""
+    tg = bp._gather(np.tanh(0.5 * m_clamped), graph.check_edges, 1.0)
+    ones = np.ones(tg.shape[:-1] + (1,))
+    pre = np.concatenate([ones, np.cumprod(tg, axis=-1)[..., :-1]], axis=-1)
+    suf = np.concatenate([np.cumprod(tg[..., ::-1], axis=-1)[..., ::-1][..., 1:], ones], axis=-1)
+    return tg, pre, suf
+
+
+@pytest.mark.parametrize("H", [
+    codes.ldpc_64_32().H,
+    # a degree-1 check (one slot, no neighbours) next to degrees 3 and 4
+    np.array([[1, 0, 0, 0, 0, 0],
+              [1, 1, 0, 1, 0, 0],
+              [0, 1, 1, 0, 1, 1],
+              [0, 0, 1, 1, 1, 0]], dtype=np.uint8),
+], ids=["ldpc_64_32", "irregular"])
+def test_scan_exclusion_products_equal_cumprod(H):
+    g = bp.TannerGraph(H)
+    rng = np.random.default_rng(12)
+    m = np.clip(rng.normal(0.0, 6.0, (50, g.n_edges)), -20.0, 20.0)
+    m[rng.random(m.shape) < 0.2] = 0.0  # exact zero messages: tanh is 0
+    m[:3] = 0.0
+    t, tg, pre, suf, prod = bp._check_internals(m, g)
+    want_tg, want_pre, want_suf = _cumprod_exclusion(m, g)
+    assert (tg.tobytes(), pre.tobytes(), suf.tobytes()) == \
+        (want_tg.tobytes(), want_pre.tobytes(), want_suf.tobytes())
+    assert prod.tobytes() == (want_pre * want_suf).tobytes()
+    assert t.tobytes() == np.tanh(0.5 * m).tobytes()
+    # an edge whose check holds a zero elsewhere gets an exactly zero product
+    zero_elsewhere = (np.count_nonzero(tg == 0.0, axis=-1, keepdims=True) - (tg == 0.0)) > 0
+    assert np.all(prod[zero_elsewhere & (g.check_edges < g.n_edges)] == 0.0)

@@ -287,6 +287,35 @@ def test_numpy_ebn0_round_trips_through_csv(ldpc, dec3):
     assert montecarlo.read_csv(io.StringIO(buf.getvalue()))[0].ebn0_db == 2.0
 
 
+def _csv_text(ldpc, dec3):
+    buf = io.StringIO()
+    montecarlo.write_csv([montecarlo.run_point(ldpc, dec3, "bpsk", 2.0, frames=64, seed=3)] * 2, buf)
+    return buf.getvalue()
+
+
+def test_read_csv_names_a_missing_column(ldpc, dec3):
+    lines = _csv_text(ldpc, dec3).splitlines()
+    drop = montecarlo.CSV_COLUMNS.index("bit_errors")
+    cut = "\n".join(",".join(c for i, c in enumerate(line.split(",")) if i != drop)
+                    for line in lines)
+    with pytest.raises(ValueError, match="CSV file has no column 'bit_errors'"):
+        montecarlo.read_csv(io.StringIO(cut))
+    # a row cut short reads its missing cells as empty, and the last one fails
+    with pytest.raises(ValueError, match="CSV line 2, column 'seed': cannot read ''"):
+        montecarlo.read_csv(io.StringIO(lines[0] + "\n" + lines[1].rsplit(",", 3)[0]))
+
+
+@pytest.mark.parametrize("column, cell", [("frames", "ten"), ("attacked", "yes"),
+                                          ("ber", "x"), ("seed", "")])
+def test_read_csv_names_the_column_and_line_of_a_bad_cell(ldpc, dec3, column, cell):
+    lines = _csv_text(ldpc, dec3).splitlines()
+    cells = lines[2].split(",")
+    cells[montecarlo.CSV_COLUMNS.index(column)] = cell
+    lines[2] = ",".join(cells)
+    with pytest.raises(ValueError, match=f"CSV line 3, column '{column}': cannot read '{cell}'"):
+        montecarlo.read_csv(io.StringIO("\n".join(lines)))
+
+
 def test_paired_runs_have_lower_difference_variance():
     # common random numbers: paired baseline/attacked differences vary less
     # than unpaired ones on the repetition code
