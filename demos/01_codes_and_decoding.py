@@ -32,6 +32,7 @@ for code in (codes.hamming_7_4(), codes.ldpc_64_32(), codes.polar_construct(64, 
     graph = bp.TannerGraph(code.H)
     out = bp.bp_forward(llr, graph, iters=10, early_stop=True, record_tape=False)
 
-    decoded = code.message_from_codeword(out.hard)
-    print(f"decoded after {out.iterations} iteration(s), syndrome ok: {out.syndrome_ok}")
+    hard = (out.soft[-1] < 0).astype(np.uint8)
+    decoded = code.message_from_codeword(hard)
+    print(f"decoded after {out.iterations} iteration(s), syndrome ok: {graph.syndrome_ok(hard)}")
     print("message recovered:", bool(np.array_equal(decoded, message)))

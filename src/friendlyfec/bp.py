@@ -109,7 +109,7 @@ class BpTape:
 
     graph: TannerGraph
     clamp: float
-    input_llr: np.ndarray        # (B, n)
+    input_llr: np.ndarray        # (B, n), not copied: the reverse pass reads its shape only
     v2c_pre: list[np.ndarray]    # T x (B, E)
     c2v_pre: list[np.ndarray]    # T x (B, E)
     soft: list[np.ndarray]       # T x (B, n)
@@ -118,11 +118,14 @@ class BpTape:
 
 @dataclass
 class BpOutput:
+    """Per-iteration soft outputs and the tape; bit decisions are the caller's (soft[-1] < 0)."""
+
     soft: np.ndarray             # (iters, n) or (iters, B, n)
-    hard: np.ndarray             # final-iteration bit decisions
-    syndrome_ok: np.ndarray | bool
     tape: BpTape | None
-    iterations: int
+
+    @property
+    def iterations(self) -> int:
+        return len(self.soft)
 
 
 def _gather(per_edge, table, pad_value):
@@ -174,13 +177,6 @@ def _check_internals(m_clamped, graph):
     return t, tg, pre, suf, pre * suf
 
 
-def _check_messages(m_clamped, graph):
-    _, _, _, _, prod = _check_internals(m_clamped, graph)
-    p_edge = _scatter(prod, graph.check_edges, graph.n_edges)
-    with np.errstate(divide="ignore"):
-        return 2.0 * np.arctanh(p_edge)  # +-inf only for degree-1 checks
-
-
 def bp_forward(llr, graph: TannerGraph, iters: int, clamp: float = DEFAULT_CLAMP,
                early_stop: bool = False, record_tape: bool = True) -> BpOutput:
     """Sum-product decoding with a flooding schedule.
@@ -214,24 +210,24 @@ def bp_forward(llr, graph: TannerGraph, iters: int, clamp: float = DEFAULT_CLAMP
 
     B = L.shape[0]
     evar = graph.edge_var
-    tape = BpTape(graph, clamp, L.copy(), [], [], [], squeeze) if record_tape else None
+    tape = BpTape(graph, clamp, L, [], [], [], squeeze) if record_tape else None
 
     v2c_pre = L[:, evar]
     m = np.clip(v2c_pre, -clamp, clamp)
     soft = np.empty((iters, B, graph.n_var))
-    lanes = np.arange(B)  # batch rows of L, m, c2v and marg (early stop drops converged ones)
-    iterations = 0
+    lanes = np.arange(B)  # batch rows of L, c2v and marg (early stop drops converged ones)
     for it in range(iters):
-        u = _check_messages(m, graph)
+        prod = _check_internals(m, graph)[-1]
+        with np.errstate(divide="ignore"):  # +-inf only for degree-1 checks
+            u = 2.0 * np.arctanh(_scatter(prod, graph.check_edges, graph.n_edges))
         c2v = np.clip(u, -clamp, clamp)
         marg = L + _sum_per_var(c2v, graph)
         soft[it, lanes] = marg
-        iterations = it + 1
         if record_tape:
             tape.v2c_pre.append(v2c_pre)
             tape.c2v_pre.append(u)
             tape.soft.append(soft[it])  # a view: each output is stored once
-        if iterations == iters:
+        if it + 1 == iters:
             break
         if early_stop:
             done = graph.syndrome_ok(marg < 0)
@@ -239,17 +235,11 @@ def bp_forward(llr, graph: TannerGraph, iters: int, clamp: float = DEFAULT_CLAMP
                 break
             if done.any():
                 soft[it + 1:, lanes[done]] = marg[done]  # converged lanes repeat their output
-                run = ~done
-                lanes, L, m, c2v, marg = lanes[run], L[run], m[run], c2v[run], marg[run]
+                lanes, L, c2v, marg = lanes[~done], L[~done], c2v[~done], marg[~done]
         v2c_pre = marg[:, evar] - c2v
         m = np.clip(v2c_pre, -clamp, clamp)
 
-    soft = soft[:iterations]
-    hard = (soft[-1] < 0).astype(np.uint8)
-    ok = graph.syndrome_ok(hard)
-    if squeeze:
-        return BpOutput(soft[:, 0, :], hard[0], bool(ok[0]), tape, iterations)
-    return BpOutput(soft, hard, ok, tape, iterations)
+    return BpOutput(soft[:it + 1, 0] if squeeze else soft[:it + 1], tape)
 
 
 # ---------------------------------------------------------------------------

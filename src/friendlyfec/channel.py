@@ -57,6 +57,9 @@ class FrameRng:
 
     seed: int
 
+    def __post_init__(self):
+        _check_seed(self.seed)
+
     def frames(self, start: int, stop: int, stream: int = STREAM_CHANNEL):
         """Yield the generator of each frame in [start, stop).
 
@@ -77,8 +80,15 @@ class FrameRng:
             yield gen
 
 
+def _check_seed(seed) -> None:
+    """Raise ValueError unless the seed is an integer (not a bool) in Philox's key range."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**128:
+        raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+
+
 def child_seed(seed: int, *key: int) -> int:
     """Derive an independent 64-bit seed from (seed, key...); deterministic."""
+    _check_seed(seed)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
     return int(ss.generate_state(1, np.uint64)[0])
 

@@ -320,8 +320,7 @@ def run_gradcheck(cfg: RunConfig, seed: int) -> GradcheckReport:
         report.checks.append(f"demod case {case}: max rel {r.max():.3g}")
 
         llr = rng.normal(0.0, 2.0 / sigma, code.n)
-        out = bp.bp_forward(llr, graph, decoder.iters, decoder.clamp)
-        grad = bp.bp_backward(out.tape, target, decoder.loss_mode)
+        grad = bp.decode_blocks(llr[None], graph, decoder, target=target)[1][0]
         coords = rng.choice(code.n, size=min(10, code.n), replace=False)
         fd = bp.finite_difference(
             lambda v: bp.bp_loss(bp.bp_forward(v, graph, decoder.iters, decoder.clamp),

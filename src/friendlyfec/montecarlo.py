@@ -99,10 +99,9 @@ def _attack_array(attack, scheme, code) -> np.ndarray | None:
 
 
 def _chunk_counts(code, decoder, graph, const, params, attack_a, message_source,
-                  seed, bounds):
+                  rng, bounds):
     """Exact (frames, bit errors, block errors) for frames [start, stop)."""
     start, stop = bounds
-    rng = channel.FrameRng(seed)
 
     if message_source == "all_zero":
         msgs = np.zeros((stop - start, code.k), dtype=np.uint8)
@@ -141,6 +140,7 @@ def run_point(code, decoder: bp.DecoderConfig, scheme: str, ebn0_db: float,
         raise ValueError(f"unknown message source {message_source!r}")
     if min_block_errors is not None and min_block_errors < 1:
         raise ValueError("min_block_errors must be >= 1")
+    rng = channel.FrameRng(seed)
     ebn0_db = float(ebn0_db)
     const = modem.get_constellation(scheme)
     sigma = channel.ebn0_to_sigma(ebn0_db, code.rate, const.bits_per_symbol)
@@ -148,7 +148,7 @@ def run_point(code, decoder: bp.DecoderConfig, scheme: str, ebn0_db: float,
     attack_a = _attack_array(attack, scheme, code)
 
     job = partial(_chunk_counts, code, decoder, bp.TannerGraph(code.H), const, params,
-                  attack_a, message_source, seed)
+                  attack_a, message_source, rng)
     chunks = [(start, min(start + CHUNK_FRAMES, frames))
               for start in range(0, frames, CHUNK_FRAMES)]
     # waves keep the early-stop decision a prefix property of the fixed

@@ -180,7 +180,7 @@ def test_sign_coupling_transfer_identity(ldpc):
         y_zero = attack.apply_attack(np.ones(64), a, c) + t * z
         out_word = bp.bp_forward(modem.demodulate_llr(y_word, side, c), g, dec.iters)
         out_zero = bp.bp_forward(modem.demodulate_llr(y_zero, side, c), g, dec.iters)
-        assert np.array_equal(out_word.hard ^ x, out_zero.hard)
+        assert np.array_equal((out_word.soft[-1] < 0) ^ x, out_zero.soft[-1] < 0)
 
 
 def test_search_degenerate_noise_returns_zero(ldpc):
@@ -228,6 +228,19 @@ def test_search_improves_ldpc_batch_criterion(ldpc):
     for rec in trace:
         if rec["accepted"]:
             assert rec["ber_new"] < rec["ber"]
+
+
+@pytest.mark.parametrize("accept", ["ber", "bler", "both"])
+def test_search_accepts_exactly_the_trials_its_criterion_improves(ldpc, accept):
+    dec = bp.DecoderConfig(iters=3)
+    cfg = attack.approach_config(1, sigma=0.756, batch_size=200, accepted_iters=4,
+                                 max_trials=20, accept=accept)
+    trace = []
+    av = attack.search_attack(ldpc, dec, "bpsk", cfg, seed=42, on_trial=trace.append)
+    assert av.accepted_iters == sum(rec["accepted"] for rec in trace) > 0
+    for rec in trace:
+        ber, bler = rec["ber_new"] < rec["ber"], rec["bler_new"] < rec["bler"]
+        assert rec["accepted"] == {"ber": ber, "bler": bler, "both": ber and bler}[accept]
 
 
 def test_search_qam4_smoke(ldpc):

@@ -30,6 +30,11 @@ def ml_codeword(code, llr):
     return words[int(np.argmax(metric))]
 
 
+def hard(out):
+    """Final-iteration bit decisions of a decode."""
+    return (out.soft[-1] < 0).astype(np.uint8)
+
+
 def test_graph_matches_parity_matrix():
     code = codes.hamming_7_4()
     g = bp.TannerGraph(code.H)
@@ -42,15 +47,15 @@ def test_forward_zero_input_is_fixed_point():
     g = bp.TannerGraph(codes.repetition_code(3).H)
     out = bp.bp_forward(np.zeros(3), g, iters=4)
     assert not out.soft.any()
-    assert np.array_equal(out.hard, [0, 0, 0])
+    assert np.array_equal(hard(out), [0, 0, 0])
 
 
 def test_forward_repetition_map_decision():
     g = bp.TannerGraph(codes.repetition_code(3).H)
     out = bp.bp_forward(np.array([2.0, 2.0, -1.0]), g, iters=2)
     # brute-force MAP over {000, 111}: sum of LLRs is +3, favors all-zero
-    assert np.array_equal(out.hard, [0, 0, 0])
-    assert out.syndrome_ok
+    assert np.array_equal(hard(out), [0, 0, 0])
+    assert g.syndrome_ok(hard(out))
 
 
 def test_tree_exactness_vs_enumeration():
@@ -76,7 +81,7 @@ def test_hamming_one_flip_recovers():
         out = bp.bp_forward(llr, g, iters=8)
         ml = ml_codeword(code, llr)
         assert np.array_equal(ml, x)  # exhaustive ML also picks the true word
-        assert np.array_equal(out.hard, x)
+        assert np.array_equal(hard(out), x)
 
 
 def test_forward_validation():
@@ -113,8 +118,7 @@ def test_multiloss_averages_iterations():
     llr = rng.normal(0, 2, 7)
     out = bp.bp_forward(llr, g, iters=3)
     target = np.zeros(7)
-    per_iter = [bp.bp_loss(bp.BpOutput(out.soft[: t + 1], out.hard, out.syndrome_ok, None, t + 1),
-                           target) for t in range(3)]
+    per_iter = [bp.bp_loss(bp.BpOutput(out.soft[: t + 1], None), target) for t in range(3)]
     assert bp.bp_loss(out, target, "multiloss") == pytest.approx(np.mean(per_iter), rel=1e-12)
 
 
@@ -178,14 +182,14 @@ def test_sign_equivariance_bit_exact():
         base = bp.bp_forward(llr, g, iters=5)
         flipped = bp.bp_forward(t * llr, g, iters=5)
         assert np.array_equal(flipped.soft[-1], t * base.soft[-1])
-        assert np.array_equal(flipped.hard, base.hard ^ x)
+        assert np.array_equal(hard(flipped), hard(base) ^ x)
 
 
 def test_correct_signs_satisfy_syndrome_after_one_iteration():
     code = codes.ldpc_64_32()
     g = bp.TannerGraph(code.H)
     out = bp.bp_forward(np.full(64, 6.0), g, iters=1)
-    assert out.syndrome_ok
+    assert g.syndrome_ok(hard(out))
 
 
 def test_batch_matches_single_lane_bit_exact():
@@ -216,8 +220,8 @@ def test_early_stop_matches_standalone_decode():
         stops = []
         for i in lanes:
             alone = bp.bp_forward(L[i], g, iters=10, early_stop=True, record_tape=False)
-            assert np.array_equal(alone.hard, batch.hard[i])
-            assert alone.syndrome_ok == batch.syndrome_ok[i]
+            assert np.array_equal(hard(alone), hard(batch)[i])
+            assert g.syndrome_ok(hard(alone)) == g.syndrome_ok(hard(batch))[i]
             ran = alone.iterations
             stops.append(ran)
             # the iterations the lane ran, as without early stop, then its last output repeated
@@ -282,10 +286,12 @@ def test_lane_results_do_not_depend_on_the_batch_property(B, iters, sigma, seed,
         full, sub = (bp.bp_forward(x, _LDPC_GRAPH, iters, early_stop=early_stop,
                                    record_tape=False) for x in (L, L[lanes]))
         ran = min(full.iterations, sub.iterations)
+        (hard_full, ok_full), (hard_sub, ok_sub) = (
+            (hard(x), _LDPC_GRAPH.syndrome_ok(hard(x))) for x in (full, sub))
         for pos, lane in enumerate(lanes):
             assert full.soft[:ran, lane].tobytes() == sub.soft[:ran, pos].tobytes()
-            assert full.hard[lane].tobytes() == sub.hard[pos].tobytes()
-            assert full.syndrome_ok[lane] == sub.syndrome_ok[pos]
+            assert hard_full[lane].tobytes() == hard_sub[pos].tobytes()
+            assert ok_full[lane] == ok_sub[pos]
     target = np.zeros(64)
     full, sub = (bp.bp_forward(x, _LDPC_GRAPH, iters) for x in (L, L[lanes]))
     grad_full = bp.bp_backward(full.tape, target, mode)
@@ -293,6 +299,23 @@ def test_lane_results_do_not_depend_on_the_batch_property(B, iters, sigma, seed,
     for pos, lane in enumerate(lanes):
         assert full.soft[:, lane].tobytes() == sub.soft[:, pos].tobytes()
         assert grad_full[lane].tobytes() == grad_sub[pos].tobytes()
+
+
+def test_forward_tests_the_syndrome_only_to_stop_early(monkeypatch):
+    # decisions and the syndrome after the last iteration are the caller's
+    syndrome_ok, calls = bp.TannerGraph.syndrome_ok, []
+
+    def counted(self, bits):
+        calls.append(len(bits))
+        return syndrome_ok(self, bits)
+
+    monkeypatch.setattr(bp.TannerGraph, "syndrome_ok", counted)
+    L = (2.0 / 0.9**2) * (1.0 + 0.9 * np.random.default_rng(8).standard_normal((16, 64)))
+    bp.bp_forward(L, _LDPC_GRAPH, 5)
+    bp.bp_forward(L, _LDPC_GRAPH, 5, record_tape=False)
+    assert calls == []
+    out = bp.bp_forward(L, _LDPC_GRAPH, 5, early_stop=True, record_tape=False)
+    assert out.iterations == 5 and len(calls) == 4  # one test between each two iterations
 
 
 @pytest.mark.parametrize("B", [1, 127, 128, 129, 261])

@@ -1,9 +1,12 @@
 import json
+import string
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from friendlyfec import attack, cli, modem, montecarlo
+from friendlyfec import attack, channel, cli, codes, modem, montecarlo
 
 REP_SEARCH_CFG = """\
 code.family = repetition
@@ -32,6 +35,51 @@ def test_parse_config_defaults_and_comments():
     cfg = cli.parse_config("decoder.iters = 7 # trailing comment\neval.grid = 1, 2.5, 4\n")
     assert cfg.decoder_iters == 7
     assert cfg.eval_grid == (1.0, 2.5, 4.0)
+
+
+_TEXT = st.text(alphabet=string.ascii_letters + string.digits + "./_-=", max_size=12)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NOISE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# a strategy per RunConfig annotation, and for the fields parse_config validates
+_BY_TYPE = {"int": st.integers(-10**12, 10**12), "float": _FINITE, "str": _TEXT,
+            "bool": st.booleans(), "tuple[float, ...]": st.lists(_FINITE, max_size=4).map(tuple)}
+_VALID = {
+    "code_family": st.sampled_from(["ldpc", "polar", "repetition", "hamming", "uncoded"]),
+    "modem_scheme": st.sampled_from(["bpsk", "qam4"]),
+    "channel_kind": st.sampled_from(["awgn", "rayleigh", "bursty"]),
+    "decoder_loss_mode": st.sampled_from(["final", "multiloss"]),
+    "eval_message_source": st.sampled_from(["random", "all_zero"]),
+    "decoder_iters": st.integers(0, 10**6),
+    "eval_frames": st.integers(1, 10**12),
+    "search_validation_frames": st.integers(1, 10**12),
+    "search_target_bler": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    "search_sigma": _NOISE,
+    "channel_sigma_b": _NOISE,
+}
+_BOOL_WORDS = {True: ["1", "true", "Yes", "ON"], False: ["0", "False", "no", "off"]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_parse_config_round_trip_property(data):
+    values, lines = {}, []
+    for f in fields(cli.RunConfig):
+        kind = f.type.removesuffix(" | None")
+        strategy = _VALID.get(f.name, _BY_TYPE[kind])
+        value = values[f.name] = data.draw(strategy | st.none() if kind != f.type else strategy)
+        if value is None:
+            continue  # every `| None` field defaults to None
+        if kind == "bool":
+            text = data.draw(st.sampled_from(_BOOL_WORDS[value]))
+        elif kind == "float":
+            text = repr(value)
+        elif kind == "tuple[float, ...]":
+            text = data.draw(st.sampled_from([", ", " ", ","])).join(map(repr, value))
+        else:
+            text = str(value)
+        lines.append(f"{f.name.replace('_', '.', 1)} = {text}")
+    text = "\n".join(data.draw(st.permutations(lines))) + "\n"
+    assert cli.parse_config(text) == cli.RunConfig(**values)
 
 
 def test_parse_config_rejects_unknown_key():
@@ -299,3 +347,44 @@ def test_workers_flag_matches_single_worker(tmp_path, capsys):
     cli.main(["eval", "--config", cfg, "--workers", "4"])
     row4 = capsys.readouterr().out.strip().splitlines()[1]
     assert row1 == row4
+
+
+LDPC_REGIME_CFG = """\
+decoder.iters = 3
+search.sigma = 0.756
+search.batch_size = 20
+search.iters = 3
+search.max_trials = 30
+search.runs = 3
+search.cluster_k = 2
+search.validation_frames = 200
+eval.seed = 7
+"""
+
+
+@pytest.mark.parametrize("cluster", ["kmeans", "none"])
+def test_search_runs_select_a_validated_candidate(tmp_path, capsys, cluster):
+    cfg = write(tmp_path, "regime.cfg", LDPC_REGIME_CFG + f"search.cluster = {cluster}\n")
+    out = str(tmp_path / "attack.json")
+    assert cli.main(["search", "--config", cfg, "--out", out]) == cli.EXIT_OK
+    err = capsys.readouterr().err
+    av = attack.load_attack(out)
+    av.check_fits(codes.ldpc_64_32(), "bpsk")
+    assert not av.is_zero
+    assert av.approach.startswith("kmeans-centroid-" if cluster == "kmeans" else "custom:run")
+    assert "3 runs, " in err
+    # no validation Eb/N0 is set: it is 1 dB above the search point
+    val_ebn0 = channel.sigma_to_ebn0(0.756, 0.5, 1) + 1.0
+    assert f"selected candidate {av.approach!r} at validation Eb/N0 {val_ebn0:.3f} dB" in err
+
+
+def test_search_without_sigma_finds_one(tmp_path, capsys):
+    text = REP_SEARCH_CFG.replace("search.sigma = 3.16\n", "")
+    cfg = write(tmp_path, "rep.cfg", text)
+    out = str(tmp_path / "attack.json")
+    assert cli.main(["search", "--config", cfg, "--out", out]) == cli.EXIT_OK
+    parsed = cli.parse_config(text)
+    sigma = attack.find_search_sigma(cli.build_code(parsed), cli.build_decoder(parsed), "bpsk",
+                                     seed=5, target_bler=parsed.search_target_bler)
+    assert attack.load_attack(out).search_sigma == sigma
+    assert f"auto search sigma {sigma:.6g} (" in capsys.readouterr().err

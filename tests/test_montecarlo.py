@@ -1,13 +1,14 @@
 import io
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from friendlyfec import attack, bp, channel, codes, modem, montecarlo
+from friendlyfec import attack, bp, channel, codes, gf2, modem, montecarlo
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +136,32 @@ def test_frames_and_workers_must_be_positive(ldpc, dec3, monkeypatch):
     for workers in (0, -3):
         with pytest.raises(ValueError, match="workers"):
             montecarlo.run_point(ldpc, dec3, "bpsk", 2.0, frames=10, seed=0, workers=workers)
+
+
+def test_seeds_are_checked_before_any_draw(ldpc, dec3, monkeypatch):
+    # a numpy integer is an integer; the largest Philox key is a seed
+    assert channel.FrameRng(2**128 - 1).seed == 2**128 - 1
+    res, res_np = (montecarlo.run_point(ldpc, dec3, "bpsk", 2.0, frames=300, seed=s)
+                   for s in (5, np.int64(5)))
+    assert (res.bit_errors, res.block_errors) == (res_np.bit_errors, res_np.block_errors)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a random stream was drawn from")
+
+    monkeypatch.setattr(channel.FrameRng, "frames", no_draws)
+    av = attack.AttackVector(a=np.zeros(64), code_id=ldpc.name, scheme="bpsk", n=64,
+                             n_symbols=64, search_sigma=0.7, seed=0, approach="1",
+                             accepted_iters=0)
+    search = attack.SearchConfig(batch_size=10, accepted_iters=1, sigma=0.8, epsilon0=0.1)
+    for seed in (1.5, True, -1, 2**128, "3", None):
+        named = r"seed must be an integer in \[0, 2\*\*128\), got " + re.escape(repr(seed))
+        for run in (lambda: channel.FrameRng(seed),
+                    lambda: montecarlo.run_point(ldpc, dec3, "bpsk", 2.0, frames=10, seed=seed),
+                    lambda: montecarlo.sweep([2.0], ldpc, dec3, "bpsk", frames=10, seed=seed),
+                    lambda: montecarlo.transfer_check(av, ldpc, dec3, 2.0, frames=10, seed=seed),
+                    lambda: attack.search_attack(ldpc, dec3, "bpsk", search, seed=seed)):
+            with pytest.raises(ValueError, match=named):
+                run()
 
 
 def test_fading_and_bursty_run(ldpc, dec3):
@@ -335,3 +362,22 @@ def test_paired_runs_have_lower_difference_variance():
         paired.append(t_p.ber - b.ber)
         unpaired.append(t_u.ber - b.ber)
     assert np.var(paired) < np.var(unpaired)
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=st.tuples(st.integers(1, 5), st.integers(2, 9)), iters=st.integers(1, 5),
+       ebn0_db=st.floats(-2.0, 8.0), frames=st.integers(1, 40),
+       seed=st.integers(0, 2**64 - 1), data=st.data())
+def test_bpsk_transfer_is_exact_on_random_small_codes_property(shape, iters, ebn0_db, frames,
+                                                               seed, data):
+    m, n = shape
+    H = np.array(data.draw(st.lists(st.integers(0, 1), min_size=m * n, max_size=m * n)),
+                 dtype=np.uint8).reshape(m, n)
+    assume(gf2.rank(H) < n)  # k >= 1
+    code = codes.CodeSpec.from_parity("random", H)
+    raw = data.draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n))
+    a = attack.normalize_power(np.ones(n) + np.array(raw))[0] - np.ones(n)
+    rep = montecarlo.transfer_check(a, code, bp.DecoderConfig(iters=iters), ebn0_db,
+                                    frames=frames, seed=seed)
+    assert rep.mode == "exact"
+    assert rep.passed
