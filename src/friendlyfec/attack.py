@@ -234,6 +234,7 @@ def search_attack(code, decoder: bp.DecoderConfig, scheme: str, config: SearchCo
     s_base = modem.modulate(np.zeros(code.n, dtype=np.uint8), const)
     n_real = s_base.shape[0]
     rng = channel.FrameRng(seed)
+    seed = int(seed)  # FrameRng checked it; AttackVector stores a Python int
 
     def decode(s, z, gradient):
         """Decode s + z; batch BER and BLER against all-zero, and with `gradient`

@@ -13,10 +13,14 @@ reproducible under any worker split.
 
 `decode_blocks` is the entry point of the search and of Monte Carlo. It
 decodes a large batch in blocks of `BLOCK_LANES` lanes, so the (lanes,
-edges) temporaries and the tape stay cache-sized and each block's tape is
-dropped once its gradient is taken. Since a lane's result does not depend
-on the other lanes of its batch, the blocked outputs and gradients equal
-those of one unblocked decode bit for bit.
+edges) work arrays and the tape stay cache-sized. A decode call builds one
+set of work arrays for a full block and reuses it for every block's
+forward and backward pass, writing each step into it with `out=`, so the
+arrays are allocated and faulted in once per call rather than once per
+use; the next block overwrites a block's tape once its gradient is taken.
+Since a lane's result does not depend on the other lanes of its batch,
+the blocked outputs and gradients equal those of one unblocked decode bit
+for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 from . import gf2
 
 DEFAULT_CLAMP = 20.0
-# lanes per decode block: (128, E) float64 temporaries stay in cache, and
+# lanes per decode block: (128, E) float64 work arrays stay in cache, and
 # the tape of a BP-5 block of the bundled code is about 2 MB
 BLOCK_LANES = 128
 _LOG_PROB_FLOOR = float(np.log(1e-12))
@@ -128,57 +132,95 @@ class BpOutput:
         return len(self.soft)
 
 
-def _gather(per_edge, table, pad_value):
-    """(B, E) edge values -> (B, nodes, degree) slots, pads filled with pad_value."""
-    B = per_edge.shape[0]
-    padded = np.concatenate([per_edge, np.full((B, 1), pad_value)], axis=1)
-    return padded[:, table]
+class _WorkSet:
+    """Work arrays of one decode call, sized for `lanes` lanes.
 
-def _scatter(per_slot, table, n_edges):
-    """Inverse of _gather: slot values back to (B, E); pad slots are dropped."""
-    B = per_slot.shape[0]
-    out = np.empty((B, n_edges + 1))
-    out[:, table.reshape(-1)] = per_slot.reshape(B, -1)
-    return out[:, :n_edges]
+    A batch of fewer lanes, such as a short last block or the lanes early
+    stopping leaves running, uses leading views (`[:k]`), which stay
+    C-contiguous. Reusing one set across a call's blocks keeps the large
+    arrays mapped and faulted in; a set is never shared between calls, so
+    what a call returns is overwritten only by later blocks of the same
+    call. `iters` and `taped` size the per-iteration soft outputs and the
+    message arrays the tape keeps; without a tape one slot is reused.
+    """
 
-def _sum_per_var(per_edge, graph):
-    """(B, E) edge values -> (B, n) per-variable sums.
+    def __init__(self, graph: TannerGraph, lanes: int, iters: int = 1, taped: bool = False):
+        E, n = graph.n_edges, graph.n_var
+        slots = (lanes,) + graph.check_edges.shape
+        kept = iters if taped else 1
+        self.soft = np.empty((iters, lanes, n))
+        self.v2c = np.empty((kept, lanes, E))   # pre-clamp variable-to-check messages
+        self.u = np.empty((kept, lanes, E))     # pre-clamp check-to-variable messages
+        self.c2v = np.empty((2, lanes, E))      # two, so early stop compacts one into the other
+        self.t, self.d_w, self.d_u, self.tmp = (np.empty((lanes, E)) for _ in range(4))
+        self.inside = np.empty((lanes, E), dtype=bool)
+        self.pad = np.empty((lanes, E + 1))     # gather, scatter and per-variable sum scratch
+        self.tg, self.pre, self.suf, self.prod, self.q, self.left, self.right = (
+            np.empty(slots) for _ in range(7))
+        self.scan = np.empty(slots[:2])
+        self.marg, self.total, self.term = (np.empty((lanes, n)) for _ in range(3))
+
+
+def _gather(per_edge, table, pad_value, padded, out):
+    """(B, E) edge values -> (B, nodes, degree) slots in `out`, pads filled with pad_value.
+
+    `padded` is (B, E + 1) scratch. Indices are valid by construction, so
+    `mode="clip"` only spares `take` the copy `mode="raise"` makes of `out`.
+    """
+    padded[:, :-1] = per_edge
+    padded[:, -1] = pad_value
+    return np.take(padded, table, axis=1, out=out, mode="clip")
+
+def _scatter(per_slot, table, out):
+    """Inverse of _gather: slot values into (B, E + 1) `out`; returns its (B, E) view, pad dropped."""
+    out[:, table.reshape(-1)] = per_slot.reshape(len(per_slot), -1)
+    return out[:, :-1]
+
+def _sum_per_var(per_edge, graph, work):
+    """(B, E) edge values -> (B, n) per-variable sums, in `work.total`.
 
     Slots are added one at a time, in slot order, so a lane's sum is the
     same in a batch of any size; numpy's `sum` over the slots adds a lone
     lane's in another order than a batch's and rounds differently.
     """
-    padded = np.concatenate([per_edge, np.zeros((per_edge.shape[0], 1))], axis=1)
+    k = len(per_edge)
+    padded, total, term = work.pad[:k], work.total[:k], work.term[:k]
+    padded[:, :-1] = per_edge
+    padded[:, -1] = 0.0
     slots = graph.var_edges.T
-    total = padded[:, slots[0]]
+    np.take(padded, slots[0], axis=1, out=total, mode="clip")
     for slot in slots[1:]:
-        total += padded[:, slot]
+        total += np.take(padded, slot, axis=1, out=term, mode="clip")
     return total
 
 
-def _check_internals(m_clamped, graph):
+def _check_internals(v2c_pre, clamp, graph, work):
     """Shared check-node quantities: tanh slots, exclusion prefix/suffix, products.
 
-    Exclusion products are built from prefix and suffix products, never by
-    division, so zero messages are handled exactly. Each is one scan along
-    the short check-degree axis, multiplying in the order `np.cumprod` would.
+    The messages are clamped first. Exclusion products are built from
+    prefix and suffix products, never by division, so zero messages are
+    handled exactly. Each is one scan along the short check-degree axis,
+    multiplying in the order `np.cumprod` would.
     """
-    t = np.tanh(0.5 * m_clamped)
-    tg = _gather(t, graph.check_edges, 1.0)
+    k = len(v2c_pre)
+    t = np.clip(v2c_pre, -clamp, clamp, out=work.t[:k])
+    t *= 0.5
+    np.tanh(t, out=t)
+    tg = _gather(t, graph.check_edges, 1.0, work.pad[:k], work.tg[:k])
     width = tg.shape[-1]
-    pre = np.empty_like(tg)
-    suf = np.empty_like(tg)
+    pre, suf = work.pre[:k], work.suf[:k]
     pre[..., 0] = 1.0
     for i in range(1, width):
         np.multiply(pre[..., i - 1], tg[..., i - 1], out=pre[..., i])
     suf[..., -1] = 1.0
     for i in range(width - 2, -1, -1):
         np.multiply(suf[..., i + 1], tg[..., i + 1], out=suf[..., i])
-    return t, tg, pre, suf, pre * suf
+    return t, tg, pre, suf, np.multiply(pre, suf, out=work.prod[:k])
 
 
 def bp_forward(llr, graph: TannerGraph, iters: int, clamp: float = DEFAULT_CLAMP,
-               early_stop: bool = False, record_tape: bool = True) -> BpOutput:
+               early_stop: bool = False, record_tape: bool = True,
+               work: _WorkSet | None = None) -> BpOutput:
     """Sum-product decoding with a flooding schedule.
 
     Per iteration: check-to-variable messages 2 atanh(prod tanh(m/2)) over
@@ -192,6 +234,10 @@ def bp_forward(llr, graph: TannerGraph, iters: int, clamp: float = DEFAULT_CLAMP
     regardless of batch composition; only unconverged frames are computed.
     Recording a tape (for gradients) and early stopping are mutually
     exclusive.
+
+    The soft outputs and the tape live in `work`, which `decode_blocks`
+    passes to reuse across its blocks; without one a fresh set is built,
+    so the outputs alias nothing.
     """
     L = np.asarray(llr, dtype=np.float64)
     squeeze = L.ndim == 1
@@ -209,19 +255,24 @@ def bp_forward(llr, graph: TannerGraph, iters: int, clamp: float = DEFAULT_CLAMP
         raise ValueError("early stopping would make the tape input-dependent; disable one")
 
     B = L.shape[0]
+    if work is None:
+        work = _WorkSet(graph, B, iters, record_tape)
     evar = graph.edge_var
     tape = BpTape(graph, clamp, L, [], [], [], squeeze) if record_tape else None
 
-    v2c_pre = L[:, evar]
-    m = np.clip(v2c_pre, -clamp, clamp)
-    soft = np.empty((iters, B, graph.n_var))
+    v2c_pre = np.take(L, evar, axis=1, out=work.v2c[0, :B], mode="clip")
+    soft = work.soft[:, :B]
     lanes = np.arange(B)  # batch rows of L, c2v and marg (early stop drops converged ones)
+    side = 0              # which of the two c2v arrays holds the messages
     for it in range(iters):
-        prod = _check_internals(m, graph)[-1]
+        k = len(lanes)
+        prod = _check_internals(v2c_pre, clamp, graph, work)[-1]
+        u = work.u[it if record_tape else 0, :k]
         with np.errstate(divide="ignore"):  # +-inf only for degree-1 checks
-            u = 2.0 * np.arctanh(_scatter(prod, graph.check_edges, graph.n_edges))
-        c2v = np.clip(u, -clamp, clamp)
-        marg = L + _sum_per_var(c2v, graph)
+            np.arctanh(_scatter(prod, graph.check_edges, work.pad[:k]), out=u)
+        u *= 2.0
+        c2v = np.clip(u, -clamp, clamp, out=work.c2v[side, :k])
+        marg = np.add(L, _sum_per_var(c2v, graph, work), out=work.marg[:k])
         soft[it, lanes] = marg
         if record_tape:
             tape.v2c_pre.append(v2c_pre)
@@ -235,9 +286,13 @@ def bp_forward(llr, graph: TannerGraph, iters: int, clamp: float = DEFAULT_CLAMP
                 break
             if done.any():
                 soft[it + 1:, lanes[done]] = marg[done]  # converged lanes repeat their output
-                lanes, L, c2v, marg = lanes[~done], L[~done], c2v[~done], marg[~done]
-        v2c_pre = marg[:, evar] - c2v
-        m = np.clip(v2c_pre, -clamp, clamp)
+                run = ~done
+                lanes, L, marg = lanes[run], L[run], marg[run]
+                side = 1 - side
+                c2v = np.compress(run, c2v, axis=0, out=work.c2v[side, :len(lanes)])
+        v2c_pre = np.take(marg, evar, axis=1, mode="clip",
+                          out=work.v2c[it + 1 if record_tape else 0, :len(lanes)])
+        v2c_pre -= c2v
 
     return BpOutput(soft[:it + 1, 0] if squeeze else soft[:it + 1], tape)
 
@@ -297,13 +352,15 @@ def bp_loss(out: BpOutput, target, mode: str = "final"):
     return float(loss) if squeeze else loss
 
 
-def bp_backward(tape: BpTape, target, mode: str = "final") -> np.ndarray:
+def bp_backward(tape: BpTape, target, mode: str = "final",
+                work: _WorkSet | None = None) -> np.ndarray:
     """Exact gradient of bp_loss(bp_forward(L), target) with respect to L.
 
     Replays the taped messages in reverse. The atanh/tanh adjoints reuse
     the forward's exclusion-product structure; the double-exclusion sums
     needed for d(loss)/d(tanh term) are built with two linear scans along
-    each check's edge list, again without division.
+    each check's edge list, again without division. Temporaries live in
+    `work` (a fresh set when none is given); the tape is only read.
     """
     if tape is None:
         raise ValueError("forward pass was run without a tape")
@@ -312,46 +369,63 @@ def bp_backward(tape: BpTape, target, mode: str = "final") -> np.ndarray:
     graph, clamp = tape.graph, tape.clamp
     L = tape.input_llr
     B, n = L.shape
-    E = graph.n_edges
     T = len(tape.soft)
     evar = graph.edge_var
     x = _target_array(target, n)
     if x.ndim == 2 and x.shape[0] != B:
         raise ValueError("target batch size does not match the tape")
+    if work is None:
+        work = _WorkSet(graph, B)
+    tmp, inside, d_u = work.tmp[:B], work.inside[:B], work.d_u[:B]
+    q, left, right, scan = work.q[:B], work.left[:B], work.right[:B], work.scan[:B]
 
     dL = np.zeros((B, n))
     # gradient w.r.t. the pre-clamp v2c messages w_t = marg_t[edge var] - c2v_t
     # that iteration t+1 read; nothing reads the last iteration's
-    d_w = np.zeros((B, E))
+    d_w = work.d_w[:B]
+    d_w.fill(0.0)
     for t in range(T - 1, -1, -1):
         if mode == "final":
             d_loss = _bce_grad(tape.soft[t], x) if t == T - 1 else np.zeros((B, n))
         else:
             d_loss = _bce_grad(tape.soft[t], x) / T
-        d_out = d_loss + _sum_per_var(d_w, graph)
+        d_out = d_loss + _sum_per_var(d_w, graph, work)
         dL += d_out
-        d_c2v = d_out[:, evar] - d_w
+        np.take(d_out, evar, axis=1, out=d_u, mode="clip")
+        d_u -= d_w                                      # d loss / d c2v
 
-        d_u = d_c2v * (np.abs(tape.c2v_pre[t]) <= clamp)
-        m_t = np.clip(tape.v2c_pre[t], -clamp, clamp)
-        t_e, tg, pre, suf, prod = _check_internals(m_t, graph)
-        denom = 1.0 - prod * prod
-        safe = np.where(denom > 0.0, denom, 1.0)
-        q = _gather(d_u, graph.check_edges, 0.0) * 2.0 / safe  # d loss / d exclusion product
+        np.abs(tape.c2v_pre[t], out=tmp)
+        d_u *= np.less_equal(tmp, clamp, out=inside)    # d loss / d u
+        t_e, tg, pre, suf, prod = _check_internals(tape.v2c_pre[t], clamp, graph, work)
+        denom = np.multiply(prod, prod, out=prod)  # the product is not read again
+        np.subtract(1.0, denom, out=denom)
+        np.copyto(denom, 1.0, where=denom <= 0.0)
+        _gather(d_u, graph.check_edges, 0.0, work.pad[:B], q)
+        q *= 2.0
+        q /= denom                                      # d loss / d exclusion product
 
         # g_i = sum_{j != i} q_j * prod_{l != i, j} t_l via left and right scans
         width = tg.shape[-1]
-        left = np.zeros_like(q)
+        left[..., 0] = 0.0
         for i in range(1, width):
-            left[..., i] = left[..., i - 1] * tg[..., i - 1] + q[..., i - 1] * pre[..., i - 1]
-        right = np.zeros_like(q)
+            step = np.multiply(left[..., i - 1], tg[..., i - 1], out=left[..., i])
+            step += np.multiply(q[..., i - 1], pre[..., i - 1], out=scan)
+        right[..., -1] = 0.0
         for i in range(width - 2, -1, -1):
-            right[..., i] = right[..., i + 1] * tg[..., i + 1] + q[..., i + 1] * suf[..., i + 1]
-        d_t = _scatter(suf * left + pre * right, graph.check_edges, E)
+            step = np.multiply(right[..., i + 1], tg[..., i + 1], out=right[..., i])
+            step += np.multiply(q[..., i + 1], suf[..., i + 1], out=scan)
+        left *= suf
+        right *= pre
+        left += right
+        d_t = _scatter(left, graph.check_edges, work.pad[:B])
 
-        d_w = d_t * 0.5 * (1.0 - t_e * t_e) * (np.abs(tape.v2c_pre[t]) <= clamp)
+        np.multiply(d_t, 0.5, out=d_w)
+        np.multiply(t_e, t_e, out=tmp)
+        d_w *= np.subtract(1.0, tmp, out=tmp)
+        np.abs(tape.v2c_pre[t], out=tmp)
+        d_w *= np.less_equal(tmp, clamp, out=inside)
 
-    dL += _sum_per_var(d_w, graph)  # iteration-0 messages copy L
+    dL += _sum_per_var(d_w, graph, work)  # iteration-0 messages copy L
     return dL[0] if tape.squeeze else dL
 
 
@@ -375,16 +449,16 @@ def decode_blocks(llr, graph: TannerGraph, decoder: DecoderConfig, early_stop: b
         raise ValueError("target must be one codeword, shared by every lane")
     soft = np.empty_like(L)
     grad = np.empty_like(L) if taped else None
+    work = _WorkSet(graph, min(len(L), BLOCK_LANES), decoder.iters, taped)
     for lo in range(0, len(L), BLOCK_LANES):
         block = slice(lo, lo + BLOCK_LANES)
         out = bp_forward(L[block], graph, decoder.iters, decoder.clamp,
-                         early_stop=early_stop, record_tape=taped)
+                         early_stop=early_stop, record_tape=taped, work=work)
         soft[block] = out.soft[-1]
         if taped:
             if not np.all(np.isfinite(soft[block])):
                 raise RuntimeError("decoder produced non-finite soft output during the search")
-            grad[block] = bp_backward(out.tape, target, decoder.loss_mode)
-        del out  # the block's tape goes before the next block's forward
+            grad[block] = bp_backward(out.tape, target, decoder.loss_mode, work=work)
     return soft, grad
 
 

@@ -201,6 +201,17 @@ def test_search_deterministic(ldpc):
     assert a1.accepted_iters == a2.accepted_iters
 
 
+def test_search_takes_a_numpy_integer_seed(ldpc):
+    # the seed is checked by FrameRng and stored as a Python int, so no trial is wasted
+    dec = bp.DecoderConfig(iters=3)
+    cfg = attack.approach_config(1, sigma=0.8, batch_size=64, accepted_iters=2, max_trials=10)
+    want = attack.search_attack(ldpc, dec, "bpsk", cfg, seed=3)
+    got = attack.search_attack(ldpc, dec, "bpsk", cfg, seed=np.int64(3))
+    assert want.accepted_iters > 0
+    assert got.a.tobytes() == want.a.tobytes()
+    assert got.seed == 3 and type(got.seed) is int
+
+
 def test_search_repetition_never_hurts():
     # BP on the repetition chain is exact MAP, so no power-neutral
     # perturbation can strictly improve a batch; the search must return

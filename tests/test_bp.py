@@ -318,11 +318,14 @@ def test_forward_tests_the_syndrome_only_to_stop_early(monkeypatch):
     assert out.iterations == 5 and len(calls) == 4  # one test between each two iterations
 
 
-@pytest.mark.parametrize("B", [1, 127, 128, 129, 261])
+@pytest.mark.parametrize("B", [1, 127, 128, 129, 261, 300])
 def test_decode_blocks_equals_one_unblocked_decode(B):
     assert bp.BLOCK_LANES == 128  # the batch sizes straddle block edges
     rng = np.random.default_rng(B)
-    L = (2.0 / 0.64) * (1.0 + 0.8 * rng.standard_normal((B, 64)))
+    # lanes at different noise levels converge at different iterations, so
+    # early stopping compacts the lanes of a block more than once
+    sigma = rng.uniform(0.45, 1.0, (B, 1))
+    L = (2.0 / sigma**2) * (1.0 + sigma * rng.standard_normal((B, 64)))
     target = rng.integers(0, 2, 64).astype(np.float64)
     dec = bp.DecoderConfig(iters=5)
     for early_stop in (True, False):
@@ -330,12 +333,48 @@ def test_decode_blocks_equals_one_unblocked_decode(B):
         whole = bp.bp_forward(L, _LDPC_GRAPH, 5, early_stop=early_stop, record_tape=False)
         assert grad is None
         assert soft.tobytes() == whole.soft[-1].tobytes()
+        for i in range(B):
+            alone = bp.bp_forward(L[i], _LDPC_GRAPH, 5, early_stop=early_stop, record_tape=False)
+            assert soft[i].tobytes() == alone.soft[-1].tobytes()
     whole = bp.bp_forward(L, _LDPC_GRAPH, 5)
     for mode in ("final", "multiloss"):
         soft, grad = bp.decode_blocks(L, _LDPC_GRAPH, bp.DecoderConfig(iters=5, loss_mode=mode),
                                       target=target)
         assert soft.tobytes() == whole.soft[-1].tobytes()
         assert grad.tobytes() == bp.bp_backward(whole.tape, target, mode).tobytes()
+        for i in range(B):
+            alone = bp.bp_forward(L[i], _LDPC_GRAPH, 5)
+            assert soft[i].tobytes() == alone.soft[-1].tobytes()
+            assert grad[i].tobytes() == bp.bp_backward(alone.tape, target, mode).tobytes()
+    if B == 300:  # three blocks, the last one short
+        stops = [bp.bp_forward(L[i], _LDPC_GRAPH, 5, early_stop=True, record_tape=False).iterations
+                 for i in range(bp.BLOCK_LANES)]
+        assert B % bp.BLOCK_LANES and len(set(stops)) >= 3
+
+
+def test_decode_calls_share_no_memory():
+    # a call's work arrays are its own: results of one call survive the next
+    rng = np.random.default_rng(3)
+    L1, L2 = ((2.0 / 0.64) * (1.0 + 0.8 * rng.standard_normal((200, 64))) for _ in range(2))
+    target = np.zeros(64)
+    dec = bp.DecoderConfig(iters=5)
+    for kwargs in (dict(target=target), dict(), dict(early_stop=True)):
+        first = bp.decode_blocks(L1, _LDPC_GRAPH, dec, **kwargs)
+        kept = [x.copy() for x in first if x is not None]
+        second = bp.decode_blocks(L2, _LDPC_GRAPH, dec, **kwargs)
+        for a in first:
+            for b in second:
+                assert a is None or b is None or not np.shares_memory(a, b)
+        assert [x.tobytes() for x in first if x is not None] == [x.tobytes() for x in kept]
+    outs = [bp.bp_forward(x, _LDPC_GRAPH, 5, record_tape=record)
+            for x in (L1, L2) for record in (True, False)]
+    for i, a in enumerate(outs):
+        for b in outs[i + 1:]:
+            assert not np.shares_memory(a.soft, b.soft)
+    # each iteration's taped messages are kept apart
+    tape = outs[0].tape
+    for kept in (tape.v2c_pre, tape.c2v_pre, tape.soft):
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(kept) for b in kept[i + 1:])
 
 
 def test_decode_blocks_validation():
@@ -353,7 +392,8 @@ def test_decode_blocks_validation():
 
 def _cumprod_exclusion(m_clamped, graph):
     """Prefix and suffix exclusion products as np.cumprod builds them."""
-    tg = bp._gather(np.tanh(0.5 * m_clamped), graph.check_edges, 1.0)
+    t = np.tanh(0.5 * m_clamped)
+    tg = np.concatenate([t, np.ones((len(t), 1))], axis=1)[:, graph.check_edges]
     ones = np.ones(tg.shape[:-1] + (1,))
     pre = np.concatenate([ones, np.cumprod(tg, axis=-1)[..., :-1]], axis=-1)
     suf = np.concatenate([np.cumprod(tg[..., ::-1], axis=-1)[..., ::-1][..., 1:], ones], axis=-1)
@@ -374,7 +414,7 @@ def test_scan_exclusion_products_equal_cumprod(H):
     m = np.clip(rng.normal(0.0, 6.0, (50, g.n_edges)), -20.0, 20.0)
     m[rng.random(m.shape) < 0.2] = 0.0  # exact zero messages: tanh is 0
     m[:3] = 0.0
-    t, tg, pre, suf, prod = bp._check_internals(m, g)
+    t, tg, pre, suf, prod = bp._check_internals(m, 20.0, g, bp._WorkSet(g, len(m)))
     want_tg, want_pre, want_suf = _cumprod_exclusion(m, g)
     assert (tg.tobytes(), pre.tobytes(), suf.tobytes()) == \
         (want_tg.tobytes(), want_pre.tobytes(), want_suf.tobytes())
