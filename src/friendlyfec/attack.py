@@ -227,8 +227,7 @@ def search_attack(code, decoder: bp.DecoderConfig, scheme: str, config: SearchCo
     if decoder.iters < 1:
         raise ValueError("the search needs a decoder with at least one iteration")
     const = modem.get_constellation(scheme)
-    graph = bp.TannerGraph(code.H)
-    target = np.zeros(code.n)
+    receiver = bp.Receiver(code, decoder)
     side = modem.ChannelSide(sigma=config.sigma)
 
     s_base = modem.modulate(np.zeros(code.n, dtype=np.uint8), const)
@@ -237,11 +236,10 @@ def search_attack(code, decoder: bp.DecoderConfig, scheme: str, config: SearchCo
     seed = int(seed)  # FrameRng checked it; AttackVector stores a Python int
 
     def decode(s, z, gradient):
-        """Decode s + z; batch BER and BLER against all-zero, and with `gradient`
-        the per-sample d(loss)/d(s) (else None)."""
-        soft, dj_dllr = bp.decode_blocks(modem.demodulate_llr(s + z, side, const), graph,
-                                         decoder, target=target if gradient else None)
-        errs = code.message_from_codeword((soft < 0).astype(np.uint8)) != 0
+        """Decode s + z; batch BER and BLER (the word sent is all-zero, so its
+        decoded bits are its errors), and with `gradient` d(loss)/d(s) (else None)."""
+        errs, dj_dllr = receiver.decode(modem.demodulate_llr(s + z, side, const),
+                                        gradient=gradient)
         grad = modem.demodulate_adjoint(dj_dllr, side, const) if gradient else None
         return grad, float(errs.mean()), float(np.any(errs, axis=-1).mean())
 

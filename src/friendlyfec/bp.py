@@ -11,8 +11,9 @@ batch (elementwise ops plus reductions along per-lane axes only, each
 summed in a fixed slot order), which is what makes Monte Carlo counts
 reproducible under any worker split.
 
-`decode_blocks` is the entry point of the search and of Monte Carlo. It
-decodes a large batch in blocks of `BLOCK_LANES` lanes, so the (lanes,
+`Receiver` holds the decoder of one code and is the one decode entry of
+Monte Carlo, the search and the gradient check. It calls `decode_blocks`,
+which decodes a large batch in blocks of `BLOCK_LANES` lanes, so the (lanes,
 edges) work arrays and the tape stay cache-sized. A decode call builds one
 set of work arrays for a full block and reuses it for every block's
 forward and backward pass, writing each step into it with `out=`, so the
@@ -45,8 +46,9 @@ class DecoderConfig:
     loss_mode: str = "final"  # "final" | "multiloss"
 
     def __post_init__(self):
-        if self.iters < 0:
-            raise ValueError("iteration count must be >= 0")
+        iters = self.iters  # a numpy integer is an integer; a bool is not
+        if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 0:
+            raise ValueError(f"iteration count must be an integer >= 0, got {iters!r}")
         if not 0 < self.clamp < np.inf:
             raise ValueError(f"clamp must be positive and finite, got {self.clamp!r}")
         if self.loss_mode not in ("final", "multiloss"):
@@ -460,6 +462,28 @@ def decode_blocks(llr, graph: TannerGraph, decoder: DecoderConfig, early_stop: b
                 raise RuntimeError("decoder produced non-finite soft output during the search")
             grad[block] = bp_backward(out.tape, target, decoder.loss_mode, work=work)
     return soft, grad
+
+
+class Receiver:
+    """BP decoding of one code under one `DecoderConfig`; it pickles, for worker processes."""
+
+    def __init__(self, code, decoder: DecoderConfig):
+        self.code, self.decoder = code, decoder
+        self.graph, self.target = TannerGraph(code.H), np.zeros(code.n)  # all-zero design word
+
+    def decode(self, llr, early_stop: bool = False, gradient: bool = False):
+        """Message bits (B, k) of (B, n) LLRs, and d(loss)/d(LLR) against the all-zero
+        codeword or None; with no iterations, the bits of the LLR signs and no gradient."""
+        soft, grad = llr, None
+        if self.decoder.iters:
+            soft, grad = decode_blocks(llr, self.graph, self.decoder, early_stop,
+                                       self.target if gradient else None)
+        return self.code.message_from_codeword((soft < 0).astype(np.uint8)), grad
+
+    def loss(self, llr):
+        """The loss of an untaped decode: what the finite-difference oracle differentiates."""
+        out = bp_forward(llr, self.graph, self.decoder.iters, self.decoder.clamp, record_tape=False)
+        return bp_loss(out, self.target, self.decoder.loss_mode)
 
 
 def finite_difference(func, x, h: float = 1e-4, coords=None) -> np.ndarray:

@@ -147,7 +147,7 @@ def build_code(cfg: RunConfig) -> codes.CodeSpec:
                     text = fh.read()
             except OSError as exc:
                 raise ConfigError(f"cannot read alist file: {exc}") from None
-            return codes.code_from_alist(text, name=cfg.code_alist)
+            return codes.code_from_alist(text)
         return codes.ldpc_64_32()
     if cfg.code_family == "polar":
         return codes.polar_construct(cfg.code_n, cfg.code_k, cfg.code_design_ebn0_db)
@@ -296,11 +296,10 @@ def run_gradcheck(cfg: RunConfig, seed: int) -> GradcheckReport:
     if decoder.iters < 1:
         raise ConfigError("gradcheck needs decoder.iters >= 1")
     const = modem.get_constellation(cfg.modem_scheme)
-    graph = bp.TannerGraph(code.H)
+    receiver = bp.Receiver(code, decoder)
     rng = np.random.default_rng(seed)
     sigma = channel.ebn0_to_sigma(cfg.eval_ebn0_db, code.rate, const.bits_per_symbol)
     side = modem.ChannelSide(sigma=sigma)
-    target = np.zeros(code.n)
     report = GradcheckReport(0.0, 0.0)
     worst = 0.0  # largest error over both kinds; report.worst names where it is
 
@@ -320,11 +319,9 @@ def run_gradcheck(cfg: RunConfig, seed: int) -> GradcheckReport:
         report.checks.append(f"demod case {case}: max rel {r.max():.3g}")
 
         llr = rng.normal(0.0, 2.0 / sigma, code.n)
-        grad = bp.decode_blocks(llr[None], graph, decoder, target=target)[1][0]
+        grad = receiver.decode(llr[None], gradient=True)[1][0]
         coords = rng.choice(code.n, size=min(10, code.n), replace=False)
-        fd = bp.finite_difference(
-            lambda v: bp.bp_loss(bp.bp_forward(v, graph, decoder.iters, decoder.clamp),
-                                 target, decoder.loss_mode), llr, coords=coords)
+        fd = bp.finite_difference(receiver.loss, llr, coords=coords)
         r = rel(grad[coords], fd)
         if float(r.max()) > worst:
             worst = float(r.max())

@@ -3,6 +3,7 @@ Bhattacharyya frozen-bit selection, and small reference codes."""
 
 from __future__ import annotations
 
+import hashlib
 import importlib.resources
 from dataclasses import dataclass, field
 
@@ -199,8 +200,17 @@ def save_alist(H) -> str:
     return "\n".join(lines) + "\n"
 
 
-def code_from_alist(text, name, family="ldpc") -> CodeSpec:
-    return CodeSpec.from_parity(name, load_alist(text), family=family)
+def _digest(values) -> str:
+    """12 hex digits naming an integer array by its shape and entries."""
+    a = np.ascontiguousarray(values, dtype="<i8")
+    return hashlib.sha256(repr(a.shape).encode() + a.tobytes()).hexdigest()[:12]
+
+
+def code_from_alist(text, name=None, family="ldpc") -> CodeSpec:
+    """The code of an alist parity-check matrix; without a name it is
+    `alist-<digest of H>`, so the id follows the matrix, not the file."""
+    H = load_alist(text)
+    return CodeSpec.from_parity(name or f"alist-{_digest(H)}", H, family=family)
 
 
 def ldpc_64_32() -> CodeSpec:
@@ -261,7 +271,8 @@ def polar_construct(n: int, k: int, design_ebn0_db: float) -> CodeSpec:
     """Polar code with the n - k least reliable inputs frozen.
 
     Frozen indices are those with the largest Bhattacharyya parameters
-    (ties freeze the lower index). G takes the non-frozen rows of the
+    (ties freeze the lower index); the name ends in a digest of them, since
+    the design SNR can change them. G takes the non-frozen rows of the
     polar transform; H takes its frozen columns, transposed, which is a
     parity basis because the transform is its own inverse over GF(2).
     """
@@ -281,7 +292,8 @@ def polar_construct(n: int, k: int, design_ebn0_db: float) -> CodeSpec:
         H = np.zeros((1, n), dtype=np.uint8)
     else:
         H = M[:, list(frozen)].T.copy()
-    return CodeSpec.from_parity(f"polar_{n}_{k}", H, family="polar", frozen=frozen, G=G)
+    return CodeSpec.from_parity(f"polar_{n}_{k}_{_digest(frozen)}", H, family="polar",
+                                frozen=frozen, G=G)
 
 
 # ---------------------------------------------------------------------------

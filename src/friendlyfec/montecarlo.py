@@ -65,16 +65,9 @@ def _draw_messages(code, rng, start, stop) -> np.ndarray:
                      for gen in rng.frames(start, stop, channel.STREAM_MESSAGE)]).astype(np.uint8)
 
 
-def _message_errors(llr, msgs, code, graph, decoder) -> np.ndarray:
-    """Message-bit error matrix of an early-stopped decode of the LLRs.
-
-    With `decoder.iters == 0` the hard decision is taken straight off the
-    LLR sign (the uncoded proxy).
-    """
-    soft = llr
-    if decoder.iters:
-        soft, _ = bp.decode_blocks(llr, graph, decoder, early_stop=True)
-    return code.message_from_codeword((soft < 0).astype(np.uint8)) != msgs
+def _check_frames(frames) -> None:
+    if isinstance(frames, bool) or not isinstance(frames, (int, np.integer)) or frames < 1:
+        raise ValueError(f"frames must be an integer >= 1, got {frames!r}")
 
 
 def _counts(errs) -> tuple[int, int, int]:
@@ -98,10 +91,10 @@ def _attack_array(attack, scheme, code) -> np.ndarray | None:
     return a
 
 
-def _chunk_counts(code, decoder, graph, const, params, attack_a, message_source,
-                  rng, bounds):
+def _chunk_counts(receiver, const, params, attack_a, message_source, rng, bounds):
     """Exact (frames, bit errors, block errors) for frames [start, stop)."""
     start, stop = bounds
+    code = receiver.code
 
     if message_source == "all_zero":
         msgs = np.zeros((stop - start, code.k), dtype=np.uint8)
@@ -117,7 +110,7 @@ def _chunk_counts(code, decoder, graph, const, params, attack_a, message_source,
 
     side = modem.ChannelSide(sigma=params.sigma, gains=gains)
     llr = modem.demodulate_llr(np.stack(y), side, const)
-    return _counts(_message_errors(llr, msgs, code, graph, decoder))
+    return _counts(receiver.decode(llr, early_stop=True)[0] != msgs)
 
 
 def run_point(code, decoder: bp.DecoderConfig, scheme: str, ebn0_db: float,
@@ -132,8 +125,7 @@ def run_point(code, decoder: bp.DecoderConfig, scheme: str, ebn0_db: float,
     consumed in order until that many block errors have accumulated, so the
     reported counts stay worker-invariant.
     """
-    if frames < 1:
-        raise ValueError("frames must be >= 1")
+    _check_frames(frames)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if message_source not in ("random", "all_zero"):
@@ -147,8 +139,8 @@ def run_point(code, decoder: bp.DecoderConfig, scheme: str, ebn0_db: float,
     params = channel.ChannelParams(sigma=sigma, kind=channel_kind, **(channel_opts or {}))
     attack_a = _attack_array(attack, scheme, code)
 
-    job = partial(_chunk_counts, code, decoder, bp.TannerGraph(code.H), const, params,
-                  attack_a, message_source, rng)
+    job = partial(_chunk_counts, bp.Receiver(code, decoder), const, params, attack_a,
+                  message_source, rng)
     chunks = [(start, min(start + CHUNK_FRAMES, frames))
               for start in range(0, frames, CHUNK_FRAMES)]
     # waves keep the early-stop decision a prefix property of the fixed
@@ -226,8 +218,9 @@ def transfer_check(attack, code, decoder: bp.DecoderConfig, ebn0_db: float,
     to a statistical check: the BER confidence intervals of all-zero and
     random-codeword runs must overlap.
     """
-    if frames < 1:
-        raise ValueError(f"frames must be >= 1, got {frames}")
+    _check_frames(frames)
+    if attack is None:
+        raise ValueError("transfer_check needs an attack: an AttackVector or a raw array")
     scheme = attack.scheme if isinstance(attack, attack_mod.AttackVector) else "bpsk"
     if scheme != "bpsk":
         base = run_point(code, decoder, scheme, ebn0_db, frames=frames, seed=seed,
@@ -244,7 +237,7 @@ def transfer_check(attack, code, decoder: bp.DecoderConfig, ebn0_db: float,
             ber_random=rnd.ber, ber_allzero=base.ber, ci_sum=ci)
 
     const = modem.get_constellation("bpsk")
-    graph = bp.TannerGraph(code.H)
+    receiver = bp.Receiver(code, decoder)
     sigma = channel.ebn0_to_sigma(ebn0_db, code.rate, 1)
     side = modem.ChannelSide(sigma=sigma)
     rng = channel.FrameRng(seed)
@@ -262,10 +255,10 @@ def transfer_check(attack, code, decoder: bp.DecoderConfig, ebn0_db: float,
         z = sigma * np.stack([gen.standard_normal(code.n)
                               for gen in rng.frames(start, stop, channel.STREAM_CHANNEL)])
         s_rand = attack_mod.apply_attack(modem.modulate(x, const), a, const)
-        err_r = _message_errors(modem.demodulate_llr(s_rand + z, side, const),
-                                msgs, code, graph, decoder)
-        err_z = _message_errors(modem.demodulate_llr(s_zero + t * z, side, const),
-                                0, code, graph, decoder)
+        err_r = receiver.decode(modem.demodulate_llr(s_rand + z, side, const),
+                                early_stop=True)[0] != msgs
+        err_z = receiver.decode(modem.demodulate_llr(s_zero + t * z, side, const),
+                                early_stop=True)[0] != 0
         totals_r = tuple(map(sum, zip(totals_r, _counts(err_r))))
         totals_z = tuple(map(sum, zip(totals_z, _counts(err_z))))
         match = match and bool(np.array_equal(err_r, err_z))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -95,6 +96,11 @@ def test_forward_validation():
             bp.bp_forward(np.zeros(3), g, 2, clamp=bad)
         with pytest.raises(ValueError, match="clamp"):
             bp.DecoderConfig(iters=2, clamp=bad)
+    # the count is checked as an integer, not left to fail inside the decode
+    for bad in (2.5, True, -1, "3", None):
+        with pytest.raises(ValueError, match=r"iteration count must be an integer >= 0, got "):
+            bp.DecoderConfig(iters=bad)
+    assert bp.DecoderConfig(iters=np.int64(3)).iters == 3
     with pytest.raises(ValueError, match="tape"):
         bp.bp_forward(np.zeros(3), g, 2, early_stop=True, record_tape=True)
 
@@ -388,6 +394,65 @@ def test_decode_blocks_validation():
                          target=np.zeros(64))
     soft, grad = bp.decode_blocks(np.zeros((0, 64)), _LDPC_GRAPH, dec, target=np.zeros(64))
     assert soft.shape == grad.shape == (0, 64)
+
+
+def _noisy_llrs(B, seed):
+    """LLRs of the all-zero word at mixed noise levels, so lanes stop at different iterations."""
+    rng = np.random.default_rng(seed)
+    sigma = rng.uniform(0.45, 1.0, (B, 1))
+    return (2.0 / sigma**2) * (1.0 + sigma * rng.standard_normal((B, 64)))
+
+
+def test_receiver_decode_is_decode_blocks_plus_message_extraction():
+    code = codes.ldpc_64_32()
+    # three blocks, the last one short; on this batch early stopping changes
+    # the bits of two lanes under BP-5, so a dropped flag shows
+    L = _noisy_llrs(300, 27)
+    for dec in (bp.DecoderConfig(iters=3, loss_mode="multiloss"), bp.DecoderConfig(iters=5)):
+        rx = bp.Receiver(code, dec)
+        for kwargs in (dict(early_stop=True), dict(), dict(gradient=True)):
+            bits, grad = rx.decode(L, **kwargs)
+            target = np.zeros(64) if kwargs.get("gradient") else None
+            soft, want_grad = bp.decode_blocks(L, _LDPC_GRAPH, dec, kwargs.get("early_stop", False),
+                                               target)
+            want_bits = code.message_from_codeword((soft < 0).astype(np.uint8))
+            assert bits.shape == (300, code.k) and bits.tobytes() == want_bits.tobytes()
+            assert (grad is None) == (want_grad is None)
+            assert grad is None or grad.tobytes() == want_grad.tobytes()
+        errors = rx.decode(L)[0]  # the word sent is all-zero: some bits, not all, are wrong
+        assert np.any(errors) and not np.all(errors)
+    assert np.any(rx.decode(L, early_stop=True)[0] != rx.decode(L)[0])  # rx is BP-5
+
+
+def test_receiver_without_iterations_reads_the_llr_signs():
+    code = codes.hamming_7_4()
+    rx = bp.Receiver(code, bp.DecoderConfig(iters=0))
+    L = np.random.default_rng(4).normal(0.5, 2.0, (40, 7))
+    for kwargs in (dict(), dict(early_stop=True), dict(gradient=True)):
+        bits, grad = rx.decode(L, **kwargs)
+        assert grad is None
+        assert bits.tobytes() == code.message_from_codeword((L < 0).astype(np.uint8)).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["final", "multiloss"])
+def test_receiver_loss_is_the_loss_of_a_plain_decode(mode):
+    code = codes.ldpc_64_32()
+    dec = bp.DecoderConfig(iters=4, clamp=9.0, loss_mode=mode)
+    rx = bp.Receiver(code, dec)
+    for llr in _noisy_llrs(5, 22):
+        want = bp.bp_loss(bp.bp_forward(llr, _LDPC_GRAPH, 4, 9.0), np.zeros(64), mode)
+        assert isinstance(rx.loss(llr), float) and rx.loss(llr) == want
+
+
+def test_pickled_receiver_decodes_the_same():
+    rx = bp.Receiver(codes.ldpc_64_32(), bp.DecoderConfig(iters=5))
+    copy = pickle.loads(pickle.dumps(rx))
+    L = _noisy_llrs(150, 23)
+    for kwargs in (dict(early_stop=True), dict(gradient=True)):
+        got, want = copy.decode(L, **kwargs), rx.decode(L, **kwargs)
+        assert [x.tobytes() for x in got if x is not None] == \
+            [x.tobytes() for x in want if x is not None]
+    assert copy.loss(L[0]) == rx.loss(L[0])
 
 
 def _cumprod_exclusion(m_clamped, graph):

@@ -165,6 +165,25 @@ def test_search_writes_loadable_attack(tmp_path, capsys):
     assert av.n == 3
 
 
+def test_alist_attack_fits_the_matrix_not_the_path(tmp_path):
+    # an attack searched on one alist file fits that H at any path, and no
+    # other H written to the same path
+    path = tmp_path / "code.alist"
+    path.write_text(codes.save_alist(codes.hamming_7_4().H))
+    cfg = cli.parse_config(f"code.alist = {path}\n")
+    ham = cli.build_code(cfg)
+    av = attack.AttackVector(a=[0.0] * 7, code_id=ham.name, scheme="bpsk", n=7, n_symbols=7,
+                             search_sigma=0.8, seed=0, approach="1", accepted_iters=0)
+    moved = tmp_path / "elsewhere.alist"
+    moved.write_text(path.read_text())
+    av.check_fits(cli.build_code(cli.parse_config(f"code.alist = {moved}\n")), "bpsk")
+    path.write_text(codes.save_alist(codes.repetition_code(7).H))
+    rep = cli.build_code(cfg)
+    assert rep.k == 1
+    with pytest.raises(ValueError, match="code id"):
+        av.check_fits(rep, "bpsk")
+
+
 def test_search_deterministic_modulo_timestamp(tmp_path):
     cfg = write(tmp_path, "rep.cfg", REP_SEARCH_CFG)
     out1, out2 = str(tmp_path / "a1.json"), str(tmp_path / "a2.json")

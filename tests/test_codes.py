@@ -142,6 +142,27 @@ def test_polar_full_rate():
     assert np.array_equal(code.G, codes.kron_power(2))
 
 
+def test_polar_id_follows_the_frozen_set():
+    # design SNRs 2 and 5 dB freeze different inputs of the (64, 32) code, 2 and 3 dB the same
+    at2, at3, at5 = (codes.polar_construct(64, 32, db) for db in (2.0, 3.0, 5.0))
+    assert at2.frozen != at5.frozen and not np.array_equal(at2.H, at5.H)
+    assert at2.name != at5.name
+    assert at2.frozen == at3.frozen and at2.name == at3.name
+    assert at2.name.startswith("polar_64_32_")
+
+
+def test_alist_code_id_is_a_digest_of_h():
+    ham, rep = codes.hamming_7_4(), codes.repetition_code(7)
+    named = codes.code_from_alist(codes.save_alist(ham.H))
+    assert named.name.startswith("alist-") and len(named.name) == len("alist-") + 12
+    # the id depends on H alone: blank lines do not change it, another H does
+    spaced = codes.code_from_alist(codes.save_alist(ham.H).replace("\n", "\n\n"))
+    assert spaced.name == named.name
+    assert codes.code_from_alist(codes.save_alist(rep.H)).name != named.name
+    assert codes.code_from_alist(codes.save_alist(ham.H), name="mine").name == "mine"
+    assert codes.ldpc_64_32().name == "ldpc_64_32"
+
+
 def test_polar_bad_arguments():
     with pytest.raises(ValueError):
         codes.polar_construct(6, 3, 2.0)

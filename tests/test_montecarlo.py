@@ -130,19 +130,26 @@ def test_frames_and_workers_must_be_positive(ldpc, dec3, monkeypatch):
         raise AssertionError("random streams were opened")
 
     monkeypatch.setattr(channel, "FrameRng", no_draws)
-    for frames in (0, -5):
-        with pytest.raises(ValueError, match="frames"):
+    # a fractional count or a bool is rejected by name, not left to fail in `range`
+    for frames in (0, -5, 2.5, True, "10"):
+        named = r"frames must be an integer >= 1, got " + re.escape(repr(frames))
+        with pytest.raises(ValueError, match=named):
             montecarlo.transfer_check(av, ldpc, dec3, ebn0_db=2.0, frames=frames, seed=1)
+        with pytest.raises(ValueError, match=named):
+            montecarlo.run_point(ldpc, dec3, "bpsk", 2.0, frames=frames, seed=0)
+    with pytest.raises(ValueError, match="transfer_check needs an attack"):
+        montecarlo.transfer_check(None, ldpc, dec3, ebn0_db=2.0, frames=10, seed=1)
     for workers in (0, -3):
         with pytest.raises(ValueError, match="workers"):
             montecarlo.run_point(ldpc, dec3, "bpsk", 2.0, frames=10, seed=0, workers=workers)
 
 
 def test_seeds_are_checked_before_any_draw(ldpc, dec3, monkeypatch):
-    # a numpy integer is an integer; the largest Philox key is a seed
+    # a numpy integer is an integer (as a seed or a frame count); the largest
+    # Philox key is a seed
     assert channel.FrameRng(2**128 - 1).seed == 2**128 - 1
-    res, res_np = (montecarlo.run_point(ldpc, dec3, "bpsk", 2.0, frames=300, seed=s)
-                   for s in (5, np.int64(5)))
+    res, res_np = (montecarlo.run_point(ldpc, dec3, "bpsk", 2.0, frames=f, seed=s)
+                   for s, f in ((5, 300), (np.int64(5), np.int64(300))))
     assert (res.bit_errors, res.block_errors) == (res_np.bit_errors, res_np.block_errors)
 
     def no_draws(*args, **kwargs):
