@@ -5,7 +5,7 @@ a tape; the backward pass replays the tape in reverse and returns the exact
 gradient of the decoding loss with respect to the input LLRs. Message
 clamping differentiates as the identity inside the bound and zero outside.
 
-All internals are batched: a decode over B frames runs as (B, ...) arrays,
+All internals are batched: a decode over B frames runs as (..., B) arrays,
 and every lane's result is independent of which other lanes share the
 batch (elementwise ops plus reductions along per-lane axes only, each
 summed in a fixed slot order), which is what makes Monte Carlo counts
@@ -13,15 +13,22 @@ reproducible under any worker split.
 
 `Receiver` holds the decoder of one code and is the one decode entry of
 Monte Carlo, the search and the gradient check. It calls `decode_blocks`,
-which decodes a large batch in blocks of `BLOCK_LANES` lanes, so the (lanes,
-edges) work arrays and the tape stay cache-sized. A decode call builds one
-set of work arrays for a full block and reuses it for every block's
-forward and backward pass, writing each step into it with `out=`, so the
-arrays are allocated and faulted in once per call rather than once per
-use; the next block overwrites a block's tape once its gradient is taken.
-Since a lane's result does not depend on the other lanes of its batch,
-the blocked outputs and gradients equal those of one unblocked decode bit
-for bit.
+which decodes a large batch in blocks of `BLOCK_LANES` lanes, so the work
+arrays and the tape stay cache-sized. A decode call builds one set of work
+arrays for a full block and reuses it for every block's forward and
+backward pass, writing each step into it with `out=`, so the arrays are
+allocated and faulted in once per call rather than once per use; the next
+block overwrites a block's tape once its gradient is taken. Since a lane's
+result does not depend on the other lanes of its batch, the blocked
+outputs and gradients equal those of one unblocked decode bit for bit.
+
+Inside the kernel the messages are laid out edge-major with the lanes
+last: per-edge arrays are (E, lanes), per-slot arrays (degree, checks,
+lanes) and per-variable arrays (n, lanes). A gather or scatter between
+edges and slots then copies whole rows, and each step of a check node's
+scans multiplies contiguous (checks, lanes) planes. `bp_forward`
+transposes its (B, n) LLRs in once, and the soft outputs and gradients
+leave as (B, n) transposed views.
 """
 
 from __future__ import annotations
@@ -49,6 +56,8 @@ class DecoderConfig:
         iters = self.iters  # a numpy integer is an integer; a bool is not
         if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 0:
             raise ValueError(f"iteration count must be an integer >= 0, got {iters!r}")
+        # a Python int, so repr (hashed into Monte Carlo digests) ignores the type given
+        object.__setattr__(self, "iters", int(iters))
         if not 0 < self.clamp < np.inf:
             raise ValueError(f"clamp must be positive and finite, got {self.clamp!r}")
         if self.loss_mode not in ("final", "multiloss"):
@@ -61,7 +70,9 @@ class TannerGraph:
     Edges are indexed in the row-major order of H's nonzeros. For vectorized
     node updates, each side keeps a (nodes, max_degree) table of edge ids
     padded with the sentinel `n_edges`, which points at a neutral pad slot
-    appended to per-edge arrays.
+    appended to per-edge arrays. `edge_slot` inverts the check table: edge
+    e sits at position `edge_slot[e]` of the flattened (max_degree, checks)
+    transposed table, the order of the decoder's slot arrays.
     """
 
     def __init__(self, H):
@@ -76,19 +87,24 @@ class TannerGraph:
         self.var_edges = _group_table(self.edge_var, self.n_var, self.n_edges)
         # (checks, max_degree) variable ids; pads read a zero column at n_var
         self.check_vars = np.append(self.edge_var, self.n_var)[self.check_edges]
+        slots = self.check_edges.T.reshape(-1)
+        real = slots < self.n_edges
+        self.edge_slot = np.empty(self.n_edges, dtype=np.int64)
+        self.edge_slot[slots[real]] = np.flatnonzero(real)
 
     def syndrome_ok(self, hard_bits) -> np.ndarray:
         """True where H x = 0; accepts (n,) or (B, n) bit arrays.
 
-        Each check XORs the bits gathered through `check_vars`.
+        Each check XORs the bits gathered through `check_vars`, with the
+        lanes last, so the decoder's transposed decisions are read row by row.
         """
         x = np.asarray(hard_bits)
         if x.shape[-1:] != (self.n_var,):
             raise ValueError(f"bit array shape {x.shape} does not match {self.n_var} variables")
-        padded = np.zeros(x.shape[:-1] + (self.n_var + 1,), dtype=np.uint8)
-        padded[..., :-1] = x
-        parity = np.bitwise_xor.reduce(padded[..., self.check_vars], axis=-1)
-        return ~np.any(parity & 1, axis=-1)
+        padded = np.zeros((self.n_var + 1,) + x.shape[:-1], dtype=np.uint8)
+        padded[:-1] = np.moveaxis(x, -1, 0)
+        parity = np.bitwise_xor.reduce(padded.take(self.check_vars.T, axis=0), axis=0)
+        return ~np.any(parity & 1, axis=0)
 
 
 def _group_table(owner, n_groups, sentinel) -> np.ndarray:
@@ -116,9 +132,9 @@ class BpTape:
     graph: TannerGraph
     clamp: float
     input_llr: np.ndarray        # (B, n), not copied: the reverse pass reads its shape only
-    v2c_pre: list[np.ndarray]    # T x (B, E)
-    c2v_pre: list[np.ndarray]    # T x (B, E)
-    soft: list[np.ndarray]       # T x (B, n)
+    v2c_pre: list[np.ndarray]    # T x (E, B)
+    c2v_pre: list[np.ndarray]    # T x (E, B)
+    soft: list[np.ndarray]       # T x (B, n), transposed views of (n, B) planes
     squeeze: bool
 
 
@@ -135,64 +151,77 @@ class BpOutput:
 
 
 class _WorkSet:
-    """Work arrays of one decode call, sized for `lanes` lanes.
+    """Work arrays of one decode call, lanes last and sized for `lanes` lanes.
 
-    A batch of fewer lanes, such as a short last block or the lanes early
-    stopping leaves running, uses leading views (`[:k]`), which stay
-    C-contiguous. Reusing one set across a call's blocks keeps the large
-    arrays mapped and faulted in; a set is never shared between calls, so
-    what a call returns is overwritten only by later blocks of the same
-    call. `iters` and `taped` size the per-iteration soft outputs and the
-    message arrays the tape keeps; without a tape one slot is reused.
+    Per-edge arrays are (E, lanes), per-slot arrays (degree, checks, lanes)
+    and per-variable arrays (n, lanes); `soft`, `v2c`, `u` and `c2v` stack
+    such arrays along a leading axis. A batch of k < lanes lanes, such as
+    a short last block or the lanes early stopping leaves running, uses
+    `_lanes(array, k)`: the leading elements of the array's buffer shaped
+    (..., k), which stay C-contiguous. Reusing one set across a call's
+    blocks keeps the large arrays mapped and faulted in; a set is never
+    shared between calls, so what a call returns is overwritten only by
+    later blocks of the same call. `iters` and `taped` size the
+    per-iteration soft outputs and the message arrays the tape keeps;
+    without a tape one slot is reused.
     """
 
     def __init__(self, graph: TannerGraph, lanes: int, iters: int = 1, taped: bool = False):
         E, n = graph.n_edges, graph.n_var
-        slots = (lanes,) + graph.check_edges.shape
+        slots = graph.check_edges.T.shape + (lanes,)
         kept = iters if taped else 1
-        self.soft = np.empty((iters, lanes, n))
-        self.v2c = np.empty((kept, lanes, E))   # pre-clamp variable-to-check messages
-        self.u = np.empty((kept, lanes, E))     # pre-clamp check-to-variable messages
-        self.c2v = np.empty((2, lanes, E))      # two, so early stop compacts one into the other
-        self.t, self.d_w, self.d_u, self.tmp = (np.empty((lanes, E)) for _ in range(4))
-        self.inside = np.empty((lanes, E), dtype=bool)
-        self.pad = np.empty((lanes, E + 1))     # gather, scatter and per-variable sum scratch
+        self.soft = np.empty((iters, n, lanes))
+        self.v2c = np.empty((kept, E, lanes))   # pre-clamp variable-to-check messages
+        self.u = np.empty((kept, E, lanes))     # pre-clamp check-to-variable messages
+        self.c2v = np.empty((2, E, lanes))      # two, so early stop compacts one into the other
+        self.t, self.d_w, self.d_u, self.tmp = (np.empty((E, lanes)) for _ in range(4))
+        self.inside = np.empty((E, lanes), dtype=bool)
+        self.pad = np.empty((E + 1, lanes))     # gather and per-variable sum scratch
         self.tg, self.pre, self.suf, self.prod, self.q, self.left, self.right = (
             np.empty(slots) for _ in range(7))
-        self.scan = np.empty(slots[:2])
-        self.marg, self.total, self.term = (np.empty((lanes, n)) for _ in range(3))
+        self.scan = np.empty(slots[1:])
+        self.llr, self.marg, self.total, self.term = (np.empty((n, lanes)) for _ in range(4))
+
+
+def _lanes(work_array, k):
+    """The leading k lanes of a (..., lanes) work array, as a C-contiguous (..., k) view."""
+    if k == work_array.shape[-1]:
+        return work_array
+    rows = work_array.shape[:-1]
+    return work_array.reshape(-1)[:work_array.size // work_array.shape[-1] * k].reshape(rows + (k,))
 
 
 def _gather(per_edge, table, pad_value, padded, out):
-    """(B, E) edge values -> (B, nodes, degree) slots in `out`, pads filled with pad_value.
+    """(E, k) edge values -> (degree, nodes, k) slots in `out`, pads filled with pad_value.
 
-    `padded` is (B, E + 1) scratch. Indices are valid by construction, so
-    `mode="clip"` only spares `take` the copy `mode="raise"` makes of `out`.
+    `table` is a (nodes, degree) edge table and `padded` (E + 1, k)
+    scratch, so each slot is a copy of whole rows. Indices are valid by
+    construction, so `mode="clip"` only spares `take` the copy
+    `mode="raise"` makes of `out`.
     """
-    padded[:, :-1] = per_edge
-    padded[:, -1] = pad_value
-    return np.take(padded, table, axis=1, out=out, mode="clip")
+    padded[:-1] = per_edge
+    padded[-1] = pad_value
+    return padded.take(table.T, axis=0, out=out, mode="clip")
 
-def _scatter(per_slot, table, out):
-    """Inverse of _gather: slot values into (B, E + 1) `out`; returns its (B, E) view, pad dropped."""
-    out[:, table.reshape(-1)] = per_slot.reshape(len(per_slot), -1)
-    return out[:, :-1]
+def _scatter(per_slot, graph, out):
+    """Inverse of _gather over the check table: slot values -> (E, k) edge values in `out`."""
+    return per_slot.reshape(-1, per_slot.shape[-1]).take(graph.edge_slot, axis=0, out=out,
+                                                         mode="clip")
 
 def _sum_per_var(per_edge, graph, work):
-    """(B, E) edge values -> (B, n) per-variable sums, in `work.total`.
+    """(E, k) edge values -> (n, k) per-variable sums, in `work.total`.
 
-    Slots are added one at a time, in slot order, so a lane's sum is the
-    same in a batch of any size; numpy's `sum` over the slots adds a lone
-    lane's in another order than a batch's and rounds differently.
+    Slots are gathered and added one at a time, each a copy of whole rows,
+    in slot order, so a lane's sum is the same in a batch of any size.
     """
-    k = len(per_edge)
-    padded, total, term = work.pad[:k], work.total[:k], work.term[:k]
-    padded[:, :-1] = per_edge
-    padded[:, -1] = 0.0
+    k = per_edge.shape[1]
+    padded, total, term = (_lanes(a, k) for a in (work.pad, work.total, work.term))
+    padded[:-1] = per_edge
+    padded[-1] = 0.0
     slots = graph.var_edges.T
-    np.take(padded, slots[0], axis=1, out=total, mode="clip")
+    padded.take(slots[0], axis=0, out=total, mode="clip")
     for slot in slots[1:]:
-        total += np.take(padded, slot, axis=1, out=term, mode="clip")
+        total += padded.take(slot, axis=0, out=term, mode="clip")
     return total
 
 
@@ -201,23 +230,23 @@ def _check_internals(v2c_pre, clamp, graph, work):
 
     The messages are clamped first. Exclusion products are built from
     prefix and suffix products, never by division, so zero messages are
-    handled exactly. Each is one scan along the short check-degree axis,
-    multiplying in the order `np.cumprod` would.
+    handled exactly. Each is one scan over the check-degree axis, one
+    (checks, lanes) plane per step, multiplying in the order `np.cumprod`
+    would.
     """
-    k = len(v2c_pre)
-    t = np.clip(v2c_pre, -clamp, clamp, out=work.t[:k])
+    k = v2c_pre.shape[1]
+    t = np.clip(v2c_pre, -clamp, clamp, out=_lanes(work.t, k))
     t *= 0.5
     np.tanh(t, out=t)
-    tg = _gather(t, graph.check_edges, 1.0, work.pad[:k], work.tg[:k])
-    width = tg.shape[-1]
-    pre, suf = work.pre[:k], work.suf[:k]
-    pre[..., 0] = 1.0
-    for i in range(1, width):
-        np.multiply(pre[..., i - 1], tg[..., i - 1], out=pre[..., i])
-    suf[..., -1] = 1.0
-    for i in range(width - 2, -1, -1):
-        np.multiply(suf[..., i + 1], tg[..., i + 1], out=suf[..., i])
-    return t, tg, pre, suf, np.multiply(pre, suf, out=work.prod[:k])
+    tg = _gather(t, graph.check_edges, 1.0, _lanes(work.pad, k), _lanes(work.tg, k))
+    pre, suf = _lanes(work.pre, k), _lanes(work.suf, k)
+    pre[0] = 1.0
+    for i in range(1, len(tg)):
+        np.multiply(pre[i - 1], tg[i - 1], out=pre[i])
+    suf[-1] = 1.0
+    for i in range(len(tg) - 2, -1, -1):
+        np.multiply(suf[i + 1], tg[i + 1], out=suf[i])
+    return t, tg, pre, suf, np.multiply(pre, suf, out=_lanes(work.prod, k))
 
 
 def bp_forward(llr, graph: TannerGraph, iters: int, clamp: float = DEFAULT_CLAMP,
@@ -239,7 +268,8 @@ def bp_forward(llr, graph: TannerGraph, iters: int, clamp: float = DEFAULT_CLAMP
 
     The soft outputs and the tape live in `work`, which `decode_blocks`
     passes to reuse across its blocks; without one a fresh set is built,
-    so the outputs alias nothing.
+    so the outputs alias nothing. The outputs are transposed views of the
+    set's (n, lanes) planes.
     """
     L = np.asarray(llr, dtype=np.float64)
     squeeze = L.ndim == 1
@@ -256,47 +286,55 @@ def bp_forward(llr, graph: TannerGraph, iters: int, clamp: float = DEFAULT_CLAMP
     if early_stop and record_tape:
         raise ValueError("early stopping would make the tape input-dependent; disable one")
 
-    B = L.shape[0]
+    B, n = L.shape
     if work is None:
         work = _WorkSet(graph, B, iters, record_tape)
     evar = graph.edge_var
     tape = BpTape(graph, clamp, L, [], [], [], squeeze) if record_tape else None
 
-    v2c_pre = np.take(L, evar, axis=1, out=work.v2c[0, :B], mode="clip")
-    soft = work.soft[:, :B]
-    lanes = np.arange(B)  # batch rows of L, c2v and marg (early stop drops converged ones)
+    # (iters, n, B), each iteration's plane C-contiguous; `out` is its (iters, B, n) view
+    soft = work.soft.reshape(iters, -1)[:, :n * B].reshape(iters, n, B)
+    out = soft.transpose(0, 2, 1)
+    L_t = _lanes(work.llr, B)
+    L_t[...] = L.T
+    v2c_pre = L_t.take(evar, axis=0, out=_lanes(work.v2c[0], B), mode="clip")
+    lanes = np.arange(B)  # batch columns of L_t, c2v and marg (early stop drops converged ones)
     side = 0              # which of the two c2v arrays holds the messages
     for it in range(iters):
         k = len(lanes)
         prod = _check_internals(v2c_pre, clamp, graph, work)[-1]
-        u = work.u[it if record_tape else 0, :k]
+        u = _scatter(prod, graph, _lanes(work.u[it if record_tape else 0], k))
         with np.errstate(divide="ignore"):  # +-inf only for degree-1 checks
-            np.arctanh(_scatter(prod, graph.check_edges, work.pad[:k]), out=u)
+            np.arctanh(u, out=u)
         u *= 2.0
-        c2v = np.clip(u, -clamp, clamp, out=work.c2v[side, :k])
-        marg = np.add(L, _sum_per_var(c2v, graph, work), out=work.marg[:k])
-        soft[it, lanes] = marg
+        c2v = np.clip(u, -clamp, clamp, out=_lanes(work.c2v[side], k))
+        total = _sum_per_var(c2v, graph, work)
+        if k == B:  # every lane still runs: the output plane is the marginal
+            marg = np.add(L_t, total, out=soft[it])
+        else:
+            soft[it] = soft[it - 1]  # converged lanes repeat their last output
+            marg = np.add(L_t, total, out=_lanes(work.marg, k))
+            soft[it][:, lanes] = marg
         if record_tape:
             tape.v2c_pre.append(v2c_pre)
             tape.c2v_pre.append(u)
-            tape.soft.append(soft[it])  # a view: each output is stored once
+            tape.soft.append(out[it])  # a view: each output is stored once
         if it + 1 == iters:
             break
         if early_stop:
-            done = graph.syndrome_ok(marg < 0)
+            done = graph.syndrome_ok((marg < 0).T)
             if done.all():
                 break
             if done.any():
-                soft[it + 1:, lanes[done]] = marg[done]  # converged lanes repeat their output
-                run = ~done
-                lanes, L, marg = lanes[run], L[run], marg[run]
+                run = np.flatnonzero(~done)
+                lanes, L_t, marg = lanes[run], L_t[:, run], marg[:, run]
                 side = 1 - side
-                c2v = np.compress(run, c2v, axis=0, out=work.c2v[side, :len(lanes)])
-        v2c_pre = np.take(marg, evar, axis=1, mode="clip",
-                          out=work.v2c[it + 1 if record_tape else 0, :len(lanes)])
+                c2v = c2v.take(run, axis=1, out=_lanes(work.c2v[side], len(lanes)), mode="clip")
+        v2c_pre = marg.take(evar, axis=0, mode="clip",
+                            out=_lanes(work.v2c[it + 1 if record_tape else 0], len(lanes)))
         v2c_pre -= c2v
 
-    return BpOutput(soft[:it + 1, 0] if squeeze else soft[:it + 1], tape)
+    return BpOutput(out[:it + 1, 0] if squeeze else out[:it + 1], tape)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +382,7 @@ def bp_loss(out: BpOutput, target, mode: str = "final"):
     """
     if mode not in ("final", "multiloss"):
         raise ValueError(f"unknown loss mode {mode!r}")
-    soft = out.soft
+    soft = np.ascontiguousarray(out.soft)  # each lane's BCE sums one contiguous row
     squeeze = soft.ndim == 2
     x = _target_array(target, soft.shape[-1])
     if mode == "final":
@@ -369,31 +407,32 @@ def bp_backward(tape: BpTape, target, mode: str = "final",
     if mode not in ("final", "multiloss"):
         raise ValueError(f"unknown loss mode {mode!r}")
     graph, clamp = tape.graph, tape.clamp
-    L = tape.input_llr
-    B, n = L.shape
+    B, n = tape.input_llr.shape
     T = len(tape.soft)
     evar = graph.edge_var
     x = _target_array(target, n)
     if x.ndim == 2 and x.shape[0] != B:
         raise ValueError("target batch size does not match the tape")
+    x = np.atleast_2d(x).T  # (n, 1), or (n, B) with one target per lane
     if work is None:
         work = _WorkSet(graph, B)
-    tmp, inside, d_u = work.tmp[:B], work.inside[:B], work.d_u[:B]
-    q, left, right, scan = work.q[:B], work.left[:B], work.right[:B], work.scan[:B]
+    tmp, inside, d_u = (_lanes(a, B) for a in (work.tmp, work.inside, work.d_u))
+    q, left, right, scan = (_lanes(a, B) for a in (work.q, work.left, work.right, work.scan))
 
-    dL = np.zeros((B, n))
+    dL = np.zeros((n, B))
     # gradient w.r.t. the pre-clamp v2c messages w_t = marg_t[edge var] - c2v_t
     # that iteration t+1 read; nothing reads the last iteration's
-    d_w = work.d_w[:B]
+    d_w = _lanes(work.d_w, B)
     d_w.fill(0.0)
     for t in range(T - 1, -1, -1):
+        soft = tape.soft[t].T
         if mode == "final":
-            d_loss = _bce_grad(tape.soft[t], x) if t == T - 1 else np.zeros((B, n))
+            d_loss = _bce_grad(soft, x) if t == T - 1 else np.zeros((n, B))
         else:
-            d_loss = _bce_grad(tape.soft[t], x) / T
+            d_loss = _bce_grad(soft, x) / T
         d_out = d_loss + _sum_per_var(d_w, graph, work)
         dL += d_out
-        np.take(d_out, evar, axis=1, out=d_u, mode="clip")
+        d_out.take(evar, axis=0, out=d_u, mode="clip")
         d_u -= d_w                                      # d loss / d c2v
 
         np.abs(tape.c2v_pre[t], out=tmp)
@@ -402,33 +441,32 @@ def bp_backward(tape: BpTape, target, mode: str = "final",
         denom = np.multiply(prod, prod, out=prod)  # the product is not read again
         np.subtract(1.0, denom, out=denom)
         np.copyto(denom, 1.0, where=denom <= 0.0)
-        _gather(d_u, graph.check_edges, 0.0, work.pad[:B], q)
+        _gather(d_u, graph.check_edges, 0.0, _lanes(work.pad, B), q)
         q *= 2.0
         q /= denom                                      # d loss / d exclusion product
 
         # g_i = sum_{j != i} q_j * prod_{l != i, j} t_l via left and right scans
-        width = tg.shape[-1]
-        left[..., 0] = 0.0
+        width = len(tg)
+        left[0] = 0.0
         for i in range(1, width):
-            step = np.multiply(left[..., i - 1], tg[..., i - 1], out=left[..., i])
-            step += np.multiply(q[..., i - 1], pre[..., i - 1], out=scan)
-        right[..., -1] = 0.0
+            step = np.multiply(left[i - 1], tg[i - 1], out=left[i])
+            step += np.multiply(q[i - 1], pre[i - 1], out=scan)
+        right[-1] = 0.0
         for i in range(width - 2, -1, -1):
-            step = np.multiply(right[..., i + 1], tg[..., i + 1], out=right[..., i])
-            step += np.multiply(q[..., i + 1], suf[..., i + 1], out=scan)
+            step = np.multiply(right[i + 1], tg[i + 1], out=right[i])
+            step += np.multiply(q[i + 1], suf[i + 1], out=scan)
         left *= suf
         right *= pre
         left += right
-        d_t = _scatter(left, graph.check_edges, work.pad[:B])
-
-        np.multiply(d_t, 0.5, out=d_w)
+        _scatter(left, graph, d_w)
+        d_w *= 0.5
         np.multiply(t_e, t_e, out=tmp)
         d_w *= np.subtract(1.0, tmp, out=tmp)
         np.abs(tape.v2c_pre[t], out=tmp)
         d_w *= np.less_equal(tmp, clamp, out=inside)
 
     dL += _sum_per_var(d_w, graph, work)  # iteration-0 messages copy L
-    return dL[0] if tape.squeeze else dL
+    return dL[:, 0] if tape.squeeze else dL.T
 
 
 def decode_blocks(llr, graph: TannerGraph, decoder: DecoderConfig, early_stop: bool = False,

@@ -123,6 +123,12 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"unknown message source {cfg.eval_message_source!r}")
     if cfg.decoder_iters < 0:
         raise ConfigError("decoder.iters must be >= 0")
+    if not 0 < cfg.decoder_clamp < math.inf:
+        raise ConfigError(f"decoder.clamp must be positive and finite, got {cfg.decoder_clamp!r}")
+    if cfg.eval_min_block_errors is not None and cfg.eval_min_block_errors < 1:
+        raise ConfigError("eval.min_block_errors must be >= 1")
+    if not 0 <= cfg.eval_seed < 2**128:
+        raise ConfigError(f"eval.seed must lie in [0, 2**128), got {cfg.eval_seed}")
     if cfg.eval_frames < 1:
         raise ConfigError("eval.frames must be >= 1")
     if cfg.search_validation_frames < 1:
@@ -137,17 +143,35 @@ def _validate(cfg: RunConfig) -> None:
     for key, sigma in (("search.sigma", cfg.search_sigma), ("channel.sigma_b", cfg.channel_sigma_b)):
         if sigma is not None and not 0 < sigma < math.inf:
             raise ConfigError(f"{key} must be positive and finite, got {sigma!r}")
+    if cfg.channel_rho is not None and not 0 <= cfg.channel_rho <= 1:
+        raise ConfigError(f"channel.rho must lie in [0, 1], got {cfg.channel_rho!r}")
 
 
 def build_code(cfg: RunConfig) -> codes.CodeSpec:
+    """The configured code; a malformed alist raises `codes.AlistError`, and
+    a code the settings cannot build or the scheme cannot carry a ConfigError."""
+    if cfg.code_family == "ldpc" and cfg.code_alist:
+        try:
+            with open(cfg.code_alist) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read alist file: {exc}") from None
+        code = codes.code_from_alist(text)
+    else:
+        try:
+            code = _named_code(cfg)
+        except ValueError as exc:  # a bad code.n or code.k
+            raise ConfigError(f"cannot build the {cfg.code_family} code: {exc}") from None
+    bits = modem.get_constellation(cfg.modem_scheme).bits_per_symbol
+    if code.k < 1 or code.n % bits:
+        raise ConfigError(f"code {code.name} (n = {code.n}, k = {code.k}) carries no "
+                          f"messages under {cfg.modem_scheme}: it needs k >= 1 and n "
+                          f"divisible by {bits}")
+    return code
+
+
+def _named_code(cfg: RunConfig) -> codes.CodeSpec:
     if cfg.code_family == "ldpc":
-        if cfg.code_alist:
-            try:
-                with open(cfg.code_alist) as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise ConfigError(f"cannot read alist file: {exc}") from None
-            return codes.code_from_alist(text)
         return codes.ldpc_64_32()
     if cfg.code_family == "polar":
         return codes.polar_construct(cfg.code_n, cfg.code_k, cfg.code_design_ebn0_db)
@@ -205,6 +229,8 @@ def cmd_search(cfg: RunConfig, out_path: str | None, seed: int) -> int:
     search_cfg = build_search(cfg)
     if cfg.channel_kind != "awgn":
         raise ConfigError("the perturbation search runs over the AWGN channel only")
+    if decoder.iters < 1:
+        raise ConfigError("the perturbation search needs decoder.iters >= 1")
     bits = modem.get_constellation(cfg.modem_scheme).bits_per_symbol
     if search_cfg.sigma is None:
         sigma = attack_mod.find_search_sigma(code, decoder, cfg.modem_scheme, seed=seed,
@@ -252,10 +278,19 @@ def cmd_eval(cfg: RunConfig, attack_path: str | None, out_path: str | None,
              seed: int, workers: int, grid: bool) -> int:
     code = build_code(cfg)
     decoder = build_decoder(cfg)
+    if workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {workers}")
     av = None
     if attack_path:
-        av = attack_mod.load_attack(attack_path)
-        av.check_fits(code, cfg.modem_scheme)
+        const = modem.get_constellation(cfg.modem_scheme)
+        try:
+            av = attack_mod.load_attack(attack_path)
+            av.check_fits(code, cfg.modem_scheme)
+            # a vector that zeroes the all-zero word zeroes every word
+            attack_mod.apply_attack(modem.modulate(np.zeros(code.n, dtype=np.uint8), const),
+                                    av.a, const)
+        except ValueError as exc:
+            raise ConfigError(f"attack file {attack_path}: {exc}") from None
     shared = dict(frames=cfg.eval_frames, seed=seed, message_source=cfg.eval_message_source,
                   channel_kind=cfg.channel_kind, channel_opts=_channel_opts(cfg),
                   workers=workers, min_block_errors=cfg.eval_min_block_errors)
@@ -369,6 +404,8 @@ def main(argv=None) -> int:
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
         seed = args.seed if args.seed is not None else cfg.eval_seed
+        if not 0 <= seed < 2**128:
+            raise ConfigError(f"--seed must lie in [0, 2**128), got {seed}")
         if args.command == "search":
             try:
                 return cmd_search(cfg, args.out, seed)
@@ -380,7 +417,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_eval(cfg, args.attack, args.out, seed, args.workers, grid=True)
         return cmd_gradcheck(cfg, seed)
-    except (OSError, ValueError) as exc:
+    except (OSError, ConfigError, codes.AlistError) as exc:
         _log(f"config error: {exc}")
         return EXIT_CONFIG
 

@@ -36,6 +36,83 @@ def hard(out):
     return (out.soft[-1] < 0).astype(np.uint8)
 
 
+def loop_sum_product(H, llr, iters, clamp=20.0, early_stop=False):
+    """Flooding sum-product for one frame, written edge by edge with Python loops.
+
+    Shares no code with `bp`. Messages into a check node are clamped to
+    [-clamp, clamp] before tanh(m/2), and check-to-variable messages are
+    clamped after 2 atanh(product over the other edges). Near |product| = 1
+    atanh turns a last-bit difference into a relative error of about 1e-9,
+    so the product is taken in the order a prefix/suffix scan takes it: the
+    edges before this one from the first, times the edges after it from the
+    last. Returns the output LLRs of every iteration run; with `early_stop`
+    it stops after the first iteration whose hard decision satisfies every
+    check.
+    """
+    n_check, n_var = len(H), len(H[0])
+    edges = [(c, v) for c in range(n_check) for v in range(n_var) if H[c][v]]
+    clip = lambda x: min(max(x, -clamp), clamp)
+    v2c = {e: float(llr[e[1]]) for e in edges}
+    outputs = []
+    for _ in range(iters):
+        tanh_half = {e: np.tanh(0.5 * clip(v2c[e])) for e in edges}
+        c2v = {}
+        for c, v in edges:
+            row = [tanh_half[e] for e in edges if e[0] == c]
+            i = [e[1] for e in edges if e[0] == c].index(v)
+            before, after = 1.0, 1.0
+            for x in row[:i]:
+                before *= x
+            for x in reversed(row[i + 1:]):
+                after *= x
+            prod = before * after
+            u = 2.0 * np.arctanh(prod) if abs(prod) < 1.0 else math.copysign(math.inf, prod)
+            c2v[(c, v)] = clip(u)
+        out = [float(llr[v]) + sum(c2v[e] for e in edges if e[1] == v) for v in range(n_var)]
+        outputs.append(out)
+        hard = [x < 0 for x in out]
+        if early_stop and all(sum(hard[v] for c2, v in edges if c2 == c) % 2 == 0
+                              for c in range(n_check)):
+            break
+        v2c = {(c, v): out[v] - c2v[(c, v)] for c, v in edges}
+    return np.array(outputs)
+
+
+# irregular: a degree-1 check (one slot, no neighbours) next to degrees 3 and 4,
+# so most rows of the check table are padded
+_IRREGULAR_H = np.array([[1, 0, 0, 0, 0, 0],
+                         [1, 1, 0, 1, 0, 0],
+                         [0, 1, 1, 0, 1, 1],
+                         [0, 0, 1, 1, 1, 0]], dtype=np.uint8)
+
+
+@pytest.mark.parametrize("H, clamp", [(codes.ldpc_64_32().H, 20.0), (_IRREGULAR_H, 6.0)],
+                         ids=["ldpc_64_32", "irregular"])
+def test_forward_matches_a_plain_loop_decoder(H, clamp):
+    g = bp.TannerGraph(H)
+    rng = np.random.default_rng(31)
+    n = H.shape[1]
+    sigma = rng.uniform(0.5, 1.0, (6, 1))
+    L = (2.0 / sigma**2) * (1.0 + sigma * rng.standard_normal((6, n)))
+    G = gf2.generator_from_parity(H)  # random codewords, so messages saturate at both bounds
+    L *= 1.0 - 2.0 * gf2.encode(rng.integers(0, 2, (6, G.shape[0])), G)
+    rows = H.tolist()
+    for early_stop in (False, True):
+        batch = bp.bp_forward(L, g, 8, clamp, early_stop=early_stop, record_tape=False)
+        stops = []
+        for i, llr in enumerate(L):
+            want = loop_sum_product(rows, llr, 8, clamp, early_stop)
+            stops.append(len(want))
+            np.testing.assert_allclose(batch.soft[:len(want), i], want, rtol=1e-12)
+            # a lane that stopped repeats its last output
+            np.testing.assert_allclose(batch.soft[len(want):, i],
+                                       np.broadcast_to(want[-1], batch.soft[len(want):, i].shape),
+                                       rtol=1e-12)
+        assert batch.iterations == max(stops)
+        if early_stop:
+            assert len(set(stops)) > 1  # lanes stop at different iterations
+
+
 def test_graph_matches_parity_matrix():
     code = codes.hamming_7_4()
     g = bp.TannerGraph(code.H)
@@ -100,6 +177,7 @@ def test_forward_validation():
     for bad in (2.5, True, -1, "3", None):
         with pytest.raises(ValueError, match=r"iteration count must be an integer >= 0, got "):
             bp.DecoderConfig(iters=bad)
+    assert type(bp.DecoderConfig(iters=np.int64(3)).iters) is int
     assert bp.DecoderConfig(iters=np.int64(3)).iters == 3
     with pytest.raises(ValueError, match="tape"):
         bp.bp_forward(np.zeros(3), g, 2, early_stop=True, record_tape=True)
@@ -240,14 +318,7 @@ def test_early_stop_matches_standalone_decode():
     assert sorted(stops)[-2] < max(stops)  # among the first 7 lanes, one decodes on alone
 
 
-@pytest.mark.parametrize("H", [
-    codes.ldpc_64_32().H,
-    # irregular, with a degree-1 check, so most rows of the check table are padded
-    np.array([[1, 0, 0, 0, 0, 0],
-              [1, 1, 0, 1, 0, 0],
-              [0, 1, 1, 0, 1, 1],
-              [0, 0, 1, 1, 1, 0]], dtype=np.uint8),
-], ids=["ldpc_64_32", "irregular"])
+@pytest.mark.parametrize("H", [codes.ldpc_64_32().H, _IRREGULAR_H], ids=["ldpc_64_32", "irregular"])
 def test_syndrome_ok_matches_matmul(H):
     g = bp.TannerGraph(H)
     rng = np.random.default_rng(11)
@@ -456,35 +527,29 @@ def test_pickled_receiver_decodes_the_same():
 
 
 def _cumprod_exclusion(m_clamped, graph):
-    """Prefix and suffix exclusion products as np.cumprod builds them."""
+    """Prefix and suffix exclusion products as np.cumprod builds them, in (degree, checks, lanes) slots."""
     t = np.tanh(0.5 * m_clamped)
-    tg = np.concatenate([t, np.ones((len(t), 1))], axis=1)[:, graph.check_edges]
-    ones = np.ones(tg.shape[:-1] + (1,))
-    pre = np.concatenate([ones, np.cumprod(tg, axis=-1)[..., :-1]], axis=-1)
-    suf = np.concatenate([np.cumprod(tg[..., ::-1], axis=-1)[..., ::-1][..., 1:], ones], axis=-1)
+    tg = np.concatenate([t, np.ones((1, t.shape[1]))], axis=0)[graph.check_edges.T]
+    ones = np.ones((1,) + tg.shape[1:])
+    pre = np.concatenate([ones, np.cumprod(tg, axis=0)[:-1]], axis=0)
+    suf = np.concatenate([np.cumprod(tg[::-1], axis=0)[::-1][1:], ones], axis=0)
     return tg, pre, suf
 
 
-@pytest.mark.parametrize("H", [
-    codes.ldpc_64_32().H,
-    # a degree-1 check (one slot, no neighbours) next to degrees 3 and 4
-    np.array([[1, 0, 0, 0, 0, 0],
-              [1, 1, 0, 1, 0, 0],
-              [0, 1, 1, 0, 1, 1],
-              [0, 0, 1, 1, 1, 0]], dtype=np.uint8),
-], ids=["ldpc_64_32", "irregular"])
+@pytest.mark.parametrize("H", [codes.ldpc_64_32().H, _IRREGULAR_H], ids=["ldpc_64_32", "irregular"])
 def test_scan_exclusion_products_equal_cumprod(H):
     g = bp.TannerGraph(H)
     rng = np.random.default_rng(12)
     m = np.clip(rng.normal(0.0, 6.0, (50, g.n_edges)), -20.0, 20.0)
     m[rng.random(m.shape) < 0.2] = 0.0  # exact zero messages: tanh is 0
     m[:3] = 0.0
-    t, tg, pre, suf, prod = bp._check_internals(m, 20.0, g, bp._WorkSet(g, len(m)))
+    m = np.ascontiguousarray(m.T)  # the kernel's (edges, lanes) layout
+    t, tg, pre, suf, prod = bp._check_internals(m, 20.0, g, bp._WorkSet(g, m.shape[1]))
     want_tg, want_pre, want_suf = _cumprod_exclusion(m, g)
     assert (tg.tobytes(), pre.tobytes(), suf.tobytes()) == \
         (want_tg.tobytes(), want_pre.tobytes(), want_suf.tobytes())
     assert prod.tobytes() == (want_pre * want_suf).tobytes()
     assert t.tobytes() == np.tanh(0.5 * m).tobytes()
     # an edge whose check holds a zero elsewhere gets an exactly zero product
-    zero_elsewhere = (np.count_nonzero(tg == 0.0, axis=-1, keepdims=True) - (tg == 0.0)) > 0
-    assert np.all(prod[zero_elsewhere & (g.check_edges < g.n_edges)] == 0.0)
+    zero_elsewhere = (np.count_nonzero(tg == 0.0, axis=0, keepdims=True) - (tg == 0.0)) > 0
+    assert np.all(prod[zero_elsewhere & (g.check_edges.T < g.n_edges)[..., None]] == 0.0)

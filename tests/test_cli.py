@@ -55,6 +55,10 @@ _VALID = {
     "search_target_bler": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     "search_sigma": _NOISE,
     "channel_sigma_b": _NOISE,
+    "decoder_clamp": _NOISE,
+    "channel_rho": st.floats(0.0, 1.0),
+    "eval_min_block_errors": st.integers(1, 10**12),
+    "eval_seed": st.integers(0, 10**12),
 }
 _BOOL_WORDS = {True: ["1", "true", "Yes", "ON"], False: ["0", "False", "no", "off"]}
 
@@ -275,6 +279,55 @@ def test_eval_bad_workers_or_attack_file_exit_2(tmp_path, monkeypatch, capsys, f
         argv = [command, "--config", cfg] + [f.format(**paths) for f in flags]
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("record, named", [
+    ({"version": 1}, "missing field"),
+    ({"a": "not a list"}, "field 'a'"),
+    ({"a": [-1.0] * 3}, "zeroes word"),  # s0 + s0 a = 0 for every word
+    ([1, 2, 3], "JSON object"),
+])
+def test_malformed_attack_file_is_a_config_error_naming_the_file(tmp_path, capsys, record, named):
+    cfg = write(tmp_path, "rep.cfg", REP_SEARCH_CFG)
+    rec = attack.attack_record(attack.AttackVector(
+        a=[0.0] * 3, code_id="repetition_3", scheme="bpsk", n=3, n_symbols=3,
+        search_sigma=1.0, seed=0, approach="1", accepted_iters=0))
+    if isinstance(record, dict):
+        record = {"version": rec["version"]} if "version" in record else rec | record
+    path = write(tmp_path, "broken-attack.json", json.dumps(record))
+    assert cli.main(["eval", "--config", cfg, "--attack", path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and path in err and named in err
+
+
+@pytest.mark.parametrize("command, extra, argv, named", [
+    ("eval", "decoder.clamp = 0\n", [], "decoder.clamp"),
+    ("eval", "channel.kind = bursty\nchannel.rho = 2\n", [], "channel.rho"),
+    ("eval", "eval.min_block_errors = 0\n", [], "eval.min_block_errors"),
+    ("eval", "eval.seed = -1\n", [], "eval.seed"),
+    ("eval", "", ["--seed", "-1"], "--seed"),
+    ("eval", "modem.scheme = qam4\n", [], "divisible by 2"),
+    ("eval", "code.n = 1\n", [], "repetition"),
+    ("search", "decoder.iters = 0\n", [], "decoder.iters"),
+])
+def test_settings_that_fail_inside_the_numerics_are_config_errors(tmp_path, capsys, command,
+                                                                   extra, argv, named):
+    cfg = write(tmp_path, "rep.cfg", REP_SEARCH_CFG + extra)
+    assert cli.main([command, "--config", cfg] + argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err
+
+
+def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch, capsys):
+    cfg = write(tmp_path, "rep.cfg", REP_SEARCH_CFG)
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal numeric fault")
+
+    monkeypatch.setattr(montecarlo, "run_point", broken)
+    with pytest.raises(ValueError, match="internal numeric fault"):
+        cli.main(["eval", "--config", cfg])
+    assert "config error" not in capsys.readouterr().err
 
 
 def test_gradcheck_default_ldpc_passes(tmp_path, capsys):
