@@ -16,7 +16,7 @@ for code in (codes.hamming_7_4(), codes.ldpc_64_32(), codes.polar_construct(64, 
     print(f"\n=== {code.name}: n={code.n} k={code.k} rate={code.rate:.2f} ===")
     print("G H^T == 0:", not gf2.matmul(code.G, code.H.T).any())
 
-    message = next(rng.frames(0, 1, channel.STREAM_MESSAGE)).integers(0, 2, code.k).astype(np.uint8)
+    message = rng.bits(0, 1, code.k, channel.STREAM_MESSAGE)[0]
     word = gf2.encode(message, code.G)
     print("message:", "".join(map(str, message[:16])), "...")
 

@@ -277,6 +277,8 @@ def bp_forward(llr, graph: TannerGraph, iters: int, clamp: float = DEFAULT_CLAMP
         L = L[None, :]
     if L.ndim != 2 or L.shape[1] != graph.n_var:
         raise ValueError(f"LLR shape {L.shape} does not match {graph.n_var} variables")
+    if not len(L):
+        raise ValueError("the LLR batch is empty: bp_forward needs at least one frame")
     if not np.all(np.isfinite(L)):
         raise ValueError("input LLRs must be finite")
     if iters < 1:

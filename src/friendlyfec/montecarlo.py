@@ -59,12 +59,6 @@ def _result(frames, bit_errors, block_errors, k, meta) -> MonteCarloResult:
         **meta)
 
 
-def _draw_messages(code, rng, start, stop) -> np.ndarray:
-    """Random message bits of frames [start, stop), one stream per frame."""
-    return np.stack([gen.integers(0, 2, code.k)
-                     for gen in rng.frames(start, stop, channel.STREAM_MESSAGE)]).astype(np.uint8)
-
-
 def _check_frames(frames) -> None:
     if isinstance(frames, bool) or not isinstance(frames, (int, np.integer)) or frames < 1:
         raise ValueError(f"frames must be an integer >= 1, got {frames!r}")
@@ -99,17 +93,15 @@ def _chunk_counts(receiver, const, params, attack_a, message_source, rng, bounds
     if message_source == "all_zero":
         msgs = np.zeros((stop - start, code.k), dtype=np.uint8)
     else:
-        msgs = _draw_messages(code, rng, start, stop)
+        msgs = rng.bits(start, stop, code.k, channel.STREAM_MESSAGE)
     s = modem.modulate(gf2.encode(msgs, code.G), const)
     if attack_a is not None:
         s = attack_mod.apply_attack(s, attack_a, const)
 
-    y, g = zip(*[channel.transmit(row, params, gen, const.coords_per_symbol)
-                 for row, gen in zip(s, rng.frames(start, stop, channel.STREAM_CHANNEL))])
-    gains = np.stack(g) if params.kind == "rayleigh" else None
-
+    y, gains = channel.transmit(s, params, rng.frames(start, stop, channel.STREAM_CHANNEL),
+                                const.coords_per_symbol)
     side = modem.ChannelSide(sigma=params.sigma, gains=gains)
-    llr = modem.demodulate_llr(np.stack(y), side, const)
+    llr = modem.demodulate_llr(y, side, const)
     return _counts(receiver.decode(llr, early_stop=True)[0] != msgs)
 
 
@@ -240,6 +232,7 @@ def transfer_check(attack, code, decoder: bp.DecoderConfig, ebn0_db: float,
     receiver = bp.Receiver(code, decoder)
     sigma = channel.ebn0_to_sigma(ebn0_db, code.rate, 1)
     side = modem.ChannelSide(sigma=sigma)
+    params = channel.ChannelParams(sigma=sigma)
     rng = channel.FrameRng(seed)
     a = _attack_array(attack, scheme, code)
     s_zero = attack_mod.apply_attack(modem.modulate(np.zeros(code.n, dtype=np.uint8), const),
@@ -249,11 +242,11 @@ def transfer_check(attack, code, decoder: bp.DecoderConfig, ebn0_db: float,
     match = True
     for start in range(0, frames, CHUNK_FRAMES):
         stop = min(start + CHUNK_FRAMES, frames)
-        msgs = _draw_messages(code, rng, start, stop)
+        msgs = rng.bits(start, stop, code.k, channel.STREAM_MESSAGE)
         x = gf2.encode(msgs, code.G)
         t = 1.0 - 2.0 * x.astype(np.float64)
-        z = sigma * np.stack([gen.standard_normal(code.n)
-                              for gen in rng.frames(start, stop, channel.STREAM_CHANNEL)])
+        noise = channel.draw(params, rng.frames(start, stop, channel.STREAM_CHANNEL), x.shape)[1]
+        z = sigma * noise
         s_rand = attack_mod.apply_attack(modem.modulate(x, const), a, const)
         err_r = receiver.decode(modem.demodulate_llr(s_rand + z, side, const),
                                 early_stop=True)[0] != msgs

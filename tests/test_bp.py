@@ -183,6 +183,18 @@ def test_forward_validation():
         bp.bp_forward(np.zeros(3), g, 2, early_stop=True, record_tape=True)
 
 
+@pytest.mark.parametrize("early_stop, record_tape", [(False, True), (False, False), (True, False)])
+def test_forward_rejects_an_empty_batch(early_stop, record_tape):
+    graph = bp.TannerGraph(codes.ldpc_64_32().H)
+    with pytest.raises(ValueError, match="the LLR batch is empty"):
+        bp.bp_forward(np.zeros((0, 64)), graph, 3, early_stop=early_stop, record_tape=record_tape)
+    # the blocked decode never runs the kernel on no lanes
+    soft, grad = bp.decode_blocks(np.zeros((0, 64)), graph, bp.DecoderConfig(iters=3),
+                                  early_stop=early_stop, target=np.zeros(64) if record_tape else None)
+    assert soft.shape == (0, 64)
+    assert (grad.shape == (0, 64)) if record_tape else grad is None
+
+
 def test_loss_values():
     g = bp.TannerGraph(codes.repetition_code(3).H)
     out = bp.bp_forward(np.zeros(3), g, iters=2)

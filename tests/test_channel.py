@@ -150,3 +150,100 @@ def test_channel_params_validation():
         channel.ChannelParams(sigma=1.0, kind="laplace")
     with pytest.raises(ValueError):
         channel.ChannelParams(sigma=1.0, kind="bursty", rho=1.5)
+
+
+# Random123's known-answer vectors for Philox4x64-10: (counter, key) -> output
+PHILOX4X64_KAT = [
+    ((0, 0, 0, 0), (0, 0),
+     (0x16554d9eca36314c, 0xdb20fe9d672d0fdc, 0xd7e772cee186176b, 0x7e68b68aec7ba23b)),
+    ((2**64 - 1,) * 4, (2**64 - 1,) * 2,
+     (0x87b092c3013fe90b, 0x438c3c67be8d0224, 0x9cc7d7c69cd777b6, 0xa09caebf594f0ba0)),
+    ((0x243f6a8885a308d3, 0x13198a2e03707344, 0xa4093822299f31d0, 0x082efa98ec4e6c89),
+     (0x452821e638d01377, 0xbe5466cf34e90c6c),
+     (0xa528f45403e61d95, 0x38c72dbd566e9788, 0xa5a1610e72fd18b5, 0x57bd43b5e52b7fe6)),
+]
+
+
+def test_philox4x64_known_answers():
+    counters = np.array([c for c, _, _ in PHILOX4X64_KAT], dtype=np.uint64).T
+    for col, (_, key, want) in enumerate(PHILOX4X64_KAT):
+        got = channel._philox4x64(counters[:, col:col + 1], key)[:, 0]
+        assert [int(v) for v in got] == list(want)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 + 7, 2**128 - 1, np.int64(2**63 - 1)])
+def test_bits_equal_per_frame_integer_draws(seed):
+    rng = channel.FrameRng(seed)
+    for start in (0, 37, 2**64 - 3):
+        for stream in (channel.STREAM_MESSAGE, channel.STREAM_CHANNEL,
+                       channel.STREAM_SEARCH, channel.STREAM_PROBE):
+            for k in (1, 7, 8, 9, 32, 33, 129, 300):
+                got = rng.bits(start, start + 3, k, stream)
+                want = [gen.integers(0, 2, k) for gen in rng.frames(start, start + 3, stream)]
+                assert got.dtype == np.uint8 and got.shape == (3, k)
+                assert np.array_equal(got, np.array(want))
+    for k in (0, 1, 33):
+        assert rng.bits(5, 5, k).shape == (0, k)
+    assert rng.bits(5, 9, 0).shape == (4, 0)
+
+
+def test_frame_ranges_end_at_two_to_the_64():
+    rng = channel.FrameRng(3)
+    # rejected when asked for, before any generator is made or bit drawn
+    for bad in (lambda: rng.frames(2**64 - 2, 2**64 + 1), lambda: rng.bits(2**64 - 2, 2**64 + 1, 8)):
+        with pytest.raises(ValueError, match=r"below 2\*\*64"):
+            bad()
+    for bad in (lambda: rng.frames(-1, 2), lambda: rng.bits(-1, 2, 8)):
+        with pytest.raises(ValueError, match="non-negative"):
+            bad()
+    for k in (-1, 2.0, True):
+        with pytest.raises(ValueError, match="bit count"):
+            rng.bits(0, 2, k)
+    assert len(list(rng.frames(2**64 - 2, 2**64))) == 2
+    assert rng.bits(2**64 - 2, 2**64, 16).shape == (2, 16)
+
+
+def per_row_transmit(s, params, gens, coords_per_symbol):
+    """Each row through the channel on its own generator, drawn and combined
+    one row at a time: the definition the block transmit must equal."""
+    ys, gs = [], []
+    for row, gen in zip(s, gens):
+        y = row
+        if params.kind == "rayleigh":
+            g = gen.rayleigh(scale=channel.RAYLEIGH_SCALE, size=len(row) // coords_per_symbol)
+            y = np.repeat(g, coords_per_symbol) * row
+            gs.append(g)
+        y = y + params.sigma * gen.standard_normal(len(row))
+        if params.kind == "bursty":
+            mask = gen.random(len(row)) < params.rho
+            w = params.sigma_b * gen.standard_normal(len(row))
+            y = y + np.where(mask, w, 0.0)
+        ys.append(y)
+    return np.stack(ys), (np.stack(gs) if gs else None)
+
+
+@pytest.mark.parametrize("kind", ["awgn", "rayleigh", "bursty"])
+@pytest.mark.parametrize("coords_per_symbol", [1, 2])
+def test_block_transmit_equals_per_row_transmit(kind, coords_per_symbol):
+    params = channel.ChannelParams(sigma=0.7, kind=kind)
+    s = np.random.default_rng(4).choice([-1.0, 1.0], size=(37, 64)) / math.sqrt(coords_per_symbol)
+    rng = channel.FrameRng(2**64 + 7)
+    y, gains = channel.transmit(s, params, rng.frames(100, 137), coords_per_symbol)
+    y_ref, gains_ref = per_row_transmit(s, params, rng.frames(100, 137), coords_per_symbol)
+    assert y.tobytes() == y_ref.tobytes()
+    if kind == "rayleigh":
+        assert gains.shape == (37, 64 // coords_per_symbol)
+        assert gains.tobytes() == gains_ref.tobytes()
+    else:
+        assert gains is None
+    # a row's realization is its frame's alone: one row sent by itself is the same
+    y_one, _ = channel.transmit(s[5], params, next(rng.frames(105, 106)), coords_per_symbol)
+    assert y_one.tobytes() == y[5].tobytes()
+
+
+def test_block_transmit_needs_one_generator_per_row():
+    params = channel.ChannelParams(sigma=1.0)
+    rng = channel.FrameRng(1)
+    for frames in (rng.frames(0, 3), rng.frames(0, 5)):
+        with pytest.raises(ValueError):
+            channel.transmit(np.zeros((4, 8)), params, frames)
