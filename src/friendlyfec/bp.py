@@ -93,18 +93,22 @@ class TannerGraph:
         self.edge_slot[slots[real]] = np.flatnonzero(real)
 
     def syndrome_ok(self, hard_bits) -> np.ndarray:
-        """True where H x = 0; accepts (n,) or (B, n) bit arrays.
+        """True where H x = 0; accepts (n,) or (B, n) arrays of 0/1 entries.
 
         Each check XORs the bits gathered through `check_vars`, with the
-        lanes last, so the decoder's transposed decisions are read row by row.
+        lanes last. A bool array is neither scanned nor converted, so the
+        decoder's decisions, a (B, n) transposed view of its (n, B) plane,
+        are read row by row.
         """
-        x = np.asarray(hard_bits)
+        x = gf2.as_bits(hard_bits, "bit array")
         if x.shape[-1:] != (self.n_var,):
             raise ValueError(f"bit array shape {x.shape} does not match {self.n_var} variables")
-        padded = np.zeros((self.n_var + 1,) + x.shape[:-1], dtype=np.uint8)
-        padded[:-1] = np.moveaxis(x, -1, 0)
+        planes = x.T  # lanes last; the result is transposed back
+        padded = np.empty((self.n_var + 1,) + planes.shape[1:], dtype=bool)
+        padded[:-1] = planes
+        padded[-1] = False
         parity = np.bitwise_xor.reduce(padded.take(self.check_vars.T, axis=0), axis=0)
-        return ~np.any(parity & 1, axis=0)
+        return (~parity.any(axis=0)).T
 
 
 def _group_table(owner, n_groups, sentinel) -> np.ndarray:
@@ -154,7 +158,7 @@ class _WorkSet:
     """Work arrays of one decode call, lanes last and sized for `lanes` lanes.
 
     Per-edge arrays are (E, lanes), per-slot arrays (degree, checks, lanes)
-    and per-variable arrays (n, lanes); `soft`, `v2c`, `u` and `c2v` stack
+    and per-variable arrays (n, lanes); `soft`, `v2c`, `u` and `llr` stack
     such arrays along a leading axis. A batch of k < lanes lanes, such as
     a short last block or the lanes early stopping leaves running, uses
     `_lanes(array, k)`: the leading elements of the array's buffer shaped
@@ -162,25 +166,26 @@ class _WorkSet:
     blocks keeps the large arrays mapped and faulted in; a set is never
     shared between calls, so what a call returns is overwritten only by
     later blocks of the same call. `iters` and `taped` size the
-    per-iteration soft outputs and the message arrays the tape keeps;
-    without a tape one slot is reused.
+    per-iteration soft outputs and the message arrays the tape keeps.
+    Without a tape `u` has one slot, and `v2c` and `llr` have two, so
+    that early stop compacts the running lanes of one into the other.
     """
 
     def __init__(self, graph: TannerGraph, lanes: int, iters: int = 1, taped: bool = False):
         E, n = graph.n_edges, graph.n_var
         slots = graph.check_edges.T.shape + (lanes,)
-        kept = iters if taped else 1
         self.soft = np.empty((iters, n, lanes))
-        self.v2c = np.empty((kept, E, lanes))   # pre-clamp variable-to-check messages
-        self.u = np.empty((kept, E, lanes))     # pre-clamp check-to-variable messages
-        self.c2v = np.empty((2, E, lanes))      # two, so early stop compacts one into the other
+        self.v2c = np.empty((iters if taped else 2, E, lanes))  # pre-clamp variable-to-check
+        self.u = np.empty((iters if taped else 1, E, lanes))    # pre-clamp check-to-variable
+        self.c2v = np.empty((E, lanes))
         self.t, self.d_w, self.d_u, self.tmp = (np.empty((E, lanes)) for _ in range(4))
         self.inside = np.empty((E, lanes), dtype=bool)
         self.pad = np.empty((E + 1, lanes))     # gather and per-variable sum scratch
         self.tg, self.pre, self.suf, self.prod, self.q, self.left, self.right = (
             np.empty(slots) for _ in range(7))
         self.scan = np.empty(slots[1:])
-        self.llr, self.marg, self.total, self.term = (np.empty((n, lanes)) for _ in range(4))
+        self.llr = np.empty((2, n, lanes))
+        self.marg, self.total, self.term = (np.empty((n, lanes)) for _ in range(3))
 
 
 def _lanes(work_array, k):
@@ -263,8 +268,12 @@ def bp_forward(llr, graph: TannerGraph, iters: int, clamp: float = DEFAULT_CLAMP
     satisfies the syndrome and repeats that output in every later
     iteration, so its result equals a standalone early-stopped decode
     regardless of batch composition; only unconverged frames are computed.
-    Recording a tape (for gradients) and early stopping are mutually
-    exclusive.
+    One `syndrome_ok` test runs between each two iterations, on the bool
+    plane of decisions, lanes last, and none after the last. When lanes
+    converge, the next iteration's variable-to-check messages are formed
+    at the current width, and only they and the LLR plane, all that the
+    next iteration reads, are compacted to the running lanes. Recording a
+    tape (for gradients) and early stopping are mutually exclusive.
 
     The soft outputs and the tape live in `work`, which `decode_blocks`
     passes to reuse across its blocks; without one a fresh set is built,
@@ -297,11 +306,11 @@ def bp_forward(llr, graph: TannerGraph, iters: int, clamp: float = DEFAULT_CLAMP
     # (iters, n, B), each iteration's plane C-contiguous; `out` is its (iters, B, n) view
     soft = work.soft.reshape(iters, -1)[:, :n * B].reshape(iters, n, B)
     out = soft.transpose(0, 2, 1)
-    L_t = _lanes(work.llr, B)
+    L_t = _lanes(work.llr[0], B)
     L_t[...] = L.T
     v2c_pre = L_t.take(evar, axis=0, out=_lanes(work.v2c[0], B), mode="clip")
-    lanes = np.arange(B)  # batch columns of L_t, c2v and marg (early stop drops converged ones)
-    side = 0              # which of the two c2v arrays holds the messages
+    lanes = np.arange(B)  # batch columns still running (early stop drops converged ones)
+    side = 0              # which of the two LLR planes holds the running lanes
     for it in range(iters):
         k = len(lanes)
         prod = _check_internals(v2c_pre, clamp, graph, work)[-1]
@@ -309,7 +318,7 @@ def bp_forward(llr, graph: TannerGraph, iters: int, clamp: float = DEFAULT_CLAMP
         with np.errstate(divide="ignore"):  # +-inf only for degree-1 checks
             np.arctanh(u, out=u)
         u *= 2.0
-        c2v = np.clip(u, -clamp, clamp, out=_lanes(work.c2v[side], k))
+        c2v = np.clip(u, -clamp, clamp, out=_lanes(work.c2v, k))
         total = _sum_per_var(c2v, graph, work)
         if k == B:  # every lane still runs: the output plane is the marginal
             marg = np.add(L_t, total, out=soft[it])
@@ -327,14 +336,14 @@ def bp_forward(llr, graph: TannerGraph, iters: int, clamp: float = DEFAULT_CLAMP
             done = graph.syndrome_ok((marg < 0).T)
             if done.all():
                 break
-            if done.any():
-                run = np.flatnonzero(~done)
-                lanes, L_t, marg = lanes[run], L_t[:, run], marg[:, run]
-                side = 1 - side
-                c2v = c2v.take(run, axis=1, out=_lanes(work.c2v[side], len(lanes)), mode="clip")
         v2c_pre = marg.take(evar, axis=0, mode="clip",
-                            out=_lanes(work.v2c[it + 1 if record_tape else 0], len(lanes)))
+                            out=_lanes(work.v2c[it + 1 if record_tape else 0], k))
         v2c_pre -= c2v
+        if early_stop and done.any():  # compact only what the next iteration reads
+            run = np.flatnonzero(~done)
+            lanes, side = lanes[run], 1 - side
+            v2c_pre = v2c_pre.take(run, axis=1, out=_lanes(work.v2c[1], len(run)), mode="clip")
+            L_t = L_t.take(run, axis=1, out=_lanes(work.llr[side], len(run)), mode="clip")
 
     return BpOutput(out[:it + 1, 0] if squeeze else out[:it + 1], tape)
 
@@ -518,7 +527,7 @@ class Receiver:
         if self.decoder.iters:
             soft, grad = decode_blocks(llr, self.graph, self.decoder, early_stop,
                                        self.target if gradient else None)
-        return self.code.message_from_codeword((soft < 0).astype(np.uint8)), grad
+        return self.code.message_from_codeword(soft < 0), grad
 
     def loss(self, llr):
         """The loss of an untaped decode: what the finite-difference oracle differentiates."""

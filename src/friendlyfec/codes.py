@@ -78,9 +78,11 @@ class CodeSpec:
         """Recover message bits from a (possibly batched) codeword estimate.
 
         Exact inverse of `encode` on codewords; for non-codewords it is the
-        deterministic linear estimate from the pivot positions.
+        deterministic linear estimate from the pivot positions. Entries
+        must be 0 or 1; a bool array, such as the decoder's sign decisions,
+        is not scanned.
         """
-        x = np.asarray(codeword, dtype=np.uint8)
+        x = gf2.as_bits(codeword, "codeword")
         return gf2.matmul(x[..., self._extract_cols], self._extract_inv)
 
 

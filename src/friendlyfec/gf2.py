@@ -24,11 +24,38 @@ def as_bitmatrix(matrix) -> np.ndarray:
     return M
 
 
+def as_bits(array, what: str) -> np.ndarray:
+    """`array` as an array whose entries are checked to be 0 or 1; a bool array needs no scan."""
+    a = np.asarray(array)
+    if a.dtype != bool:
+        bad = (a != 0) & (a != 1)
+        if np.any(bad):
+            raise ValueError(f"{what} entries must be 0 or 1, got {a[bad].flat[0]!r}")
+    return a
+
+
 def matmul(A, B) -> np.ndarray:
-    """Matrix product over GF(2). Accumulates in int64 to avoid overflow."""
-    A = np.asarray(A, dtype=np.int64)
-    B = np.asarray(B, dtype=np.int64)
-    return ((A @ B) & 1).astype(np.uint8)
+    """Matrix product over GF(2) of a vector or (batch, k) A and a (k, n) B, entries 0 or 1.
+
+    Rows of A and columns of B are packed eight bits to a byte along the
+    inner dimension, and each entry of the product is the parity of the
+    bits a row and a column share: the parity of the XOR over bytes of
+    their AND. The arithmetic is exact and stays on the calling thread:
+    numpy's OpenBLAS would spread a float product of this size over
+    threads whose spin-waits double the CPU time of a Monte Carlo run.
+    """
+    A, B = np.asarray(A), np.asarray(B)
+    if A.ndim < 1 or B.ndim != 2 or A.shape[-1] != B.shape[0]:
+        raise ValueError(f"cannot multiply shapes {A.shape} and {B.shape} over GF(2)")
+    rows = np.packbits(A.astype(bool, copy=False), axis=-1)   # (..., bytes)
+    cols = np.packbits(B.astype(bool, copy=False), axis=0)    # (bytes, n)
+    shared = np.zeros(rows.shape[:-1] + cols.shape[1:], dtype=np.uint8)
+    for i in range(rows.shape[-1]):
+        shared ^= rows[..., i, None] & cols[i]
+    for shift in (4, 2, 1):  # fold each byte's parity into its lowest bit
+        shared ^= shared >> shift
+    shared &= 1
+    return shared
 
 
 def rref(matrix) -> tuple[np.ndarray, list[int]]:
@@ -92,9 +119,9 @@ def generator_from_parity(H) -> np.ndarray:
 
 
 def encode(message, G) -> np.ndarray:
-    """Codeword x = m G over GF(2); `message` may be a vector or (batch, k)."""
+    """Codeword x = m G over GF(2); `message` may be a vector or (batch, k) of 0/1 entries."""
     G = as_bitmatrix(G)
-    m = np.asarray(message, dtype=np.uint8)
+    m = as_bits(message, "message")
     if m.shape[-1] != G.shape[0]:
         raise ValueError(f"message length {m.shape[-1]} does not match generator rows {G.shape[0]}")
     return matmul(m, G)

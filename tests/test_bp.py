@@ -347,6 +347,10 @@ def test_syndrome_ok_matches_matmul(H):
         assert [bool(g.syndrome_ok(row)) for row in bits] == want.tolist()
     with pytest.raises(ValueError, match="shape"):
         g.syndrome_ok(np.zeros((3, n + 1), dtype=np.uint8))
+    # read modulo 2, a codeword times 3 or plus 2 would pass as one
+    for bad in (3 * x[0], x[0] + 2):
+        with pytest.raises(ValueError, match="bit array entries must be 0 or 1"):
+            g.syndrome_ok(bad)
 
 
 def test_zero_iteration_graphs_and_degree_one_checks():

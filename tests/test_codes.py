@@ -179,6 +179,22 @@ def test_message_round_trip():
         assert np.array_equal(code.message_from_codeword(words), msgs)
 
 
+@pytest.mark.parametrize("entry", [3, 2, -1, 0.5, np.nan])
+def test_message_from_codeword_rejects_entries_outside_0_1(entry, monkeypatch):
+    code = codes.hamming_7_4()
+    word = gf2.encode([1, 0, 1, 1], code.G)
+    assert np.array_equal(code.message_from_codeword(word.astype(bool)), [1, 0, 1, 1])
+
+    def product(A, B):
+        raise AssertionError("the product ran on a bad codeword")
+
+    monkeypatch.setattr(gf2, "matmul", product)
+    bad = word.astype(np.float64)
+    bad[code._extract_cols[0]] = entry  # read modulo 2, 3 would pass as 1
+    with pytest.raises(ValueError, match="codeword entries must be 0 or 1"):
+        code.message_from_codeword(bad)
+
+
 def test_codespec_rejects_inconsistent_generator():
     H = np.array([[1, 1, 0], [0, 1, 1]], dtype=np.uint8)
     with pytest.raises(ValueError):

@@ -111,10 +111,38 @@ def test_encode_linearity():
 
 
 def test_encode_no_uint8_overflow():
-    # wide all-ones generator: row sums exceed 255 and must not wrap
-    G = np.ones((300, 300), dtype=np.uint8)
-    m = np.ones(300, dtype=np.uint8)
-    assert np.array_equal(gf2.encode(m, G), np.full(300, 300 % 2, dtype=np.uint8))
+    # wide all-ones products: row sums exceed 255 and must not wrap, up to an
+    # inner dimension of 1024, the package's code-size limit; every product
+    # below equals the int64 one reduced mod 2
+    for width in (300, 1023, 1024):
+        G = np.ones((width, width), dtype=np.uint8)
+        m = np.ones(width, dtype=np.uint8)
+        assert np.array_equal(gf2.encode(m, G), np.full(width, width % 2, dtype=np.uint8))
+    # random bit operands of any rank
+    rng = np.random.default_rng(13)
+    G = rng.integers(0, 2, (40, 70)).astype(np.uint8)
+    for shape in ((40,), (25, 40), (3, 5, 40)):
+        m = rng.integers(0, 2, shape).astype(np.uint8)
+        want = ((m.astype(np.int64) @ G.astype(np.int64)) % 2).astype(np.uint8)
+        for got in (gf2.matmul(m, G), gf2.encode(m, G), gf2.encode(m.astype(bool), G)):
+            assert got.dtype == np.uint8 and got.shape == want.shape
+            assert np.array_equal(got, want)
+    empty = gf2.encode(np.zeros((0, 40), dtype=np.uint8), G)
+    assert empty.shape == (0, 70) and empty.dtype == np.uint8
+    # 38 and 40 bits pack into the same five bytes; the shapes must still agree
+    with pytest.raises(ValueError, match="cannot multiply"):
+        gf2.matmul(np.ones((2, 38), dtype=np.uint8), G)
+
+
+@pytest.mark.parametrize("entry", [2, 3, 0.7, -1, np.nan])
+def test_encode_rejects_entries_outside_0_1(entry, monkeypatch):
+    # read modulo 2, 2 would encode as 0 and -1 as 1; they fail before the product
+    def product(A, B):
+        raise AssertionError("the product ran on a bad message")
+
+    monkeypatch.setattr(gf2, "matmul", product)
+    with pytest.raises(ValueError, match="message entries must be 0 or 1"):
+        gf2.encode(np.array([1, 0, entry]), np.eye(3, dtype=np.uint8))
 
 
 def test_inv_round_trip():
