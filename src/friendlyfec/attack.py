@@ -21,6 +21,7 @@ import numpy as np
 from . import bp, channel, modem
 
 POWER = 1.0  # average power constraint per symbol
+SIGMA_BRACKET, SIGMA_STEPS = (0.05, 4.0), 14  # find_search_sigma's interval and halvings
 
 ATTACK_FILE_VERSION = 1
 
@@ -152,8 +153,8 @@ def gradient_scheduler(i: int, config: SearchConfig) -> float:
     return config.epsilon0 * 0.5 ** (i // config.step_len)
 
 
-def normalize_power(s, power: float = POWER, coords_per_symbol: int = 1):
-    """Scale s so that its squared norm equals n_symbols * power exactly.
+def normalize_power(s, coords_per_symbol: int = 1):
+    """Scale s so that its squared norm equals n_symbols * POWER exactly.
 
     Returns (scaled, C) with C = sqrt(N P) / ||s||.
     """
@@ -162,7 +163,7 @@ def normalize_power(s, power: float = POWER, coords_per_symbol: int = 1):
     if norm == 0.0:
         raise ValueError("cannot normalize a zero vector")
     n_symbols = s.shape[-1] // coords_per_symbol
-    c = np.sqrt(n_symbols * power) / norm
+    c = np.sqrt(n_symbols * POWER) / norm
     return c * s, c
 
 
@@ -235,6 +236,10 @@ def search_attack(code, decoder: bp.DecoderConfig, scheme: str, config: SearchCo
     rng = channel.FrameRng(seed)
     seed = int(seed)  # FrameRng checked it; AttackVector stores a Python int
 
+    def noise(gen):  # one batch of AWGN realizations
+        return config.sigma * channel.draw(channel.ChannelParams(sigma=config.sigma), gen,
+                                           (config.batch_size, n_real), const.coords_per_symbol)[1]
+
     def decode(s, z, gradient):
         """Decode s + z; batch BER and BLER (the word sent is all-zero, so its
         decoded bits are its errors), and with `gradient` d(loss)/d(s) (else None)."""
@@ -245,9 +250,8 @@ def search_attack(code, decoder: bp.DecoderConfig, scheme: str, config: SearchCo
 
     if config.epsilon0 is None:
         # calibrate the step size against this decoder's gradient scale
-        z = config.sigma * next(rng.frames(0, 1, channel.STREAM_PROBE)).standard_normal(
-            (config.batch_size, n_real))
-        probe = decode(s_base, z, gradient=True)[0]
+        probe = decode(s_base, noise(next(rng.frames(0, 1, channel.STREAM_PROBE))),
+                       gradient=True)[0]
         scale = float(np.mean(np.abs(probe.mean(axis=0))))
         config = replace(config, epsilon0=EPSILON_GRAD_SCALE / max(scale, 1e-12))
 
@@ -255,12 +259,12 @@ def search_attack(code, decoder: bp.DecoderConfig, scheme: str, config: SearchCo
     accepted = 0
     for trial, gen in enumerate(rng.frames(0, config.trial_cap, channel.STREAM_SEARCH), 1):
         eps = gradient_scheduler(accepted, config)
-        z = config.sigma * gen.standard_normal((config.batch_size, n_real))
+        z = noise(gen)
         grad, ber0, bler0 = decode(s_cur, z, gradient=True)
         step = -eps * grad.mean(axis=0)
         # evaluate the candidate exactly as it would be transmitted: at the
         # power budget, so acceptance can never come from power inflation
-        s_cand, _ = normalize_power(s_cur + step, POWER, const.coords_per_symbol)
+        s_cand, _ = normalize_power(s_cur + step, const.coords_per_symbol)
         _, ber1, bler1 = decode(s_cand, z, gradient=False)
         ok = _improves(config.accept, ber1, bler1, ber0, bler0)
         if ok:
@@ -375,8 +379,8 @@ def select_best(candidates: list[AttackVector], code, decoder: bp.DecoderConfig,
 
     Returns the candidate with the lowest BER (ties: lowest BLER, then
     lowest index). All candidates share the validation noise seed. Each
-    must fit `code` and the first candidate's scheme, which is checked
-    before the first validation run.
+    must fit `code` and the first candidate's scheme, and must not zero
+    the word, which is checked before the first validation run.
     """
     from . import montecarlo  # deferred: montecarlo uses apply_attack
 
@@ -384,7 +388,7 @@ def select_best(candidates: list[AttackVector], code, decoder: bp.DecoderConfig,
         raise ValueError("need at least one candidate")
     scheme = candidates[0].scheme
     for cand in candidates:
-        cand.check_fits(code, scheme)
+        montecarlo.attack_array(cand, scheme, code)
     best_idx, best_key = 0, None
     for i, cand in enumerate(candidates):
         res = montecarlo.run_point(code, decoder, scheme, ebn0_db=ebn0_db,
@@ -396,9 +400,8 @@ def select_best(candidates: list[AttackVector], code, decoder: bp.DecoderConfig,
 
 
 def find_search_sigma(code, decoder: bp.DecoderConfig, scheme: str, seed: int,
-                      target_bler: float = 0.3, frames: int = 600,
-                      lo: float = 0.05, hi: float = 4.0, steps: int = 14) -> float:
-    """Bisect for the noise level where baseline BLER is near the target.
+                      target_bler: float = 0.3, frames: int = 600) -> float:
+    """Bisect `SIGMA_BRACKET` for the noise level where baseline BLER is near the target.
 
     Useful perturbations only emerge where the decoder actually corrects
     errors, empirically around BLER 0.1-0.5, so the default target is 0.3.
@@ -416,7 +419,8 @@ def find_search_sigma(code, decoder: bp.DecoderConfig, scheme: str, seed: int,
                                    seed=channel.child_seed(seed, 1000), message_source="all_zero")
         return res.bler
 
-    for _ in range(steps):
+    lo, hi = SIGMA_BRACKET
+    for _ in range(SIGMA_STEPS):
         mid = 0.5 * (lo + hi)
         if bler_at(mid) > target_bler:
             hi = mid

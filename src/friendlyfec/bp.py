@@ -46,11 +46,16 @@ BLOCK_LANES = 128
 _LOG_PROB_FLOOR = float(np.log(1e-12))
 
 
+def check_loss_mode(mode) -> None:
+    if mode not in ("final", "multiloss"):
+        raise ValueError(f"unknown loss mode {mode!r}")
+
+
 @dataclass(frozen=True)
 class DecoderConfig:
     iters: int
     clamp: float = DEFAULT_CLAMP
-    loss_mode: str = "final"  # "final" | "multiloss"
+    loss_mode: str = "final"  # see check_loss_mode
 
     def __post_init__(self):
         iters = self.iters  # a numpy integer is an integer; a bool is not
@@ -60,8 +65,7 @@ class DecoderConfig:
         object.__setattr__(self, "iters", int(iters))
         if not 0 < self.clamp < np.inf:
             raise ValueError(f"clamp must be positive and finite, got {self.clamp!r}")
-        if self.loss_mode not in ("final", "multiloss"):
-            raise ValueError(f"unknown loss mode {self.loss_mode!r}")
+        check_loss_mode(self.loss_mode)
 
 
 class TannerGraph:
@@ -391,8 +395,7 @@ def bp_loss(out: BpOutput, target, mode: str = "final"):
     "final" scores the last iteration; "multiloss" averages the BCE across
     iterations. Returns a scalar for single-frame input, else (B,).
     """
-    if mode not in ("final", "multiloss"):
-        raise ValueError(f"unknown loss mode {mode!r}")
+    check_loss_mode(mode)
     soft = np.ascontiguousarray(out.soft)  # each lane's BCE sums one contiguous row
     squeeze = soft.ndim == 2
     x = _target_array(target, soft.shape[-1])
@@ -415,8 +418,7 @@ def bp_backward(tape: BpTape, target, mode: str = "final",
     """
     if tape is None:
         raise ValueError("forward pass was run without a tape")
-    if mode not in ("final", "multiloss"):
-        raise ValueError(f"unknown loss mode {mode!r}")
+    check_loss_mode(mode)
     graph, clamp = tape.graph, tape.clamp
     B, n = tape.input_llr.shape
     T = len(tape.soft)

@@ -22,6 +22,11 @@ STREAM_SEARCH = 2
 STREAM_PROBE = 3
 
 
+def check_kind(kind) -> None:
+    if kind not in ("awgn", "rayleigh", "bursty"):
+        raise ValueError(f"unknown channel kind {kind!r}")
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     sigma: float
@@ -30,8 +35,7 @@ class ChannelParams:
     rho: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("awgn", "rayleigh", "bursty"):
-            raise ValueError(f"unknown channel kind {self.kind!r}")
+        check_kind(self.kind)
         if not 0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
         if self.kind == "bursty":

@@ -110,17 +110,26 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
+# code.family -> the code it names; with code.alist set, ldpc reads that file instead
+_CODES = {
+    "ldpc": lambda cfg: codes.ldpc_64_32(),
+    "polar": lambda cfg: codes.polar_construct(cfg.code_n, cfg.code_k, cfg.code_design_ebn0_db),
+    "repetition": lambda cfg: codes.repetition_code(cfg.code_n),
+    "hamming": lambda cfg: codes.hamming_7_4(),
+    "uncoded": lambda cfg: codes.uncoded(cfg.code_n),
+}
+
+
 def _validate(cfg: RunConfig) -> None:
-    if cfg.code_family not in ("ldpc", "polar", "repetition", "hamming", "uncoded"):
+    if cfg.code_family not in _CODES:
         raise ConfigError(f"unknown code family {cfg.code_family!r}")
-    if cfg.modem_scheme not in ("bpsk", "qam4"):
-        raise ConfigError(f"unknown modulation scheme {cfg.modem_scheme!r}")
-    if cfg.channel_kind not in ("awgn", "rayleigh", "bursty"):
-        raise ConfigError(f"unknown channel kind {cfg.channel_kind!r}")
-    if cfg.decoder_loss_mode not in ("final", "multiloss"):
-        raise ConfigError(f"unknown loss mode {cfg.decoder_loss_mode!r}")
-    if cfg.eval_message_source not in ("random", "all_zero"):
-        raise ConfigError(f"unknown message source {cfg.eval_message_source!r}")
+    try:  # each module checks the values it acts on
+        modem.get_constellation(cfg.modem_scheme)
+        channel.check_kind(cfg.channel_kind)
+        bp.check_loss_mode(cfg.decoder_loss_mode)
+        montecarlo.check_message_source(cfg.eval_message_source)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if cfg.decoder_iters < 0:
         raise ConfigError("decoder.iters must be >= 0")
     if not 0 < cfg.decoder_clamp < math.inf:
@@ -159,7 +168,7 @@ def build_code(cfg: RunConfig) -> codes.CodeSpec:
         code = codes.code_from_alist(text)
     else:
         try:
-            code = _named_code(cfg)
+            code = _CODES[cfg.code_family](cfg)
         except ValueError as exc:  # a bad code.n or code.k
             raise ConfigError(f"cannot build the {cfg.code_family} code: {exc}") from None
     bits = modem.get_constellation(cfg.modem_scheme).bits_per_symbol
@@ -168,18 +177,6 @@ def build_code(cfg: RunConfig) -> codes.CodeSpec:
                           f"messages under {cfg.modem_scheme}: it needs k >= 1 and n "
                           f"divisible by {bits}")
     return code
-
-
-def _named_code(cfg: RunConfig) -> codes.CodeSpec:
-    if cfg.code_family == "ldpc":
-        return codes.ldpc_64_32()
-    if cfg.code_family == "polar":
-        return codes.polar_construct(cfg.code_n, cfg.code_k, cfg.code_design_ebn0_db)
-    if cfg.code_family == "repetition":
-        return codes.repetition_code(cfg.code_n)
-    if cfg.code_family == "hamming":
-        return codes.hamming_7_4()
-    return codes.uncoded(cfg.code_n)
 
 
 def build_decoder(cfg: RunConfig) -> bp.DecoderConfig:
@@ -282,13 +279,9 @@ def cmd_eval(cfg: RunConfig, attack_path: str | None, out_path: str | None,
         raise ConfigError(f"--workers must be >= 1, got {workers}")
     av = None
     if attack_path:
-        const = modem.get_constellation(cfg.modem_scheme)
         try:
             av = attack_mod.load_attack(attack_path)
-            av.check_fits(code, cfg.modem_scheme)
-            # a vector that zeroes the all-zero word zeroes every word
-            attack_mod.apply_attack(modem.modulate(np.zeros(code.n, dtype=np.uint8), const),
-                                    av.a, const)
+            montecarlo.attack_array(av, cfg.modem_scheme, code)
         except ValueError as exc:
             raise ConfigError(f"attack file {attack_path}: {exc}") from None
     shared = dict(frames=cfg.eval_frames, seed=seed, message_source=cfg.eval_message_source,

@@ -26,8 +26,8 @@ class AlistError(ValueError):
 class CodeSpec:
     """A binary linear code with its parity-check and generator matrices.
 
-    `family` is "ldpc", "polar" or "generic"; `frozen` holds the frozen
-    input indices for polar codes. The extraction fields map a decoded
+    `frozen` holds the frozen input indices of a polar code (None for
+    other codes). The extraction fields map a decoded
     codeword back to message bits (pivot columns of G and the inverse of
     the corresponding k x k submatrix).
     """
@@ -37,19 +37,15 @@ class CodeSpec:
     k: int
     H: np.ndarray
     G: np.ndarray
-    family: str = "generic"
     frozen: tuple[int, ...] | None = None
     _extract_cols: np.ndarray = field(repr=False, default=None)
     _extract_inv: np.ndarray = field(repr=False, default=None)
 
     @classmethod
-    def from_parity(cls, name, H, family="generic", frozen=None, G=None) -> "CodeSpec":
+    def from_parity(cls, name, H, frozen=None, G=None) -> "CodeSpec":
         H = gf2.as_bitmatrix(H)
         n = H.shape[1]
-        if G is None:
-            G = gf2.generator_from_parity(H)
-        else:
-            G = gf2.as_bitmatrix(G)
+        G = gf2.generator_from_parity(H) if G is None else gf2.as_bitmatrix(G)
         k = G.shape[0]
         if G.shape[1] != n:
             raise ValueError(f"G has {G.shape[1]} columns, H has {n}")
@@ -57,17 +53,11 @@ class CodeSpec:
             raise ValueError("rank(G) inconsistent with n - rank(H)")
         if np.any(gf2.matmul(G, H.T)):
             raise ValueError("G H^T != 0 over GF(2)")
-        if family == "polar":
-            if n & (n - 1):
-                raise ValueError("polar block length must be a power of 2")
-            frozen = tuple(sorted(frozen or ()))
-            if len(frozen) != n - k or any(not 0 <= f < n for f in frozen):
-                raise ValueError("frozen set must hold n - k indices in [0, n)")
         # message extraction: invert G on its pivot columns
         _, pivots = gf2.rref(G)
         cols = np.asarray(pivots, dtype=np.int64)
         inv = gf2.inv(G[:, cols])
-        return cls(name=name, n=n, k=k, H=H, G=G, family=family, frozen=frozen,
+        return cls(name=name, n=n, k=k, H=H, G=G, frozen=frozen,
                    _extract_cols=cols, _extract_inv=inv)
 
     @property
@@ -90,7 +80,7 @@ class CodeSpec:
 # alist interchange format (MacKay convention, 1-based, zero padding allowed)
 # ---------------------------------------------------------------------------
 
-def load_alist(text) -> np.ndarray:
+def load_alist(text: str) -> np.ndarray:
     """Parse alist text into a dense parity-check matrix of shape (m, n).
 
     The format is: header "n m"; max column/row degrees; per-column degrees;
@@ -98,8 +88,6 @@ def load_alist(text) -> np.ndarray:
     optionally zero-padded to the max degree. Column and row adjacency lists
     are cross-checked against each other.
     """
-    if hasattr(text, "read"):
-        text = text.read()
     raw = text.splitlines()
     lines = [(i + 1, ln.split()) for i, ln in enumerate(raw) if ln.strip()]
     pos = 0
@@ -208,11 +196,11 @@ def _digest(values) -> str:
     return hashlib.sha256(repr(a.shape).encode() + a.tobytes()).hexdigest()[:12]
 
 
-def code_from_alist(text, name=None, family="ldpc") -> CodeSpec:
+def code_from_alist(text, name=None) -> CodeSpec:
     """The code of an alist parity-check matrix; without a name it is
     `alist-<digest of H>`, so the id follows the matrix, not the file."""
     H = load_alist(text)
-    return CodeSpec.from_parity(name or f"alist-{_digest(H)}", H, family=family)
+    return CodeSpec.from_parity(name or f"alist-{_digest(H)}", H)
 
 
 def ldpc_64_32() -> CodeSpec:
@@ -294,8 +282,7 @@ def polar_construct(n: int, k: int, design_ebn0_db: float) -> CodeSpec:
         H = np.zeros((1, n), dtype=np.uint8)
     else:
         H = M[:, list(frozen)].T.copy()
-    return CodeSpec.from_parity(f"polar_{n}_{k}_{_digest(frozen)}", H, family="polar",
-                                frozen=frozen, G=G)
+    return CodeSpec.from_parity(f"polar_{n}_{k}_{_digest(frozen)}", H, frozen=frozen, G=G)
 
 
 # ---------------------------------------------------------------------------

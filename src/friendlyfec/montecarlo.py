@@ -23,6 +23,11 @@ CHUNK_FRAMES = 512
 Z95 = 1.96
 
 
+def check_message_source(source) -> None:
+    if source not in ("random", "all_zero"):
+        raise ValueError(f"unknown message source {source!r}")
+
+
 @dataclass(frozen=True)
 class MonteCarloResult:
     frames: int
@@ -69,19 +74,23 @@ def _counts(errs) -> tuple[int, int, int]:
     return len(errs), int(errs.sum()), int(np.any(errs, axis=-1).sum())
 
 
-def _attack_array(attack, scheme, code) -> np.ndarray | None:
-    """The perturbation as an array; an AttackVector must match scheme and code,
-    and a raw array must be finite with shape (code.n,)."""
+def attack_array(attack, scheme, code) -> np.ndarray | None:
+    """The perturbation as an array. An AttackVector must match scheme and code
+    (its own checks make it finite with shape (n,)); a raw array must be
+    finite with shape (code.n,). Either must leave the modulated all-zero
+    word nonzero, or it zeroes every word."""
     if attack is None:
         return None
     if isinstance(attack, attack_mod.AttackVector):
         attack.check_fits(code, scheme)
-        return attack.a
+        attack = attack.a
     a = np.asarray(attack, dtype=np.float64)
     if a.shape != (code.n,):
         raise ValueError(f"raw attack array has shape {a.shape}, expected ({code.n},)")
     if not np.all(np.isfinite(a)):
         raise ValueError("raw attack array entries must be finite")
+    const = modem.get_constellation(scheme)
+    attack_mod.apply_attack(modem.modulate(np.zeros(code.n, dtype=np.uint8), const), a, const)
     return a
 
 
@@ -120,8 +129,7 @@ def run_point(code, decoder: bp.DecoderConfig, scheme: str, ebn0_db: float,
     _check_frames(frames)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if message_source not in ("random", "all_zero"):
-        raise ValueError(f"unknown message source {message_source!r}")
+    check_message_source(message_source)
     if min_block_errors is not None and min_block_errors < 1:
         raise ValueError("min_block_errors must be >= 1")
     rng = channel.FrameRng(seed)
@@ -129,7 +137,7 @@ def run_point(code, decoder: bp.DecoderConfig, scheme: str, ebn0_db: float,
     const = modem.get_constellation(scheme)
     sigma = channel.ebn0_to_sigma(ebn0_db, code.rate, const.bits_per_symbol)
     params = channel.ChannelParams(sigma=sigma, kind=channel_kind, **(channel_opts or {}))
-    attack_a = _attack_array(attack, scheme, code)
+    attack_a = attack_array(attack, scheme, code)
 
     job = partial(_chunk_counts, bp.Receiver(code, decoder), const, params, attack_a,
                   message_source, rng)
@@ -169,7 +177,7 @@ def sweep(ebn0_grid, code, decoder: bp.DecoderConfig, scheme: str, frames: int,
     grid = sorted(float(x) for x in ebn0_grid)
     if not grid:
         raise ValueError("the Eb/N0 grid must be nonempty")
-    attack = _attack_array(attack, scheme, code)
+    attack = attack_array(attack, scheme, code)
     results = []
     for idx, point in enumerate(grid):
         point_seed = channel.child_seed(seed, idx)
@@ -234,7 +242,7 @@ def transfer_check(attack, code, decoder: bp.DecoderConfig, ebn0_db: float,
     side = modem.ChannelSide(sigma=sigma)
     params = channel.ChannelParams(sigma=sigma)
     rng = channel.FrameRng(seed)
-    a = _attack_array(attack, scheme, code)
+    a = attack_array(attack, scheme, code)
     s_zero = attack_mod.apply_attack(modem.modulate(np.zeros(code.n, dtype=np.uint8), const),
                                      a, const)
 

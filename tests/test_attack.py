@@ -403,8 +403,9 @@ def test_select_best_checks_every_candidate_first(ldpc, monkeypatch):
     ok = attack.AttackVector(a=np.zeros(64), code_id=ldpc.name, scheme="bpsk", n=64,
                              n_symbols=64, search_sigma=0.7, seed=0, approach="ok",
                              accepted_iters=0)
-    bad = [replace(ok, code_id="other_code"), replace(ok, scheme="qam4", n_symbols=32)]
-    for last, match in zip(bad, ("other_code", "scheme")):
+    bad = [replace(ok, code_id="other_code"), replace(ok, scheme="qam4", n_symbols=32),
+           replace(ok, a=np.full(64, -1.0))]
+    for last, match in zip(bad, ("other_code", "scheme", "zeroes word")):
         with pytest.raises(ValueError, match=match):
             attack.select_best([ok, ok, last], ldpc, bp.DecoderConfig(iters=3), ebn0_db=4.0,
                                frames=100, seed=5)
@@ -416,6 +417,12 @@ def test_find_search_sigma_rejects_target_outside_unit_interval(ldpc):
         with pytest.raises(ValueError, match="target_bler"):
             attack.find_search_sigma(ldpc, bp.DecoderConfig(iters=3), "bpsk", seed=0,
                                      target_bler=target)
+
+
+def test_find_search_sigma_matches_the_recorded_value(ldpc):
+    # the search sigma the benchmark pins; it moves if the bisection bracket or step count does
+    assert attack.find_search_sigma(ldpc, bp.DecoderConfig(iters=5), "bpsk",
+                                    seed=11) == 0.8049697875976561
 
 
 def test_attack_persistence_round_trip(tmp_path):

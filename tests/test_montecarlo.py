@@ -106,6 +106,19 @@ def test_attack_mismatch_rejected(ldpc, dec3, monkeypatch):
     assert calls == []
 
 
+def test_zeroing_attack_rejected_before_any_point(ldpc, dec3, monkeypatch):
+    # a = -1 sends every BPSK word to zero, for both attack forms
+    av = attack.AttackVector(a=np.full(64, -1.0), code_id=ldpc.name, scheme="bpsk", n=64,
+                             n_symbols=64, search_sigma=0.7, seed=0, approach="1",
+                             accepted_iters=0)
+    calls = []
+    monkeypatch.setattr(montecarlo, "run_point", lambda *a, **kw: calls.append(a))
+    for bad in (av, av.a):
+        with pytest.raises(ValueError, match="zeroes word"):
+            montecarlo.sweep([1.0, 2.0], ldpc, dec3, "bpsk", frames=20000, seed=0, attack=bad)
+    assert calls == []
+
+
 def test_raw_attack_array_checked(ldpc, dec3):
     # the (512, 64) array would broadcast against a full first chunk
     bad = [(np.full(64, np.nan), "must be finite"), (np.zeros((2, 64)), r"shape \(2, 64\)"),
