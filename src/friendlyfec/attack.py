@@ -90,7 +90,7 @@ class SearchConfig:
     runs: int = 1
     cluster: str = "none"             # none | kmeans | agglomerative
     cluster_k: int = 3
-    linkage: str = "ward"             # ward | complete
+    linkage: str = "ward"             # see check_linkage
     approach: str = "custom"
 
     def __post_init__(self):
@@ -111,8 +111,7 @@ class SearchConfig:
             raise ValueError(f"unknown accept criterion {self.accept!r}")
         if self.cluster not in ("none", "kmeans", "agglomerative"):
             raise ValueError(f"unknown cluster method {self.cluster!r}")
-        if self.linkage not in ("ward", "complete"):
-            raise ValueError(f"unknown linkage {self.linkage!r}")
+        check_linkage(self.linkage)
         if self.max_trials is not None and self.max_trials < self.accepted_iters:
             raise ValueError("max_trials must be >= accepted_iters")
 
@@ -323,6 +322,11 @@ def _kmeans(X, k, seed=0, iters=100):
     return centroids
 
 
+def check_linkage(linkage) -> None:
+    if linkage not in ("ward", "complete"):
+        raise ValueError(f"unknown linkage {linkage!r}")
+
+
 def _agglomerative(X, k, linkage):
     """Bottom-up merging under ward or complete linkage until k clusters; the
     closest pair (first in row-major order) merges into its lower index."""
@@ -358,6 +362,7 @@ def cluster_attacks(vectors: list[AttackVector], method: str, k: int,
     """
     if k < 1:
         raise ValueError(f"cluster count k must be >= 1, got {k}")
+    check_linkage(linkage)
     nonzero = [v for v in vectors if not v.is_zero]
     if len(nonzero) < k:
         raise ValueError(f"need at least k={k} nonzero vectors, have {len(nonzero)}")

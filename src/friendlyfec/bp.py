@@ -23,12 +23,17 @@ result does not depend on the other lanes of its batch, the blocked
 outputs and gradients equal those of one unblocked decode bit for bit.
 
 Inside the kernel the messages are laid out edge-major with the lanes
-last: per-edge arrays are (E, lanes), per-slot arrays (degree, checks,
-lanes) and per-variable arrays (n, lanes). A gather or scatter between
-edges and slots then copies whole rows, and each step of a check node's
-scans multiplies contiguous (checks, lanes) planes. `bp_forward`
-transposes its (B, n) LLRs in once, and the soft outputs and gradients
-leave as (B, n) transposed views.
+last: per-edge arrays are (E, lanes) and per-variable arrays (n, lanes).
+The edges are in a packed slot-major order (see `TannerGraph`): edge
+slot i of every check of degree > i is one run of rows, whose checks
+lead the run of slot i - 1, and the runs hold exactly E rows. The
+per-edge arrays are thus the check-slot arrays themselves, with no pads
+and no gather or scatter between the two, and each step of a check
+node's scans multiplies one contiguous run by the leading rows of its
+neighbour's. The sums over each variable's edges gather the rows once
+into a like order of variable slots. `bp_forward` transposes its (B, n)
+LLRs in once, and the soft outputs and gradients leave as (B, n)
+transposed views.
 """
 
 from __future__ import annotations
@@ -71,12 +76,20 @@ class DecoderConfig:
 class TannerGraph:
     """Bipartite check/variable adjacency of a parity-check matrix.
 
-    Edges are indexed in the row-major order of H's nonzeros. For vectorized
-    node updates, each side keeps a (nodes, max_degree) table of edge ids
-    padded with the sentinel `n_edges`, which points at a neutral pad slot
-    appended to per-edge arrays. `edge_slot` inverts the check table: edge
-    e sits at position `edge_slot[e]` of the flattened (max_degree, checks)
-    transposed table, the order of the decoder's slot arrays.
+    `edge_check` and `edge_var` list the edges in the row-major order of H's
+    nonzeros. The decoder's per-edge arrays hold them in another order, the
+    kernel's: checks sorted by descending degree (stably), edge slot i of
+    every check of degree > i forms one run of rows, `check_runs[i]`, and
+    the runs follow each other with no pads, so slot i's checks are the
+    first rows of slot i-1's run. A check's slots keep its edges in H's
+    order. `edge_row[e]` is the row of edge e and `kernel_var` the variable
+    of each row. The variable side is laid out the same way for the sums
+    over each variable's edges: `var_rows` lists kernel rows with variables
+    sorted by descending degree, slot j of the variables of degree > j
+    forming the j-th run, `var_runs` holds the run lengths and
+    `var_sum_row` the row that holds each variable's sum. `check_vars` is a
+    (checks, max_degree) table of variable ids whose pads read a zero
+    column at `n_var`, for the syndrome test.
     """
 
     def __init__(self, H):
@@ -86,15 +99,28 @@ class TannerGraph:
         check_idx, var_idx = np.nonzero(H)
         self.edge_check = check_idx.astype(np.int64)
         self.edge_var = var_idx.astype(np.int64)
-        self.n_edges = int(len(self.edge_check))
-        self.check_edges = _group_table(self.edge_check, self.n_check, self.n_edges)
-        self.var_edges = _group_table(self.edge_var, self.n_var, self.n_edges)
-        # (checks, max_degree) variable ids; pads read a zero column at n_var
-        self.check_vars = np.append(self.edge_var, self.n_var)[self.check_edges]
-        slots = self.check_edges.T.reshape(-1)
-        real = slots < self.n_edges
-        self.edge_slot = np.empty(self.n_edges, dtype=np.int64)
-        self.edge_slot[slots[real]] = np.flatnonzero(real)
+        self.n_edges = E = int(len(self.edge_check))
+        check_edges = _group_table(self.edge_check, self.n_check, E)
+        self.check_vars = np.append(self.edge_var, self.n_var)[check_edges]
+
+        runs, _, kernel_edges = _slot_major(check_edges, E)
+        self.edge_row = np.empty(E, dtype=np.int64)
+        self.edge_row[kernel_edges] = np.arange(E)
+        self.kernel_var = self.edge_var[kernel_edges]
+        stops = np.cumsum(runs).tolist()
+        self.check_runs = [slice(stop - run, stop) for run, stop in zip(runs, stops)]
+        # (run i, its leading rows: the checks that go on to slot i + 1, run i + 1)
+        self.check_steps = [(a, slice(a.start, a.start + b.stop - b.start), b)
+                            for a, b in zip(self.check_runs, self.check_runs[1:])]
+
+        self.var_runs, var_order, var_edges = _slot_major(
+            _group_table(self.edge_var, self.n_var, E), E)
+        self.var_rows = self.edge_row[var_edges]
+        # where each variable's sum ends up: its place in the sorted order, or the
+        # zero row after the E edge rows for a variable on no edge
+        self.var_sum_row = np.empty(self.n_var, dtype=np.int64)
+        self.var_sum_row[var_order] = np.arange(self.n_var)
+        self.var_sum_row[self.var_sum_row >= self.var_runs[0]] = E
 
     def syndrome_ok(self, hard_bits) -> np.ndarray:
         """True where H x = 0; accepts (n,) or (B, n) arrays of 0/1 entries.
@@ -128,13 +154,28 @@ def _group_table(owner, n_groups, sentinel) -> np.ndarray:
     return table
 
 
+def _slot_major(table, sentinel):
+    """Slot-major runs of a (nodes, degree) edge table, nodes by descending degree.
+
+    Returns the run lengths (nodes of degree > i, for each slot i; one
+    empty run when there are no edges), the sorted node order, and the
+    table's edge ids run after run.
+    """
+    order = np.argsort(-np.count_nonzero(table < sentinel, axis=1), kind="stable")
+    slots = table[order].T
+    real = slots < sentinel  # in each slot, a leading run of the sorted nodes
+    return np.count_nonzero(real, axis=1).tolist(), order, slots[real]
+
+
 @dataclass
 class BpTape:
     """Per-iteration message record enabling the reverse pass.
 
     `v2c_pre` / `c2v_pre` hold the pre-clamp variable-to-check and
-    check-to-variable messages per iteration; `soft` the per-iteration
-    output LLRs. Entries are appended during the forward pass only.
+    check-to-variable messages per iteration, `tanh` the check nodes'
+    tanh(clip(v2c_pre) / 2) terms, all in the kernel's edge order (see
+    `TannerGraph`); `soft` the per-iteration output LLRs. Entries are
+    appended during the forward pass only.
     """
 
     graph: TannerGraph
@@ -142,6 +183,7 @@ class BpTape:
     input_llr: np.ndarray        # (B, n), not copied: the reverse pass reads its shape only
     v2c_pre: list[np.ndarray]    # T x (E, B)
     c2v_pre: list[np.ndarray]    # T x (E, B)
+    tanh: list[np.ndarray]       # T x (E, B)
     soft: list[np.ndarray]       # T x (B, n), transposed views of (n, B) planes
     squeeze: bool
 
@@ -161,35 +203,34 @@ class BpOutput:
 class _WorkSet:
     """Work arrays of one decode call, lanes last and sized for `lanes` lanes.
 
-    Per-edge arrays are (E, lanes), per-slot arrays (degree, checks, lanes)
-    and per-variable arrays (n, lanes); `soft`, `v2c`, `u` and `llr` stack
-    such arrays along a leading axis. A batch of k < lanes lanes, such as
-    a short last block or the lanes early stopping leaves running, uses
-    `_lanes(array, k)`: the leading elements of the array's buffer shaped
-    (..., k), which stay C-contiguous. Reusing one set across a call's
-    blocks keeps the large arrays mapped and faulted in; a set is never
-    shared between calls, so what a call returns is overwritten only by
-    later blocks of the same call. `iters` and `taped` size the
-    per-iteration soft outputs and the message arrays the tape keeps.
-    Without a tape `u` has one slot, and `v2c` and `llr` have two, so
-    that early stop compacts the running lanes of one into the other.
+    Per-edge arrays are (E, lanes) in the kernel's edge order, which has
+    no pads, and per-variable arrays (n, lanes); `soft`, `v2c`, `t`, `u`
+    and `llr` stack such arrays along a leading axis. A batch of k < lanes
+    lanes, such as a short last block or the lanes early stopping leaves
+    running, uses `_lanes(array, k)`: the leading elements of the array's
+    buffer shaped (..., k), which stay C-contiguous. Reusing one set across
+    a call's blocks keeps the large arrays mapped and faulted in; a set is
+    never shared between calls, so what a call returns is overwritten only
+    by later blocks of the same call. `iters` and `taped` size the
+    per-iteration soft outputs and the arrays the tape keeps. Without a
+    tape `t` and `u` have one slot, and `v2c` and `llr` have two, so that
+    early stop compacts the running lanes of one into the other.
     """
 
     def __init__(self, graph: TannerGraph, lanes: int, iters: int = 1, taped: bool = False):
         E, n = graph.n_edges, graph.n_var
-        slots = graph.check_edges.T.shape + (lanes,)
+        kept = iters if taped else 1
         self.soft = np.empty((iters, n, lanes))
         self.v2c = np.empty((iters if taped else 2, E, lanes))  # pre-clamp variable-to-check
-        self.u = np.empty((iters if taped else 1, E, lanes))    # pre-clamp check-to-variable
-        self.c2v = np.empty((E, lanes))
-        self.t, self.d_w, self.d_u, self.tmp = (np.empty((E, lanes)) for _ in range(4))
+        self.t = np.empty((kept, E, lanes))                     # tanh(clip(v2c) / 2)
+        self.u = np.empty((kept, E, lanes))                     # pre-clamp check-to-variable
+        self.c2v, self.d_w, self.d_u, self.tmp, self.pre, self.suf, self.q, self.right = (
+            np.empty((E, lanes)) for _ in range(8))
         self.inside = np.empty((E, lanes), dtype=bool)
-        self.pad = np.empty((E + 1, lanes))     # gather and per-variable sum scratch
-        self.tg, self.pre, self.suf, self.prod, self.q, self.left, self.right = (
-            np.empty(slots) for _ in range(7))
-        self.scan = np.empty(slots[1:])
+        self.scan = np.empty((graph.n_check, lanes))  # one run of a check slot
+        self.acc = np.empty((E + 1, lanes))           # per-variable sums, sorted variables
         self.llr = np.empty((2, n, lanes))
-        self.marg, self.total, self.term = (np.empty((n, lanes)) for _ in range(3))
+        self.marg, self.total = (np.empty((n, lanes)) for _ in range(2))
 
 
 def _lanes(work_array, k):
@@ -200,62 +241,57 @@ def _lanes(work_array, k):
     return work_array.reshape(-1)[:work_array.size // work_array.shape[-1] * k].reshape(rows + (k,))
 
 
-def _gather(per_edge, table, pad_value, padded, out):
-    """(E, k) edge values -> (degree, nodes, k) slots in `out`, pads filled with pad_value.
-
-    `table` is a (nodes, degree) edge table and `padded` (E + 1, k)
-    scratch, so each slot is a copy of whole rows. Indices are valid by
-    construction, so `mode="clip"` only spares `take` the copy
-    `mode="raise"` makes of `out`.
-    """
-    padded[:-1] = per_edge
-    padded[-1] = pad_value
-    return padded.take(table.T, axis=0, out=out, mode="clip")
-
-def _scatter(per_slot, graph, out):
-    """Inverse of _gather over the check table: slot values -> (E, k) edge values in `out`."""
-    return per_slot.reshape(-1, per_slot.shape[-1]).take(graph.edge_slot, axis=0, out=out,
-                                                         mode="clip")
-
 def _sum_per_var(per_edge, graph, work):
     """(E, k) edge values -> (n, k) per-variable sums, in `work.total`.
 
-    Slots are gathered and added one at a time, each a copy of whole rows,
-    in slot order, so a lane's sum is the same in a batch of any size.
+    The rows are gathered once into variable-slot order, each slot's run
+    is added to the leading rows of the sums, and the sums are permuted
+    back to variable order, so a lane's sum is the same in a batch of any
+    size. A variable on no edge reads the zero row after the runs, and the
+    sum of one below the largest degree gets a +0.0 term (-0.0 reads
+    +0.0), as when every variable had a slot per degree and the unused
+    ones held zeros.
     """
     k = per_edge.shape[1]
-    padded, total, term = (_lanes(a, k) for a in (work.pad, work.total, work.term))
-    padded[:-1] = per_edge
-    padded[-1] = 0.0
-    slots = graph.var_edges.T
-    padded.take(slots[0], axis=0, out=total, mode="clip")
-    for slot in slots[1:]:
-        total += padded.take(slot, axis=0, out=term, mode="clip")
-    return total
+    acc = _lanes(work.acc, k)
+    per_edge.take(graph.var_rows, axis=0, out=acc[:-1], mode="clip")
+    acc[-1] = 0.0
+    runs = graph.var_runs
+    acc[runs[-1]:runs[0]] += 0.0
+    stop = runs[0]
+    for run in runs[1:]:
+        acc[:run] += acc[stop:stop + run]
+        stop += run
+    return acc.take(graph.var_sum_row, axis=0, out=_lanes(work.total, k), mode="clip")
 
 
-def _check_internals(v2c_pre, clamp, graph, work):
-    """Shared check-node quantities: tanh slots, exclusion prefix/suffix, products.
-
-    The messages are clamped first. Exclusion products are built from
-    prefix and suffix products, never by division, so zero messages are
-    handled exactly. Each is one scan over the check-degree axis, one
-    (checks, lanes) plane per step, multiplying in the order `np.cumprod`
-    would.
-    """
-    k = v2c_pre.shape[1]
-    t = np.clip(v2c_pre, -clamp, clamp, out=_lanes(work.t, k))
+def _tanh_half(v2c_pre, clamp, out):
+    """The check nodes' terms tanh(clip(v2c_pre) / 2), in `out`."""
+    t = np.clip(v2c_pre, -clamp, clamp, out=out)
     t *= 0.5
-    np.tanh(t, out=t)
-    tg = _gather(t, graph.check_edges, 1.0, _lanes(work.pad, k), _lanes(work.tg, k))
+    return np.tanh(t, out=t)
+
+
+def _check_internals(t, graph, work, out):
+    """Prefix, suffix and exclusion products of the tanh terms `t` over each check's edges.
+
+    Exclusion products are built from prefix and suffix products, never
+    by division, so zero messages are handled exactly. Each is one scan
+    over the check slots: a step multiplies the run of one slot by the
+    leading rows of its neighbour's, in the order `np.cumprod` would. The
+    exclusion products go into `out`.
+    """
+    k = t.shape[1]
     pre, suf = _lanes(work.pre, k), _lanes(work.suf, k)
-    pre[0] = 1.0
-    for i in range(1, len(tg)):
-        np.multiply(pre[i - 1], tg[i - 1], out=pre[i])
-    suf[-1] = 1.0
-    for i in range(len(tg) - 2, -1, -1):
-        np.multiply(suf[i + 1], tg[i + 1], out=suf[i])
-    return t, tg, pre, suf, np.multiply(pre, suf, out=_lanes(work.prod, k))
+    steps = graph.check_steps
+    pre[graph.check_runs[0]] = 1.0
+    for _, head, nxt in steps:
+        np.multiply(pre[head], t[head], out=pre[nxt])
+    suf[graph.check_runs[-1]] = 1.0
+    for run, head, nxt in reversed(steps):
+        np.multiply(suf[nxt], t[nxt], out=suf[head])
+        suf[head.stop:run.stop] = 1.0  # the checks whose last edge is in this slot
+    return pre, suf, np.multiply(pre, suf, out=out)
 
 
 def bp_forward(llr, graph: TannerGraph, iters: int, clamp: float = DEFAULT_CLAMP,
@@ -304,8 +340,8 @@ def bp_forward(llr, graph: TannerGraph, iters: int, clamp: float = DEFAULT_CLAMP
     B, n = L.shape
     if work is None:
         work = _WorkSet(graph, B, iters, record_tape)
-    evar = graph.edge_var
-    tape = BpTape(graph, clamp, L, [], [], [], squeeze) if record_tape else None
+    evar = graph.kernel_var
+    tape = BpTape(graph, clamp, L, [], [], [], [], squeeze) if record_tape else None
 
     # (iters, n, B), each iteration's plane C-contiguous; `out` is its (iters, B, n) view
     soft = work.soft.reshape(iters, -1)[:, :n * B].reshape(iters, n, B)
@@ -317,8 +353,9 @@ def bp_forward(llr, graph: TannerGraph, iters: int, clamp: float = DEFAULT_CLAMP
     side = 0              # which of the two LLR planes holds the running lanes
     for it in range(iters):
         k = len(lanes)
-        prod = _check_internals(v2c_pre, clamp, graph, work)[-1]
-        u = _scatter(prod, graph, _lanes(work.u[it if record_tape else 0], k))
+        kept = it if record_tape else 0
+        t = _tanh_half(v2c_pre, clamp, _lanes(work.t[kept], k))
+        u = _check_internals(t, graph, work, _lanes(work.u[kept], k))[-1]
         with np.errstate(divide="ignore"):  # +-inf only for degree-1 checks
             np.arctanh(u, out=u)
         u *= 2.0
@@ -333,6 +370,7 @@ def bp_forward(llr, graph: TannerGraph, iters: int, clamp: float = DEFAULT_CLAMP
         if record_tape:
             tape.v2c_pre.append(v2c_pre)
             tape.c2v_pre.append(u)
+            tape.tanh.append(t)
             tape.soft.append(out[it])  # a view: each output is stored once
         if it + 1 == iters:
             break
@@ -374,12 +412,20 @@ def _bce(soft, target_bits):
 
 
 def _bce_grad(soft, target_bits):
-    x = target_bits
-    logp1 = -np.logaddexp(0.0, soft)
-    logp0 = -np.logaddexp(0.0, -soft)
-    g1 = x * _sigmoid(soft) * (logp1 > _LOG_PROB_FLOOR)
-    g0 = (1.0 - x) * _sigmoid(-soft) * (logp0 > _LOG_PROB_FLOOR)
-    return g1 - g0
+    """d _bce / d soft for target bits of 0 or 1, evaluating only each bit's live term.
+
+    With s = +1 for a 1 bit and -1 for a 0 bit, the live term is
+    s sigmoid(s soft), zero where log Pr(bit) is below the floor; the
+    +0.0 makes an exactly zero gradient +0.0, as 0.0 - 0.0 was when both
+    terms were evaluated.
+    """
+    sign = 2.0 * target_bits - 1.0
+    y = soft * sign
+    g = _sigmoid(y)
+    g *= np.logaddexp(0.0, y) < -_LOG_PROB_FLOOR
+    g *= sign
+    g += 0.0
+    return g
 
 
 def _target_array(target, n_var):
@@ -410,11 +456,12 @@ def bp_backward(tape: BpTape, target, mode: str = "final",
                 work: _WorkSet | None = None) -> np.ndarray:
     """Exact gradient of bp_loss(bp_forward(L), target) with respect to L.
 
-    Replays the taped messages in reverse. The atanh/tanh adjoints reuse
-    the forward's exclusion-product structure; the double-exclusion sums
-    needed for d(loss)/d(tanh term) are built with two linear scans along
-    each check's edge list, again without division. Temporaries live in
-    `work` (a fresh set when none is given); the tape is only read.
+    Replays the taped messages in reverse; the target bits must be 0 or 1.
+    The atanh/tanh adjoints reuse the forward's tanh terms and
+    exclusion-product structure; the double-exclusion sums needed for
+    d(loss)/d(tanh term) are built with two linear scans along each
+    check's edge list, again without division. Temporaries live in `work`
+    (a fresh set when none is given); the tape is only read.
     """
     if tape is None:
         raise ValueError("forward pass was run without a tape")
@@ -422,15 +469,18 @@ def bp_backward(tape: BpTape, target, mode: str = "final",
     graph, clamp = tape.graph, tape.clamp
     B, n = tape.input_llr.shape
     T = len(tape.soft)
-    evar = graph.edge_var
+    evar = graph.kernel_var
     x = _target_array(target, n)
     if x.ndim == 2 and x.shape[0] != B:
         raise ValueError("target batch size does not match the tape")
+    if not np.all((x == 0.0) | (x == 1.0)):
+        raise ValueError("target bits must be 0 or 1")
     x = np.atleast_2d(x).T  # (n, 1), or (n, B) with one target per lane
     if work is None:
         work = _WorkSet(graph, B)
     tmp, inside, d_u = (_lanes(a, B) for a in (work.tmp, work.inside, work.d_u))
-    q, left, right, scan = (_lanes(a, B) for a in (work.q, work.left, work.right, work.scan))
+    q, right, scan = (_lanes(a, B) for a in (work.q, work.right, work.scan))
+    steps = graph.check_steps
 
     dL = np.zeros((n, B))
     # gradient w.r.t. the pre-clamp v2c messages w_t = marg_t[edge var] - c2v_t
@@ -438,40 +488,42 @@ def bp_backward(tape: BpTape, target, mode: str = "final",
     d_w = _lanes(work.d_w, B)
     d_w.fill(0.0)
     for t in range(T - 1, -1, -1):
-        soft = tape.soft[t].T
-        if mode == "final":
-            d_loss = _bce_grad(soft, x) if t == T - 1 else np.zeros((n, B))
+        d_out = _sum_per_var(d_w, graph, work)
+        if mode == "multiloss":
+            d_out += _bce_grad(tape.soft[t].T, x) / T
+        elif t == T - 1:
+            d_out += _bce_grad(tape.soft[t].T, x)
         else:
-            d_loss = _bce_grad(soft, x) / T
-        d_out = d_loss + _sum_per_var(d_w, graph, work)
+            d_out += 0.0  # a -0.0 sum reads +0.0, as when a zero loss term was added
         dL += d_out
         d_out.take(evar, axis=0, out=d_u, mode="clip")
         d_u -= d_w                                      # d loss / d c2v
 
         np.abs(tape.c2v_pre[t], out=tmp)
         d_u *= np.less_equal(tmp, clamp, out=inside)    # d loss / d u
-        t_e, tg, pre, suf, prod = _check_internals(tape.v2c_pre[t], clamp, graph, work)
+        t_e = tape.tanh[t]
+        pre, suf, prod = _check_internals(t_e, graph, work, q)
         denom = np.multiply(prod, prod, out=prod)  # the product is not read again
         np.subtract(1.0, denom, out=denom)
-        np.copyto(denom, 1.0, where=denom <= 0.0)
-        _gather(d_u, graph.check_edges, 0.0, _lanes(work.pad, B), q)
-        q *= 2.0
-        q /= denom                                      # d loss / d exclusion product
+        np.copyto(denom, 1.0, where=np.less_equal(denom, 0.0, out=inside))
+        d_u *= 2.0
+        np.divide(d_u, denom, out=q)                    # d loss / d exclusion product
 
-        # g_i = sum_{j != i} q_j * prod_{l != i, j} t_l via left and right scans
-        width = len(tg)
-        left[0] = 0.0
-        for i in range(1, width):
-            step = np.multiply(left[i - 1], tg[i - 1], out=left[i])
-            step += np.multiply(q[i - 1], pre[i - 1], out=scan)
-        right[-1] = 0.0
-        for i in range(width - 2, -1, -1):
-            step = np.multiply(right[i + 1], tg[i + 1], out=right[i])
-            step += np.multiply(q[i + 1], suf[i + 1], out=scan)
+        # g_i = sum_{j != i} q_j * prod_{l != i, j} t_l via left and right scans;
+        # the left one is built in d_w, whose previous value is not read again
+        left = d_w
+        left[graph.check_runs[0]] = 0.0
+        for _, head, nxt in steps:
+            step = np.multiply(left[head], t_e[head], out=left[nxt])
+            step += np.multiply(q[head], pre[head], out=scan[:len(step)])
+        right[graph.check_runs[-1]] = 0.0
+        for run, head, nxt in reversed(steps):
+            step = np.multiply(right[nxt], t_e[nxt], out=right[head])
+            step += np.multiply(q[nxt], suf[nxt], out=scan[:len(step)])
+            right[head.stop:run.stop] = 0.0  # the checks whose last edge is in this slot
         left *= suf
         right *= pre
         left += right
-        _scatter(left, graph, d_w)
         d_w *= 0.5
         np.multiply(t_e, t_e, out=tmp)
         d_w *= np.subtract(1.0, tmp, out=tmp)

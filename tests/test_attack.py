@@ -1,4 +1,5 @@
 import itertools
+import re
 import tempfile
 from dataclasses import fields, replace
 
@@ -366,6 +367,23 @@ def test_agglomerative_merges_match_brute_force(linkage):
             got = attack._agglomerative(X, k, linkage)
             assert got.shape == (k, 3)
             assert np.allclose(got, _agglomerative_reference(X, k, linkage), rtol=0, atol=1e-12)
+
+
+def test_cluster_attacks_rejects_an_unknown_linkage(monkeypatch):
+    # by name, before any clustering runs: "average" once ran a silent ward/Euclidean hybrid
+    def clustered(*args, **kwargs):
+        raise AssertionError("clustering ran")
+
+    monkeypatch.setattr(attack, "_kmeans", clustered)
+    monkeypatch.setattr(attack, "_agglomerative", clustered)
+    vs = [_vec([1.0, 0.0]), _vec([3.0, 2.0]), _vec([2.0, 1.0])]
+    for linkage in ("average", "single", "Ward", None):
+        message = re.escape(f"unknown linkage {linkage!r}")
+        for method in ("kmeans", "agglomerative"):
+            with pytest.raises(ValueError, match=message):
+                attack.cluster_attacks(vs, method, 2, linkage=linkage)
+        with pytest.raises(ValueError, match=message):
+            attack.SearchConfig(batch_size=2, accepted_iters=1, linkage=linkage)
 
 
 def test_cluster_degenerate_k_equals_n():

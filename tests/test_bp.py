@@ -265,6 +265,9 @@ def test_backward_shape_validation():
     out_nt = bp.bp_forward(np.zeros(3), g, 2, record_tape=False)
     with pytest.raises(ValueError):
         bp.bp_backward(out_nt.tape, np.zeros(3))
+    for target in (np.full(3, 0.5), np.array([0.0, 1.0, -1.0]), np.array([0.0, 1.0, np.nan])):
+        with pytest.raises(ValueError, match="target bits must be 0 or 1"):
+            bp.bp_backward(out.tape, target)
 
 
 def test_sign_equivariance_bit_exact():
@@ -361,6 +364,40 @@ def test_zero_iteration_graphs_and_degree_one_checks():
     assert np.isfinite(out.soft).all()
     grad = bp.bp_backward(out.tape, np.zeros(2))
     assert np.isfinite(grad).all()
+
+
+# variable 5 is on no check and variable 6 on one; check 4 is on no variable and check 0 on one
+_SPARSE_H = np.array([[1, 0, 0, 0, 0, 0, 0],
+                      [1, 1, 0, 1, 0, 0, 1],
+                      [0, 1, 1, 0, 1, 0, 0],
+                      [0, 0, 1, 1, 1, 0, 0],
+                      [0, 0, 0, 0, 0, 0, 0]], dtype=np.uint8)
+
+
+def test_nodes_of_degree_zero_and_one():
+    g = bp.TannerGraph(_SPARSE_H)
+    rng = np.random.default_rng(41)
+    L = rng.normal(0.0, 3.0, (6, 7))
+    rows = _SPARSE_H.tolist()
+    for early_stop in (False, True):
+        batch = bp.bp_forward(L, g, 4, 6.0, early_stop=early_stop, record_tape=False)
+        for i, llr in enumerate(L):
+            want = loop_sum_product(rows, llr, 4, 6.0, early_stop)
+            np.testing.assert_allclose(batch.soft[:len(want), i], want, rtol=1e-12)
+            alone = bp.bp_forward(llr, g, 4, 6.0, early_stop=early_stop, record_tape=False)
+            assert alone.soft.tobytes() == batch.soft[:alone.iterations, i].tobytes()
+        assert batch.soft[..., 5].tobytes() == np.broadcast_to(L[:, 5], batch.soft.shape[:2]).tobytes()
+    batch = bp.bp_forward(L, g, 4, 6.0)
+    for target in (np.zeros(7), rng.integers(0, 2, 7).astype(np.float64)):
+        for mode in ("final", "multiloss"):
+            grad = bp.bp_backward(batch.tape, target, mode)
+            for i, llr in enumerate(L):
+                alone = bp.bp_forward(llr, g, 4, 6.0)
+                assert alone.soft.tobytes() == batch.soft[:, i].tobytes()
+                assert bp.bp_backward(alone.tape, target, mode).tobytes() == grad[i].tobytes()
+                fd = bp.finite_difference(
+                    lambda v: bp.bp_loss(bp.bp_forward(v, g, 4, 6.0), target, mode), llr)
+                np.testing.assert_allclose(grad[i], fd, rtol=1e-5, atol=1e-9)
 
 
 _LDPC_GRAPH = bp.TannerGraph(codes.ldpc_64_32().H)
@@ -466,7 +503,7 @@ def test_decode_calls_share_no_memory():
             assert not np.shares_memory(a.soft, b.soft)
     # each iteration's taped messages are kept apart
     tape = outs[0].tape
-    for kept in (tape.v2c_pre, tape.c2v_pre, tape.soft):
+    for kept in (tape.v2c_pre, tape.c2v_pre, tape.tanh, tape.soft):
         assert not any(np.shares_memory(a, b) for i, a in enumerate(kept) for b in kept[i + 1:])
 
 
@@ -542,14 +579,21 @@ def test_pickled_receiver_decodes_the_same():
     assert copy.loss(L[0]) == rx.loss(L[0])
 
 
-def _cumprod_exclusion(m_clamped, graph):
-    """Prefix and suffix exclusion products as np.cumprod builds them, in (degree, checks, lanes) slots."""
-    t = np.tanh(0.5 * m_clamped)
-    tg = np.concatenate([t, np.ones((1, t.shape[1]))], axis=0)[graph.check_edges.T]
-    ones = np.ones((1,) + tg.shape[1:])
-    pre = np.concatenate([ones, np.cumprod(tg, axis=0)[:-1]], axis=0)
-    suf = np.concatenate([np.cumprod(tg[::-1], axis=0)[::-1][1:], ones], axis=0)
-    return tg, pre, suf
+def _cumprod_exclusion(t, H):
+    """Each check's prefix and suffix exclusion products as np.cumprod builds them.
+
+    `t` holds one row per edge in H's row-major order, and so do the two results.
+    """
+    pre, suf = np.empty_like(t), np.empty_like(t)
+    ones = np.ones((1, t.shape[1]))
+    start = 0
+    for row in H:
+        edges = slice(start, start + int(row.sum()))
+        start = edges.stop
+        x = t[edges]
+        pre[edges] = np.concatenate([ones, np.cumprod(x, axis=0)[:-1]], axis=0)[:len(x)]
+        suf[edges] = np.concatenate([np.cumprod(x[::-1], axis=0)[::-1][1:], ones], axis=0)[:len(x)]
+    return pre, suf
 
 
 @pytest.mark.parametrize("H", [codes.ldpc_64_32().H, _IRREGULAR_H], ids=["ldpc_64_32", "irregular"])
@@ -559,13 +603,18 @@ def test_scan_exclusion_products_equal_cumprod(H):
     m = np.clip(rng.normal(0.0, 6.0, (50, g.n_edges)), -20.0, 20.0)
     m[rng.random(m.shape) < 0.2] = 0.0  # exact zero messages: tanh is 0
     m[:3] = 0.0
-    m = np.ascontiguousarray(m.T)  # the kernel's (edges, lanes) layout
-    t, tg, pre, suf, prod = bp._check_internals(m, 20.0, g, bp._WorkSet(g, m.shape[1]))
-    want_tg, want_pre, want_suf = _cumprod_exclusion(m, g)
-    assert (tg.tobytes(), pre.tobytes(), suf.tobytes()) == \
-        (want_tg.tobytes(), want_pre.tobytes(), want_suf.tobytes())
+    m = np.ascontiguousarray(m.T)  # (edges, lanes), edges in H's row-major order
+    m_kernel = np.empty_like(m)
+    m_kernel[g.edge_row] = m  # the kernel's edge order
+    tg = bp._tanh_half(m_kernel, 20.0, np.empty_like(m))
+    pre, suf, prod = bp._check_internals(tg, g, bp._WorkSet(g, m.shape[1]), np.empty_like(m))
+    tg, pre, suf, prod = (x[g.edge_row] for x in (tg, pre, suf, prod))  # back to H's order
+    want_pre, want_suf = _cumprod_exclusion(tg, H)
+    assert (pre.tobytes(), suf.tobytes()) == (want_pre.tobytes(), want_suf.tobytes())
     assert prod.tobytes() == (want_pre * want_suf).tobytes()
-    assert t.tobytes() == np.tanh(0.5 * m).tobytes()
+    assert tg.tobytes() == np.tanh(0.5 * m).tobytes()
     # an edge whose check holds a zero elsewhere gets an exactly zero product
-    zero_elsewhere = (np.count_nonzero(tg == 0.0, axis=0, keepdims=True) - (tg == 0.0)) > 0
-    assert np.all(prod[zero_elsewhere & (g.check_edges.T < g.n_edges)[..., None]] == 0.0)
+    zeros_on_check = np.zeros((g.n_check, m.shape[1]), dtype=int)
+    np.add.at(zeros_on_check, g.edge_check, tg == 0.0)
+    zero_elsewhere = (zeros_on_check[g.edge_check] - (tg == 0.0)) > 0
+    assert zero_elsewhere.any() and np.all(prod[zero_elsewhere] == 0.0)

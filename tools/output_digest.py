@@ -1,0 +1,135 @@
+"""Print one SHA-256 over the decoder's and the search's outputs, to show two commits agree.
+
+    PYTHONPATH=src python tools/output_digest.py [--verbose]
+
+The digest covers, on the bundled (64, 32) LDPC code:
+- `search_attack` vectors and every `on_trial` record, for BP-3 and BP-5
+  under the "final" and "multiloss" losses (a 300-frame batch, so two full
+  decode blocks and a short one, with the step size calibrated);
+- `bp_backward` against the all-zero target and a random codeword-length
+  target, for a batch and for one frame;
+- untaped and early-stopped soft outputs of `bp_forward` and `decode_blocks`;
+- `run_point` error counts at a waterfall and a high Eb/N0 point, with and
+  without an attack;
+- the same forward and backward outputs on a small H with a variable on no
+  check, a check on no variable and a degree-1 check, fed LLRs that hold
+  exact zeros of both signs.
+
+Every value is hashed as its exact bytes (floats) or `repr` (records and
+counts), so a last-bit or signed-zero difference changes the digest. The
+kernel's tanh is numpy's vectorised one, whose last bits can depend on the
+CPU and the numpy build: compare two commits on one machine, never against
+a digest recorded elsewhere. `--verbose` prints one digest per part, to
+find which output differs. Takes a few seconds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+
+import numpy as np
+
+from friendlyfec import attack, bp, codes, montecarlo
+
+SIGMA = 0.8  # search noise near BLER 0.3 for BP-5 on the bundled code
+
+
+def _search_parts(code):
+    for iters in (3, 5):
+        for mode in ("final", "multiloss"):
+            decoder = bp.DecoderConfig(iters=iters, loss_mode=mode)
+            config = attack.SearchConfig(batch_size=300, accepted_iters=3, max_trials=5,
+                                         sigma=SIGMA)
+            trials = []
+            vec = attack.search_attack(code, decoder, "bpsk", config, seed=iters,
+                                       on_trial=trials.append)
+            yield f"search BP-{iters} {mode}", [vec.a, repr(vec.accepted_iters), repr(trials)]
+
+
+def _decoder_parts(code):
+    graph = bp.TannerGraph(code.H)
+    rng = np.random.default_rng(17)
+    sigma = rng.uniform(0.45, 1.0, (200, 1))
+    llr = (2.0 / sigma**2) * (1.0 + sigma * rng.standard_normal((200, code.n)))
+    random_target = rng.integers(0, 2, code.n).astype(np.float64)
+    for iters in (3, 5):
+        for mode in ("final", "multiloss"):
+            taped = bp.bp_forward(llr, graph, iters)
+            single = bp.bp_forward(llr[0], graph, iters)
+            values = [taped.soft]
+            for target in (np.zeros(code.n), random_target):
+                values += [bp.bp_backward(taped.tape, target, mode),
+                           bp.bp_backward(single.tape, target, mode)]
+            yield f"backward BP-{iters} {mode}", values
+        decoder = bp.DecoderConfig(iters=iters)
+        yield f"forward BP-{iters}", [
+            bp.bp_forward(llr, graph, iters, record_tape=False).soft,
+            bp.bp_forward(llr, graph, iters, early_stop=True, record_tape=False).soft,
+            *bp.decode_blocks(llr, graph, decoder)[:1],
+            *bp.decode_blocks(llr, graph, decoder, early_stop=True)[:1],
+            *bp.decode_blocks(llr, graph, decoder, target=np.zeros(code.n))]
+
+
+# variable 5 is on no check and variable 6 on one, check 4 is on no variable and check 0 on one
+_IRREGULAR_H = np.array([[1, 0, 0, 0, 0, 0, 0],
+                         [1, 1, 0, 1, 0, 0, 1],
+                         [0, 1, 1, 0, 1, 0, 0],
+                         [0, 0, 1, 1, 1, 0, 0],
+                         [0, 0, 0, 0, 0, 0, 0]], dtype=np.uint8)
+
+
+def _irregular_parts():
+    graph = bp.TannerGraph(_IRREGULAR_H)
+    rng = np.random.default_rng(23)
+    llr = rng.normal(0.0, 3.0, (40, 7))
+    llr[rng.random(llr.shape) < 0.2] = 0.0
+    llr[rng.random(llr.shape) < 0.2] = -0.0
+    target = rng.integers(0, 2, 7).astype(np.float64)
+    for mode in ("final", "multiloss"):
+        taped = bp.bp_forward(llr, graph, 4, clamp=6.0)
+        yield f"irregular {mode}", [
+            taped.soft, bp.bp_backward(taped.tape, np.zeros(7), mode),
+            bp.bp_backward(taped.tape, target, mode),
+            bp.bp_forward(llr, graph, 4, 6.0, early_stop=True, record_tape=False).soft]
+
+
+def _count_parts(code):
+    decoder = bp.DecoderConfig(iters=5)
+    a = 0.3 * np.random.default_rng(5).standard_normal(code.n)
+    for ebn0_db in (1.25, 5.0):
+        for attack_array in (None, a):
+            res = montecarlo.run_point(code, decoder, "bpsk", ebn0_db=ebn0_db, frames=1024,
+                                       seed=9, attack=attack_array)
+            yield (f"run_point {ebn0_db} dB {'attacked' if res.attacked else 'baseline'}",
+                   [repr((res.frames, res.bit_errors, res.block_errors, res.config_digest))])
+
+
+def _feed(h, value):
+    if isinstance(value, str):
+        h.update(value.encode())
+    else:
+        array = np.ascontiguousarray(value)
+        h.update(repr((array.dtype.str, array.shape)).encode())
+        h.update(array.tobytes())
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--verbose", action="store_true", help="also print one digest per part")
+    args = parser.parse_args(argv)
+    code = codes.ldpc_64_32()
+    total = hashlib.sha256()
+    for parts in (_search_parts(code), _decoder_parts(code), _irregular_parts(), _count_parts(code)):
+        for name, values in parts:
+            h = hashlib.sha256()
+            for value in values:
+                _feed(h, value)
+            total.update(h.digest())
+            if args.verbose:
+                print(f"{h.hexdigest()[:16]}  {name}")
+    print(total.hexdigest())
+
+
+if __name__ == "__main__":
+    main()
