@@ -596,7 +596,8 @@ def _cumprod_exclusion(t, H):
     return pre, suf
 
 
-@pytest.mark.parametrize("H", [codes.ldpc_64_32().H, _IRREGULAR_H], ids=["ldpc_64_32", "irregular"])
+@pytest.mark.parametrize("H", [codes.ldpc_64_32().H, _IRREGULAR_H, _SPARSE_H],
+                         ids=["ldpc_64_32", "irregular", "sparse"])
 def test_scan_exclusion_products_equal_cumprod(H):
     g = bp.TannerGraph(H)
     rng = np.random.default_rng(12)
