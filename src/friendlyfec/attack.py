@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
-import math
 import reprlib
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
@@ -32,8 +31,8 @@ class AttackVector:
     needed to reproduce the search (qam4 vectors hold 2N interleaved
     re/im coordinates). Construction rejects an `a` that is not finite with
     shape (n,), an unknown scheme, N != n // bits per symbol, a search sigma
-    that is not finite, and a seed or accepted count that is not an
-    integer >= 0. The attack file holds these fields in this order."""
+    that is not positive and finite, and a seed or accepted count that is
+    not an integer >= 0. The attack file holds these fields in this order."""
 
     code_id: str
     scheme: str
@@ -56,8 +55,9 @@ class AttackVector:
         if self.n_symbols != self.n // bits:
             raise ValueError(f"attack field 'N' is {self.n_symbols}, expected n // {bits} = "
                              f"{self.n // bits} for {self.scheme}")
-        if not math.isfinite(self.search_sigma):
-            raise ValueError(f"attack field 'search_sigma' must be finite, got {self.search_sigma!r}")
+        if not 0 < self.search_sigma < np.inf:  # as SearchConfig.sigma
+            raise ValueError(f"attack field 'search_sigma' must be positive and finite, "
+                             f"got {self.search_sigma!r}")
         for name in ("seed", "accepted_iters"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
@@ -94,17 +94,19 @@ class SearchConfig:
     approach: str = "custom"
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.accepted_iters < 1:
-            raise ValueError("batch size and accepted-iteration budget must be >= 1")
+        counts = ["batch_size", "accepted_iters", "step_len", "runs", "cluster_k"]
+        if self.max_trials is not None:
+            counts.append("max_trials")
+        for name in counts:
+            value = getattr(self, name)  # a count: not a fraction, and not a bool
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.sigma is not None and not 0 < self.sigma < np.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
         if self.epsilon0 is not None and not 0 < self.epsilon0 < np.inf:
             raise ValueError(f"epsilon0 must be positive and finite, got {self.epsilon0!r}")
         if not 0 < self.decay <= 1:
             raise ValueError(f"decay must be in (0, 1], got {self.decay!r}")
-        for name in ("step_len", "runs", "cluster_k"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.scheduler not in ("constant", "exp_decay", "step"):
             raise ValueError(f"unknown scheduler {self.scheduler!r}")
         if self.accept not in ("ber", "bler", "both"):

@@ -76,46 +76,43 @@ class DecoderConfig:
 class TannerGraph:
     """Bipartite check/variable adjacency of a parity-check matrix.
 
-    `edge_check` and `edge_var` list the edges in the row-major order of H's
-    nonzeros. The decoder's per-edge arrays hold them in another order, the
-    kernel's: checks sorted by descending degree (stably), edge slot i of
-    every check of degree > i forms one run of rows, `check_runs[i]`, and
-    the runs follow each other with no pads, so slot i's checks are the
-    first rows of slot i-1's run. A check's slots keep its edges in H's
-    order. `edge_row[e]` is the row of edge e and `kernel_var` the variable
-    of each row. The variable side is laid out the same way for the sums
-    over each variable's edges: `var_rows` lists kernel rows with variables
-    sorted by descending degree, slot j of the variables of degree > j
-    forming the j-th run, `var_runs` holds the run lengths and
+    `edge_check` and `edge_var` list the edges in the kernel's order, which
+    is the row order of the decoder's per-edge arrays: checks sorted by
+    descending degree (stably), edge slot i of every check of degree > i
+    forms one run of rows, `check_runs[i]`, and the runs follow each other
+    with no pads, so slot i's checks are the first rows of slot i-1's run.
+    A check's slots keep its edges in H's order. The variable side is laid
+    out the same way for the sums over each variable's edges, with each
+    variable's slots in H's order too: `var_rows` lists the edge rows with
+    variables sorted by descending degree, slot j of the variables of
+    degree > j forming the j-th run, `var_runs` holds the run lengths and
     `var_sum_row` the row that holds each variable's sum. `check_vars` is a
-    (checks, max_degree) table of variable ids whose pads read a zero
-    column at `n_var`, for the syndrome test.
+    (slots, checks) table of the variables of each check slot, the checks
+    in sorted order, whose pads read a zero column at `n_var`, for the
+    syndrome test.
     """
 
     def __init__(self, H):
         H = gf2.as_bitmatrix(H)
         self.H = H
         self.n_check, self.n_var = H.shape
-        check_idx, var_idx = np.nonzero(H)
-        self.edge_check = check_idx.astype(np.int64)
-        self.edge_var = var_idx.astype(np.int64)
-        self.n_edges = E = int(len(self.edge_check))
-        check_edges = _group_table(self.edge_check, self.n_check, E)
-        self.check_vars = np.append(self.edge_var, self.n_var)[check_edges]
-
-        runs, _, kernel_edges = _slot_major(check_edges, E)
-        self.edge_row = np.empty(E, dtype=np.int64)
-        self.edge_row[kernel_edges] = np.arange(E)
-        self.kernel_var = self.edge_var[kernel_edges]
+        check_idx, var_idx = np.nonzero(H)  # H's row-major order
+        self.n_edges = E = len(check_idx)
+        runs, _, rows = _slot_major(check_idx, self.n_check)
+        self.edge_check, self.edge_var = check_idx[rows], var_idx[rows]
         stops = np.cumsum(runs).tolist()
         self.check_runs = [slice(stop - run, stop) for run, stop in zip(runs, stops)]
         # (run i, its leading rows: the checks that go on to slot i + 1, run i + 1)
         self.check_steps = [(a, slice(a.start, a.start + b.stop - b.start), b)
                             for a, b in zip(self.check_runs, self.check_runs[1:])]
+        self.check_vars = np.full((len(runs), self.n_check), self.n_var, dtype=np.int64)
+        for slot, run in zip(self.check_vars, self.check_runs):
+            slot[:run.stop - run.start] = self.edge_var[run]
 
-        self.var_runs, var_order, var_edges = _slot_major(
-            _group_table(self.edge_var, self.n_var, E), E)
-        self.var_rows = self.edge_row[var_edges]
+        self.var_runs, var_order, var_edges = _slot_major(var_idx, self.n_var)
+        row_of = np.empty(E, dtype=np.int64)  # H's edge -> its row
+        row_of[rows] = np.arange(E)
+        self.var_rows = row_of[var_edges]
         # where each variable's sum ends up: its place in the sorted order, or the
         # zero row after the E edge rows for a variable on no edge
         self.var_sum_row = np.empty(self.n_var, dtype=np.int64)
@@ -137,34 +134,26 @@ class TannerGraph:
         padded = np.empty((self.n_var + 1,) + planes.shape[1:], dtype=bool)
         padded[:-1] = planes
         padded[-1] = False
-        parity = np.bitwise_xor.reduce(padded.take(self.check_vars.T, axis=0), axis=0)
+        parity = np.bitwise_xor.reduce(padded.take(self.check_vars, axis=0), axis=0)
         return (~parity.any(axis=0)).T
 
 
-def _group_table(owner, n_groups, sentinel) -> np.ndarray:
-    counts = np.bincount(owner, minlength=n_groups) if len(owner) else np.zeros(n_groups, dtype=np.int64)
-    width = max(int(counts.max()) if counts.size else 0, 1)
-    table = np.full((n_groups, width), sentinel, dtype=np.int64)
-    if len(owner):
-        order = np.argsort(owner, kind="stable")
-        sorted_owner = owner[order]
-        starts = np.searchsorted(sorted_owner, np.arange(n_groups))
-        slot = np.arange(len(owner)) - starts[sorted_owner]
-        table[sorted_owner, slot] = order
-    return table
+def _slot_major(owner, n_nodes):
+    """Slot-major order of the edges of `owner` (each edge's node), nodes by descending degree.
 
-
-def _slot_major(table, sentinel):
-    """Slot-major runs of a (nodes, degree) edge table, nodes by descending degree.
-
-    Returns the run lengths (nodes of degree > i, for each slot i; one
-    empty run when there are no edges), the sorted node order, and the
-    table's edge ids run after run.
+    Edge slot i of a node is its i-th edge in `owner`'s order. Returns the
+    run lengths (nodes of degree > i, for each slot i; one empty run when
+    there are no edges), the sorted node order, and the edge ids run after
+    run, the nodes of a run in sorted order.
     """
-    order = np.argsort(-np.count_nonzero(table < sentinel, axis=1), kind="stable")
-    slots = table[order].T
-    real = slots < sentinel  # in each slot, a leading run of the sorted nodes
-    return np.count_nonzero(real, axis=1).tolist(), order, slots[real]
+    degree = np.bincount(owner, minlength=n_nodes)
+    order = np.argsort(-degree, kind="stable")
+    rank = np.empty(n_nodes, dtype=np.int64)
+    rank[order] = np.arange(n_nodes)
+    by_node = np.argsort(rank[owner], kind="stable")  # node after node, each in owner's order
+    first = np.cumsum(degree[order]) - degree[order]
+    slot = np.arange(len(owner)) - np.repeat(first, degree[order])
+    return np.bincount(slot, minlength=1).tolist(), order, by_node[np.argsort(slot, kind="stable")]
 
 
 @dataclass
@@ -340,7 +329,7 @@ def bp_forward(llr, graph: TannerGraph, iters: int, clamp: float = DEFAULT_CLAMP
     B, n = L.shape
     if work is None:
         work = _WorkSet(graph, B, iters, record_tape)
-    evar = graph.kernel_var
+    evar = graph.edge_var
     tape = BpTape(graph, clamp, L, [], [], [], [], squeeze) if record_tape else None
 
     # (iters, n, B), each iteration's plane C-contiguous; `out` is its (iters, B, n) view
@@ -429,16 +418,20 @@ def _bce_grad(soft, target_bits):
 
 
 def _target_array(target, n_var):
+    """The target as floats; it must be one codeword of `n_var` bits, each 0 or 1."""
     x = np.asarray(target, dtype=np.float64)
-    if x.shape[-1] != n_var:
-        raise ValueError(f"target length {x.shape[-1]} does not match {n_var} variables")
+    if x.shape != (n_var,):
+        raise ValueError(f"target must be one codeword of {n_var} bits, got shape {x.shape}")
+    if not np.all((x == 0.0) | (x == 1.0)):
+        raise ValueError("target bits must be 0 or 1")
     return x
 
 
 def bp_loss(out: BpOutput, target, mode: str = "final"):
     """BCE between the decoder's soft output and a target codeword.
 
-    "final" scores the last iteration; "multiloss" averages the BCE across
+    The target is one codeword of n bits, each 0 or 1, scored against
+    every lane, as in `bp_backward` and `decode_blocks`. "final" scores the last iteration; "multiloss" averages the BCE across
     iterations. Returns a scalar for single-frame input, else (B,).
     """
     check_loss_mode(mode)
@@ -456,7 +449,8 @@ def bp_backward(tape: BpTape, target, mode: str = "final",
                 work: _WorkSet | None = None) -> np.ndarray:
     """Exact gradient of bp_loss(bp_forward(L), target) with respect to L.
 
-    Replays the taped messages in reverse; the target bits must be 0 or 1.
+    Replays the taped messages in reverse, against a target that
+    `bp_loss` would take.
     The atanh/tanh adjoints reuse the forward's tanh terms and
     exclusion-product structure; the double-exclusion sums needed for
     d(loss)/d(tanh term) are built with two linear scans along each
@@ -469,13 +463,8 @@ def bp_backward(tape: BpTape, target, mode: str = "final",
     graph, clamp = tape.graph, tape.clamp
     B, n = tape.input_llr.shape
     T = len(tape.soft)
-    evar = graph.kernel_var
-    x = _target_array(target, n)
-    if x.ndim == 2 and x.shape[0] != B:
-        raise ValueError("target batch size does not match the tape")
-    if not np.all((x == 0.0) | (x == 1.0)):
-        raise ValueError("target bits must be 0 or 1")
-    x = np.atleast_2d(x).T  # (n, 1), or (n, B) with one target per lane
+    evar = graph.edge_var
+    x = _target_array(target, n)[:, None]  # (n, 1): the same bits for every lane
     if work is None:
         work = _WorkSet(graph, B)
     tmp, inside, d_u = (_lanes(a, B) for a in (work.tmp, work.inside, work.d_u))
@@ -550,8 +539,8 @@ def decode_blocks(llr, graph: TannerGraph, decoder: DecoderConfig, early_stop: b
     if L.ndim != 2 or L.shape[1] != graph.n_var:
         raise ValueError(f"LLR shape {L.shape} does not match {graph.n_var} variables")
     taped = target is not None
-    if taped and _target_array(target, graph.n_var).ndim != 1:
-        raise ValueError("target must be one codeword, shared by every lane")
+    if taped:
+        target = _target_array(target, graph.n_var)
     soft = np.empty_like(L)
     grad = np.empty_like(L) if taped else None
     work = _WorkSet(graph, min(len(L), BLOCK_LANES), decoder.iters, taped)

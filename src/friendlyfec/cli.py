@@ -29,33 +29,23 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
+    """The settings of a run. A field `section_key` is set by key `section.key`;
+    `decoder` by the keys `decoder.<DecoderConfig field>`, and `search`, the
+    SearchConfig overrides by field name, by `search.<SearchConfig field>`."""
+
     code_family: str = "ldpc"
     code_alist: str = ""
     code_n: int = 64
     code_k: int = 32
     code_design_ebn0_db: float = 2.0
-    decoder_iters: int = 5
-    decoder_clamp: float = bp.DEFAULT_CLAMP
-    decoder_loss_mode: str = "final"
+    decoder: bp.DecoderConfig = bp.DecoderConfig(iters=5)
     modem_scheme: str = "bpsk"
     channel_kind: str = "awgn"
     channel_sigma_b: float | None = None
     channel_rho: float | None = None
-    search_approach: int | None = None
-    search_batch_size: int | None = None
-    search_iters: int | None = None
-    search_max_trials: int | None = None
-    search_sigma: float | None = None          # None: auto at target BLER
+    search: dict = field(default_factory=dict)  # without sigma: auto at target BLER
+    search_approach: int | None = None          # the preset the overrides apply to
     search_target_bler: float = 0.3
-    search_scheduler: str | None = None
-    search_epsilon0: float | None = None
-    search_decay: float | None = None
-    search_step_len: int | None = None
-    search_accept: str | None = None
-    search_runs: int | None = None
-    search_cluster: str | None = None
-    search_cluster_k: int | None = None
-    search_linkage: str | None = None
     search_require_nonzero: bool = False
     search_validation_ebn0_db: float | None = None  # None: 1 dB above the search point
     search_validation_frames: int = 20000
@@ -81,16 +71,26 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
-# RunConfig field `section_key` is configured as `section.key`; the value
-# parser follows the field's annotation
+# key -> (the section the value goes to, the field it sets, the value parser),
+# keys as RunConfig's docstring says (accepted_iters is `search.iters`, and the
+# label `approach` is no key); the parser follows the field's annotation
 _PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool,
             "tuple[float, ...]": _parse_grid}
-_KEYS = {f.name.replace("_", ".", 1): (f.name, _PARSERS[f.type.removesuffix(" | None")])
-         for f in fields(RunConfig)}
+
+
+def _parser(f):
+    return _PARSERS[f.type.removesuffix(" | None")]
+
+
+_KEYS = {f.name.replace("_", ".", 1): (None, f.name, _parser(f))
+         for f in fields(RunConfig) if f.name not in ("decoder", "search")}
+_KEYS |= {"decoder." + f.name: ("decoder", f.name, _parser(f)) for f in fields(bp.DecoderConfig)}
+_KEYS |= {"search." + {"accepted_iters": "iters"}.get(f.name, f.name): ("search", f.name, _parser(f))
+          for f in fields(attack_mod.SearchConfig) if f.name != "approach"}
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse `key = value` lines; unknown keys are rejected by name."""
+    """Parse `key = value` lines; unknown keys and bad values are rejected by line."""
     cfg = RunConfig()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -101,11 +101,17 @@ def parse_config(text: str) -> RunConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown configuration key {key!r}")
-        attr, conv = _KEYS[key]
+        section, name, conv = _KEYS[key]
         try:
-            setattr(cfg, attr, conv(value))
-        except (TypeError, ValueError):
-            raise ConfigError(f"line {lineno}: bad value {value!r} for {key}") from None
+            parsed = conv(value)
+            if section == "decoder":  # DecoderConfig checks the value here
+                cfg.decoder = replace(cfg.decoder, **{name: parsed})
+            elif section == "search":
+                cfg.search[name] = parsed
+            else:
+                setattr(cfg, name, parsed)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"line {lineno}: bad value {value!r} for {key}: {exc}") from None
     _validate(cfg)
     return cfg
 
@@ -126,14 +132,9 @@ def _validate(cfg: RunConfig) -> None:
     try:  # each module checks the values it acts on
         modem.get_constellation(cfg.modem_scheme)
         channel.check_kind(cfg.channel_kind)
-        bp.check_loss_mode(cfg.decoder_loss_mode)
         montecarlo.check_message_source(cfg.eval_message_source)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if cfg.decoder_iters < 0:
-        raise ConfigError("decoder.iters must be >= 0")
-    if not 0 < cfg.decoder_clamp < math.inf:
-        raise ConfigError(f"decoder.clamp must be positive and finite, got {cfg.decoder_clamp!r}")
     if cfg.eval_min_block_errors is not None and cfg.eval_min_block_errors < 1:
         raise ConfigError("eval.min_block_errors must be >= 1")
     if not 0 <= cfg.eval_seed < 2**128:
@@ -149,7 +150,8 @@ def _validate(cfg: RunConfig) -> None:
     for key, ebn0 in ebn0s + [("eval.grid", x) for x in cfg.eval_grid]:
         if ebn0 is not None and not math.isfinite(ebn0):
             raise ConfigError(f"{key} must be finite, got {ebn0!r}")
-    for key, sigma in (("search.sigma", cfg.search_sigma), ("channel.sigma_b", cfg.channel_sigma_b)):
+    for key, sigma in (("search.sigma", cfg.search.get("sigma")),
+                       ("channel.sigma_b", cfg.channel_sigma_b)):
         if sigma is not None and not 0 < sigma < math.inf:
             raise ConfigError(f"{key} must be positive and finite, got {sigma!r}")
     if cfg.channel_rho is not None and not 0 <= cfg.channel_rho <= 1:
@@ -179,25 +181,12 @@ def build_code(cfg: RunConfig) -> codes.CodeSpec:
     return code
 
 
-def build_decoder(cfg: RunConfig) -> bp.DecoderConfig:
-    return bp.DecoderConfig(iters=cfg.decoder_iters, clamp=cfg.decoder_clamp,
-                            loss_mode=cfg.decoder_loss_mode)
-
-
 def build_search(cfg: RunConfig) -> attack_mod.SearchConfig:
-    # SearchConfig field `f` is set by key `search.f` (accepted_iters: search.iters);
-    # sigma is resolved below and approach names the preset
-    overrides = {}
-    for f in fields(attack_mod.SearchConfig):
-        value = getattr(cfg, "search_" + ("iters" if f.name == "accepted_iters" else f.name))
-        if value is not None and f.name not in ("sigma", "approach"):
-            overrides[f.name] = value
+    """The `search.*` overrides on top of the approach preset, or of the defaults."""
     try:
         if cfg.search_approach is not None:
-            sc = attack_mod.approach_config(cfg.search_approach, **overrides)
-        else:
-            sc = attack_mod.SearchConfig(**overrides)
-        return replace(sc, sigma=cfg.search_sigma)
+            return attack_mod.approach_config(cfg.search_approach, **cfg.search)
+        return attack_mod.SearchConfig(**cfg.search)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -222,7 +211,7 @@ def _log(msg: str) -> None:
 
 def cmd_search(cfg: RunConfig, out_path: str | None, seed: int) -> int:
     code = build_code(cfg)
-    decoder = build_decoder(cfg)
+    decoder = cfg.decoder
     search_cfg = build_search(cfg)
     if cfg.channel_kind != "awgn":
         raise ConfigError("the perturbation search runs over the AWGN channel only")
@@ -274,7 +263,7 @@ def cmd_search(cfg: RunConfig, out_path: str | None, seed: int) -> int:
 def cmd_eval(cfg: RunConfig, attack_path: str | None, out_path: str | None,
              seed: int, workers: int, grid: bool) -> int:
     code = build_code(cfg)
-    decoder = build_decoder(cfg)
+    decoder = cfg.decoder
     if workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {workers}")
     av = None
@@ -320,7 +309,7 @@ class GradcheckReport:
 def run_gradcheck(cfg: RunConfig, seed: int) -> GradcheckReport:
     """Finite-difference validation of the demapper adjoint and BP gradient."""
     code = build_code(cfg)
-    decoder = build_decoder(cfg)
+    decoder = cfg.decoder
     if decoder.iters < 1:
         raise ConfigError("gradcheck needs decoder.iters >= 1")
     const = modem.get_constellation(cfg.modem_scheme)

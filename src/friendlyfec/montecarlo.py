@@ -64,9 +64,10 @@ def _result(frames, bit_errors, block_errors, k, meta) -> MonteCarloResult:
         **meta)
 
 
-def _check_frames(frames) -> None:
-    if isinstance(frames, bool) or not isinstance(frames, (int, np.integer)) or frames < 1:
-        raise ValueError(f"frames must be an integer >= 1, got {frames!r}")
+def _check_count(name, value) -> None:
+    """A count must be an integer >= 1: not a fraction, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _counts(errs) -> tuple[int, int, int]:
@@ -126,12 +127,11 @@ def run_point(code, decoder: bp.DecoderConfig, scheme: str, ebn0_db: float,
     consumed in order until that many block errors have accumulated, so the
     reported counts stay worker-invariant.
     """
-    _check_frames(frames)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_count("frames", frames)
+    _check_count("workers", workers)
     check_message_source(message_source)
-    if min_block_errors is not None and min_block_errors < 1:
-        raise ValueError("min_block_errors must be >= 1")
+    if min_block_errors is not None:
+        _check_count("min_block_errors", min_block_errors)
     rng = channel.FrameRng(seed)
     ebn0_db = float(ebn0_db)
     const = modem.get_constellation(scheme)
@@ -218,7 +218,7 @@ def transfer_check(attack, code, decoder: bp.DecoderConfig, ebn0_db: float,
     to a statistical check: the BER confidence intervals of all-zero and
     random-codeword runs must overlap.
     """
-    _check_frames(frames)
+    _check_count("frames", frames)
     if attack is None:
         raise ValueError("transfer_check needs an attack: an AttackVector or a raw array")
     scheme = attack.scheme if isinstance(attack, attack_mod.AttackVector) else "bpsk"

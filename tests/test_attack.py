@@ -48,6 +48,16 @@ def test_search_config_validation():
         attack.approach_config(5)
 
 
+@pytest.mark.parametrize("name", ["batch_size", "accepted_iters", "max_trials", "step_len",
+                                  "runs", "cluster_k"])
+def test_search_config_counts_are_integers(name):
+    # a fraction or a bool fails deep in the search, or silently means 1
+    for bad in (1.5, 2.5, 100.0, True):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1, got {bad!r}"):
+            attack.SearchConfig(**{name: bad})
+    assert getattr(attack.SearchConfig(**{name: np.int64(100)}), name) == 100
+
+
 def test_normalize_power():
     s = np.array([1.0, 1.0])
     scaled, c = attack.normalize_power(s)
@@ -492,6 +502,8 @@ def test_attack_load_missing_field(tmp_path):
     ("a", [10**400] + [0.0] * 5, "a"),
     ("code_id", None, "code_id"),
     ("created", 5, "created"),
+    ("search_sigma", -1.0, "search_sigma"),
+    ("search_sigma", 0, "search_sigma"),
 ])
 def test_attack_load_rejects_inconsistent_record(tmp_path, field, value, named):
     import json
@@ -523,7 +535,7 @@ def test_attack_save_load_round_trip_property(n, scheme, data):
         a=np.array(data.draw(st.lists(finite, min_size=n, max_size=n)), dtype=np.float64),
         code_id=data.draw(st.text(max_size=12)), scheme=scheme, n=n,
         n_symbols=n // modem.get_constellation(scheme).bits_per_symbol,
-        search_sigma=data.draw(finite), seed=data.draw(st.integers(0, 2**63)),
+        search_sigma=data.draw(st.floats(0.0, exclude_min=True, allow_infinity=False)), seed=data.draw(st.integers(0, 2**63)),
         approach=data.draw(st.text(max_size=12)), accepted_iters=data.draw(st.integers(0, 10**6)),
         created=data.draw(st.text(max_size=12)))
     with tempfile.TemporaryDirectory() as d:

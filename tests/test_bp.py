@@ -270,6 +270,21 @@ def test_backward_shape_validation():
             bp.bp_backward(out.tape, target)
 
 
+def test_loss_and_gradient_take_the_same_targets():
+    # the finite-difference oracle pairs bp_loss with bp_backward, so both
+    # reject what is not one codeword of 0/1 bits
+    g = bp.TannerGraph(codes.repetition_code(3).H)
+    out = bp.bp_forward(np.array([0.5, -1.0, 2.0]), g, 2)
+    for target in (np.full(3, 0.5), np.full(3, 2.0), np.array([0.0, 1.0, np.nan])):
+        for func in (bp.bp_loss, bp.bp_backward):
+            with pytest.raises(ValueError, match="target bits must be 0 or 1"):
+                func(out if func is bp.bp_loss else out.tape, target)
+    batch = bp.bp_forward(np.zeros((2, 3)), g, 2)
+    for func in (bp.bp_loss, bp.bp_backward):
+        with pytest.raises(ValueError, match="one codeword of 3 bits"):
+            func(batch if func is bp.bp_loss else batch.tape, np.zeros((2, 3)))
+
+
 def test_sign_equivariance_bit_exact():
     code = codes.hamming_7_4()
     g = bp.TannerGraph(code.H)
@@ -605,17 +620,19 @@ def test_scan_exclusion_products_equal_cumprod(H):
     m[rng.random(m.shape) < 0.2] = 0.0  # exact zero messages: tanh is 0
     m[:3] = 0.0
     m = np.ascontiguousarray(m.T)  # (edges, lanes), edges in H's row-major order
+    h_order = np.lexsort((g.edge_var, g.edge_check))  # the kernel's rows in H's order
     m_kernel = np.empty_like(m)
-    m_kernel[g.edge_row] = m  # the kernel's edge order
+    m_kernel[h_order] = m  # the kernel's edge order
     tg = bp._tanh_half(m_kernel, 20.0, np.empty_like(m))
     pre, suf, prod = bp._check_internals(tg, g, bp._WorkSet(g, m.shape[1]), np.empty_like(m))
-    tg, pre, suf, prod = (x[g.edge_row] for x in (tg, pre, suf, prod))  # back to H's order
+    tg, pre, suf, prod = (x[h_order] for x in (tg, pre, suf, prod))  # back to H's order
     want_pre, want_suf = _cumprod_exclusion(tg, H)
     assert (pre.tobytes(), suf.tobytes()) == (want_pre.tobytes(), want_suf.tobytes())
     assert prod.tobytes() == (want_pre * want_suf).tobytes()
     assert tg.tobytes() == np.tanh(0.5 * m).tobytes()
     # an edge whose check holds a zero elsewhere gets an exactly zero product
+    edge_check = g.edge_check[h_order]
     zeros_on_check = np.zeros((g.n_check, m.shape[1]), dtype=int)
-    np.add.at(zeros_on_check, g.edge_check, tg == 0.0)
-    zero_elsewhere = (zeros_on_check[g.edge_check] - (tg == 0.0)) > 0
+    np.add.at(zeros_on_check, edge_check, tg == 0.0)
+    zero_elsewhere = (zeros_on_check[edge_check] - (tg == 0.0)) > 0
     assert zero_elsewhere.any() and np.all(prod[zero_elsewhere] == 0.0)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from friendlyfec import attack, channel, cli, codes, modem, montecarlo
+from friendlyfec import attack, bp, channel, cli, codes, modem, montecarlo
 
 REP_SEARCH_CFG = """\
 code.family = repetition
@@ -31,34 +31,35 @@ def write(tmp_path, name, text):
 def test_parse_config_defaults_and_comments():
     cfg = cli.parse_config("# nothing but comments\n\n  # more\n")
     assert cfg.code_family == "ldpc"
-    assert cfg.decoder_iters == 5
+    assert cfg.decoder == bp.DecoderConfig(iters=5) and cfg.search == {}
     cfg = cli.parse_config("decoder.iters = 7 # trailing comment\neval.grid = 1, 2.5, 4\n")
-    assert cfg.decoder_iters == 7
+    assert cfg.decoder == bp.DecoderConfig(iters=7)
     assert cfg.eval_grid == (1.0, 2.5, 4.0)
 
 
 _TEXT = st.text(alphabet=string.ascii_letters + string.digits + "./_-=", max_size=12)
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _NOISE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-# a strategy per RunConfig annotation, and for the fields parse_config validates
-_BY_TYPE = {"int": st.integers(-10**12, 10**12), "float": _FINITE, "str": _TEXT,
-            "bool": st.booleans(), "tuple[float, ...]": st.lists(_FINITE, max_size=4).map(tuple)}
+# a strategy per value parser, and for the keys parse_config validates
+_BY_PARSER = {int: st.integers(-10**12, 10**12), float: _FINITE, str: _TEXT,
+              cli._parse_bool: st.booleans(),
+              cli._parse_grid: st.lists(_FINITE, max_size=4).map(tuple)}
 _VALID = {
-    "code_family": st.sampled_from(["ldpc", "polar", "repetition", "hamming", "uncoded"]),
-    "modem_scheme": st.sampled_from(["bpsk", "qam4"]),
-    "channel_kind": st.sampled_from(["awgn", "rayleigh", "bursty"]),
-    "decoder_loss_mode": st.sampled_from(["final", "multiloss"]),
-    "eval_message_source": st.sampled_from(["random", "all_zero"]),
-    "decoder_iters": st.integers(0, 10**6),
-    "eval_frames": st.integers(1, 10**12),
-    "search_validation_frames": st.integers(1, 10**12),
-    "search_target_bler": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-    "search_sigma": _NOISE,
-    "channel_sigma_b": _NOISE,
-    "decoder_clamp": _NOISE,
-    "channel_rho": st.floats(0.0, 1.0),
-    "eval_min_block_errors": st.integers(1, 10**12),
-    "eval_seed": st.integers(0, 10**12),
+    "code.family": st.sampled_from(["ldpc", "polar", "repetition", "hamming", "uncoded"]),
+    "modem.scheme": st.sampled_from(["bpsk", "qam4"]),
+    "channel.kind": st.sampled_from(["awgn", "rayleigh", "bursty"]),
+    "decoder.loss_mode": st.sampled_from(["final", "multiloss"]),
+    "eval.message_source": st.sampled_from(["random", "all_zero"]),
+    "decoder.iters": st.integers(0, 10**6),
+    "eval.frames": st.integers(1, 10**12),
+    "search.validation_frames": st.integers(1, 10**12),
+    "search.target_bler": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    "search.sigma": _NOISE,
+    "channel.sigma_b": _NOISE,
+    "decoder.clamp": _NOISE,
+    "channel.rho": st.floats(0.0, 1.0),
+    "eval.min_block_errors": st.integers(1, 10**12),
+    "eval.seed": st.integers(0, 10**12),
 }
 _BOOL_WORDS = {True: ["1", "true", "Yes", "ON"], False: ["0", "False", "no", "off"]}
 
@@ -66,24 +67,27 @@ _BOOL_WORDS = {True: ["1", "true", "Yes", "ON"], False: ["0", "False", "no", "of
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_parse_config_round_trip_property(data):
-    values, lines = {}, []
-    for f in fields(cli.RunConfig):
-        kind = f.type.removesuffix(" | None")
-        strategy = _VALID.get(f.name, _BY_TYPE[kind])
-        value = values[f.name] = data.draw(strategy | st.none() if kind != f.type else strategy)
+    # every key of the table, set or left out (None), in any order
+    values = {None: {}, "decoder": {}, "search": {}}  # by the section that receives them
+    lines = []
+    for key, (section, name, conv) in cli._KEYS.items():
+        value = data.draw(st.none() | _VALID.get(key, _BY_PARSER[conv]))
         if value is None:
-            continue  # every `| None` field defaults to None
-        if kind == "bool":
+            continue
+        values[section][name] = value
+        if conv is cli._parse_bool:
             text = data.draw(st.sampled_from(_BOOL_WORDS[value]))
-        elif kind == "float":
+        elif conv is float:
             text = repr(value)
-        elif kind == "tuple[float, ...]":
+        elif conv is cli._parse_grid:
             text = data.draw(st.sampled_from([", ", " ", ","])).join(map(repr, value))
         else:
             text = str(value)
-        lines.append(f"{f.name.replace('_', '.', 1)} = {text}")
+        lines.append(f"{key} = {text}")
     text = "\n".join(data.draw(st.permutations(lines))) + "\n"
-    assert cli.parse_config(text) == cli.RunConfig(**values)
+    want = cli.RunConfig(**values[None], search=values["search"],
+                         decoder=bp.DecoderConfig(**{"iters": 5} | values["decoder"]))
+    assert cli.parse_config(text) == want
 
 
 def test_parse_config_rejects_unknown_key():
@@ -94,15 +98,40 @@ def test_parse_config_rejects_unknown_key():
 
 
 def test_every_runconfig_field_is_a_key():
+    # RunConfig field `section_key` is key `section.key`; its fields `decoder` and
+    # `search` take one key per DecoderConfig and SearchConfig field instead
     samples = {"bool": ("on", True), "tuple[float, ...]": ("1 2", (1.0, 2.0)),
                "int": ("7", 7), "float": ("0.5", 0.5)}
-    for f in fields(cli.RunConfig):
-        section, key = f.name.split("_", 1)
+    cases = [(f.name.replace("_", ".", 1), f, lambda cfg, name=f.name: getattr(cfg, name))
+             for f in fields(cli.RunConfig) if f.name not in ("decoder", "search")]
+    cases += [("decoder." + f.name, f, lambda cfg, name=f.name: getattr(cfg.decoder, name))
+              for f in fields(bp.DecoderConfig)]
+    cases += [("search." + {"accepted_iters": "iters"}.get(f.name, f.name), f,
+               lambda cfg, name=f.name: cfg.search[name])
+              for f in fields(attack.SearchConfig) if f.name != "approach"]
+    assert sorted(key for key, _, _ in cases) == sorted(cli._KEYS)
+    assert len(cli._KEYS) == 37
+    for key, f, read in cases:
         text, want = samples.get(f.type.removesuffix(" | None"), (None, None))
         if text is None:  # str: the default is a value that passes validation
             text = want = f.default or "x"
-        cfg = cli.parse_config(f"{section}.{key} = {text}\n")
-        assert getattr(cfg, f.name) == want, f.name
+        assert read(cli.parse_config(f"{key} = {text}\n")) == want, key
+
+
+def test_runconfig_repeats_no_decoder_or_search_field():
+    search_keys = {{"accepted_iters": "iters"}.get(f.name, f.name)
+                   for f in fields(attack.SearchConfig) if f.name != "approach"}
+    for f in fields(cli.RunConfig):
+        section, _, name = f.name.partition("_")
+        assert section != "decoder" or not name, f.name
+        assert section != "search" or name not in search_keys, f.name
+
+
+def _parsed(cfg, attr):
+    """RunConfig field `attr`, or for `search_<SearchConfig field>` the built search's field."""
+    if hasattr(cfg, attr):
+        return getattr(cfg, attr)
+    return getattr(cli.build_search(cfg), attr.removeprefix("search_"))
 
 
 @pytest.mark.parametrize("line, attr, value", [
@@ -113,7 +142,7 @@ def test_every_runconfig_field_is_a_key():
     ("eval.min_block_errors = 10", "eval_min_block_errors", 10),
 ])
 def test_parse_config_value_types(line, attr, value):
-    got = getattr(cli.parse_config(line + "\n"), attr)
+    got = _parsed(cli.parse_config(line + "\n"), attr)
     assert got == value
     assert type(got) is type(value)
 
@@ -143,6 +172,18 @@ def test_parse_config_rejects_bad_values():
                         ("channel.sigma_b = 0", "channel.sigma_b")]:
         with pytest.raises(cli.ConfigError, match=named):
             cli.parse_config(line + "\n")
+
+
+@pytest.mark.parametrize("line, reason", [
+    ("decoder.clamp = 0", "clamp must be positive and finite, got 0.0"),
+    ("decoder.iters = -1", "iteration count must be an integer >= 0, got -1"),
+    ("decoder.loss_mode = sum", "unknown loss mode 'sum'"),
+])
+def test_bad_decoder_value_names_its_line_key_and_reason(line, reason):
+    key, value = line.split(" = ")
+    with pytest.raises(cli.ConfigError) as exc:
+        cli.parse_config(f"eval.seed = 1\n{line}\neval.frames = 0\n")
+    assert str(exc.value) == f"line 2: bad value {value!r} for {key}: {reason}"
 
 
 def test_unknown_key_exits_2(tmp_path, capsys):
@@ -456,7 +497,7 @@ def test_search_without_sigma_finds_one(tmp_path, capsys):
     out = str(tmp_path / "attack.json")
     assert cli.main(["search", "--config", cfg, "--out", out]) == cli.EXIT_OK
     parsed = cli.parse_config(text)
-    sigma = attack.find_search_sigma(cli.build_code(parsed), cli.build_decoder(parsed), "bpsk",
+    sigma = attack.find_search_sigma(cli.build_code(parsed), parsed.decoder, "bpsk",
                                      seed=5, target_bler=parsed.search_target_bler)
     assert attack.load_attack(out).search_sigma == sigma
     assert f"auto search sigma {sigma:.6g} (" in capsys.readouterr().err

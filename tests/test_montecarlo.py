@@ -166,6 +166,17 @@ def test_frames_and_workers_must_be_positive(ldpc, dec3, monkeypatch):
             montecarlo.run_point(ldpc, dec3, "bpsk", 2.0, frames=10, seed=0, workers=workers)
 
 
+@pytest.mark.parametrize("name, bad", [("workers", 1.5), ("workers", True), ("workers", "2"),
+                                       ("min_block_errors", True), ("min_block_errors", 2.5)])
+def test_worker_and_error_counts_are_integers(ldpc, dec3, monkeypatch, name, bad):
+    def no_draws(seed):
+        raise AssertionError("random streams were opened")
+
+    monkeypatch.setattr(channel, "FrameRng", no_draws)
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= 1, got {re.escape(repr(bad))}"):
+        montecarlo.run_point(ldpc, dec3, "bpsk", 2.0, frames=10, seed=0, **{name: bad})
+
+
 def test_seeds_are_checked_before_any_draw(ldpc, dec3, monkeypatch):
     # a numpy integer is an integer (as a seed or a frame count); the largest
     # Philox key is a seed
