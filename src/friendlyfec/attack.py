@@ -5,6 +5,12 @@ loss through channel + demapper + decoder on batches of noise realizations;
 a candidate step is kept only if it improves the measured batch error rate
 at constant transmit power. Code linearity then lets the same vector be
 applied to any codeword through a per-symbol sign/phase adaptation.
+
+A regime of many searches on small batches (approach 3: B = 20) runs its
+searches in lockstep groups, stacking the batches of a group's runs into
+each decode call, so that the decoder's per-call overhead is shared by
+about `bp.STACK_LANES` lanes. Each run keeps its own draws, step sizes
+and stop rule, and its results equal those of a search on its own.
 """
 
 from __future__ import annotations
@@ -55,9 +61,10 @@ class AttackVector:
         if self.n_symbols != self.n // bits:
             raise ValueError(f"attack field 'N' is {self.n_symbols}, expected n // {bits} = "
                              f"{self.n // bits} for {self.scheme}")
-        if not 0 < self.search_sigma < np.inf:  # as SearchConfig.sigma
+        sigma = self.search_sigma  # checked as SearchConfig.sigma
+        if not (bp.is_real(sigma) and 0 < sigma < np.inf):
             raise ValueError(f"attack field 'search_sigma' must be positive and finite, "
-                             f"got {self.search_sigma!r}")
+                             f"got {sigma!r}")
         for name in ("seed", "accepted_iters"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
@@ -101,11 +108,11 @@ class SearchConfig:
             value = getattr(self, name)  # a count: not a fraction, and not a bool
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if self.sigma is not None and not 0 < self.sigma < np.inf:
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
-        if self.epsilon0 is not None and not 0 < self.epsilon0 < np.inf:
-            raise ValueError(f"epsilon0 must be positive and finite, got {self.epsilon0!r}")
-        if not 0 < self.decay <= 1:
+        for name in ("sigma", "epsilon0"):
+            value = getattr(self, name)  # None: resolved by the caller or the search
+            if value is not None and not (bp.is_real(value) and 0 < value < np.inf):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not (bp.is_real(self.decay) and 0 < self.decay <= 1):
             raise ValueError(f"decay must be in (0, 1], got {self.decay!r}")
         if self.scheduler not in ("constant", "exp_decay", "step"):
             raise ValueError(f"unknown scheduler {self.scheduler!r}")
@@ -223,79 +230,124 @@ def search_attack(code, decoder: bp.DecoderConfig, scheme: str, config: SearchCo
     step against it, re-decode the same noise with the renormalized
     candidate, and accept only if the configured batch criterion strictly
     improves. Stops after the accepted-update budget or the trial cap.
+    Each trial's record goes to `on_trial` before the next trial runs.
+    """
+    return _search_runs(bp.Receiver(code, decoder), scheme, config,
+                        [(seed, config.approach)], on_trial)[0]
+
+
+def _search_runs(receiver: bp.Receiver, scheme: str, config: SearchConfig, runs,
+                 on_trial=None) -> list[AttackVector]:
+    """The searches of `runs`, (seed, approach label) pairs, in lockstep; one vector per run.
+
+    Each run is the search `search_attack` describes, with its own
+    `FrameRng(seed)` draws, step-size calibration, schedule and stop
+    rule. The step-size probes of every run go into one taped decode, and
+    each trial stacks the batches of the runs still searching, run after
+    run, into one taped decode and one untaped re-decode; a run leaves the
+    stack at its accepted-update budget or the trial cap. A lane's decode
+    does not depend on the lanes beside it, so every run's records and
+    vector are those of its search on its own, to the byte. The first
+    run's records go to `on_trial` as they happen, the other runs' when
+    the last run stops, run after run.
     """
     if config.sigma is None:
         raise ValueError("search sigma is unresolved; pass one or use find_search_sigma")
-    if decoder.iters < 1:
+    if receiver.decoder.iters < 1:
         raise ValueError("the search needs a decoder with at least one iteration")
+    code = receiver.code
     const = modem.get_constellation(scheme)
-    receiver = bp.Receiver(code, decoder)
     side = modem.ChannelSide(sigma=config.sigma)
-
+    params = channel.ChannelParams(sigma=config.sigma)
+    rngs = [channel.FrameRng(seed) for seed, _ in runs]
     s_base = modem.modulate(np.zeros(code.n, dtype=np.uint8), const)
     n_real = s_base.shape[0]
-    rng = channel.FrameRng(seed)
-    seed = int(seed)  # FrameRng checked it; AttackVector stores a Python int
+    batch = (config.batch_size, n_real)  # the shape of one run's noise
 
-    def noise(gen):  # one batch of AWGN realizations
-        return config.sigma * channel.draw(channel.ChannelParams(sigma=config.sigma), gen,
-                                           (config.batch_size, n_real), const.coords_per_symbol)[1]
+    def noise(gens):  # one batch of AWGN realizations per generator: (runs, B, n_real)
+        return np.stack([config.sigma * channel.draw(params, gen, batch, const.coords_per_symbol)[1]
+                         for gen in gens])
 
-    def decode(s, z, gradient):
-        """Decode s + z; batch BER and BLER (the word sent is all-zero, so its
-        decoded bits are its errors), and with `gradient` d(loss)/d(s) (else None)."""
-        errs, dj_dllr = receiver.decode(modem.demodulate_llr(s + z, side, const),
-                                        gradient=gradient)
-        grad = modem.demodulate_adjoint(dj_dllr, side, const) if gradient else None
-        return grad, float(errs.mean()), float(np.any(errs, axis=-1).mean())
+    def decode(words, z, gradient):
+        """Decode words[r] + z[r] for each run r in one stacked call. Per run: the
+        batch BER and BLER (the word sent is all-zero, so its decoded bits are its
+        errors), and with `gradient` the batch mean of d(loss)/d(s) (else None)."""
+        llr = modem.demodulate_llr((words[:, None, :] + z).reshape(-1, n_real), side, const)
+        errs, dj_dllr = receiver.decode(llr, gradient=gradient)
+        errs = errs.reshape(len(z), batch[0], -1)
+        grad = (modem.demodulate_adjoint(dj_dllr, side, const).reshape(z.shape).mean(axis=1)
+                if gradient else None)
+        return grad, errs.mean(axis=(1, 2)).tolist(), np.any(errs, axis=2).mean(axis=1).tolist()
 
+    configs = [config] * len(runs)
     if config.epsilon0 is None:
-        # calibrate the step size against this decoder's gradient scale
-        probe = decode(s_base, noise(next(rng.frames(0, 1, channel.STREAM_PROBE))),
-                       gradient=True)[0]
-        scale = float(np.mean(np.abs(probe.mean(axis=0))))
-        config = replace(config, epsilon0=EPSILON_GRAD_SCALE / max(scale, 1e-12))
+        # calibrate each run's step size against this decoder's gradient scale
+        probes = decode(np.tile(s_base, (len(runs), 1)),
+                        noise([next(rng.frames(0, 1, channel.STREAM_PROBE)) for rng in rngs]),
+                        gradient=True)[0]
+        configs = [replace(config, epsilon0=EPSILON_GRAD_SCALE /
+                           max(float(np.mean(np.abs(grad))), 1e-12)) for grad in probes]
 
-    s_cur = s_base.copy()
-    accepted = 0
-    for trial, gen in enumerate(rng.frames(0, config.trial_cap, channel.STREAM_SEARCH), 1):
-        eps = gradient_scheduler(accepted, config)
-        z = noise(gen)
-        grad, ber0, bler0 = decode(s_cur, z, gradient=True)
-        step = -eps * grad.mean(axis=0)
-        # evaluate the candidate exactly as it would be transmitted: at the
+    trials = [rng.frames(0, config.trial_cap, channel.STREAM_SEARCH) for rng in rngs]
+    words = np.tile(s_base, (len(runs), 1))
+    accepted = [0] * len(runs)
+    held = [[] for _ in runs]  # records of runs after the first, until every run stops
+    live = list(range(len(runs)))
+    for trial in range(1, config.trial_cap + 1):
+        eps = [gradient_scheduler(accepted[r], configs[r]) for r in live]
+        z = noise([next(trials[r]) for r in live])
+        grad, ber0, bler0 = decode(words[live], z, gradient=True)
+        # evaluate each candidate exactly as it would be transmitted: at the
         # power budget, so acceptance can never come from power inflation
-        s_cand, _ = normalize_power(s_cur + step, const.coords_per_symbol)
-        _, ber1, bler1 = decode(s_cand, z, gradient=False)
-        ok = _improves(config.accept, ber1, bler1, ber0, bler0)
-        if ok:
-            accepted += 1
-            s_cur = s_cand
-        if on_trial is not None:
-            on_trial(dict(trial=trial, epsilon=eps, accepted=ok,
-                          ber=ber0, ber_new=ber1, bler=bler0, bler_new=bler1,
-                          accepted_total=accepted))
-        if accepted == config.accepted_iters:
+        cands = np.stack([normalize_power(w + -e * g, const.coords_per_symbol)[0]
+                          for w, e, g in zip(words[live], eps, grad)])
+        _, ber1, bler1 = decode(cands, z, gradient=False)
+        for i, r in enumerate(live):
+            ok = _improves(config.accept, ber1[i], bler1[i], ber0[i], bler0[i])
+            if ok:
+                accepted[r] += 1
+                words[r] = cands[i]
+            if on_trial is not None:
+                rec = dict(trial=trial, epsilon=eps[i], accepted=ok, ber=ber0[i],
+                           ber_new=ber1[i], bler=bler0[i], bler_new=bler1[i],
+                           accepted_total=accepted[r])
+                if r:
+                    held[r].append(rec)
+                else:
+                    on_trial(rec)
+        live = [r for r in live if accepted[r] < config.accepted_iters]
+        if not live:
             break
+    for rec in (rec for records in held for rec in records):
+        on_trial(rec)
 
-    return AttackVector(
-        a=s_cur - s_base, code_id=code.name, scheme=scheme, n=code.n,
-        n_symbols=n_real // const.coords_per_symbol, search_sigma=config.sigma,
-        seed=seed, approach=config.approach, accepted_iters=accepted,
-        created=_dt.datetime.now(_dt.timezone.utc).isoformat())
+    created = _dt.datetime.now(_dt.timezone.utc).isoformat()
+    return [AttackVector(a=word - s_base, code_id=code.name, scheme=scheme, n=code.n,
+                         n_symbols=n_real // const.coords_per_symbol,
+                         search_sigma=config.sigma, seed=int(seed), approach=approach,
+                         accepted_iters=count, created=created)
+            for word, count, (seed, approach) in zip(words, accepted, runs)]
 
 
 def run_regime(code, decoder: bp.DecoderConfig, scheme: str, config: SearchConfig,
                seed: int, on_trial=None) -> list[AttackVector]:
-    """Repeat the search with per-run derived seeds; keeps zero results too."""
+    """Repeat the search with per-run derived seeds; keeps zero results too.
+
+    Run r is the search of `search_attack` with seed `child_seed(seed, r)`
+    and approach label "<approach>:run<r>": its vector and `on_trial`
+    records are the same to the byte, and the records arrive in run order.
+    The runs search in lockstep groups of STACK_LANES // batch_size runs
+    (at least one), so that a group's batches share each decode call; at
+    a batch size of STACK_LANES or more every run searches on its own.
+    """
     if config.runs < 2:
         raise ValueError("run_regime needs runs >= 2; call search_attack directly")
-    vectors = []
-    for run in range(config.runs):
-        run_cfg = replace(config, approach=f"{config.approach}:run{run}")
-        vectors.append(search_attack(code, decoder, scheme, run_cfg,
-                                     seed=channel.child_seed(seed, run), on_trial=on_trial))
-    return vectors
+    receiver = bp.Receiver(code, decoder)
+    runs = [(channel.child_seed(seed, run), f"{config.approach}:run{run}")
+            for run in range(config.runs)]
+    width = max(1, bp.STACK_LANES // config.batch_size)
+    return [vector for lo in range(0, len(runs), width)
+            for vector in _search_runs(receiver, scheme, config, runs[lo:lo + width], on_trial)]
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,16 @@ reproducible under any worker split.
 `Receiver` holds the decoder of one code and is the one decode entry of
 Monte Carlo, the search and the gradient check. It calls `decode_blocks`,
 which decodes a large batch in blocks of `BLOCK_LANES` lanes, so the work
-arrays and the tape stay cache-sized. A decode call builds one set of work
-arrays for a full block and reuses it for every block's forward and
-backward pass, writing each step into it with `out=`, so the arrays are
-allocated and faulted in once per call rather than once per use; the next
-block overwrites a block's tape once its gradient is taken. Since a lane's
-result does not depend on the other lanes of its batch, the blocked
-outputs and gradients equal those of one unblocked decode bit for bit.
+arrays and the tape stay cache-sized. Every block's forward and backward
+pass writes each step into one set of work arrays with `out=`, and the
+receiver keeps that set across its decode calls, taped and untaped, so
+the arrays are allocated and faulted in once per receiver rather than
+once per use; the next block overwrites a block's tape once its gradient
+is taken. Since a lane's result does not depend on the other lanes of
+its batch, the blocked outputs and gradients equal those of one
+unblocked decode bit for bit, and a caller with many small batches may
+stack them into one decode call (about `STACK_LANES` lanes) and split
+the results.
 
 Inside the kernel the messages are laid out edge-major with the lanes
 last: per-edge arrays are (E, lanes) and per-variable arrays (n, lanes).
@@ -38,6 +41,7 @@ transposed views.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +52,15 @@ DEFAULT_CLAMP = 20.0
 # lanes per decode block: (128, E) float64 work arrays stay in cache, and
 # the tape of a BP-5 block of the bundled code is about 2 MB
 BLOCK_LANES = 128
+# lanes a caller with many small batches stacks into one decode call: enough
+# to share the per-call overhead, few enough that a taped set stays small
+STACK_LANES = 64
 _LOG_PROB_FLOOR = float(np.log(1e-12))
+
+
+def is_real(value) -> bool:
+    """True for a real number other than a bool: a float setting takes neither True nor "5"."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def check_loss_mode(mode) -> None:
@@ -68,7 +80,7 @@ class DecoderConfig:
             raise ValueError(f"iteration count must be an integer >= 0, got {iters!r}")
         # a Python int, so repr (hashed into Monte Carlo digests) ignores the type given
         object.__setattr__(self, "iters", int(iters))
-        if not 0 < self.clamp < np.inf:
+        if not (is_real(self.clamp) and 0 < self.clamp < np.inf):
             raise ValueError(f"clamp must be positive and finite, got {self.clamp!r}")
         check_loss_mode(self.loss_mode)
 
@@ -197,16 +209,19 @@ class _WorkSet:
     and `llr` stack such arrays along a leading axis. A batch of k < lanes
     lanes, such as a short last block or the lanes early stopping leaves
     running, uses `_lanes(array, k)`: the leading elements of the array's
-    buffer shaped (..., k), which stay C-contiguous. Reusing one set across
-    a call's blocks keeps the large arrays mapped and faulted in; a set is
-    never shared between calls, so what a call returns is overwritten only
-    by later blocks of the same call. `iters` and `taped` size the
-    per-iteration soft outputs and the arrays the tape keeps. Without a
-    tape `t` and `u` have one slot, and `v2c` and `llr` have two, so that
-    early stop compacts the running lanes of one into the other.
+    buffer shaped (..., k), which stay C-contiguous. Reusing one set keeps
+    the large arrays mapped and faulted in. A `Receiver` keeps one set for
+    all its decode calls, and `decode_blocks` copies each block's results
+    out of it, so nothing a call returns aliases the set; the outputs and
+    tape of `bp_forward` do, and the next use of the set overwrites them.
+    `iters` and `taped` size the per-iteration soft outputs and the arrays
+    the tape keeps. Without a tape `t` and `u` have one slot, and `v2c` and
+    `llr` have two, so that early stop compacts the running lanes of one
+    into the other; a taped set serves untaped decodes too.
     """
 
     def __init__(self, graph: TannerGraph, lanes: int, iters: int = 1, taped: bool = False):
+        self.lanes, self.taped = lanes, taped
         E, n = graph.n_edges, graph.n_var
         kept = iters if taped else 1
         self.soft = np.empty((iters, n, lanes))
@@ -524,7 +539,7 @@ def bp_backward(tape: BpTape, target, mode: str = "final",
 
 
 def decode_blocks(llr, graph: TannerGraph, decoder: DecoderConfig, early_stop: bool = False,
-                  target=None):
+                  target=None, work: _WorkSet | None = None):
     """Decode a (B, n) LLR batch in blocks of `BLOCK_LANES` lanes.
 
     Each block runs the early-stopped forward (`early_stop`), or the taped
@@ -533,7 +548,9 @@ def decode_blocks(llr, graph: TannerGraph, decoder: DecoderConfig, early_stop: b
     forward. Returns the final soft output (B, n) and d(loss)/d(LLR)
     (B, n), which is None without a target. A block's tape is dropped once
     its gradient is taken, and a block whose soft output is not finite
-    raises RuntimeError before its backward pass.
+    raises RuntimeError before its backward pass. The blocks run in `work`
+    (a fresh set when none is given), which must hold min(B, BLOCK_LANES)
+    lanes of `decoder.iters` iterations, and a tape when there is a target.
     """
     L = np.asarray(llr, dtype=np.float64)
     if L.ndim != 2 or L.shape[1] != graph.n_var:
@@ -543,7 +560,8 @@ def decode_blocks(llr, graph: TannerGraph, decoder: DecoderConfig, early_stop: b
         target = _target_array(target, graph.n_var)
     soft = np.empty_like(L)
     grad = np.empty_like(L) if taped else None
-    work = _WorkSet(graph, min(len(L), BLOCK_LANES), decoder.iters, taped)
+    if work is None:
+        work = _WorkSet(graph, min(len(L), BLOCK_LANES), decoder.iters, taped)
     for lo in range(0, len(L), BLOCK_LANES):
         block = slice(lo, lo + BLOCK_LANES)
         out = bp_forward(L[block], graph, decoder.iters, decoder.clamp,
@@ -557,11 +575,21 @@ def decode_blocks(llr, graph: TannerGraph, decoder: DecoderConfig, early_stop: b
 
 
 class Receiver:
-    """BP decoding of one code under one `DecoderConfig`; it pickles, for worker processes."""
+    """BP decoding of one code under one `DecoderConfig`; it pickles, for worker processes.
+
+    Its decode calls share one work set, built at the first call and built
+    again, larger or with a tape, when a call needs more than it holds, so
+    a receiver decodes for one thread at a time. The set is left out of
+    the pickle, so a worker process builds its own.
+    """
 
     def __init__(self, code, decoder: DecoderConfig):
         self.code, self.decoder = code, decoder
         self.graph, self.target = TannerGraph(code.H), np.zeros(code.n)  # all-zero design word
+        self._work = None
+
+    def __getstate__(self):
+        return self.__dict__ | {"_work": None}
 
     def decode(self, llr, early_stop: bool = False, gradient: bool = False):
         """Message bits (B, k) of (B, n) LLRs, and d(loss)/d(LLR) against the all-zero
@@ -569,8 +597,18 @@ class Receiver:
         soft, grad = llr, None
         if self.decoder.iters:
             soft, grad = decode_blocks(llr, self.graph, self.decoder, early_stop,
-                                       self.target if gradient else None)
+                                       self.target if gradient else None,
+                                       self._work_set(min(len(llr), BLOCK_LANES), gradient))
         return self.code.message_from_codeword(soft < 0), grad
+
+    def _work_set(self, lanes: int, taped: bool) -> _WorkSet:
+        """The shared work set, rebuilt to hold `lanes` lanes and a tape if `taped`."""
+        work = self._work
+        if work is None or work.lanes < lanes or taped > work.taped:
+            if work is not None:  # the new set serves every decode the old one did
+                lanes, taped = max(lanes, work.lanes), taped or work.taped
+            self._work = work = _WorkSet(self.graph, lanes, self.decoder.iters, taped)
+        return work
 
     def loss(self, llr):
         """The loss of an untaped decode: what the finite-difference oracle differentiates."""

@@ -48,6 +48,24 @@ def test_search_config_validation():
         attack.approach_config(5)
 
 
+@pytest.mark.parametrize("name, message", [("sigma", "positive and finite"),
+                                           ("epsilon0", "positive and finite"),
+                                           ("decay", r"in \(0, 1\]")])
+def test_search_config_float_settings_are_numbers(name, message):
+    # a bool would act as 1.0; a string would fail inside a comparison
+    for bad in (True, np.True_, "0.5"):
+        with pytest.raises(ValueError, match=f"{name} must be {message}, got {re.escape(repr(bad))}"):
+            attack.SearchConfig(**{name: bad})
+    assert getattr(attack.SearchConfig(**{name: np.float64(0.5)}), name) == 0.5
+
+
+def test_attack_vector_search_sigma_is_a_number():
+    for bad in (True, "0.8", None):
+        with pytest.raises(ValueError, match="attack field 'search_sigma' must be positive"):
+            replace(_vec([0.0, 0.0]), search_sigma=bad)
+    assert replace(_vec([0.0, 0.0]), search_sigma=2).search_sigma == 2
+
+
 @pytest.mark.parametrize("name", ["batch_size", "accepted_iters", "max_trials", "step_len",
                                   "runs", "cluster_k"])
 def test_search_config_counts_are_integers(name):
@@ -315,6 +333,56 @@ def test_run_regime_deterministic_and_smoke(ldpc):
     assert all(np.array_equal(a.a, b.a) for a, b in zip(vecs, again))
     with pytest.raises(ValueError):
         attack.run_regime(ldpc, dec, "bpsk", attack.SearchConfig(runs=1, sigma=0.7), seed=7)
+
+
+@pytest.mark.parametrize("scheme, sigma, epsilon0", [("bpsk", 0.8, None), ("bpsk", 0.8, 0.05),
+                                                    ("qam4", 0.55, None)])
+def test_run_regime_equals_a_loop_of_searches(ldpc, scheme, sigma, epsilon0):
+    # the runs stop at different trials, and the last lockstep group is part-full
+    dec = bp.DecoderConfig(iters=3)
+    width = bp.STACK_LANES // 20
+    cfg = attack.approach_config(3, sigma=sigma, batch_size=20, accepted_iters=5,
+                                 max_trials=12, runs=2 * width + 1, epsilon0=epsilon0)
+    records = []
+    vecs = attack.run_regime(ldpc, dec, scheme, cfg, seed=11, on_trial=records.append)
+    want_records, ends = [], []
+    for run, vec in enumerate(vecs):
+        one = []
+        want = attack.search_attack(ldpc, dec, scheme, replace(cfg, approach=f"3:run{run}"),
+                                    seed=channel.child_seed(11, run), on_trial=one.append)
+        want_records += one
+        ends.append(len(one))
+        assert vec.a.tobytes() == want.a.tobytes()
+        assert (vec.seed, vec.approach, vec.accepted_iters) == \
+            (want.seed, want.approach, want.accepted_iters)
+    assert records == want_records
+    assert len(set(ends)) > 1
+
+
+class _Stopped(Exception):
+    pass
+
+
+def test_search_delivers_each_record_before_the_next_trial(ldpc, monkeypatch):
+    decode, calls, seen = bp.Receiver.decode, [], []
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return decode(self, *args, **kwargs)
+
+    def on_trial(rec):
+        seen.append((rec["trial"], len(calls)))
+        if rec["trial"] == 2:
+            raise _Stopped
+
+    monkeypatch.setattr(bp.Receiver, "decode", counted)
+    cfg = attack.approach_config(1, sigma=0.8, batch_size=20, accepted_iters=5,
+                                 max_trials=10, epsilon0=0.05)
+    with pytest.raises(_Stopped):
+        attack.search_attack(ldpc, bp.DecoderConfig(iters=3), "bpsk", cfg, seed=1,
+                             on_trial=on_trial)
+    # a taped decode and a re-decode per trial, and nothing after the raise
+    assert seen == [(1, 2), (2, 4)] and len(calls) == 4
 
 
 def _vec(arr, tag="v"):

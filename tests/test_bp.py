@@ -183,6 +183,16 @@ def test_forward_validation():
         bp.bp_forward(np.zeros(3), g, 2, early_stop=True, record_tape=True)
 
 
+def test_decoder_config_clamp_is_a_number():
+    # a bool would decode with clamp 1 and read clamp=True in every config digest
+    for bad in (True, np.True_, "5", None):
+        with pytest.raises(ValueError, match=r"clamp must be positive and finite, got "):
+            bp.DecoderConfig(iters=2, clamp=bad)
+    for good in (5, 7.5, np.float32(5.0)):
+        assert repr(bp.DecoderConfig(iters=2, clamp=good)) == \
+            f"DecoderConfig(iters=2, clamp={good!r}, loss_mode='final')"
+
+
 @pytest.mark.parametrize("early_stop, record_tape", [(False, True), (False, False), (True, False)])
 def test_forward_rejects_an_empty_batch(early_stop, record_tape):
     graph = bp.TannerGraph(codes.ldpc_64_32().H)
@@ -592,6 +602,23 @@ def test_pickled_receiver_decodes_the_same():
         assert [x.tobytes() for x in got if x is not None] == \
             [x.tobytes() for x in want if x is not None]
     assert copy.loss(L[0]) == rx.loss(L[0])
+
+
+def test_receiver_reuses_one_work_set_across_decodes():
+    # 300 lanes need a full block set, 20 run in its leading lanes, and a
+    # taped decode after untaped ones rebuilds the set with a tape
+    code, dec = codes.ldpc_64_32(), bp.DecoderConfig(iters=5, loss_mode="multiloss")
+    batches = [_noisy_llrs(B, 30 + B) for B in (300, 20, 300)]
+    shared = bp.Receiver(code, dec)
+    for kwargs in (dict(early_stop=True), dict(), dict(gradient=True), dict(early_stop=True)):
+        for L in batches:
+            got, want = shared.decode(L, **kwargs), bp.Receiver(code, dec).decode(L, **kwargs)
+            assert [x.tobytes() for x in got if x is not None] == \
+                [x.tobytes() for x in want if x is not None]
+    assert shared._work.lanes == bp.BLOCK_LANES and shared._work.taped
+    # the pickle a worker process receives holds no work arrays
+    assert len(pickle.dumps(shared)) == len(pickle.dumps(bp.Receiver(code, dec)))
+    assert pickle.loads(pickle.dumps(shared))._work is None
 
 
 def _cumprod_exclusion(t, H):

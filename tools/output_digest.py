@@ -9,6 +9,11 @@ The digest covers, on the bundled (64, 32) LDPC code:
 - `bp_backward` against the all-zero target and a random codeword-length
   target, for a batch and for one frame;
 - untaped and early-stopped soft outputs of `bp_forward` and `decode_blocks`;
+- `run_regime` vectors, accepted counts and approach labels and every
+  `on_trial` record in the order delivered, for 7 runs of 20-frame batches
+  that stop at different trials (BPSK with the step size given and
+  calibrated, and 4-QAM), with `cluster_attacks` and `select_best` on
+  their vectors;
 - `run_point` error counts at a waterfall and a high Eb/N0 point, with and
   without an attack;
 - the same forward and backward outputs on a small H with a variable on no
@@ -45,6 +50,21 @@ def _search_parts(code):
             vec = attack.search_attack(code, decoder, "bpsk", config, seed=iters,
                                        on_trial=trials.append)
             yield f"search BP-{iters} {mode}", [vec.a, repr(vec.accepted_iters), repr(trials)]
+
+
+def _regime_parts(code):
+    decoder = bp.DecoderConfig(iters=3)
+    for scheme, sigma, epsilon0 in (("bpsk", SIGMA, None), ("bpsk", SIGMA, 0.05),
+                                    ("qam4", 0.55, None)):
+        config = attack.SearchConfig(batch_size=20, accepted_iters=5, max_trials=12, runs=7,
+                                     sigma=sigma, epsilon0=epsilon0, approach="3")
+        trials = []
+        vectors = attack.run_regime(code, decoder, scheme, config, seed=11, on_trial=trials.append)
+        centroids = attack.cluster_attacks(vectors, "kmeans", 2, seed=11)
+        best = attack.select_best(centroids, code, decoder, ebn0_db=2.0, frames=256, seed=13)
+        yield f"regime {scheme} epsilon0={epsilon0}", [
+            *(v.a for v in vectors), repr([(v.accepted_iters, v.approach) for v in vectors]),
+            repr(trials), *(c.a for c in centroids), best.a, repr(best.approach)]
 
 
 def _decoder_parts(code):
@@ -120,7 +140,7 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     code = codes.ldpc_64_32()
     total = hashlib.sha256()
-    for parts in (_search_parts(code), _decoder_parts(code), _irregular_parts(), _count_parts(code)):
+    for parts in (_search_parts(code), _regime_parts(code), _decoder_parts(code), _irregular_parts(), _count_parts(code)):
         for name, values in parts:
             h = hashlib.sha256()
             for value in values:
