@@ -26,10 +26,9 @@ print(f"accepted {av.accepted_iters} updates, ||a|| = {np.linalg.norm(av.a):.3f}
 
 for db_above in (1.0, 2.0):
     ebn0 = eb_search + db_above
-    base = montecarlo.run_point(code, decoder, "bpsk", ebn0, frames=40_000, seed=777,
-                                min_block_errors=300)
-    att = montecarlo.run_point(code, decoder, "bpsk", ebn0, frames=40_000, seed=777,
-                               attack=av, min_block_errors=300)
+    # both rows on the same messages and noise; each stops at its own 300 block errors
+    base, att = montecarlo.run_rows(code, decoder, "bpsk", ebn0, frames=40_000, seed=777,
+                                    attacks=[None, av], min_block_errors=300)
     gain = (base.ber - att.ber) / base.ber
     print(f"Eb/N0 {ebn0:.2f} dB: BER {base.ber:.5f} -> {att.ber:.5f} ({gain:+.1%})")
 

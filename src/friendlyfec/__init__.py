@@ -22,7 +22,7 @@ from .gf2 import encode, generator_from_parity, matmul, rank, rref
 from .modem import (ChannelSide, Constellation, demodulate_adjoint,
                     demodulate_llr, get_constellation, modulate)
 from .montecarlo import (MonteCarloResult, TransferReport, read_csv, run_point,
-                         sweep, transfer_check, write_csv)
+                         run_rows, sweep, transfer_check, write_csv)
 
 __version__ = "0.1.0"
 

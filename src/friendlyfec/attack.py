@@ -24,6 +24,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from . import bp, channel, modem
+from .checks import is_real
 
 POWER = 1.0  # average power constraint per symbol
 SIGMA_BRACKET, SIGMA_STEPS = (0.05, 4.0), 14  # find_search_sigma's interval and halvings
@@ -62,7 +63,7 @@ class AttackVector:
             raise ValueError(f"attack field 'N' is {self.n_symbols}, expected n // {bits} = "
                              f"{self.n // bits} for {self.scheme}")
         sigma = self.search_sigma  # checked as SearchConfig.sigma
-        if not (bp.is_real(sigma) and 0 < sigma < np.inf):
+        if not (is_real(sigma) and 0 < sigma < np.inf):
             raise ValueError(f"attack field 'search_sigma' must be positive and finite, "
                              f"got {sigma!r}")
         for name in ("seed", "accepted_iters"):
@@ -110,9 +111,9 @@ class SearchConfig:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         for name in ("sigma", "epsilon0"):
             value = getattr(self, name)  # None: resolved by the caller or the search
-            if value is not None and not (bp.is_real(value) and 0 < value < np.inf):
+            if value is not None and not (is_real(value) and 0 < value < np.inf):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if not (bp.is_real(self.decay) and 0 < self.decay <= 1):
+        if not (is_real(self.decay) and 0 < self.decay <= 1):
             raise ValueError(f"decay must be in (0, 1], got {self.decay!r}")
         if self.scheduler not in ("constant", "exp_decay", "step"):
             raise ValueError(f"unknown scheduler {self.scheduler!r}")
@@ -437,25 +438,19 @@ def select_best(candidates: list[AttackVector], code, decoder: bp.DecoderConfig,
     """Monte Carlo validation of each candidate at a fixed Eb/N0.
 
     Returns the candidate with the lowest BER (ties: lowest BLER, then
-    lowest index). All candidates share the validation noise seed. Each
-    must fit `code` and the first candidate's scheme, and must not zero
-    the word, which is checked before the first validation run.
+    lowest index). All candidates are evaluated in one `run_rows` call,
+    on the same messages and channel draws. Each must fit `code` and the
+    first candidate's scheme, and must not zero the word, which is
+    checked before anything is drawn.
     """
     from . import montecarlo  # deferred: montecarlo uses apply_attack
 
     if not candidates:
         raise ValueError("need at least one candidate")
-    scheme = candidates[0].scheme
-    for cand in candidates:
-        montecarlo.attack_array(cand, scheme, code)
-    best_idx, best_key = 0, None
-    for i, cand in enumerate(candidates):
-        res = montecarlo.run_point(code, decoder, scheme, ebn0_db=ebn0_db,
-                                   frames=frames, seed=seed, attack=cand)
-        key = (res.ber, res.bler, i)
-        if best_key is None or key < best_key:
-            best_idx, best_key = i, key
-    return candidates[best_idx]
+    rows = montecarlo.run_rows(code, decoder, candidates[0].scheme, ebn0_db, frames, seed,
+                               candidates)
+    best = min(range(len(rows)), key=lambda i: (rows[i].ber, rows[i].bler, i))
+    return candidates[best]
 
 
 def find_search_sigma(code, decoder: bp.DecoderConfig, scheme: str, seed: int,

@@ -41,12 +41,12 @@ transposed views.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gf2
+from .checks import is_real
 
 DEFAULT_CLAMP = 20.0
 # lanes per decode block: (128, E) float64 work arrays stay in cache, and
@@ -56,11 +56,6 @@ BLOCK_LANES = 128
 # to share the per-call overhead, few enough that a taped set stays small
 STACK_LANES = 64
 _LOG_PROB_FLOOR = float(np.log(1e-12))
-
-
-def is_real(value) -> bool:
-    """True for a real number other than a bool: a float setting takes neither True nor "5"."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def check_loss_mode(mode) -> None:
@@ -419,14 +414,18 @@ def _bce_grad(soft, target_bits):
     """d _bce / d soft for target bits of 0 or 1, evaluating only each bit's live term.
 
     With s = +1 for a 1 bit and -1 for a 0 bit, the live term is
-    s sigmoid(s soft), zero where log Pr(bit) is below the floor; the
-    +0.0 makes an exactly zero gradient +0.0, as 0.0 - 0.0 was when both
-    terms were evaluated.
+    s sigmoid(s soft), zero where log Pr(bit) = -logaddexp(0, s soft) is
+    below the floor. That test can fail only where s soft > 20, since
+    logaddexp(0, 20) < 20 + 3e-9 is far inside -floor = 27.63, so it is
+    evaluated only there. The +0.0 makes an exactly zero gradient +0.0,
+    as 0.0 - 0.0 was when both terms were evaluated.
     """
     sign = 2.0 * target_bits - 1.0
     y = soft * sign
     g = _sigmoid(y)
-    g *= np.logaddexp(0.0, y) < -_LOG_PROB_FLOOR
+    big = y > 20.0
+    if big.any():
+        g[big] *= np.logaddexp(0.0, y[big]) < -_LOG_PROB_FLOOR
     g *= sign
     g += 0.0
     return g
@@ -446,8 +445,9 @@ def bp_loss(out: BpOutput, target, mode: str = "final"):
     """BCE between the decoder's soft output and a target codeword.
 
     The target is one codeword of n bits, each 0 or 1, scored against
-    every lane, as in `bp_backward` and `decode_blocks`. "final" scores the last iteration; "multiloss" averages the BCE across
-    iterations. Returns a scalar for single-frame input, else (B,).
+    every lane, as in `bp_backward` and `decode_blocks`. "final" scores
+    the last iteration; "multiloss" averages the BCE across iterations.
+    Returns a scalar for single-frame input, else (B,).
     """
     check_loss_mode(mode)
     soft = np.ascontiguousarray(out.soft)  # each lane's BCE sums one contiguous row

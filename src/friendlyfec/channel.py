@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+from .checks import is_real
 
 RAYLEIGH_SCALE = 1.0 / math.sqrt(2.0)  # unit mean-square gain
 
@@ -31,23 +34,28 @@ def check_kind(kind) -> None:
 class ChannelParams:
     sigma: float
     kind: str = "awgn"
-    sigma_b: float | None = None
-    rho: float | None = None
+    sigma_b: float | None = None   # bursty only
+    rho: float | None = None       # bursty only
 
     def __post_init__(self):
         check_kind(self.kind)
-        if not 0 < self.sigma < math.inf:
+        if not (is_real(self.sigma) and 0 < self.sigma < math.inf):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
-        if self.kind == "bursty":
-            # defaults when unspecified: strong, sparse interference
-            if self.sigma_b is None:
-                object.__setattr__(self, "sigma_b", 2.0 * self.sigma)
-            if self.rho is None:
-                object.__setattr__(self, "rho", 0.1)
-            if not 0 < self.sigma_b < math.inf:
-                raise ValueError(f"sigma_b must be positive and finite, got {self.sigma_b!r}")
-            if not 0.0 <= self.rho <= 1.0:
-                raise ValueError("rho must lie in [0, 1]")
+        if self.kind != "bursty":
+            for name in ("sigma_b", "rho"):
+                if getattr(self, name) is not None:
+                    raise ValueError(f"{name} applies to a bursty channel only, "
+                                     f"not {self.kind!r}")
+            return
+        # defaults when unspecified: strong, sparse interference
+        if self.sigma_b is None:
+            object.__setattr__(self, "sigma_b", 2.0 * self.sigma)
+        if self.rho is None:
+            object.__setattr__(self, "rho", 0.1)
+        if not (is_real(self.sigma_b) and 0 < self.sigma_b < math.inf):
+            raise ValueError(f"sigma_b must be positive and finite, got {self.sigma_b!r}")
+        if not (is_real(self.rho) and 0.0 <= self.rho <= 1.0):
+            raise ValueError(f"rho must lie in [0, 1], got {self.rho!r}")
 
 
 @dataclass(frozen=True)
@@ -196,7 +204,15 @@ def sigma_to_ebn0(sigma: float, rate: float, bits_per_symbol: int) -> float:
     return -10.0 * math.log10(2.0 * rate * bits_per_symbol * sigma * sigma)
 
 
-def draw(params: ChannelParams, rng, shape, coords_per_symbol: int = 1):
+class Draws(NamedTuple):
+    """The random arrays of one pass through the channel (see `draw`)."""
+    gains: np.ndarray | None
+    noise: np.ndarray
+    burst_u: np.ndarray | None
+    burst_z: np.ndarray | None
+
+
+def draw(params: ChannelParams, rng, shape, coords_per_symbol: int = 1) -> Draws:
     """The channel's random arrays for symbol coordinates of `shape`.
 
     Returns (gains, noise, burst uniforms, burst noise): Rayleigh gains of
@@ -207,6 +223,8 @@ def draw(params: ChannelParams, rng, shape, coords_per_symbol: int = 1):
     `FrameRng.frames`, which draws that row of each array. Either way a
     generator draws in the fixed order gains, noise, burst uniforms, burst
     noise, so a given generator state always yields the same realization.
+    `transmit` takes the result in place of `rng`, so several signals can
+    pass through one realization that is drawn once.
     """
     n_sym = shape[-1] // coords_per_symbol
     gains = np.empty(shape[:-1] + (n_sym,)) if params.kind == "rayleigh" else None
@@ -223,7 +241,7 @@ def draw(params: ChannelParams, rng, shape, coords_per_symbol: int = 1):
         if burst_u is not None:
             gen.random(out=burst_u[row])
             gen.standard_normal(out=burst_z[row])
-    return gains, noise, burst_u, burst_z
+    return Draws(gains, noise, burst_u, burst_z)
 
 
 def transmit(s, params: ChannelParams, rng, coords_per_symbol: int = 1
@@ -235,11 +253,18 @@ def transmit(s, params: ChannelParams, rng, coords_per_symbol: int = 1
               the receiver knows g, so the gains are returned
     bursty:   y = s + z + w, w ~ N(0, sigma_b^2) with probability rho
 
-    `rng` is a Generator or one Generator per row of `s` (see `draw`);
-    the formulas then apply once to the whole array.
+    `rng` is a Generator or one Generator per row of `s`, which `draw`
+    draws from, or the `Draws` that `draw` made for an array of s's shape
+    and this channel kind, which are used as they are; the formulas then
+    apply once to the whole array.
     """
     s = np.asarray(s, dtype=np.float64)
-    gains, noise, burst_u, burst_z = draw(params, rng, s.shape, coords_per_symbol)
+    draws = rng if isinstance(rng, Draws) else draw(params, rng, s.shape, coords_per_symbol)
+    gains, noise, burst_u, burst_z = draws
+    if (noise.shape != s.shape or (gains is None) != (params.kind != "rayleigh")
+            or (burst_u is None) != (params.kind != "bursty")):
+        raise ValueError(f"the draws do not fit a {params.kind} channel for a signal "
+                         f"of shape {s.shape}")
     y = s if gains is None else np.repeat(gains, coords_per_symbol, axis=-1) * s
     y = y + params.sigma * noise
     if params.kind == "bursty":

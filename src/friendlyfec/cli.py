@@ -281,11 +281,8 @@ def cmd_eval(cfg: RunConfig, attack_path: str | None, out_path: str | None,
         results = montecarlo.sweep(points, code, decoder, cfg.modem_scheme,
                                    attack=av, **shared)
     else:
-        results = [montecarlo.run_point(code, decoder, cfg.modem_scheme,
-                                        cfg.eval_ebn0_db, **shared)]
-        if av is not None:
-            results.append(montecarlo.run_point(code, decoder, cfg.modem_scheme,
-                                                cfg.eval_ebn0_db, attack=av, **shared))
+        results = montecarlo.run_rows(code, decoder, cfg.modem_scheme, cfg.eval_ebn0_db,
+                                      attacks=[None] if av is None else [None, av], **shared)
     if out_path:
         montecarlo.write_csv(results, out_path)
         _log(f"wrote {out_path}")

@@ -3,6 +3,10 @@
 Frames are simulated in fixed-size chunks whose random streams derive from
 (seed, frame index) alone, so exact integer error counts are identical for
 any worker count or chunk assignment. BER is counted on message bits.
+`run_rows` evaluates several perturbations at one point and seed: each
+chunk's messages and channel draws are made once and shared by all rows,
+and each row is decoded and counted on its own, so its counts equal those
+of `run_point` on that row alone.
 """
 
 from __future__ import annotations
@@ -95,9 +99,15 @@ def attack_array(attack, scheme, code) -> np.ndarray | None:
     return a
 
 
-def _chunk_counts(receiver, const, params, attack_a, message_source, rng, bounds):
-    """Exact (frames, bit errors, block errors) for frames [start, stop)."""
-    start, stop = bounds
+def _chunk_counts(receiver, const, params, attacks, message_source, rng, job):
+    """Exact (frames, bit errors, block errors) for frames [start, stop), one per listed row.
+
+    The messages and the channel realization are drawn once; each row then
+    applies its perturbation, passes the formulas of `channel.transmit` on
+    those draws, demaps and decodes in its own call, so a row's counts do
+    not depend on which other rows share the chunk.
+    """
+    (start, stop), rows = job
     code = receiver.code
 
     if message_source == "all_zero":
@@ -105,27 +115,37 @@ def _chunk_counts(receiver, const, params, attack_a, message_source, rng, bounds
     else:
         msgs = rng.bits(start, stop, code.k, channel.STREAM_MESSAGE)
     s = modem.modulate(gf2.encode(msgs, code.G), const)
-    if attack_a is not None:
-        s = attack_mod.apply_attack(s, attack_a, const)
+    draws = channel.draw(params, rng.frames(start, stop, channel.STREAM_CHANNEL), s.shape,
+                         const.coords_per_symbol)
+    counts = []
+    for row in rows:
+        a = attacks[row]
+        y, gains = channel.transmit(s if a is None else attack_mod.apply_attack(s, a, const),
+                                    params, draws, const.coords_per_symbol)
+        side = modem.ChannelSide(sigma=params.sigma, gains=gains)
+        llr = modem.demodulate_llr(y, side, const)
+        counts.append(_counts(receiver.decode(llr, early_stop=True)[0] != msgs))
+    return counts
 
-    y, gains = channel.transmit(s, params, rng.frames(start, stop, channel.STREAM_CHANNEL),
-                                const.coords_per_symbol)
-    side = modem.ChannelSide(sigma=params.sigma, gains=gains)
-    llr = modem.demodulate_llr(y, side, const)
-    return _counts(receiver.decode(llr, early_stop=True)[0] != msgs)
 
+def run_rows(code, decoder: bp.DecoderConfig, scheme: str, ebn0_db: float,
+             frames: int, seed: int, attacks: list, message_source: str = "random",
+             channel_kind: str = "awgn", channel_opts: dict | None = None,
+             workers: int = 1, min_block_errors: int | None = None
+             ) -> list[MonteCarloResult]:
+    """Simulate one operating point once per perturbation and return exact error counts.
 
-def run_point(code, decoder: bp.DecoderConfig, scheme: str, ebn0_db: float,
-              frames: int, seed: int, attack=None, message_source: str = "random",
-              channel_kind: str = "awgn", channel_opts: dict | None = None,
-              workers: int = 1, min_block_errors: int | None = None) -> MonteCarloResult:
-    """Simulate one operating point and return exact error counts.
-
-    Per frame: draw the message, encode, modulate, apply the perturbation
-    when given, transmit, demodulate, decode (early syndrome stop on), and
-    count message-bit and block errors. With `min_block_errors`, chunks are
-    consumed in order until that many block errors have accumulated, so the
-    reported counts stay worker-invariant.
+    `attacks` lists the perturbations, None for an unperturbed row; the
+    result holds one row per entry, in the order given. Every entry is
+    checked before anything is drawn. Per chunk the message bits, their
+    encoding and modulation and the channel draws are made once and shared
+    by every row (common random numbers); each row then applies its
+    perturbation, is transmitted on those draws, demodulated, decoded
+    (early syndrome stop on) in its own call, and counted on its message
+    bits. A row's counts are thus those of the same row simulated alone.
+    With `min_block_errors`, each row consumes chunks in order until it
+    has that many block errors and is not decoded after; the loop ends
+    when every row has stopped, and the counts stay worker-invariant.
     """
     _check_count("frames", frames)
     _check_count("workers", workers)
@@ -137,56 +157,64 @@ def run_point(code, decoder: bp.DecoderConfig, scheme: str, ebn0_db: float,
     const = modem.get_constellation(scheme)
     sigma = channel.ebn0_to_sigma(ebn0_db, code.rate, const.bits_per_symbol)
     params = channel.ChannelParams(sigma=sigma, kind=channel_kind, **(channel_opts or {}))
-    attack_a = attack_array(attack, scheme, code)
+    arrays = [attack_array(a, scheme, code) for a in attacks]
 
-    job = partial(_chunk_counts, bp.Receiver(code, decoder), const, params, attack_a,
+    job = partial(_chunk_counts, bp.Receiver(code, decoder), const, params, arrays,
                   message_source, rng)
     chunks = [(start, min(start + CHUNK_FRAMES, frames))
               for start in range(0, frames, CHUNK_FRAMES)]
-    # waves keep the early-stop decision a prefix property of the fixed
-    # chunk order, independent of the worker count
+    # waves keep each row's early-stop decision a prefix property of the
+    # fixed chunk order, independent of the worker count
     wave = len(chunks) if min_block_errors is None else workers
-    totals = (0, 0, 0)
+    totals = [(0, 0, 0)] * len(arrays)
+    live = list(range(len(arrays)))
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         mapper = pool.map if pool is not None else map
-        in_order = (counts for pos in range(0, len(chunks), wave)
-                    for counts in mapper(job, chunks[pos:pos + wave]))
-        for counts in in_order:
-            totals = tuple(map(sum, zip(totals, counts)))
-            if min_block_errors is not None and totals[2] >= min_block_errors:
+        for pos in range(0, len(chunks), wave):
+            rows = tuple(live)  # fixed for the wave: each job's counts follow this order
+            if not rows:
                 break
+            for counts in mapper(job, [(bounds, rows) for bounds in chunks[pos:pos + wave]]):
+                for row, row_counts in zip(rows, counts):
+                    if row in live:
+                        totals[row] = tuple(map(sum, zip(totals[row], row_counts)))
+                        if min_block_errors is not None and totals[row][2] >= min_block_errors:
+                            live.remove(row)
 
-    meta = dict(ebn0_db=ebn0_db, seed=seed, attacked=attack_a is not None,
-                code_id=code.name, decoder="bp", iters=decoder.iters, scheme=scheme,
-                channel_kind=channel_kind,
+    meta = dict(ebn0_db=ebn0_db, seed=seed, code_id=code.name, decoder="bp",
+                iters=decoder.iters, scheme=scheme, channel_kind=channel_kind,
                 config_digest=_digest(code.name, decoder, scheme, channel_kind,
                                       channel_opts, ebn0_db, message_source))
-    return _result(*totals, code.k, meta)
+    return [_result(*row_totals, code.k, dict(meta, attacked=a is not None))
+            for row_totals, a in zip(totals, arrays)]
+
+
+def run_point(code, decoder: bp.DecoderConfig, scheme: str, ebn0_db: float,
+              frames: int, seed: int, attack=None, **options) -> MonteCarloResult:
+    """Simulate one operating point with one perturbation (or none): `run_rows`
+    with the one row `attack`, taking the same keyword options."""
+    return run_rows(code, decoder, scheme, ebn0_db, frames, seed, [attack], **options)[0]
 
 
 def sweep(ebn0_grid, code, decoder: bp.DecoderConfig, scheme: str, frames: int,
-          seed: int, attack=None, message_source: str = "random",
-          channel_kind: str = "awgn", channel_opts: dict | None = None,
-          workers: int = 1, min_block_errors: int | None = None) -> list[MonteCarloResult]:
-    """run_point over an Eb/N0 grid with per-point derived seeds.
+          seed: int, attack=None, **options) -> list[MonteCarloResult]:
+    """`run_rows` over an Eb/N0 grid with per-point derived seeds.
 
     Results are ordered by Eb/N0; with an attack, each point yields a
-    baseline row followed by an attacked row sharing the same seed, so the
-    pair sees identical noise (common random numbers).
+    baseline row followed by an attacked row, evaluated together on the
+    same draws, so the pair sees identical noise (common random numbers).
+    The attack is checked before the first point. Keyword options are
+    those of `run_rows`.
     """
     grid = sorted(float(x) for x in ebn0_grid)
     if not grid:
         raise ValueError("the Eb/N0 grid must be nonempty")
     attack = attack_array(attack, scheme, code)
+    rows = [None] if attack is None else [None, attack]
     results = []
     for idx, point in enumerate(grid):
-        point_seed = channel.child_seed(seed, idx)
-        shared = dict(frames=frames, seed=point_seed, message_source=message_source,
-                      channel_kind=channel_kind, channel_opts=channel_opts,
-                      workers=workers, min_block_errors=min_block_errors)
-        results.append(run_point(code, decoder, scheme, point, **shared))
-        if attack is not None:
-            results.append(run_point(code, decoder, scheme, point, attack=attack, **shared))
+        results += run_rows(code, decoder, scheme, point, frames, channel.child_seed(seed, idx),
+                            rows, **options)
     return results
 
 

@@ -495,7 +495,7 @@ def test_select_best(ldpc):
 
 def test_select_best_checks_every_candidate_first(ldpc, monkeypatch):
     calls = []
-    monkeypatch.setattr(montecarlo, "run_point", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(channel, "draw", lambda *a, **kw: calls.append(a))
     ok = attack.AttackVector(a=np.zeros(64), code_id=ldpc.name, scheme="bpsk", n=64,
                              n_symbols=64, search_sigma=0.7, seed=0, approach="ok",
                              accepted_iters=0)
@@ -506,6 +506,25 @@ def test_select_best_checks_every_candidate_first(ldpc, monkeypatch):
             attack.select_best([ok, ok, last], ldpc, bp.DecoderConfig(iters=3), ebn0_db=4.0,
                                frames=100, seed=5)
     assert calls == []  # no validation run started
+
+
+def test_select_best_draws_each_chunk_once(ldpc, monkeypatch):
+    draw, calls = channel.draw, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(channel, "draw", counted)
+    rng = np.random.default_rng(3)
+    ok = attack.AttackVector(a=np.zeros(64), code_id=ldpc.name, scheme="bpsk", n=64,
+                             n_symbols=64, search_sigma=0.7, seed=0, approach="ok",
+                             accepted_iters=0)
+    candidates = [replace(ok, a=attack.normalize_power(1.0 + 0.1 * rng.normal(size=64))[0] - 1.0)
+                  for _ in range(4)]
+    attack.select_best(candidates, ldpc, bp.DecoderConfig(iters=3), ebn0_db=3.0, frames=1100,
+                       seed=5)
+    assert calls == [(512, 64), (512, 64), (76, 64)]  # one draw per chunk, for every candidate
 
 
 def test_find_search_sigma_rejects_target_outside_unit_interval(ldpc):

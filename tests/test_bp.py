@@ -235,6 +235,34 @@ def test_backward_saturated_gradient_vanishes():
     assert np.max(np.abs(grad)) < 1e-8
 
 
+def _bce_grad_on_every_lane(soft, target_bits):
+    """The gradient with the floor test evaluated on every lane."""
+    sign = 2.0 * target_bits - 1.0
+    y = soft * sign
+    g = 0.5 * (1.0 + np.tanh(0.5 * y))
+    g *= np.logaddexp(0.0, y) < -bp._LOG_PROB_FLOOR
+    g *= sign
+    g += 0.0
+    return g
+
+
+def test_bce_grad_tests_the_floor_only_where_it_can_fail():
+    # values around 20, where the test starts to be evaluated, and around
+    # -floor = 27.63, where it starts to fail, each with both signs
+    floor = -bp._LOG_PROB_FLOOR
+    near = [np.nextafter(v, -np.inf) for v in (20.0, floor)] + [20.0, floor] + \
+        [np.nextafter(v, np.inf) for v in (20.0, floor)]
+    values = np.array(near + [20.0 - 1e-9, 20.0 + 1e-9, floor - 1e-6, floor + 1e-6,
+                              0.0, -0.0, 1.0, 19.5, 35.0, 1e300, np.inf])
+    soft = np.stack([values, -values], axis=1)           # (n, lanes), as the backward pass has it
+    soft = np.concatenate([soft, soft[::-1, ::-1]], axis=0)
+    for target in (np.zeros(len(soft)), np.ones(len(soft)), np.arange(len(soft)) % 2):
+        x = target.astype(np.float64)[:, None]
+        got, want = bp._bce_grad(soft, x), _bce_grad_on_every_lane(soft, x)
+        assert got.tobytes() == want.tobytes()
+    assert np.any(bp._bce_grad(soft, np.zeros((len(soft), 1))) == 0.0)  # some fail the test
+
+
 @pytest.mark.parametrize("mode", ["final", "multiloss"])
 def test_backward_matches_finite_differences_repetition(mode):
     code = codes.repetition_code(3)

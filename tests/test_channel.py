@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from friendlyfec import channel
+from friendlyfec import channel, modem
 
 
 def test_ebn0_to_sigma_values():
@@ -152,6 +152,22 @@ def test_channel_params_validation():
         channel.ChannelParams(sigma=1.0, kind="bursty", rho=1.5)
 
 
+def test_channel_params_reject_bools_strings_and_unused_burst_settings():
+    for name, opts in [("sigma", dict(sigma=True)), ("sigma", dict(sigma="1")),
+                       ("sigma_b", dict(sigma=1.0, kind="bursty", sigma_b=True)),
+                       ("sigma_b", dict(sigma=1.0, kind="bursty", sigma_b="2")),
+                       ("rho", dict(sigma=1.0, kind="bursty", rho=True)),
+                       ("rho", dict(sigma=1.0, kind="bursty", rho="0.1"))]:
+        with pytest.raises(ValueError, match=f"^{name} must .*got {opts[name]!r}"):
+            channel.ChannelParams(**opts)
+    for kind in ("awgn", "rayleigh"):
+        for name in ("sigma_b", "rho"):
+            with pytest.raises(ValueError, match=f"^{name} applies to a bursty channel only"):
+                channel.ChannelParams(sigma=1.0, kind=kind, **{name: 0.5})
+    burst = channel.ChannelParams(sigma=np.float64(0.5), kind="bursty", sigma_b=1, rho=0)
+    assert (burst.sigma_b, burst.rho) == (1, 0)
+
+
 # Random123's known-answer vectors for Philox4x64-10: (counter, key) -> output
 PHILOX4X64_KAT = [
     ((0, 0, 0, 0), (0, 0),
@@ -247,3 +263,35 @@ def test_block_transmit_needs_one_generator_per_row():
     for frames in (rng.frames(0, 3), rng.frames(0, 5)):
         with pytest.raises(ValueError):
             channel.transmit(np.zeros((4, 8)), params, frames)
+
+
+@pytest.mark.parametrize("kind", ["awgn", "rayleigh", "bursty"])
+@pytest.mark.parametrize("scheme", ["bpsk", "qam4"])
+def test_transmit_on_shared_draws_equals_transmit(kind, scheme):
+    params = channel.ChannelParams(sigma=0.7, kind=kind)
+    const = modem.get_constellation(scheme)
+    bits = np.random.default_rng(8).integers(0, 2, (37, 64)).astype(np.uint8)
+    s = modem.modulate(bits, const)
+    rng = channel.FrameRng(31)
+    draws = channel.draw(params, rng.frames(3, 40), s.shape, const.coords_per_symbol)
+    # several signals pass through the one realization drawn once
+    for signal in (s, s[::-1], 0.5 * s):
+        y, gains = channel.transmit(signal, params, draws, const.coords_per_symbol)
+        y_ref, gains_ref = channel.transmit(signal, params, rng.frames(3, 40),
+                                            const.coords_per_symbol)
+        assert y.tobytes() == y_ref.tobytes()
+        if kind == "rayleigh":
+            assert gains.shape == (37, 64 // const.coords_per_symbol)
+            assert gains.tobytes() == gains_ref.tobytes()
+        else:
+            assert gains is None and gains_ref is None
+
+
+def test_transmit_rejects_draws_made_for_another_signal_or_kind():
+    awgn = channel.ChannelParams(sigma=1.0)
+    draws = channel.draw(awgn, channel.FrameRng(1).frames(0, 4), (4, 8))
+    with pytest.raises(ValueError, match="shape"):
+        channel.transmit(np.zeros((4, 6)), awgn, draws)
+    for kind in ("rayleigh", "bursty"):
+        with pytest.raises(ValueError, match=f"a {kind} channel"):
+            channel.transmit(np.zeros((4, 8)), channel.ChannelParams(sigma=1.0, kind=kind), draws)

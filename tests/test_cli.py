@@ -365,7 +365,7 @@ def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch, capsy
     def broken(*args, **kwargs):
         raise ValueError("internal numeric fault")
 
-    monkeypatch.setattr(montecarlo, "run_point", broken)
+    monkeypatch.setattr(montecarlo, "run_rows", broken)
     with pytest.raises(ValueError, match="internal numeric fault"):
         cli.main(["eval", "--config", cfg])
     assert "config error" not in capsys.readouterr().err

@@ -99,7 +99,7 @@ def test_attack_mismatch_rejected(ldpc, dec3, monkeypatch):
         montecarlo.run_point(ldpc, dec3, "bpsk", 2.0, frames=10, seed=0, attack=av2)
     # sweep checks the attack before it simulates its first baseline point
     calls = []
-    monkeypatch.setattr(montecarlo, "run_point", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(montecarlo, "run_rows", lambda *a, **kw: calls.append(a))
     for bad in (av, av2):
         with pytest.raises(ValueError, match="does not match"):
             montecarlo.sweep([1.0, 2.0], ldpc, dec3, "bpsk", frames=10, seed=0, attack=bad)
@@ -112,11 +112,48 @@ def test_zeroing_attack_rejected_before_any_point(ldpc, dec3, monkeypatch):
                              n_symbols=64, search_sigma=0.7, seed=0, approach="1",
                              accepted_iters=0)
     calls = []
-    monkeypatch.setattr(montecarlo, "run_point", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(montecarlo, "run_rows", lambda *a, **kw: calls.append(a))
     for bad in (av, av.a):
         with pytest.raises(ValueError, match="zeroes word"):
             montecarlo.sweep([1.0, 2.0], ldpc, dec3, "bpsk", frames=20000, seed=0, attack=bad)
     assert calls == []
+
+
+_STRONG = 0.4 * np.random.default_rng(5).standard_normal(64)  # raises the error rate
+_MILD = 0.1 * np.random.default_rng(6).standard_normal(64)
+
+
+def test_every_row_is_checked_before_anything_is_drawn(ldpc, dec3, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the channel was drawn")
+
+    monkeypatch.setattr(channel, "draw", no_draws)
+    for pos in range(3):
+        rows = [None, _MILD]
+        rows.insert(pos, np.full(64, -1.0))  # sends every BPSK word to zero
+        with pytest.raises(ValueError, match="zeroes word"):
+            montecarlo.run_rows(ldpc, dec3, "bpsk", 2.0, 1024, 0, rows)
+    # burst settings on a channel that ignores them would only change the digest
+    with pytest.raises(ValueError, match="rho applies to a bursty channel only"):
+        montecarlo.run_point(ldpc, dec3, "bpsk", 2.0, 1024, 0, channel_opts={"rho": 0.5})
+
+
+@pytest.mark.parametrize("kind, ebn0_db", [("awgn", 4.0), ("rayleigh", 8.0), ("bursty", 6.0)])
+@pytest.mark.parametrize("scheme", ["bpsk", "qam4"])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("min_block_errors", [None, 40])
+def test_each_row_equals_its_own_run(ldpc, dec3, kind, ebn0_db, scheme, workers,
+                                     min_block_errors):
+    attacks = [None, _STRONG, _MILD]
+    opts = dict(channel_kind=kind, workers=workers, min_block_errors=min_block_errors)
+    rows = montecarlo.run_rows(ldpc, dec3, scheme, ebn0_db, 2048, 7, attacks, **opts)
+    alone = [montecarlo.run_point(ldpc, dec3, scheme, ebn0_db, 2048, 7, attack=a, **opts)
+             for a in attacks]
+    assert rows == alone  # every field, counts and digest included
+    assert [r.attacked for r in rows] == [False, True, True]
+    if min_block_errors is not None:
+        # the strong row stops chunks before the baseline, which keeps running
+        assert rows[1].frames == 512 < rows[0].frames < 2048
 
 
 def test_raw_attack_array_checked(ldpc, dec3):

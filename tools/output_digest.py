@@ -16,6 +16,11 @@ The digest covers, on the bundled (64, 32) LDPC code:
   their vectors;
 - `run_point` error counts at a waterfall and a high Eb/N0 point, with and
   without an attack;
+- every field of the baseline and attacked `sweep` rows for AWGN, Rayleigh
+  and bursty channels, BPSK and 4-QAM, random and all-zero messages and 1
+  and 2 workers, some with a `min_block_errors` at which the two rows stop
+  at different chunks, and the CSV that the CLI's `eval` writes for one
+  point with an attack file;
 - the same forward and backward outputs on a small H with a variable on no
   check, a check on no variable and a degree-1 check, fed LLRs that hold
   exact zeros of both signs.
@@ -31,11 +36,15 @@ find which output differs. Takes a few seconds.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
+import os
+import tempfile
 
 import numpy as np
 
-from friendlyfec import attack, bp, codes, montecarlo
+from friendlyfec import attack, bp, cli, codes, montecarlo
 
 SIGMA = 0.8  # search noise near BLER 0.3 for BP-5 on the bundled code
 
@@ -125,6 +134,51 @@ def _count_parts(code):
                    [repr((res.frames, res.bit_errors, res.block_errors, res.config_digest))])
 
 
+# (scheme, channel kind, channel options, message source, workers, min_block_errors, grid);
+# at a bound of 40 block errors the attacked row stops chunks before the baseline
+_SWEEPS = (("bpsk", "awgn", None, "random", 1, None, (2.0, 4.0)),
+           ("bpsk", "rayleigh", None, "random", 2, None, (8.0,)),
+           ("bpsk", "bursty", {"rho": 0.2}, "random", 2, 40, (8.0,)),
+           ("qam4", "awgn", None, "all_zero", 1, 40, (4.0,)),
+           ("qam4", "rayleigh", None, "random", 2, 40, (8.0,)),
+           ("qam4", "bursty", {"sigma_b": 1.5}, "all_zero", 1, None, (6.0,)))
+
+_EVAL_CFG = """\
+code.family = ldpc
+decoder.iters = 3
+channel.kind = bursty
+channel.rho = 0.2
+eval.ebn0_db = 8.0
+eval.frames = 2048
+eval.seed = 21
+eval.min_block_errors = 40
+"""
+
+
+def _sweep_parts(code):
+    decoder = bp.DecoderConfig(iters=3)
+    a = 0.4 * np.random.default_rng(7).standard_normal(code.n)
+    for scheme, kind, opts, source, workers, min_errors, grid in _SWEEPS:
+        rows = montecarlo.sweep(grid, code, decoder, scheme, frames=2048, seed=21, attack=a,
+                                message_source=source, channel_kind=kind, channel_opts=opts,
+                                workers=workers, min_block_errors=min_errors)
+        yield (f"sweep {scheme} {kind} {source} workers={workers} "
+               f"min_block_errors={min_errors}", [repr(rows)])
+    vec = attack.AttackVector(a=a, code_id=code.name, scheme="bpsk", n=code.n,
+                              n_symbols=code.n, search_sigma=SIGMA, seed=0, approach="digest",
+                              accepted_iters=0)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, name) for name in ("eval.cfg", "attack.json", "eval.csv")]
+        with open(paths[0], "w") as fh:
+            fh.write(_EVAL_CFG)
+        attack.save_attack(vec, paths[1])
+        with contextlib.redirect_stderr(io.StringIO()):  # its "wrote <path>" line
+            cli.main(["eval", "--config", paths[0], "--attack", paths[1], "--out", paths[2],
+                      "--workers", "2"])
+        with open(paths[2]) as fh:
+            yield "cli eval bursty workers=2 min_block_errors=40", [fh.read()]
+
+
 def _feed(h, value):
     if isinstance(value, str):
         h.update(value.encode())
@@ -140,7 +194,8 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     code = codes.ldpc_64_32()
     total = hashlib.sha256()
-    for parts in (_search_parts(code), _regime_parts(code), _decoder_parts(code), _irregular_parts(), _count_parts(code)):
+    for parts in (_search_parts(code), _regime_parts(code), _decoder_parts(code),
+                  _irregular_parts(), _count_parts(code), _sweep_parts(code)):
         for name, values in parts:
             h = hashlib.sha256()
             for value in values:
