@@ -26,9 +26,10 @@ for code in (codes.hamming_7_4(), codes.ldpc_64_32(), codes.polar_construct(64, 
     ebn0_db = 4.0
     sigma = channel.ebn0_to_sigma(ebn0_db, code.rate, const.bits_per_symbol)
     params = channel.ChannelParams(sigma=sigma)
-    y, _ = channel.transmit(s, params, next(rng.frames(0, 1)))
+    draws = channel.draw(params, next(rng.frames(0, 1)), s.shape)
+    y = channel.transmit(s, params, draws)
 
-    llr = modem.demodulate_llr(y, modem.ChannelSide(sigma=sigma), const)
+    llr = modem.demodulate_llr(y, sigma, const)
     graph = bp.TannerGraph(code.H)
     out = bp.bp_forward(llr, graph, iters=10, early_stop=True, record_tape=False)
 

@@ -15,23 +15,22 @@ rng = np.random.default_rng(0)
 
 sigma = 0.8
 const = modem.get_constellation("bpsk")
-side = modem.ChannelSide(sigma=sigma)
 target = np.zeros(code.n)
 
 # a received vector around the all-zero codeword
 y = 1.0 + sigma * rng.standard_normal(code.n)
-llr = modem.demodulate_llr(y, side, const)
+llr = modem.demodulate_llr(y, sigma, const)
 
 out = bp.bp_forward(llr, graph, iters=5)
 print("loss at y:", bp.bp_loss(out, target))
 
 # chain rule: d(loss)/dy = demapper adjoint of d(loss)/d(llr)
 grad_llr = bp.bp_backward(out.tape, target)
-grad_y = modem.demodulate_adjoint(grad_llr, side, const)
+grad_y = modem.demodulate_adjoint(grad_llr, sigma, const)
 
 coords = rng.choice(code.n, size=8, replace=False)
 fd = bp.finite_difference(
-    lambda v: bp.bp_loss(bp.bp_forward(modem.demodulate_llr(v, side, const), graph, 5), target),
+    lambda v: bp.bp_loss(bp.bp_forward(modem.demodulate_llr(v, sigma, const), graph, 5), target),
     y, coords=coords)
 
 print(f"{'coord':>6} {'analytic':>12} {'finite diff':>12} {'rel err':>10}")

@@ -19,8 +19,8 @@ from .codes import (AlistError, CodeSpec, bhattacharyya_recursion, code_from_ali
                     hamming_7_4, ldpc_64_32, load_alist, polar_bhattacharyya,
                     polar_construct, repetition_code, save_alist, uncoded)
 from .gf2 import encode, generator_from_parity, matmul, rank, rref
-from .modem import (ChannelSide, Constellation, demodulate_adjoint,
-                    demodulate_llr, get_constellation, modulate)
+from .modem import (Constellation, demodulate_adjoint, demodulate_llr,
+                    get_constellation, modulate)
 from .montecarlo import (MonteCarloResult, TransferReport, read_csv, run_point,
                          run_rows, sweep, transfer_check, write_csv)
 

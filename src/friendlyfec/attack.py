@@ -246,7 +246,10 @@ def _search_runs(receiver: bp.Receiver, scheme: str, config: SearchConfig, runs,
     rule. The step-size probes of every run go into one taped decode, and
     each trial stacks the batches of the runs still searching, run after
     run, into one taped decode and one untaped re-decode; a run leaves the
-    stack at its accepted-update budget or the trial cap. A lane's decode
+    stack at its accepted-update budget or the trial cap. The probes, and
+    each trial's batches, are one `channel.draw` realization with one
+    generator per run, and both decodes of a trial send the words through
+    `channel.transmit` on that same realization. A lane's decode
     does not depend on the lanes beside it, so every run's records and
     vector are those of its search on its own, to the byte. The first
     run's records go to `on_trial` as they happen, the other runs' when
@@ -258,25 +261,26 @@ def _search_runs(receiver: bp.Receiver, scheme: str, config: SearchConfig, runs,
         raise ValueError("the search needs a decoder with at least one iteration")
     code = receiver.code
     const = modem.get_constellation(scheme)
-    side = modem.ChannelSide(sigma=config.sigma)
+    cps = const.coords_per_symbol
     params = channel.ChannelParams(sigma=config.sigma)
     rngs = [channel.FrameRng(seed) for seed, _ in runs]
     s_base = modem.modulate(np.zeros(code.n, dtype=np.uint8), const)
     n_real = s_base.shape[0]
-    batch = (config.batch_size, n_real)  # the shape of one run's noise
 
-    def noise(gens):  # one batch of AWGN realizations per generator: (runs, B, n_real)
-        return np.stack([config.sigma * channel.draw(params, gen, batch, const.coords_per_symbol)[1]
-                         for gen in gens])
+    def draw(gens):  # one batch of channel realizations per generator: (runs, B, n_real)
+        return channel.draw(params, gens, (len(gens), config.batch_size, n_real), cps)
 
-    def decode(words, z, gradient):
-        """Decode words[r] + z[r] for each run r in one stacked call. Per run: the
-        batch BER and BLER (the word sent is all-zero, so its decoded bits are its
-        errors), and with `gradient` the batch mean of d(loss)/d(s) (else None)."""
-        llr = modem.demodulate_llr((words[:, None, :] + z).reshape(-1, n_real), side, const)
+    def decode(words, draws, gradient):
+        """Send words[r] on run r's batch of `draws` and decode every run in one
+        stacked call. Per run: the batch BER and BLER (the word sent is all-zero,
+        so its decoded bits are its errors), and with `gradient` the batch mean of
+        d(loss)/d(s) (else None)."""
+        shape = draws.noise.shape
+        y = channel.transmit(np.broadcast_to(words[:, None, :], shape), params, draws, cps)
+        llr = modem.demodulate_llr(y.reshape(-1, n_real), config.sigma, const)
         errs, dj_dllr = receiver.decode(llr, gradient=gradient)
-        errs = errs.reshape(len(z), batch[0], -1)
-        grad = (modem.demodulate_adjoint(dj_dllr, side, const).reshape(z.shape).mean(axis=1)
+        errs = errs.reshape(shape[0], shape[1], -1)
+        grad = (modem.demodulate_adjoint(dj_dllr, config.sigma, const).reshape(shape).mean(axis=1)
                 if gradient else None)
         return grad, errs.mean(axis=(1, 2)).tolist(), np.any(errs, axis=2).mean(axis=1).tolist()
 
@@ -284,7 +288,7 @@ def _search_runs(receiver: bp.Receiver, scheme: str, config: SearchConfig, runs,
     if config.epsilon0 is None:
         # calibrate each run's step size against this decoder's gradient scale
         probes = decode(np.tile(s_base, (len(runs), 1)),
-                        noise([next(rng.frames(0, 1, channel.STREAM_PROBE)) for rng in rngs]),
+                        draw([next(rng.frames(0, 1, channel.STREAM_PROBE)) for rng in rngs]),
                         gradient=True)[0]
         configs = [replace(config, epsilon0=EPSILON_GRAD_SCALE /
                            max(float(np.mean(np.abs(grad))), 1e-12)) for grad in probes]
@@ -296,13 +300,13 @@ def _search_runs(receiver: bp.Receiver, scheme: str, config: SearchConfig, runs,
     live = list(range(len(runs)))
     for trial in range(1, config.trial_cap + 1):
         eps = [gradient_scheduler(accepted[r], configs[r]) for r in live]
-        z = noise([next(trials[r]) for r in live])
-        grad, ber0, bler0 = decode(words[live], z, gradient=True)
+        draws = draw([next(trials[r]) for r in live])
+        grad, ber0, bler0 = decode(words[live], draws, gradient=True)
         # evaluate each candidate exactly as it would be transmitted: at the
         # power budget, so acceptance can never come from power inflation
-        cands = np.stack([normalize_power(w + -e * g, const.coords_per_symbol)[0]
+        cands = np.stack([normalize_power(w + -e * g, cps)[0]
                           for w, e, g in zip(words[live], eps, grad)])
-        _, ber1, bler1 = decode(cands, z, gradient=False)
+        _, ber1, bler1 = decode(cands, draws, gradient=False)
         for i, r in enumerate(live):
             ok = _improves(config.accept, ber1[i], bler1[i], ber0[i], bler0[i])
             if ok:
@@ -324,7 +328,7 @@ def _search_runs(receiver: bp.Receiver, scheme: str, config: SearchConfig, runs,
 
     created = _dt.datetime.now(_dt.timezone.utc).isoformat()
     return [AttackVector(a=word - s_base, code_id=code.name, scheme=scheme, n=code.n,
-                         n_symbols=n_real // const.coords_per_symbol,
+                         n_symbols=n_real // cps,
                          search_sigma=config.sigma, seed=int(seed), approach=approach,
                          accepted_iters=count, created=created)
             for word, count, (seed, approach) in zip(words, accepted, runs)]

@@ -25,11 +25,6 @@ STREAM_SEARCH = 2
 STREAM_PROBE = 3
 
 
-def check_kind(kind) -> None:
-    if kind not in ("awgn", "rayleigh", "bursty"):
-        raise ValueError(f"unknown channel kind {kind!r}")
-
-
 @dataclass(frozen=True)
 class ChannelParams:
     sigma: float
@@ -38,7 +33,8 @@ class ChannelParams:
     rho: float | None = None       # bursty only
 
     def __post_init__(self):
-        check_kind(self.kind)
+        if self.kind not in ("awgn", "rayleigh", "bursty"):
+            raise ValueError(f"unknown channel kind {self.kind!r}")
         if not (is_real(self.sigma) and 0 < self.sigma < math.inf):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
         if self.kind != "bursty":
@@ -220,11 +216,12 @@ def draw(params: ChannelParams, rng, shape, coords_per_symbol: int = 1) -> Draws
     bursty channels uniforms and standard normals of `shape` (else None).
     `rng` is one Generator, which draws each array whole, or an iterable
     of one Generator per index of the first axis, such as
-    `FrameRng.frames`, which draws that row of each array. Either way a
-    generator draws in the fixed order gains, noise, burst uniforms, burst
-    noise, so a given generator state always yields the same realization.
-    `transmit` takes the result in place of `rng`, so several signals can
-    pass through one realization that is drawn once.
+    `FrameRng.frames` or one search generator per run, which draws that
+    row of each array. Either way a generator draws in the fixed order
+    gains, noise, burst uniforms, burst noise, so a given generator state
+    always yields the same realization. Every signal reaches `transmit`
+    through a realization made here, so several signals can pass through
+    one realization that is drawn once.
     """
     n_sym = shape[-1] // coords_per_symbol
     gains = np.empty(shape[:-1] + (n_sym,)) if params.kind == "rayleigh" else None
@@ -244,22 +241,19 @@ def draw(params: ChannelParams, rng, shape, coords_per_symbol: int = 1) -> Draws
     return Draws(gains, noise, burst_u, burst_z)
 
 
-def transmit(s, params: ChannelParams, rng, coords_per_symbol: int = 1
-             ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Push symbol coordinates through the channel.
+def transmit(s, params: ChannelParams, draws: Draws, coords_per_symbol: int = 1) -> np.ndarray:
+    """Push symbol coordinates through the channel realization `draws`.
 
-    awgn:     y = s + z
-    rayleigh: y = g s + z, g per symbol, Rayleigh with unit mean square;
-              the receiver knows g, so the gains are returned
-    bursty:   y = s + z + w, w ~ N(0, sigma_b^2) with probability rho
+    awgn:     y = s + sigma z
+    rayleigh: y = g s + sigma z, g per symbol, Rayleigh with unit mean
+              square; the receiver knows g and reads it from `draws.gains`
+    bursty:   y = s + sigma z + w, w ~ N(0, sigma_b^2) with probability rho
 
-    `rng` is a Generator or one Generator per row of `s`, which `draw`
-    draws from, or the `Draws` that `draw` made for an array of s's shape
-    and this channel kind, which are used as they are; the formulas then
-    apply once to the whole array.
+    `draws` are what `draw` made for an array of s's shape and this
+    channel kind; the formulas apply once to the whole array, and the
+    draws are not changed, so other signals can pass through them too.
     """
     s = np.asarray(s, dtype=np.float64)
-    draws = rng if isinstance(rng, Draws) else draw(params, rng, s.shape, coords_per_symbol)
     gains, noise, burst_u, burst_z = draws
     if (noise.shape != s.shape or (gains is None) != (params.kind != "rayleigh")
             or (burst_u is None) != (params.kind != "bursty")):
@@ -269,4 +263,4 @@ def transmit(s, params: ChannelParams, rng, coords_per_symbol: int = 1
     y = y + params.sigma * noise
     if params.kind == "bursty":
         y = y + np.where(burst_u < params.rho, params.sigma_b * burst_z, 0.0)
-    return y, gains
+    return y

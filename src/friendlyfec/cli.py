@@ -131,10 +131,14 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"unknown code family {cfg.code_family!r}")
     try:  # each module checks the values it acts on
         modem.get_constellation(cfg.modem_scheme)
-        channel.check_kind(cfg.channel_kind)
         montecarlo.check_message_source(cfg.eval_message_source)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    try:  # any sigma will do: the kind and the burst settings set for it are checked
+        channel.ChannelParams(sigma=1.0, kind=cfg.channel_kind, **_channel_opts(cfg))
+    except ValueError as exc:  # a burst setting's message begins with its field name
+        raise ConfigError(f"channel.{exc}" if str(exc).startswith(("sigma_b", "rho"))
+                          else str(exc)) from None
     if cfg.eval_min_block_errors is not None and cfg.eval_min_block_errors < 1:
         raise ConfigError("eval.min_block_errors must be >= 1")
     if not 0 <= cfg.eval_seed < 2**128:
@@ -150,12 +154,9 @@ def _validate(cfg: RunConfig) -> None:
     for key, ebn0 in ebn0s + [("eval.grid", x) for x in cfg.eval_grid]:
         if ebn0 is not None and not math.isfinite(ebn0):
             raise ConfigError(f"{key} must be finite, got {ebn0!r}")
-    for key, sigma in (("search.sigma", cfg.search.get("sigma")),
-                       ("channel.sigma_b", cfg.channel_sigma_b)):
-        if sigma is not None and not 0 < sigma < math.inf:
-            raise ConfigError(f"{key} must be positive and finite, got {sigma!r}")
-    if cfg.channel_rho is not None and not 0 <= cfg.channel_rho <= 1:
-        raise ConfigError(f"channel.rho must lie in [0, 1], got {cfg.channel_rho!r}")
+    sigma = cfg.search.get("sigma")
+    if sigma is not None and not 0 < sigma < math.inf:
+        raise ConfigError(f"search.sigma must be positive and finite, got {sigma!r}")
 
 
 def build_code(cfg: RunConfig) -> codes.CodeSpec:
@@ -192,13 +193,9 @@ def build_search(cfg: RunConfig) -> attack_mod.SearchConfig:
 
 
 def _channel_opts(cfg: RunConfig) -> dict:
-    opts = {}
-    if cfg.channel_kind == "bursty":
-        if cfg.channel_sigma_b is not None:
-            opts["sigma_b"] = cfg.channel_sigma_b
-        if cfg.channel_rho is not None:
-            opts["rho"] = cfg.channel_rho
-    return opts
+    """The burst settings that are set, sigma_b before rho (a key order `config_digest` reads)."""
+    opts = {"sigma_b": cfg.channel_sigma_b, "rho": cfg.channel_rho}
+    return {name: value for name, value in opts.items() if value is not None}
 
 
 def _log(msg: str) -> None:
@@ -313,7 +310,6 @@ def run_gradcheck(cfg: RunConfig, seed: int) -> GradcheckReport:
     receiver = bp.Receiver(code, decoder)
     rng = np.random.default_rng(seed)
     sigma = channel.ebn0_to_sigma(cfg.eval_ebn0_db, code.rate, const.bits_per_symbol)
-    side = modem.ChannelSide(sigma=sigma)
     report = GradcheckReport(0.0, 0.0)
     worst = 0.0  # largest error over both kinds; report.worst names where it is
 
@@ -323,8 +319,8 @@ def run_gradcheck(cfg: RunConfig, seed: int) -> GradcheckReport:
     for case in range(3):
         y = rng.normal(0.0, 1.0, code.n)
         weights = rng.normal(0.0, 1.0, code.n)
-        analytic = modem.demodulate_adjoint(weights, side, const)
-        fd = bp.finite_difference(lambda v: float(weights @ modem.demodulate_llr(v, side, const)), y)
+        analytic = modem.demodulate_adjoint(weights, sigma, const)
+        fd = bp.finite_difference(lambda v: float(weights @ modem.demodulate_llr(v, sigma, const)), y)
         r = rel(analytic, fd)
         if float(r.max()) > worst:
             worst = float(r.max())

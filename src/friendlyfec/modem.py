@@ -61,19 +61,6 @@ def get_constellation(scheme: str) -> Constellation:
         raise ValueError(f"unknown modulation scheme {scheme!r}") from None
 
 
-@dataclass(frozen=True)
-class ChannelSide:
-    """Receiver-side channel knowledge: noise std per real dimension and,
-    for fading with side information, the per-symbol gains."""
-
-    sigma: float
-    gains: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not 0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
-
-
 def modulate(bits, constellation: Constellation) -> np.ndarray:
     """Map bits to symbol coordinates; accepts (n,) or (batch, n) bits.
 
@@ -89,28 +76,34 @@ def modulate(bits, constellation: Constellation) -> np.ndarray:
     return constellation.amplitude * (1.0 - 2.0 * x.astype(np.float64))
 
 
-def _coordinate_scale(y_shape, side: ChannelSide, constellation: Constellation) -> np.ndarray | float:
-    scale = 2.0 * constellation.amplitude / (side.sigma ** 2)
-    if side.gains is None:
+def _coordinate_scale(shape, sigma, constellation: Constellation, gains) -> np.ndarray | float:
+    """The demapper's per-coordinate scale 2 A g / sigma^2 for an array of `shape`."""
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
+    scale = 2.0 * constellation.amplitude / (sigma ** 2)
+    if gains is None:
         return scale
-    gains = np.asarray(side.gains, dtype=np.float64)
-    expected = y_shape[-1] // constellation.coords_per_symbol
+    gains = np.asarray(gains, dtype=np.float64)
+    expected = shape[-1] // constellation.coords_per_symbol
     if gains.shape[-1] != expected:
         raise ValueError(f"expected {expected} per-symbol gains, got {gains.shape[-1]}")
     return scale * np.repeat(gains, constellation.coords_per_symbol, axis=-1)
 
 
-def demodulate_llr(y, side: ChannelSide, constellation: Constellation) -> np.ndarray:
+def demodulate_llr(y, sigma: float, constellation: Constellation, gains=None) -> np.ndarray:
     """Exact per-bit LLRs log Pr(bit=0|y) - log Pr(bit=1|y).
 
     Per coordinate with amplitude A and (known) gain g this is
-    L = 2 A g y / sigma^2; positive LLR favors bit 0.
+    L = 2 A g y / sigma^2; positive LLR favors bit 0. `sigma` is the noise
+    std per real dimension, and `gains` the per-symbol fading gains that
+    `channel.draw` made (None: no fading).
     """
     y = np.asarray(y, dtype=np.float64)
-    return _coordinate_scale(y.shape, side, constellation) * y
+    return _coordinate_scale(y.shape, sigma, constellation, gains) * y
 
 
-def demodulate_adjoint(dj_dllr, side: ChannelSide, constellation: Constellation) -> np.ndarray:
+def demodulate_adjoint(dj_dllr, sigma: float, constellation: Constellation,
+                       gains=None) -> np.ndarray:
     """Jacobian-transpose product of the demapper: dJ/dy from dJ/dL.
 
     The demapper is coordinatewise linear, so the adjoint is the same
@@ -118,4 +111,4 @@ def demodulate_adjoint(dj_dllr, side: ChannelSide, constellation: Constellation)
     dJ/ds for the additive-channel case.
     """
     d = np.asarray(dj_dllr, dtype=np.float64)
-    return _coordinate_scale(d.shape, side, constellation) * d
+    return _coordinate_scale(d.shape, sigma, constellation, gains) * d

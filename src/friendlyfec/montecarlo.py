@@ -99,17 +99,9 @@ def attack_array(attack, scheme, code) -> np.ndarray | None:
     return a
 
 
-def _chunk_counts(receiver, const, params, attacks, message_source, rng, job):
-    """Exact (frames, bit errors, block errors) for frames [start, stop), one per listed row.
-
-    The messages and the channel realization are drawn once; each row then
-    applies its perturbation, passes the formulas of `channel.transmit` on
-    those draws, demaps and decodes in its own call, so a row's counts do
-    not depend on which other rows share the chunk.
-    """
-    (start, stop), rows = job
-    code = receiver.code
-
+def _chunk(code, const, params, message_source, rng, start, stop):
+    """The messages of frames [start, stop), their modulated codewords and the
+    channel realization `channel.draw` makes for those frames."""
     if message_source == "all_zero":
         msgs = np.zeros((stop - start, code.k), dtype=np.uint8)
     else:
@@ -117,14 +109,31 @@ def _chunk_counts(receiver, const, params, attacks, message_source, rng, job):
     s = modem.modulate(gf2.encode(msgs, code.G), const)
     draws = channel.draw(params, rng.frames(start, stop, channel.STREAM_CHANNEL), s.shape,
                          const.coords_per_symbol)
+    return msgs, s, draws
+
+
+def _decoded(receiver, const, params, s, draws) -> np.ndarray:
+    """The message bits the receiver decodes, early syndrome stop on, from s sent on `draws`."""
+    y = channel.transmit(s, params, draws, const.coords_per_symbol)
+    llr = modem.demodulate_llr(y, params.sigma, const, draws.gains)
+    return receiver.decode(llr, early_stop=True)[0]
+
+
+def _chunk_counts(receiver, const, params, attacks, message_source, rng, job):
+    """Exact (frames, bit errors, block errors) for frames [start, stop), one per listed row.
+
+    The messages and the channel realization are drawn once; each row then
+    applies its perturbation, is sent through `channel.transmit` on those
+    draws, demapped and decoded in its own call, so a row's counts do not
+    depend on which other rows share the chunk.
+    """
+    (start, stop), rows = job
+    msgs, s, draws = _chunk(receiver.code, const, params, message_source, rng, start, stop)
     counts = []
     for row in rows:
         a = attacks[row]
-        y, gains = channel.transmit(s if a is None else attack_mod.apply_attack(s, a, const),
-                                    params, draws, const.coords_per_symbol)
-        side = modem.ChannelSide(sigma=params.sigma, gains=gains)
-        llr = modem.demodulate_llr(y, side, const)
-        counts.append(_counts(receiver.decode(llr, early_stop=True)[0] != msgs))
+        sent = s if a is None else attack_mod.apply_attack(s, a, const)
+        counts.append(_counts(_decoded(receiver, const, params, sent, draws) != msgs))
     return counts
 
 
@@ -240,11 +249,14 @@ def transfer_check(attack, code, decoder: bp.DecoderConfig, ebn0_db: float,
                    frames: int, seed: int) -> TransferReport:
     """Verify that the all-zero-codeword perturbation transfers to random words.
 
-    BPSK/AWGN: the error counts of (random codeword, adapted perturbation,
-    noise z) and (all-zero word, perturbation, sign-coupled noise t*z) are
-    compared frame by frame; they must agree bit-exactly. qam4 falls back
-    to a statistical check: the BER confidence intervals of all-zero and
-    random-codeword runs must overlap.
+    BPSK/AWGN: per chunk, the random codewords with the adapted
+    perturbation and the perturbed all-zero word are both sent through
+    `channel.transmit` on the chunk's draws, the all-zero word on the
+    sign-coupled noise s * n; since s is exactly +-1, sigma (s n) equals
+    s (sigma n) bit for bit. The two decodes' errors must agree frame by
+    frame and bit for bit. qam4 falls back to a statistical check: the
+    BER confidence intervals of all-zero and random-codeword runs must
+    overlap.
     """
     _check_count("frames", frames)
     if attack is None:
@@ -266,9 +278,7 @@ def transfer_check(attack, code, decoder: bp.DecoderConfig, ebn0_db: float,
 
     const = modem.get_constellation("bpsk")
     receiver = bp.Receiver(code, decoder)
-    sigma = channel.ebn0_to_sigma(ebn0_db, code.rate, 1)
-    side = modem.ChannelSide(sigma=sigma)
-    params = channel.ChannelParams(sigma=sigma)
+    params = channel.ChannelParams(sigma=channel.ebn0_to_sigma(ebn0_db, code.rate, 1))
     rng = channel.FrameRng(seed)
     a = attack_array(attack, scheme, code)
     s_zero = attack_mod.apply_attack(modem.modulate(np.zeros(code.n, dtype=np.uint8), const),
@@ -277,17 +287,12 @@ def transfer_check(attack, code, decoder: bp.DecoderConfig, ebn0_db: float,
     totals_r = totals_z = (0, 0, 0)
     match = True
     for start in range(0, frames, CHUNK_FRAMES):
-        stop = min(start + CHUNK_FRAMES, frames)
-        msgs = rng.bits(start, stop, code.k, channel.STREAM_MESSAGE)
-        x = gf2.encode(msgs, code.G)
-        t = 1.0 - 2.0 * x.astype(np.float64)
-        noise = channel.draw(params, rng.frames(start, stop, channel.STREAM_CHANNEL), x.shape)[1]
-        z = sigma * noise
-        s_rand = attack_mod.apply_attack(modem.modulate(x, const), a, const)
-        err_r = receiver.decode(modem.demodulate_llr(s_rand + z, side, const),
-                                early_stop=True)[0] != msgs
-        err_z = receiver.decode(modem.demodulate_llr(s_zero + t * z, side, const),
-                                early_stop=True)[0] != 0
+        msgs, s, draws = _chunk(code, const, params, "random", rng, start,
+                                min(start + CHUNK_FRAMES, frames))
+        err_r = _decoded(receiver, const, params, attack_mod.apply_attack(s, a, const),
+                         draws) != msgs
+        err_z = _decoded(receiver, const, params, np.broadcast_to(s_zero, s.shape),
+                         draws._replace(noise=s * draws.noise)) != 0
         totals_r = tuple(map(sum, zip(totals_r, _counts(err_r))))
         totals_z = tuple(map(sum, zip(totals_z, _counts(err_z))))
         match = match and bool(np.array_equal(err_r, err_z))

@@ -75,11 +75,10 @@ def test_criterion_1_gradient_correctness(ldpc):
     worst_demod = 0.0
     for scheme in ("bpsk", "qam4"):
         const = modem.get_constellation(scheme)
-        side = modem.ChannelSide(sigma=0.7)
         y = rng.normal(0, 1, 16)
         w = rng.normal(0, 1, 16)
-        fd = bp.finite_difference(lambda v: float(w @ modem.demodulate_llr(v, side, const)), y)
-        worst_demod = max(worst_demod, float(rel_err(modem.demodulate_adjoint(w, side, const), fd).max()))
+        fd = bp.finite_difference(lambda v: float(w @ modem.demodulate_llr(v, 0.7, const)), y)
+        worst_demod = max(worst_demod, float(rel_err(modem.demodulate_adjoint(w, 0.7, const), fd).max()))
 
     ok = worst_ldpc < 1e-3 and worst_rep < 1e-6 and worst_demod < 1e-6
     report("criterion 1 gradient correctness", ok,
@@ -118,7 +117,6 @@ def test_criterion_2_bp_exactness():
     signs = 1.0 - 2.0 * words.astype(float)
     sigma = channel.ebn0_to_sigma(4.0, ham.rate, 1)
     const = modem.get_constellation("bpsk")
-    side = modem.ChannelSide(sigma=sigma)
     rng_f = channel.FrameRng(2024)
     agree = 0
     total = 10_000
@@ -128,7 +126,7 @@ def test_criterion_2_bp_exactness():
         x = gf2.encode(msgs, ham.G)
         z = sigma * np.stack([gen.standard_normal(7) for gen in
                               rng_f.frames(start, start + 1000, channel.STREAM_CHANNEL)])
-        llr = modem.demodulate_llr(modem.modulate(x, const) + z, side, const)
+        llr = modem.demodulate_llr(modem.modulate(x, const) + z, sigma, const)
         out = bp.bp_forward(llr, gh, iters=20, early_stop=True, record_tape=False)
         ml = words[np.argmax(llr @ signs.T, axis=1)]
         agree += int(((out.soft[-1] < 0).astype(np.uint8) == ml).all(axis=1).sum())

@@ -196,7 +196,6 @@ def test_sign_coupling_transfer_identity(ldpc):
     c = modem.get_constellation("bpsk")
     g = bp.TannerGraph(ldpc.H)
     dec = bp.DecoderConfig(iters=4)
-    side = modem.ChannelSide(sigma=0.8)
     rng = np.random.default_rng(3)
     raw = 0.15 * rng.normal(0, 1, 64)
     a = attack.normalize_power(np.ones(64) + raw)[0] - np.ones(64)
@@ -207,8 +206,8 @@ def test_sign_coupling_transfer_identity(ldpc):
         z = 0.8 * rng.standard_normal(64)
         y_word = attack.apply_attack(modem.modulate(x, c), a, c) + z
         y_zero = attack.apply_attack(np.ones(64), a, c) + t * z
-        out_word = bp.bp_forward(modem.demodulate_llr(y_word, side, c), g, dec.iters)
-        out_zero = bp.bp_forward(modem.demodulate_llr(y_zero, side, c), g, dec.iters)
+        out_word = bp.bp_forward(modem.demodulate_llr(y_word, 0.8, c), g, dec.iters)
+        out_zero = bp.bp_forward(modem.demodulate_llr(y_zero, 0.8, c), g, dec.iters)
         assert np.array_equal((out_word.soft[-1] < 0) ^ x, out_zero.soft[-1] < 0)
 
 
@@ -361,6 +360,47 @@ def test_run_regime_equals_a_loop_of_searches(ldpc, scheme, sigma, epsilon0):
 
 class _Stopped(Exception):
     pass
+
+
+def test_search_sends_every_batch_through_transmit_on_its_trial_draws(ldpc, transmit_calls):
+    config = attack.SearchConfig(batch_size=30, accepted_iters=3, max_trials=6, sigma=0.8)
+    trials = []
+    vec = attack.search_attack(ldpc, bp.DecoderConfig(iters=3), "bpsk", config, seed=4,
+                               on_trial=trials.append)
+    assert len(transmit_calls) == 1 + 2 * len(trials)  # the step-size probe, then two per trial
+    params, rng = channel.ChannelParams(sigma=0.8), channel.FrameRng(4)
+    frames = [rng.frames(0, 1, channel.STREAM_PROBE)]
+    frames += [rng.frames(t, t + 1, channel.STREAM_SEARCH) for t in range(len(trials))
+               for _ in range(2)]  # trial t + 1 draws frame t, and both its decodes send on it
+    for (s, draws), gens in zip(transmit_calls, frames):
+        want = channel.draw(params, gens, (1, 30, 64))
+        assert draws.noise.tobytes() == want.noise.tobytes()
+        assert draws.gains is None and draws.burst_u is None
+        assert s.shape == (1, 30, 64) and np.all(s == s[:, :1])  # one word per run
+    word = np.ones(64)
+    assert np.array_equal(transmit_calls[0][0][0, 0], word)
+    for i, rec in enumerate(trials):
+        assert np.array_equal(transmit_calls[1 + 2 * i][0][0, 0], word)  # the word held, then
+        if rec["accepted"]:
+            word = transmit_calls[2 + 2 * i][0][0, 0]  # the candidate, kept when accepted
+    assert np.array_equal(vec.a, word - 1.0)
+
+
+def test_regime_sends_each_stacked_batch_on_its_runs_draws(ldpc, transmit_calls):
+    config = attack.SearchConfig(batch_size=20, accepted_iters=2, max_trials=3, runs=3,
+                                 sigma=0.8)
+    attack.run_regime(ldpc, bp.DecoderConfig(iters=3), "bpsk", config, seed=8)
+    params = channel.ChannelParams(sigma=0.8)
+    rngs = [channel.FrameRng(channel.child_seed(8, run)) for run in range(3)]
+    want = channel.draw(params, [next(rng.frames(0, 1, channel.STREAM_PROBE)) for rng in rngs],
+                        (3, 20, 64))
+    # one probe call for the group, then the first trial's decode and re-decode
+    assert transmit_calls[0][1].noise.tobytes() == want.noise.tobytes()
+    want = channel.draw(params, [next(rng.frames(0, 1, channel.STREAM_SEARCH)) for rng in rngs],
+                        (3, 20, 64))
+    for s, draws in transmit_calls[1:3]:
+        assert s.shape == (3, 20, 64)
+        assert draws.noise.tobytes() == want.noise.tobytes()
 
 
 def test_search_delivers_each_record_before_the_next_trial(ldpc, monkeypatch):

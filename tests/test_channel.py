@@ -36,10 +36,16 @@ def make_rng(seed=0, frame=0):
     return next(channel.FrameRng(seed).frames(frame, frame + 1))
 
 
+def send(s, params, rng, coords_per_symbol=1):
+    """s through the channel on the realization `draw` makes from rng: (y, gains)."""
+    draws = channel.draw(params, rng, np.shape(s), coords_per_symbol)
+    return channel.transmit(s, params, draws, coords_per_symbol), draws.gains
+
+
 def test_transmit_degenerate_noise():
     params = channel.ChannelParams(sigma=1e-12)
     s = np.linspace(-1, 1, 32)
-    y, gains = channel.transmit(s, params, make_rng())
+    y, gains = send(s, params, make_rng())
     assert gains is None
     assert np.max(np.abs(y - s)) < 1e-9
 
@@ -47,7 +53,7 @@ def test_transmit_degenerate_noise():
 def test_awgn_sample_variance():
     params = channel.ChannelParams(sigma=1.0)
     s = np.zeros(1_000_000)
-    y, _ = channel.transmit(s, params, make_rng(1))
+    y, _ = send(s, params, make_rng(1))
     assert 0.99 <= np.var(y - s) <= 1.01
 
 
@@ -55,7 +61,7 @@ def test_bursty_statistics():
     # sigma -> 0 isolates the burst component
     params = channel.ChannelParams(sigma=1e-12, kind="bursty", sigma_b=3.0, rho=0.3)
     s = np.zeros(1_000_000)
-    y, _ = channel.transmit(s, params, make_rng(2))
+    y, _ = send(s, params, make_rng(2))
     w = y - s
     hits = np.abs(w) > 1e-6
     assert 0.297 <= hits.mean() <= 0.303
@@ -71,7 +77,7 @@ def test_bursty_defaults():
 def test_rayleigh_unit_mean_square():
     params = channel.ChannelParams(sigma=0.5, kind="rayleigh")
     s = np.ones(1_000_000)
-    y, gains = channel.transmit(s, params, make_rng(3))
+    y, gains = send(s, params, make_rng(3))
     assert gains.shape == (1_000_000,)
     assert np.mean(gains**2) == pytest.approx(1.0, rel=0.01)
 
@@ -79,7 +85,7 @@ def test_rayleigh_unit_mean_square():
 def test_rayleigh_per_symbol_gains_for_pairs():
     params = channel.ChannelParams(sigma=1e-12, kind="rayleigh")
     s = np.ones(10)
-    y, gains = channel.transmit(s, params, make_rng(5), coords_per_symbol=2)
+    y, gains = send(s, params, make_rng(5), coords_per_symbol=2)
     assert gains.shape == (5,)
     assert np.allclose(y, np.repeat(gains, 2), atol=1e-9)
 
@@ -88,7 +94,7 @@ def test_noise_independent_of_signal():
     rng = np.random.default_rng(0)
     s = rng.normal(0, 1, 200_000)
     params = channel.ChannelParams(sigma=1.0)
-    y, _ = channel.transmit(s, params, make_rng(6))
+    y, _ = send(s, params, make_rng(6))
     corr = np.corrcoef(s, y - s)[0, 1]
     assert abs(corr) < 3 / math.sqrt(len(s))
 
@@ -97,9 +103,9 @@ def test_frame_streams_deterministic_and_order_free():
     params = channel.ChannelParams(sigma=1.0)
     s = np.zeros(64)
     rng = channel.FrameRng(1234)
-    y5_first, _ = channel.transmit(s, params, next(rng.frames(5, 6)))
-    y2, _ = channel.transmit(s, params, next(rng.frames(2, 3)))
-    y5_again, _ = channel.transmit(s, params, next(channel.FrameRng(1234).frames(5, 6)))
+    y5_first, _ = send(s, params, next(rng.frames(5, 6)))
+    y2, _ = send(s, params, next(rng.frames(2, 3)))
+    y5_again, _ = send(s, params, next(channel.FrameRng(1234).frames(5, 6)))
     assert np.array_equal(y5_first, y5_again)
     assert not np.array_equal(y5_first, y2)
     # distinct stream ids are distinct
@@ -244,7 +250,7 @@ def test_block_transmit_equals_per_row_transmit(kind, coords_per_symbol):
     params = channel.ChannelParams(sigma=0.7, kind=kind)
     s = np.random.default_rng(4).choice([-1.0, 1.0], size=(37, 64)) / math.sqrt(coords_per_symbol)
     rng = channel.FrameRng(2**64 + 7)
-    y, gains = channel.transmit(s, params, rng.frames(100, 137), coords_per_symbol)
+    y, gains = send(s, params, rng.frames(100, 137), coords_per_symbol)
     y_ref, gains_ref = per_row_transmit(s, params, rng.frames(100, 137), coords_per_symbol)
     assert y.tobytes() == y_ref.tobytes()
     if kind == "rayleigh":
@@ -253,7 +259,7 @@ def test_block_transmit_equals_per_row_transmit(kind, coords_per_symbol):
     else:
         assert gains is None
     # a row's realization is its frame's alone: one row sent by itself is the same
-    y_one, _ = channel.transmit(s[5], params, next(rng.frames(105, 106)), coords_per_symbol)
+    y_one, _ = send(s[5], params, next(rng.frames(105, 106)), coords_per_symbol)
     assert y_one.tobytes() == y[5].tobytes()
 
 
@@ -262,7 +268,7 @@ def test_block_transmit_needs_one_generator_per_row():
     rng = channel.FrameRng(1)
     for frames in (rng.frames(0, 3), rng.frames(0, 5)):
         with pytest.raises(ValueError):
-            channel.transmit(np.zeros((4, 8)), params, frames)
+            send(np.zeros((4, 8)), params, frames)
 
 
 @pytest.mark.parametrize("kind", ["awgn", "rayleigh", "bursty"])
@@ -276,15 +282,14 @@ def test_transmit_on_shared_draws_equals_transmit(kind, scheme):
     draws = channel.draw(params, rng.frames(3, 40), s.shape, const.coords_per_symbol)
     # several signals pass through the one realization drawn once
     for signal in (s, s[::-1], 0.5 * s):
-        y, gains = channel.transmit(signal, params, draws, const.coords_per_symbol)
-        y_ref, gains_ref = channel.transmit(signal, params, rng.frames(3, 40),
-                                            const.coords_per_symbol)
+        y = channel.transmit(signal, params, draws, const.coords_per_symbol)
+        y_ref, gains_ref = send(signal, params, rng.frames(3, 40), const.coords_per_symbol)
         assert y.tobytes() == y_ref.tobytes()
         if kind == "rayleigh":
-            assert gains.shape == (37, 64 // const.coords_per_symbol)
-            assert gains.tobytes() == gains_ref.tobytes()
+            assert draws.gains.shape == (37, 64 // const.coords_per_symbol)
+            assert draws.gains.tobytes() == gains_ref.tobytes()
         else:
-            assert gains is None and gains_ref is None
+            assert draws.gains is None and gains_ref is None
 
 
 def test_transmit_rejects_draws_made_for_another_signal_or_kind():

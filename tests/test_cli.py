@@ -62,6 +62,7 @@ _VALID = {
     "eval.seed": st.integers(0, 10**12),
 }
 _BOOL_WORDS = {True: ["1", "true", "Yes", "ON"], False: ["0", "False", "no", "off"]}
+_BURST_KEYS = ("channel.sigma_b", "channel.rho")  # read on a bursty channel only
 
 
 @settings(max_examples=60, deadline=None)
@@ -71,6 +72,8 @@ def test_parse_config_round_trip_property(data):
     values = {None: {}, "decoder": {}, "search": {}}  # by the section that receives them
     lines = []
     for key, (section, name, conv) in cli._KEYS.items():
+        if key in _BURST_KEYS and values[None].get("channel_kind") != "bursty":
+            continue  # an error on another kind; channel.kind comes first in the table
         value = data.draw(st.none() | _VALID.get(key, _BY_PARSER[conv]))
         if value is None:
             continue
@@ -115,7 +118,8 @@ def test_every_runconfig_field_is_a_key():
         text, want = samples.get(f.type.removesuffix(" | None"), (None, None))
         if text is None:  # str: the default is a value that passes validation
             text = want = f.default or "x"
-        assert read(cli.parse_config(f"{key} = {text}\n")) == want, key
+        kind = "channel.kind = bursty\n" if key in _BURST_KEYS else ""
+        assert read(cli.parse_config(f"{kind}{key} = {text}\n")) == want, key
 
 
 def test_runconfig_repeats_no_decoder_or_search_field():
@@ -168,8 +172,8 @@ def test_parse_config_rejects_bad_values():
                         ("search.validation_ebn0_db = nan", "validation_ebn0_db"),
                         ("search.sigma = nan", "search.sigma"),
                         ("search.sigma = -1.0", "search.sigma"),
-                        ("channel.sigma_b = inf", "channel.sigma_b"),
-                        ("channel.sigma_b = 0", "channel.sigma_b")]:
+                        ("channel.kind = bursty\nchannel.sigma_b = inf", "channel.sigma_b"),
+                        ("channel.kind = bursty\nchannel.sigma_b = 0", "channel.sigma_b")]:
         with pytest.raises(cli.ConfigError, match=named):
             cli.parse_config(line + "\n")
 
@@ -357,6 +361,23 @@ def test_settings_that_fail_inside_the_numerics_are_config_errors(tmp_path, caps
     assert cli.main([command, "--config", cfg] + argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err and named in err
+
+
+@pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
+@pytest.mark.parametrize("line, key", [("channel.rho = 0.5", "channel.rho"),
+                                       ("channel.sigma_b = 9.0", "channel.sigma_b")])
+def test_burst_settings_on_another_channel_are_config_errors(tmp_path, capsys, kind, line, key):
+    cfg = write(tmp_path, "rep.cfg", REP_SEARCH_CFG + f"channel.kind = {kind}\n{line}\n")
+    assert cli.main(["eval", "--config", cfg]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{key} applies to a bursty channel only" in err
+
+
+def test_channel_opts_pass_burst_settings_in_field_order():
+    # the order feeds config_digest, so it must not follow the config's line order
+    cfg = cli.parse_config("channel.rho = 0.2\nchannel.sigma_b = 1.5\nchannel.kind = bursty\n")
+    assert list(cli._channel_opts(cfg).items()) == [("sigma_b", 1.5), ("rho", 0.2)]
+    assert cli._channel_opts(cli.parse_config("channel.kind = bursty\n")) == {}
 
 
 def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch, capsys):

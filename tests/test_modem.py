@@ -62,11 +62,10 @@ def test_modulate_validation():
 
 def test_llr_zero_symmetry():
     c = modem.get_constellation("bpsk")
-    side = modem.ChannelSide(sigma=0.7)
-    assert modem.demodulate_llr(np.zeros(4), side, c) == pytest.approx(0.0)
+    assert modem.demodulate_llr(np.zeros(4), 0.7, c) == pytest.approx(0.0)
     y = np.array([0.3, -1.2, 2.0])
-    assert np.allclose(modem.demodulate_llr(-y, side, c),
-                       -modem.demodulate_llr(y, side, c))
+    assert np.allclose(modem.demodulate_llr(-y, 0.7, c),
+                       -modem.demodulate_llr(y, 0.7, c))
 
 
 @pytest.mark.parametrize("sigma,y,expect", [(1.0, 1.0, 2.0), (0.5, -0.5, -4.0)])
@@ -74,7 +73,7 @@ def test_bpsk_llr_density_ratio(sigma, y, expect):
     # oracle: log N(y; +1, sigma^2) - log N(y; -1, sigma^2)
     oracle = gaussian_log_density(y, 1.0, sigma) - gaussian_log_density(y, -1.0, sigma)
     c = modem.get_constellation("bpsk")
-    L = modem.demodulate_llr(np.array([y]), modem.ChannelSide(sigma=sigma), c)
+    L = modem.demodulate_llr(np.array([y]), sigma, c)
     assert L[0] == pytest.approx(oracle, rel=1e-12)
     assert L[0] == pytest.approx(expect, rel=1e-12)
 
@@ -84,7 +83,7 @@ def test_qam4_llr_density_ratio():
     # the per-coordinate antipodal formula; check bit 0 of one symbol
     c = modem.get_constellation("qam4")
     sigma, y = 0.8, np.array([0.37, -0.61])
-    L = modem.demodulate_llr(y, modem.ChannelSide(sigma=sigma), c)
+    L = modem.demodulate_llr(y, sigma, c)
 
     def log_p(bit_index, value):
         terms = []
@@ -102,31 +101,28 @@ def test_qam4_llr_density_ratio():
 def test_fading_llr_uses_gains():
     c = modem.get_constellation("bpsk")
     gains = np.array([0.5, 2.0, 1.0])
-    side = modem.ChannelSide(sigma=1.0, gains=gains)
     y = np.array([1.0, 1.0, 1.0])
-    assert np.allclose(modem.demodulate_llr(y, side, c), 2.0 * gains)
+    assert np.allclose(modem.demodulate_llr(y, 1.0, c, gains), 2.0 * gains)
     with pytest.raises(ValueError, match="gains"):
-        modem.demodulate_llr(np.ones(4), side, c)
+        modem.demodulate_llr(np.ones(4), 1.0, c, gains)
 
 
 def test_adjoint_zero_and_basis():
     c = modem.get_constellation("bpsk")
-    side = modem.ChannelSide(sigma=1.0)
-    assert not modem.demodulate_adjoint(np.zeros(3), side, c).any()
+    assert not modem.demodulate_adjoint(np.zeros(3), 1.0, c).any()
     e1 = np.zeros(3)
     e1[1] = 1.0
-    assert np.allclose(modem.demodulate_adjoint(e1, side, c), 2.0 * e1)
+    assert np.allclose(modem.demodulate_adjoint(e1, 1.0, c), 2.0 * e1)
 
 
 @pytest.mark.parametrize("scheme", ["bpsk", "qam4"])
 def test_adjoint_matches_finite_differences(scheme):
     rng = np.random.default_rng(4)
     c = modem.get_constellation(scheme)
-    side = modem.ChannelSide(sigma=0.6)
     y = rng.normal(0, 1, 8)
     w = rng.normal(0, 1, 8)
-    analytic = modem.demodulate_adjoint(w, side, c)
-    fd = bp.finite_difference(lambda v: float(w @ modem.demodulate_llr(v, side, c)), y)
+    analytic = modem.demodulate_adjoint(w, 0.6, c)
+    fd = bp.finite_difference(lambda v: float(w @ modem.demodulate_llr(v, 0.6, c)), y)
     rel = np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-12)
     assert rel.max() < 1e-6
 
@@ -135,17 +131,18 @@ def test_adjoint_with_gains_matches_finite_differences():
     rng = np.random.default_rng(6)
     c = modem.get_constellation("qam4")
     gains = rng.rayleigh(1 / math.sqrt(2), 4)
-    side = modem.ChannelSide(sigma=0.9, gains=gains)
     y = rng.normal(0, 1, 8)
     w = rng.normal(0, 1, 8)
-    analytic = modem.demodulate_adjoint(w, side, c)
-    fd = bp.finite_difference(lambda v: float(w @ modem.demodulate_llr(v, side, c)), y)
+    analytic = modem.demodulate_adjoint(w, 0.9, c, gains)
+    fd = bp.finite_difference(lambda v: float(w @ modem.demodulate_llr(v, 0.9, c, gains)), y)
     assert np.allclose(analytic, fd, rtol=1e-6, atol=1e-9)
 
 
-def test_channel_side_validation():
+def test_demodulate_validation():
+    c = modem.get_constellation("bpsk")
     for sigma in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="sigma must be positive and finite"):
-            modem.ChannelSide(sigma=sigma)
+        for demap in (modem.demodulate_llr, modem.demodulate_adjoint):
+            with pytest.raises(ValueError, match="sigma must be positive and finite"):
+                demap(np.ones(3), sigma, c)
     with pytest.raises(ValueError):
         modem.get_constellation("qam64")

@@ -293,6 +293,26 @@ def test_transfer_check_exact_bpsk(ldpc, dec3):
     assert rep.bit_errors_random > 0  # the check saw actual errors
 
 
+def test_transfer_check_sends_both_words_through_transmit_on_each_chunks_draws(
+        ldpc, dec3, transmit_calls):
+    a = attack.normalize_power(np.ones(64) + np.linspace(-0.2, 0.2, 64))[0] - np.ones(64)
+    rep = montecarlo.transfer_check(a, ldpc, dec3, ebn0_db=2.0, frames=600, seed=3)
+    assert rep.mode == "exact" and rep.passed
+    chunks = [(0, 512), (512, 600)]
+    assert len(transmit_calls) == 2 * len(chunks)  # the random words, then the all-zero word
+    const, rng = modem.get_constellation("bpsk"), channel.FrameRng(3)
+    params = channel.ChannelParams(sigma=channel.ebn0_to_sigma(2.0, ldpc.rate, 1))
+    s_zero = attack.apply_attack(np.ones(64), a, const)
+    sent = zip(chunks, transmit_calls[0::2], transmit_calls[1::2])
+    for (start, stop), (s_rand, draws_r), (s_sent_zero, draws_z) in sent:
+        s = modem.modulate(gf2.encode(rng.bits(start, stop, ldpc.k), ldpc.G), const)
+        want = channel.draw(params, rng.frames(start, stop, channel.STREAM_CHANNEL), s.shape)
+        assert draws_r.noise.tobytes() == want.noise.tobytes()
+        assert np.array_equal(s_rand, attack.apply_attack(s, a, const))
+        assert draws_z.noise.tobytes() == (s * want.noise).tobytes()  # sign-coupled noise
+        assert np.array_equal(s_sent_zero, np.broadcast_to(s_zero, s.shape))
+
+
 def test_transfer_check_fails_unadapted_attack(ldpc, dec3, monkeypatch):
     # adding the same a to every word, instead of adapting it to the word's
     # signs, breaks the equivalence: the exact check must notice

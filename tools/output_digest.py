@@ -23,7 +23,10 @@ The digest covers, on the bundled (64, 32) LDPC code:
   point with an attack file;
 - the same forward and backward outputs on a small H with a variable on no
   check, a check on no variable and a degree-1 check, fed LLRs that hold
-  exact zeros of both signs.
+  exact zeros of both signs;
+- `transfer_check` reports: BPSK (exact) for BP-3 and BP-5 at a waterfall
+  and a high Eb/N0 point, and 4-QAM (statistical);
+- `cli.run_gradcheck` reports for BPSK and for 4-QAM.
 
 Every value is hashed as its exact bytes (floats) or `repr` (records and
 counts), so a last-bit or signed-zero difference changes the digest. The
@@ -179,6 +182,25 @@ def _sweep_parts(code):
             yield "cli eval bursty workers=2 min_block_errors=40", [fh.read()]
 
 
+def _transfer_parts(code):
+    a = 0.3 * np.random.default_rng(5).standard_normal(code.n)
+    qam = attack.AttackVector(a=a, code_id=code.name, scheme="qam4", n=code.n,
+                              n_symbols=code.n // 2, search_sigma=SIGMA, seed=0,
+                              approach="digest", accepted_iters=0)
+    for iters in (3, 5):
+        decoder = bp.DecoderConfig(iters=iters)
+        for vector, ebn0_db in ((a, 1.25), (a, 5.0), (qam, 4.0)):
+            report = montecarlo.transfer_check(vector, code, decoder, ebn0_db=ebn0_db,
+                                               frames=1100, seed=31)
+            yield f"transfer_check BP-{iters} {report.mode} {ebn0_db} dB", [repr(report)]
+
+
+def _gradcheck_parts():
+    for scheme in ("bpsk", "qam4"):
+        cfg = cli.parse_config(f"modem.scheme = {scheme}\neval.ebn0_db = 2.0\n")
+        yield f"gradcheck {scheme}", [repr(cli.run_gradcheck(cfg, seed=3))]
+
+
 def _feed(h, value):
     if isinstance(value, str):
         h.update(value.encode())
@@ -195,7 +217,8 @@ def main(argv=None) -> None:
     code = codes.ldpc_64_32()
     total = hashlib.sha256()
     for parts in (_search_parts(code), _regime_parts(code), _decoder_parts(code),
-                  _irregular_parts(), _count_parts(code), _sweep_parts(code)):
+                  _irregular_parts(), _count_parts(code), _sweep_parts(code),
+                  _transfer_parts(code), _gradcheck_parts()):
         for name, values in parts:
             h = hashlib.sha256()
             for value in values:
