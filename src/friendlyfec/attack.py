@@ -23,8 +23,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from . import bp, channel, modem
-from .checks import is_real
+from . import bp, channel, checks, modem
 
 POWER = 1.0  # average power constraint per symbol
 SIGMA_BRACKET, SIGMA_STEPS = (0.05, 4.0), 14  # find_search_sigma's interval and halvings
@@ -62,14 +61,10 @@ class AttackVector:
         if self.n_symbols != self.n // bits:
             raise ValueError(f"attack field 'N' is {self.n_symbols}, expected n // {bits} = "
                              f"{self.n // bits} for {self.scheme}")
-        sigma = self.search_sigma  # checked as SearchConfig.sigma
-        if not (is_real(sigma) and 0 < sigma < np.inf):
-            raise ValueError(f"attack field 'search_sigma' must be positive and finite, "
-                             f"got {sigma!r}")
-        for name in ("seed", "accepted_iters"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise ValueError(f"attack field '{name}' must be an integer >= 0, got {value!r}")
+        checks.positive("attack field 'search_sigma'", self.search_sigma)
+        for name in ("seed", "accepted_iters"):  # Python ints, which the attack file holds
+            value = checks.count(f"attack field '{name}'", getattr(self, name), minimum=0)
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "a", a)
 
     def check_fits(self, code, scheme: str) -> None:
@@ -106,14 +101,11 @@ class SearchConfig:
         if self.max_trials is not None:
             counts.append("max_trials")
         for name in counts:
-            value = getattr(self, name)  # a count: not a fraction, and not a bool
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            checks.count(name, getattr(self, name))
         for name in ("sigma", "epsilon0"):
-            value = getattr(self, name)  # None: resolved by the caller or the search
-            if value is not None and not (is_real(value) and 0 < value < np.inf):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if not (is_real(self.decay) and 0 < self.decay <= 1):
+            if getattr(self, name) is not None:  # None: resolved by the caller or the search
+                checks.positive(name, getattr(self, name))
+        if not (checks.is_real(self.decay) and 0 < self.decay <= 1):
             raise ValueError(f"decay must be in (0, 1], got {self.decay!r}")
         if self.scheduler not in ("constant", "exp_decay", "step"):
             raise ValueError(f"unknown scheduler {self.scheduler!r}")
@@ -419,8 +411,7 @@ def cluster_attacks(vectors: list[AttackVector], method: str, k: int,
     Zero vectors from failed runs are dropped first, since they drag
     centroids toward the no-op.
     """
-    if k < 1:
-        raise ValueError(f"cluster count k must be >= 1, got {k}")
+    checks.count("cluster count k", k)
     check_linkage(linkage)
     nonzero = [v for v in vectors if not v.is_zero]
     if len(nonzero) < k:

@@ -45,8 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gf2
-from .checks import is_real
+from . import checks, gf2
 
 DEFAULT_CLAMP = 20.0
 # lanes per decode block: (128, E) float64 work arrays stay in cache, and
@@ -70,13 +69,10 @@ class DecoderConfig:
     loss_mode: str = "final"  # see check_loss_mode
 
     def __post_init__(self):
-        iters = self.iters  # a numpy integer is an integer; a bool is not
-        if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 0:
-            raise ValueError(f"iteration count must be an integer >= 0, got {iters!r}")
         # a Python int, so repr (hashed into Monte Carlo digests) ignores the type given
-        object.__setattr__(self, "iters", int(iters))
-        if not (is_real(self.clamp) and 0 < self.clamp < np.inf):
-            raise ValueError(f"clamp must be positive and finite, got {self.clamp!r}")
+        iters = checks.count("iteration count", self.iters, minimum=0)
+        object.__setattr__(self, "iters", iters)
+        checks.positive("clamp", self.clamp)
         check_loss_mode(self.loss_mode)
 
 
@@ -329,10 +325,8 @@ def bp_forward(llr, graph: TannerGraph, iters: int, clamp: float = DEFAULT_CLAMP
         raise ValueError("the LLR batch is empty: bp_forward needs at least one frame")
     if not np.all(np.isfinite(L)):
         raise ValueError("input LLRs must be finite")
-    if iters < 1:
-        raise ValueError("iteration count must be >= 1")
-    if not 0 < clamp < np.inf:
-        raise ValueError(f"clamp must be positive and finite, got {clamp!r}")
+    checks.count("iteration count", iters)
+    checks.positive("clamp", clamp)
     if early_stop and record_tape:
         raise ValueError("early stopping would make the tape input-dependent; disable one")
 

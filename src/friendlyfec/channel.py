@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .checks import is_real
+from . import checks
 
 RAYLEIGH_SCALE = 1.0 / math.sqrt(2.0)  # unit mean-square gain
 
@@ -35,8 +35,7 @@ class ChannelParams:
     def __post_init__(self):
         if self.kind not in ("awgn", "rayleigh", "bursty"):
             raise ValueError(f"unknown channel kind {self.kind!r}")
-        if not (is_real(self.sigma) and 0 < self.sigma < math.inf):
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
+        checks.positive("sigma", self.sigma)
         if self.kind != "bursty":
             for name in ("sigma_b", "rho"):
                 if getattr(self, name) is not None:
@@ -48,9 +47,8 @@ class ChannelParams:
             object.__setattr__(self, "sigma_b", 2.0 * self.sigma)
         if self.rho is None:
             object.__setattr__(self, "rho", 0.1)
-        if not (is_real(self.sigma_b) and 0 < self.sigma_b < math.inf):
-            raise ValueError(f"sigma_b must be positive and finite, got {self.sigma_b!r}")
-        if not (is_real(self.rho) and 0.0 <= self.rho <= 1.0):
+        checks.positive("sigma_b", self.sigma_b)
+        if not (checks.is_real(self.rho) and 0.0 <= self.rho <= 1.0):
             raise ValueError(f"rho must lie in [0, 1], got {self.rho!r}")
 
 
@@ -66,7 +64,7 @@ class FrameRng:
     seed: int
 
     def __post_init__(self):
-        _check_seed(self.seed)
+        checks.seed("seed", self.seed)
 
     def frames(self, start: int, stop: int, stream: int = STREAM_CHANNEL):
         """An iterator over the generator of each frame in [start, stop).
@@ -103,9 +101,8 @@ class FrameRng:
         returns a word's top bit.
         """
         _check_frame_range(start, stop)
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
-            raise ValueError(f"bit count must be an integer >= 0, got {k!r}")
-        frames, blocks = max(stop - start, 0), -(-int(k) // 8)
+        k = checks.count("bit count", k, minimum=0)
+        frames, blocks = max(stop - start, 0), -(-k // 8)
         counter = np.zeros((4, frames, blocks), dtype=np.uint64)
         counter[0] = np.arange(1, blocks + 1, dtype=np.uint64)
         counter[2] = np.uint64(start) + np.arange(frames, dtype=np.uint64)[:, None]
@@ -159,21 +156,15 @@ def _philox4x64(counter, key) -> np.ndarray:
 
 def _check_frame_range(start, stop) -> None:
     """Raise ValueError unless [start, stop) holds frame indices that fit in 64 bits."""
-    if start < 0:
-        raise ValueError("frame index must be non-negative")
+    checks.count("frame start", start, minimum=0)
+    checks.count("frame stop", stop, minimum=0)
     if stop > 2**64:
         raise ValueError(f"frame indices must be below 2**64, got a range ending at {stop}")
 
 
-def _check_seed(seed) -> None:
-    """Raise ValueError unless the seed is an integer (not a bool) in Philox's key range."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**128:
-        raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
-
-
 def child_seed(seed: int, *key: int) -> int:
     """Derive an independent 64-bit seed from (seed, key...); deterministic."""
-    _check_seed(seed)
+    checks.seed("seed", seed)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -184,8 +175,7 @@ def ebn0_to_sigma(ebn0_db: float, rate: float, bits_per_symbol: int) -> float:
         raise ValueError("rate must lie in (0, 1]")
     if bits_per_symbol not in (1, 2):
         raise ValueError("bits_per_symbol must be 1 or 2")
-    if not math.isfinite(ebn0_db):
-        raise ValueError(f"Eb/N0 must be finite, got {ebn0_db!r} dB")
+    checks.finite("ebn0_db", ebn0_db)
     try:
         return math.sqrt(1.0 / (2.0 * rate * bits_per_symbol * 10.0 ** (ebn0_db / 10.0)))
     except (OverflowError, ZeroDivisionError):
@@ -193,8 +183,7 @@ def ebn0_to_sigma(ebn0_db: float, rate: float, bits_per_symbol: int) -> float:
 
 
 def sigma_to_ebn0(sigma: float, rate: float, bits_per_symbol: int) -> float:
-    if not 0 < sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
+    checks.positive("sigma", sigma)
     if not 0.0 < rate <= 1.0:
         raise ValueError("rate must lie in (0, 1]")
     return -10.0 * math.log10(2.0 * rate * bits_per_symbol * sigma * sigma)

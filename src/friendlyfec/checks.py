@@ -1,10 +1,41 @@
-"""Type tests shared by the settings checks of several modules."""
+"""The value rules that settings share: a count, a positive and finite level,
+a Philox seed and a finite Eb/N0. Each rule raises ValueError naming the
+setting it is given, and none takes a bool (which would act as 0 or 1) or a
+string, so every boundary rejects a bad value the same way before any numerics run.
+"""
 
 from __future__ import annotations
 
+import math
 import numbers
 
 
 def is_real(value) -> bool:
     """True for a real number other than a bool: a float setting takes neither True nor "5"."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def count(name: str, value, minimum: int = 1) -> int:
+    """`value` as a Python int if it is an integer (numpy's too) >= minimum, else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def positive(name: str, value) -> None:
+    """Raise ValueError unless `value` is a real number in (0, inf)."""
+    if not (is_real(value) and 0 < value < math.inf):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def seed(name: str, value) -> None:
+    """Raise ValueError unless `value` is an integer in Philox's key range [0, 2**128)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not 0 <= value < 2**128:
+        raise ValueError(f"{name} must be an integer in [0, 2**128), got {value!r}")
+
+
+def finite(name: str, value) -> float:
+    """`value` as a float if it is a finite real number, such as an Eb/N0 in dB, else ValueError."""
+    if not (is_real(value) and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return float(value)

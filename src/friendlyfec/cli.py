@@ -8,14 +8,13 @@ error, 3 search failure, 4 gradient-check failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import attack as attack_mod
-from . import bp, channel, codes, modem, montecarlo
+from . import bp, channel, checks, codes, modem, montecarlo
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -129,9 +128,21 @@ _CODES = {
 def _validate(cfg: RunConfig) -> None:
     if cfg.code_family not in _CODES:
         raise ConfigError(f"unknown code family {cfg.code_family!r}")
-    try:  # each module checks the values it acts on
+    try:  # each module checks the values it acts on; the shared rules name the key
         modem.get_constellation(cfg.modem_scheme)
         montecarlo.check_message_source(cfg.eval_message_source)
+        checks.count("eval.frames", cfg.eval_frames)
+        checks.count("search.validation_frames", cfg.search_validation_frames)
+        if cfg.eval_min_block_errors is not None:
+            checks.count("eval.min_block_errors", cfg.eval_min_block_errors)
+        checks.seed("eval.seed", cfg.eval_seed)
+        ebn0s = [("eval.ebn0_db", cfg.eval_ebn0_db),
+                 ("search.validation_ebn0_db", cfg.search_validation_ebn0_db)]
+        for key, ebn0 in ebn0s + [("eval.grid", x) for x in cfg.eval_grid]:
+            if ebn0 is not None:
+                checks.finite(key, ebn0)
+        if cfg.search.get("sigma") is not None:
+            checks.positive("search.sigma", cfg.search["sigma"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     try:  # any sigma will do: the kind and the burst settings set for it are checked
@@ -139,24 +150,8 @@ def _validate(cfg: RunConfig) -> None:
     except ValueError as exc:  # a burst setting's message begins with its field name
         raise ConfigError(f"channel.{exc}" if str(exc).startswith(("sigma_b", "rho"))
                           else str(exc)) from None
-    if cfg.eval_min_block_errors is not None and cfg.eval_min_block_errors < 1:
-        raise ConfigError("eval.min_block_errors must be >= 1")
-    if not 0 <= cfg.eval_seed < 2**128:
-        raise ConfigError(f"eval.seed must lie in [0, 2**128), got {cfg.eval_seed}")
-    if cfg.eval_frames < 1:
-        raise ConfigError("eval.frames must be >= 1")
-    if cfg.search_validation_frames < 1:
-        raise ConfigError("search.validation_frames must be >= 1")
     if not 0 < cfg.search_target_bler < 1:
         raise ConfigError("search.target_bler must be in (0, 1)")
-    ebn0s = [("eval.ebn0_db", cfg.eval_ebn0_db),
-             ("search.validation_ebn0_db", cfg.search_validation_ebn0_db)]
-    for key, ebn0 in ebn0s + [("eval.grid", x) for x in cfg.eval_grid]:
-        if ebn0 is not None and not math.isfinite(ebn0):
-            raise ConfigError(f"{key} must be finite, got {ebn0!r}")
-    sigma = cfg.search.get("sigma")
-    if sigma is not None and not 0 < sigma < math.inf:
-        raise ConfigError(f"search.sigma must be positive and finite, got {sigma!r}")
 
 
 def build_code(cfg: RunConfig) -> codes.CodeSpec:
@@ -261,8 +256,6 @@ def cmd_eval(cfg: RunConfig, attack_path: str | None, out_path: str | None,
              seed: int, workers: int, grid: bool) -> int:
     code = build_code(cfg)
     decoder = cfg.decoder
-    if workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {workers}")
     av = None
     if attack_path:
         try:
@@ -379,8 +372,12 @@ def main(argv=None) -> int:
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
         seed = args.seed if args.seed is not None else cfg.eval_seed
-        if not 0 <= seed < 2**128:
-            raise ConfigError(f"--seed must lie in [0, 2**128), got {seed}")
+        try:  # the flags obey the rules of the settings they stand for
+            checks.seed("--seed", seed)
+            if args.command in ("eval", "sweep"):
+                checks.count("--workers", args.workers)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if args.command == "search":
             try:
                 return cmd_search(cfg, args.out, seed)

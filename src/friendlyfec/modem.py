@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import checks
+
 
 @dataclass(frozen=True)
 class Constellation:
@@ -78,8 +80,7 @@ def modulate(bits, constellation: Constellation) -> np.ndarray:
 
 def _coordinate_scale(shape, sigma, constellation: Constellation, gains) -> np.ndarray | float:
     """The demapper's per-coordinate scale 2 A g / sigma^2 for an array of `shape`."""
-    if not 0 < sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
+    checks.positive("sigma", sigma)
     scale = 2.0 * constellation.amplitude / (sigma ** 2)
     if gains is None:
         return scale

@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from . import attack as attack_mod
-from . import bp, channel, gf2, modem
+from . import bp, channel, checks, gf2, modem
 
 CHUNK_FRAMES = 512
 Z95 = 1.96
@@ -66,12 +66,6 @@ def _result(frames, bit_errors, block_errors, k, meta) -> MonteCarloResult:
         ci95_ber=float(Z95 * np.sqrt(ber * (1.0 - ber) / (frames * k))),
         ci95_bler=float(Z95 * np.sqrt(bler * (1.0 - bler) / frames)),
         **meta)
-
-
-def _check_count(name, value) -> None:
-    """A count must be an integer >= 1: not a fraction, and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _counts(errs) -> tuple[int, int, int]:
@@ -156,13 +150,13 @@ def run_rows(code, decoder: bp.DecoderConfig, scheme: str, ebn0_db: float,
     has that many block errors and is not decoded after; the loop ends
     when every row has stopped, and the counts stay worker-invariant.
     """
-    _check_count("frames", frames)
-    _check_count("workers", workers)
+    checks.count("frames", frames)
+    checks.count("workers", workers)
     check_message_source(message_source)
     if min_block_errors is not None:
-        _check_count("min_block_errors", min_block_errors)
+        checks.count("min_block_errors", min_block_errors)
     rng = channel.FrameRng(seed)
-    ebn0_db = float(ebn0_db)
+    ebn0_db = checks.finite("ebn0_db", ebn0_db)
     const = modem.get_constellation(scheme)
     sigma = channel.ebn0_to_sigma(ebn0_db, code.rate, const.bits_per_symbol)
     params = channel.ChannelParams(sigma=sigma, kind=channel_kind, **(channel_opts or {}))
@@ -215,7 +209,7 @@ def sweep(ebn0_grid, code, decoder: bp.DecoderConfig, scheme: str, frames: int,
     The attack is checked before the first point. Keyword options are
     those of `run_rows`.
     """
-    grid = sorted(float(x) for x in ebn0_grid)
+    grid = sorted(checks.finite("ebn0_grid entry", x) for x in ebn0_grid)
     if not grid:
         raise ValueError("the Eb/N0 grid must be nonempty")
     attack = attack_array(attack, scheme, code)
@@ -258,7 +252,7 @@ def transfer_check(attack, code, decoder: bp.DecoderConfig, ebn0_db: float,
     BER confidence intervals of all-zero and random-codeword runs must
     overlap.
     """
-    _check_count("frames", frames)
+    checks.count("frames", frames)
     if attack is None:
         raise ValueError("transfer_check needs an attack: an AttackVector or a raw array")
     scheme = attack.scheme if isinstance(attack, attack_mod.AttackVector) else "bpsk"

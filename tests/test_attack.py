@@ -438,7 +438,7 @@ def test_cluster_single_cluster_is_mean():
     out = attack.cluster_attacks(vs, "agglomerative", 1)
     assert np.allclose(out[0].a, [2.0, 1.0])
     for method in ("kmeans", "agglomerative"):
-        with pytest.raises(ValueError, match="k must be >= 1"):
+        with pytest.raises(ValueError, match="cluster count k must be an integer >= 1, got 0"):
             attack.cluster_attacks(vs, method, 0)
 
 
