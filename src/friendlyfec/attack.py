@@ -8,9 +8,10 @@ applied to any codeword through a per-symbol sign/phase adaptation.
 
 A regime of many searches on small batches (approach 3: B = 20) runs its
 searches in lockstep groups, stacking the batches of a group's runs into
-each decode call, so that the decoder's per-call overhead is shared by
-about `bp.STACK_LANES` lanes. Each run keeps its own draws, step sizes
-and stop rule, and its results equal those of a search on its own.
+each decode call, so that the decoder's per-call overhead is shared by up
+to one decode block of `bp.BLOCK_LANES` lanes. Each run keeps its own
+draws, step sizes and stop rule, and its results equal those of a search
+on its own.
 """
 
 from __future__ import annotations
@@ -333,16 +334,17 @@ def run_regime(code, decoder: bp.DecoderConfig, scheme: str, config: SearchConfi
     Run r is the search of `search_attack` with seed `child_seed(seed, r)`
     and approach label "<approach>:run<r>": its vector and `on_trial`
     records are the same to the byte, and the records arrive in run order.
-    The runs search in lockstep groups of STACK_LANES // batch_size runs
-    (at least one), so that a group's batches share each decode call; at
-    a batch size of STACK_LANES or more every run searches on its own.
+    The runs search in lockstep groups of bp.BLOCK_LANES // batch_size
+    runs (at least one), so that a group's batches fill one decode block
+    (6 runs, 120 lanes, at B = 20); at a batch size of BLOCK_LANES or more
+    every run searches on its own.
     """
     if config.runs < 2:
         raise ValueError("run_regime needs runs >= 2; call search_attack directly")
     receiver = bp.Receiver(code, decoder)
     runs = [(channel.child_seed(seed, run), f"{config.approach}:run{run}")
             for run in range(config.runs)]
-    width = max(1, bp.STACK_LANES // config.batch_size)
+    width = max(1, bp.BLOCK_LANES // config.batch_size)
     return [vector for lo in range(0, len(runs), width)
             for vector in _search_runs(receiver, scheme, config, runs[lo:lo + width], on_trial)]
 

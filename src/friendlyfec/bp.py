@@ -4,6 +4,9 @@ The forward pass runs a flooding schedule and records pre-clamp messages on
 a tape; the backward pass replays the tape in reverse and returns the exact
 gradient of the decoding loss with respect to the input LLRs. Message
 clamping differentiates as the identity inside the bound and zero outside.
+Where the check-to-variable messages provably stay inside the clamp (every
+check of degree >= 3 and a clamp up to about 28.4, see `_clamp_acts`),
+neither pass clips or masks them, and the tape keeps none of them.
 
 All internals are batched: a decode over B frames runs as (..., B) arrays,
 and every lane's result is independent of which other lanes share the
@@ -22,8 +25,8 @@ once per use; the next block overwrites a block's tape once its gradient
 is taken. Since a lane's result does not depend on the other lanes of
 its batch, the blocked outputs and gradients equal those of one
 unblocked decode bit for bit, and a caller with many small batches may
-stack them into one decode call (about `STACK_LANES` lanes) and split
-the results.
+stack them into one decode call (up to one block of `BLOCK_LANES` lanes)
+and split the results.
 
 Inside the kernel the messages are laid out edge-major with the lanes
 last: per-edge arrays are (E, lanes) and per-variable arrays (n, lanes).
@@ -41,6 +44,7 @@ transposed views.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,9 +55,9 @@ DEFAULT_CLAMP = 20.0
 # lanes per decode block: (128, E) float64 work arrays stay in cache, and
 # the tape of a BP-5 block of the bundled code is about 2 MB
 BLOCK_LANES = 128
-# lanes a caller with many small batches stacks into one decode call: enough
-# to share the per-call overhead, few enough that a taped set stays small
-STACK_LANES = 64
+# the least 1 - tanh(clamp / 2) at which rounding cannot carry a check-to-variable
+# message to the clamp (see `_clamp_acts`): clamps up to about 28.4
+_CLAMP_TAIL = 2.0**-40
 _LOG_PROB_FLOOR = float(np.log(1e-12))
 
 
@@ -159,6 +163,26 @@ def _slot_major(owner, n_nodes):
     return np.bincount(slot, minlength=1).tolist(), order, by_node[np.argsort(slot, kind="stable")]
 
 
+def _clamp_acts(graph: TannerGraph, clamp) -> bool:
+    """False where no check-to-variable message can reach the clamp, so that clipping
+    them, and masking their gradient, leaves every bit as it is.
+
+    Let tau = tanh(clamp / 2) < 1. When every check that has an edge has
+    degree >= 3, each exclusion product multiplies at least two tanh terms
+    of clipped messages, each of size <= tau, so |u| = 2 atanh|prod| <=
+    2 atanh(tau**2) = ln cosh(clamp) < clamp. The gap clamp - ln cosh(clamp)
+    lies in (0, ln 2), about clamp (1 - clamp / 2) for small clamps.
+    Rounding in the product and in atanh's steep slope near 1 moves u by
+    about eps e**clamp / 8, far below the gap while 1 - tau >= 2**-40
+    (clamp <= 28.4). Then np.clip(u) returns u bit for bit, the backward's
+    |u| <= clamp mask is all True, and 1 - prod**2 > 0. A degree-1 or
+    degree-2 check, or a larger clamp, takes the clipped path.
+    """
+    runs = graph.check_runs  # run i holds the checks of degree > i
+    wide = len(runs) > 2 and runs[2].stop - runs[2].start == runs[0].stop - runs[0].start
+    return not (wide and 1.0 - math.tanh(0.5 * clamp) >= _CLAMP_TAIL)
+
+
 @dataclass
 class BpTape:
     """Per-iteration message record enabling the reverse pass.
@@ -166,15 +190,17 @@ class BpTape:
     `v2c_pre` / `c2v_pre` hold the pre-clamp variable-to-check and
     check-to-variable messages per iteration, `tanh` the check nodes'
     tanh(clip(v2c_pre) / 2) terms, all in the kernel's edge order (see
-    `TannerGraph`); `soft` the per-iteration output LLRs. Entries are
-    appended during the forward pass only.
+    `TannerGraph`); `soft` the per-iteration output LLRs. `c2v_pre` stays
+    empty where the clamp cannot act on those messages (see `_clamp_acts`),
+    as the reverse pass then does not read them. Entries are appended
+    during the forward pass only.
     """
 
     graph: TannerGraph
     clamp: float
     input_llr: np.ndarray        # (B, n), not copied: the reverse pass reads its shape only
     v2c_pre: list[np.ndarray]    # T x (E, B)
-    c2v_pre: list[np.ndarray]    # T x (E, B)
+    c2v_pre: list[np.ndarray]    # T x (E, B), or none
     tanh: list[np.ndarray]       # T x (E, B)
     soft: list[np.ndarray]       # T x (B, n), transposed views of (n, B) planes
     squeeze: bool
@@ -208,19 +234,25 @@ class _WorkSet:
     `iters` and `taped` size the per-iteration soft outputs and the arrays
     the tape keeps. Without a tape `t` and `u` have one slot, and `v2c` and
     `llr` have two, so that early stop compacts the running lanes of one
-    into the other; a taped set serves untaped decodes too.
+    into the other; a taped set serves untaped decodes too. Where `clamp`
+    cannot act on the check-to-variable messages (see `_clamp_acts`), they
+    are the `u` plane itself: there is no `c2v` plane, and a taped set
+    keeps one `u` slot. A set serves decodes at the clamp it was built for.
     """
 
-    def __init__(self, graph: TannerGraph, lanes: int, iters: int = 1, taped: bool = False):
+    def __init__(self, graph: TannerGraph, lanes: int, iters: int = 1, taped: bool = False,
+                 clamp: float = DEFAULT_CLAMP):
         self.lanes, self.taped = lanes, taped
         E, n = graph.n_edges, graph.n_var
         kept = iters if taped else 1
+        clamped = _clamp_acts(graph, clamp)
         self.soft = np.empty((iters, n, lanes))
         self.v2c = np.empty((iters if taped else 2, E, lanes))  # pre-clamp variable-to-check
         self.t = np.empty((kept, E, lanes))                     # tanh(clip(v2c) / 2)
-        self.u = np.empty((kept, E, lanes))                     # pre-clamp check-to-variable
-        self.c2v, self.d_w, self.d_u, self.tmp, self.pre, self.suf, self.q, self.right = (
-            np.empty((E, lanes)) for _ in range(8))
+        self.u = np.empty((kept if clamped else 1, E, lanes))   # pre-clamp check-to-variable
+        self.c2v = np.empty((E, lanes)) if clamped else None
+        self.d_w, self.d_u, self.tmp, self.pre, self.suf, self.q, self.right = (
+            np.empty((E, lanes)) for _ in range(7))
         self.inside = np.empty((E, lanes), dtype=bool)
         self.scan = np.empty((graph.n_check, lanes))  # one run of a check slot
         self.acc = np.empty((E + 1, lanes))           # per-variable sums, sorted variables
@@ -297,7 +329,9 @@ def bp_forward(llr, graph: TannerGraph, iters: int, clamp: float = DEFAULT_CLAMP
     Per iteration: check-to-variable messages 2 atanh(prod tanh(m/2)) over
     the other edges of the check, output LLR = input + sum of incoming
     check messages, and next variable-to-check messages = output minus the
-    edge's own incoming message. Messages are clamped to [-clamp, clamp].
+    edge's own incoming message. Messages are clamped to [-clamp, clamp];
+    the check-to-variable ones only where the clamp can act on them (see
+    `_clamp_acts`), which leaves every output as it would be with the clip.
 
     With `early_stop`, a frame stops decoding once its hard decision
     satisfies the syndrome and repeats that output in every later
@@ -332,7 +366,8 @@ def bp_forward(llr, graph: TannerGraph, iters: int, clamp: float = DEFAULT_CLAMP
 
     B, n = L.shape
     if work is None:
-        work = _WorkSet(graph, B, iters, record_tape)
+        work = _WorkSet(graph, B, iters, record_tape, clamp)
+    clamped = _clamp_acts(graph, clamp)
     evar = graph.edge_var
     tape = BpTape(graph, clamp, L, [], [], [], [], squeeze) if record_tape else None
 
@@ -348,11 +383,11 @@ def bp_forward(llr, graph: TannerGraph, iters: int, clamp: float = DEFAULT_CLAMP
         k = len(lanes)
         kept = it if record_tape else 0
         t = _tanh_half(v2c_pre, clamp, _lanes(work.t[kept], k))
-        u = _check_internals(t, graph, work, _lanes(work.u[kept], k))[-1]
+        u = _check_internals(t, graph, work, _lanes(work.u[kept if clamped else 0], k))[-1]
         with np.errstate(divide="ignore"):  # +-inf only for degree-1 checks
             np.arctanh(u, out=u)
         u *= 2.0
-        c2v = np.clip(u, -clamp, clamp, out=_lanes(work.c2v, k))
+        c2v = np.clip(u, -clamp, clamp, out=_lanes(work.c2v, k)) if clamped else u
         total = _sum_per_var(c2v, graph, work)
         if k == B:  # every lane still runs: the output plane is the marginal
             marg = np.add(L_t, total, out=soft[it])
@@ -362,7 +397,8 @@ def bp_forward(llr, graph: TannerGraph, iters: int, clamp: float = DEFAULT_CLAMP
             soft[it][:, lanes] = marg
         if record_tape:
             tape.v2c_pre.append(v2c_pre)
-            tape.c2v_pre.append(u)
+            if clamped:
+                tape.c2v_pre.append(u)
             tape.tanh.append(t)
             tape.soft.append(out[it])  # a view: each output is stored once
         if it + 1 == iters:
@@ -464,12 +500,15 @@ def bp_backward(tape: BpTape, target, mode: str = "final",
     exclusion-product structure; the double-exclusion sums needed for
     d(loss)/d(tanh term) are built with two linear scans along each
     check's edge list, again without division. Temporaries live in `work`
-    (a fresh set when none is given); the tape is only read.
+    (a fresh set when none is given); the tape is only read. A tape with no
+    `c2v_pre` planes comes from a forward whose clamp could not act on
+    them, so their clamp mask and the 1 - prod**2 <= 0 guard are skipped.
     """
     if tape is None:
         raise ValueError("forward pass was run without a tape")
     check_loss_mode(mode)
     graph, clamp = tape.graph, tape.clamp
+    clamped = bool(tape.c2v_pre)
     B, n = tape.input_llr.shape
     T = len(tape.soft)
     evar = graph.edge_var
@@ -497,13 +536,15 @@ def bp_backward(tape: BpTape, target, mode: str = "final",
         d_out.take(evar, axis=0, out=d_u, mode="clip")
         d_u -= d_w                                      # d loss / d c2v
 
-        np.abs(tape.c2v_pre[t], out=tmp)
-        d_u *= np.less_equal(tmp, clamp, out=inside)    # d loss / d u
+        if clamped:
+            np.abs(tape.c2v_pre[t], out=tmp)
+            d_u *= np.less_equal(tmp, clamp, out=inside)  # d loss / d u
         t_e = tape.tanh[t]
         pre, suf, prod = _check_internals(t_e, graph, work, q)
         denom = np.multiply(prod, prod, out=prod)  # the product is not read again
         np.subtract(1.0, denom, out=denom)
-        np.copyto(denom, 1.0, where=np.less_equal(denom, 0.0, out=inside))
+        if clamped:
+            np.copyto(denom, 1.0, where=np.less_equal(denom, 0.0, out=inside))
         d_u *= 2.0
         np.divide(d_u, denom, out=q)                    # d loss / d exclusion product
 
@@ -544,7 +585,8 @@ def decode_blocks(llr, graph: TannerGraph, decoder: DecoderConfig, early_stop: b
     its gradient is taken, and a block whose soft output is not finite
     raises RuntimeError before its backward pass. The blocks run in `work`
     (a fresh set when none is given), which must hold min(B, BLOCK_LANES)
-    lanes of `decoder.iters` iterations, and a tape when there is a target.
+    lanes of `decoder.iters` iterations at `decoder.clamp`, and a tape when
+    there is a target.
     """
     L = np.asarray(llr, dtype=np.float64)
     if L.ndim != 2 or L.shape[1] != graph.n_var:
@@ -555,7 +597,7 @@ def decode_blocks(llr, graph: TannerGraph, decoder: DecoderConfig, early_stop: b
     soft = np.empty_like(L)
     grad = np.empty_like(L) if taped else None
     if work is None:
-        work = _WorkSet(graph, min(len(L), BLOCK_LANES), decoder.iters, taped)
+        work = _WorkSet(graph, min(len(L), BLOCK_LANES), decoder.iters, taped, decoder.clamp)
     for lo in range(0, len(L), BLOCK_LANES):
         block = slice(lo, lo + BLOCK_LANES)
         out = bp_forward(L[block], graph, decoder.iters, decoder.clamp,
@@ -601,7 +643,8 @@ class Receiver:
         if work is None or work.lanes < lanes or taped > work.taped:
             if work is not None:  # the new set serves every decode the old one did
                 lanes, taped = max(lanes, work.lanes), taped or work.taped
-            self._work = work = _WorkSet(self.graph, lanes, self.decoder.iters, taped)
+            self._work = work = _WorkSet(self.graph, lanes, self.decoder.iters, taped,
+                                         self.decoder.clamp)
         return work
 
     def loss(self, llr):

@@ -22,9 +22,20 @@ def count(name: str, value, minimum: int = 1) -> int:
     return int(value)
 
 
+def _as_float(value) -> float | None:
+    """`value` as a float, or None unless it is a real number within float range."""
+    if not is_real(value):
+        return None
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond float range, such as 10**400
+        return None
+
+
 def positive(name: str, value) -> None:
-    """Raise ValueError unless `value` is a real number in (0, inf)."""
-    if not (is_real(value) and 0 < value < math.inf):
+    """Raise ValueError unless `value` is a real number in (0, inf), as a float too."""
+    x = _as_float(value)
+    if x is None or not 0 < x < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
@@ -36,6 +47,7 @@ def seed(name: str, value) -> None:
 
 def finite(name: str, value) -> float:
     """`value` as a float if it is a finite real number, such as an Eb/N0 in dB, else ValueError."""
-    if not (is_real(value) and math.isfinite(value)):
+    x = _as_float(value)
+    if x is None or not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {value!r}")
-    return float(value)
+    return x

@@ -8,6 +8,7 @@ error, 3 search failure, 4 gradient-check failure.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass, field, fields, replace
 
@@ -86,6 +87,9 @@ _KEYS = {f.name.replace("_", ".", 1): (None, f.name, _parser(f))
 _KEYS |= {"decoder." + f.name: ("decoder", f.name, _parser(f)) for f in fields(bp.DecoderConfig)}
 _KEYS |= {"search." + {"accepted_iters": "iters"}.get(f.name, f.name): ("search", f.name, _parser(f))
           for f in fields(attack_mod.SearchConfig) if f.name != "approach"}
+# SearchConfig field (and approach_config's `approach`) -> the key that sets it
+_SEARCH_KEYS = {name: key for key, (section, name, _) in _KEYS.items() if section == "search"}
+_SEARCH_KEYS["approach"] = "search.approach"
 
 
 def parse_config(text: str) -> RunConfig:
@@ -141,10 +145,9 @@ def _validate(cfg: RunConfig) -> None:
         for key, ebn0 in ebn0s + [("eval.grid", x) for x in cfg.eval_grid]:
             if ebn0 is not None:
                 checks.finite(key, ebn0)
-        if cfg.search.get("sigma") is not None:
-            checks.positive("search.sigma", cfg.search["sigma"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    build_search(cfg)  # every search.* key, for every command
     try:  # any sigma will do: the kind and the burst settings set for it are checked
         channel.ChannelParams(sigma=1.0, kind=cfg.channel_kind, **_channel_opts(cfg))
     except ValueError as exc:  # a burst setting's message begins with its field name
@@ -178,13 +181,18 @@ def build_code(cfg: RunConfig) -> codes.CodeSpec:
 
 
 def build_search(cfg: RunConfig) -> attack_mod.SearchConfig:
-    """The `search.*` overrides on top of the approach preset, or of the defaults."""
+    """The `search.*` overrides on top of the approach preset, or of the defaults.
+
+    A value SearchConfig rejects is a ConfigError whose message names
+    each field by its key, outside the quoted value (`accepted_iters` is
+    `search.iters`)."""
     try:
         if cfg.search_approach is not None:
             return attack_mod.approach_config(cfg.search_approach, **cfg.search)
         return attack_mod.SearchConfig(**cfg.search)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(re.sub(r"'[^']*'|\w+", lambda m: _SEARCH_KEYS.get(m[0], m[0]),
+                                 str(exc))) from None
 
 
 def _channel_opts(cfg: RunConfig) -> dict:

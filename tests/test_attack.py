@@ -336,14 +336,24 @@ def test_run_regime_deterministic_and_smoke(ldpc):
 
 @pytest.mark.parametrize("scheme, sigma, epsilon0", [("bpsk", 0.8, None), ("bpsk", 0.8, 0.05),
                                                     ("qam4", 0.55, None)])
-def test_run_regime_equals_a_loop_of_searches(ldpc, scheme, sigma, epsilon0):
-    # the runs stop at different trials, and the last lockstep group is part-full
+def test_run_regime_equals_a_loop_of_searches(ldpc, scheme, sigma, epsilon0, monkeypatch):
+    # the runs stop at different trials, and 13 runs form lockstep groups of 6, 6 and 1
     dec = bp.DecoderConfig(iters=3)
-    width = bp.STACK_LANES // 20
+    width = bp.BLOCK_LANES // 20
     cfg = attack.approach_config(3, sigma=sigma, batch_size=20, accepted_iters=5,
                                  max_trials=12, runs=2 * width + 1, epsilon0=epsilon0)
+    lanes, decode = [], bp.Receiver.decode
+
+    def counted(self, llr, **kwargs):
+        lanes.append(len(llr))
+        return decode(self, llr, **kwargs)
+
+    monkeypatch.setattr(bp.Receiver, "decode", counted)
     records = []
     vecs = attack.run_regime(ldpc, dec, scheme, cfg, seed=11, on_trial=records.append)
+    monkeypatch.undo()
+    # a full group's first decode stacks one decode block's worth of runs: 120 lanes
+    assert (width, lanes[0], max(lanes), lanes[-1]) == (6, 120, 120, 20)
     want_records, ends = [], []
     for run, vec in enumerate(vecs):
         one = []

@@ -691,3 +691,61 @@ def test_scan_exclusion_products_equal_cumprod(H):
     np.add.at(zeros_on_check, edge_check, tg == 0.0)
     zero_elsewhere = (zeros_on_check[edge_check] - (tg == 0.0)) > 0
     assert zero_elsewhere.any() and np.all(prod[zero_elsewhere] == 0.0)
+
+
+# graphs whose checks all have degree >= 3, where no check-to-variable message reaches
+# a clamp up to 28.4, so the kernel neither clips nor masks them
+_WIDE_CHECK_CODES = [codes.ldpc_64_32(), codes.hamming_7_4(), codes.polar_construct(64, 32, 2.0)]
+
+
+def _random_and_extreme_llrs(n, seed):
+    rng = np.random.default_rng(seed)
+    extreme = rng.choice(np.array([1e3, -1e3, 0.0, -0.0]), (30, n))
+    extreme[:, :2] = [0.0, -0.0]  # exact zeros of both signs in every lane
+    return np.concatenate([rng.normal(2.0, 5.0, (30, n)), extreme])
+
+
+@pytest.mark.parametrize("code", _WIDE_CHECK_CODES, ids=lambda code: code.name)
+@pytest.mark.parametrize("clamp", [0.5, 6.0, 20.0, 28.0])
+def test_unclipped_check_messages_equal_the_clipped_path(code, clamp, monkeypatch):
+    graph = bp.TannerGraph(code.H)
+    llr = _random_and_extreme_llrs(code.n, int(clamp * 10))
+    target = np.random.default_rng(3).integers(0, 2, code.n).astype(np.float64)
+
+    def decode():
+        taped = bp.bp_forward(llr, graph, 4, clamp)
+        values = [taped.soft, bp.bp_forward(llr, graph, 4, clamp, record_tape=False).soft,
+                  bp.bp_forward(llr, graph, 4, clamp, early_stop=True, record_tape=False).soft]
+        values += [bp.bp_backward(taped.tape, x, mode) for x in (np.zeros(code.n), target)
+                   for mode in ("final", "multiloss")]
+        return taped.tape, [value.tobytes() for value in values]
+
+    assert not bp._clamp_acts(graph, clamp)
+    tape, skipped = decode()
+    assert tape.c2v_pre == [] and len(tape.v2c_pre) == 4
+    monkeypatch.setattr(bp, "_clamp_acts", lambda graph, clamp: True)  # the general path
+    tape, clipped = decode()
+    assert len(tape.c2v_pre) == 4 and max(np.abs(u).max() for u in tape.c2v_pre) < clamp
+    assert skipped == clipped
+
+
+@pytest.mark.parametrize("H, clamp", [(codes.repetition_code(5).H, 0.5),
+                                      (codes.repetition_code(5).H, 20.0),
+                                      (_IRREGULAR_H, 6.0),  # a degree-1 check
+                                      (codes.ldpc_64_32().H, 28.5),  # above the proven bound
+                                      (codes.ldpc_64_32().H, 40.0)])
+def test_a_clamp_that_can_act_keeps_the_clipped_path(H, clamp):
+    graph = bp.TannerGraph(H)
+    assert bp._clamp_acts(graph, clamp)
+    llr = _random_and_extreme_llrs(H.shape[1], 1)
+    tape = bp.bp_forward(llr, graph, 3, clamp).tape
+    assert len(tape.c2v_pre) == 3
+    work = bp._WorkSet(graph, 8, 3, taped=True, clamp=clamp)
+    assert work.u.shape[0] == 3 and work.c2v is not None
+
+
+def test_a_taped_set_keeps_one_check_message_plane_where_the_clamp_cannot_act():
+    graph = bp.TannerGraph(codes.ldpc_64_32().H)
+    work = bp._WorkSet(graph, bp.BLOCK_LANES, 5, taped=True)
+    assert work.u.shape == (1, graph.n_edges, bp.BLOCK_LANES) and work.c2v is None
+    assert work.t.shape[0] == work.v2c.shape[0] == 5

@@ -64,9 +64,14 @@ LIBRARY = {
     "FrameRng seed bool": ("seed", lambda: channel.FrameRng(True)),
     "child_seed seed string": ("seed", lambda: channel.child_seed("3", 1)),
     "ChannelParams.sigma negative": ("sigma", lambda: channel.ChannelParams(sigma=-1.0)),
+    "ChannelParams.sigma beyond float range": ("sigma",
+                                               lambda: channel.ChannelParams(sigma=10**400)),
     "ChannelParams.sigma_b inf": ("sigma_b", lambda: channel.ChannelParams(
         sigma=1.0, kind="bursty", sigma_b=np.inf)),
     "ebn0_to_sigma nan": ("ebn0_db", lambda: channel.ebn0_to_sigma(np.nan, 0.5, 1)),
+    "finite beyond float range": ("ebn0_db", lambda: checks.finite("ebn0_db", 10**400)),
+    "run_rows ebn0_db beyond float range": ("ebn0_db", lambda: montecarlo.run_point(
+        REP3, DEC, "bpsk", -10**400, frames=10, seed=1)),
     "ebn0_to_sigma bool": ("ebn0_db", lambda: channel.ebn0_to_sigma(True, 0.5, 1)),
     "sigma_to_ebn0 bool": ("sigma", lambda: channel.sigma_to_ebn0(True, 0.5, 1)),
     "demodulate_llr sigma bool": ("sigma", lambda: modem.demodulate_llr(np.ones(3), True, BPSK)),

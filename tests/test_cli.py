@@ -60,6 +60,19 @@ _VALID = {
     "channel.rho": st.floats(0.0, 1.0),
     "eval.min_block_errors": st.integers(1, 10**12),
     "eval.seed": st.integers(0, 10**12),
+    "search.approach": st.integers(1, 4),
+    "search.batch_size": st.integers(1, 10**12),
+    "search.iters": st.integers(1, 2000),
+    "search.max_trials": st.integers(2000, 10**12),  # >= search.iters under every preset
+    "search.epsilon0": _NOISE,
+    "search.decay": st.floats(0.0, 1.0, exclude_min=True),
+    "search.step_len": st.integers(1, 10**12),
+    "search.runs": st.integers(1, 10**12),
+    "search.cluster_k": st.integers(1, 10**12),
+    "search.scheduler": st.sampled_from(["constant", "exp_decay", "step"]),
+    "search.accept": st.sampled_from(["ber", "bler", "both"]),
+    "search.cluster": st.sampled_from(["none", "kmeans", "agglomerative"]),
+    "search.linkage": st.sampled_from(["ward", "complete"]),
 }
 _BOOL_WORDS = {True: ["1", "true", "Yes", "ON"], False: ["0", "False", "no", "off"]}
 _BURST_KEYS = ("channel.sigma_b", "channel.rho")  # read on a bursty channel only
@@ -105,6 +118,8 @@ def test_every_runconfig_field_is_a_key():
     # `search` take one key per DecoderConfig and SearchConfig field instead
     samples = {"bool": ("on", True), "tuple[float, ...]": ("1 2", (1.0, 2.0)),
                "int": ("7", 7), "float": ("0.5", 0.5)}
+    # values the search's own rules take: a preset number, and a cap of at least search.iters
+    by_key = {"search.approach": ("3", 3), "search.max_trials": ("70", 70)}
     cases = [(f.name.replace("_", ".", 1), f, lambda cfg, name=f.name: getattr(cfg, name))
              for f in fields(cli.RunConfig) if f.name not in ("decoder", "search")]
     cases += [("decoder." + f.name, f, lambda cfg, name=f.name: getattr(cfg.decoder, name))
@@ -115,7 +130,7 @@ def test_every_runconfig_field_is_a_key():
     assert sorted(key for key, _, _ in cases) == sorted(cli._KEYS)
     assert len(cli._KEYS) == 37
     for key, f, read in cases:
-        text, want = samples.get(f.type.removesuffix(" | None"), (None, None))
+        text, want = by_key.get(key) or samples.get(f.type.removesuffix(" | None"), (None, None))
         if text is None:  # str: the default is a value that passes validation
             text = want = f.default or "x"
         kind = "channel.kind = bursty\n" if key in _BURST_KEYS else ""
@@ -361,6 +376,24 @@ def test_settings_that_fail_inside_the_numerics_are_config_errors(tmp_path, caps
     assert cli.main([command, "--config", cfg] + argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err and named in err
+
+
+@pytest.mark.parametrize("command", ["eval", "search"])
+@pytest.mark.parametrize("line, message", [
+    ("search.batch_size = 0", "search.batch_size must be an integer >= 1, got 0"),
+    ("search.iters = 0", "search.iters must be an integer >= 1, got 0"),
+    ("search.max_trials = 2", "search.max_trials must be >= search.iters"),
+    ("search.cluster = bogus", "unknown search.cluster method 'bogus'"),
+    ("search.scheduler = runs", "unknown search.scheduler 'runs'"),  # a value is not renamed
+    ("search.decay = 2", "search.decay must be in (0, 1], got 2.0"),
+    ("search.approach = 5", "search.approach must be 1, 2, 3 or 4"),
+])
+def test_every_search_key_is_checked_as_the_config_is_read(tmp_path, capsys, command, line,
+                                                           message):
+    # eval never builds the search, and search builds it after the code; both name the key
+    cfg = write(tmp_path, "rep.cfg", REP_SEARCH_CFG + line + "\n")
+    assert cli.main([command, "--config", cfg]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 @pytest.mark.parametrize("kind", ["awgn", "rayleigh"])

@@ -26,7 +26,15 @@ The digest covers, on the bundled (64, 32) LDPC code:
   exact zeros of both signs;
 - `transfer_check` reports: BPSK (exact) for BP-3 and BP-5 at a waterfall
   and a high Eb/N0 point, and 4-QAM (statistical);
-- `cli.run_gradcheck` reports for BPSK and for 4-QAM.
+- `cli.run_gradcheck` reports for BPSK and for 4-QAM;
+- the forward and backward outputs of the bundled code at clamp 40, above
+  the bound under which check messages cannot reach the clamp, so that
+  they are clipped on a graph whose checks all have degree >= 3, fed LLRs
+  that hold +-1e3 and exact zeros of both signs;
+- a search on the (9, 1) repetition code, whose degree-2 checks keep the
+  clipped path in a taped set;
+- `run_regime` vectors and records for 13 runs of 20-frame batches: two
+  lockstep groups that fill a decode block and one run on its own.
 
 Every value is hashed as its exact bytes (floats) or `repr` (records and
 counts), so a last-bit or signed-zero difference changes the digest. The
@@ -34,6 +42,13 @@ kernel's tanh is numpy's vectorised one, whose last bits can depend on the
 CPU and the numpy build: compare two commits on one machine, never against
 a digest recorded elsewhere. `--verbose` prints one digest per part, to
 find which output differs. Takes a few seconds.
+
+    PYTHONPATH=src python tools/output_digest.py --against REV
+
+checks REV out into a temporary `git worktree`, runs the same parts on
+that tree's `src/` in a child process, prints both digests of each part,
+and exits 1 if any part differs. A part that fails on REV, or that REV's
+code does not reach, is reported as new.
 """
 
 from __future__ import annotations
@@ -43,13 +58,17 @@ import contextlib
 import hashlib
 import io
 import os
+import subprocess
+import sys
 import tempfile
+import traceback
 
 import numpy as np
 
 from friendlyfec import attack, bp, cli, codes, montecarlo
 
 SIGMA = 0.8  # search noise near BLER 0.3 for BP-5 on the bundled code
+TOOLS = os.path.dirname(os.path.abspath(__file__))
 
 
 def _search_parts(code):
@@ -201,6 +220,59 @@ def _gradcheck_parts():
         yield f"gradcheck {scheme}", [repr(cli.run_gradcheck(cfg, seed=3))]
 
 
+def _clamp_parts(code):
+    graph = bp.TannerGraph(code.H)
+    rng = np.random.default_rng(29)
+    llr = rng.normal(3.0, 8.0, (150, code.n))
+    extreme = rng.random(llr.shape)
+    llr[extreme < 0.15] = 1e3
+    llr[extreme > 0.95] = -1e3
+    llr[:, :2] = [0.0, -0.0]
+    target = rng.integers(0, 2, code.n).astype(np.float64)
+    for mode in ("final", "multiloss"):
+        taped = bp.bp_forward(llr, graph, 5, clamp=40.0)
+        yield f"clamp 40 BP-5 {mode}", [
+            taped.soft, bp.bp_backward(taped.tape, np.zeros(code.n), mode),
+            bp.bp_backward(taped.tape, target, mode),
+            bp.bp_forward(llr, graph, 5, 40.0, record_tape=False).soft,
+            bp.bp_forward(llr, graph, 5, 40.0, early_stop=True, record_tape=False).soft]
+
+
+def _repetition_parts():
+    code = codes.repetition_code(9)
+    config = attack.SearchConfig(batch_size=150, accepted_iters=3, max_trials=8, sigma=3.0)
+    trials = []
+    vec = attack.search_attack(code, bp.DecoderConfig(iters=3, loss_mode="multiloss"), "bpsk",
+                               config, seed=5, on_trial=trials.append)
+    yield "search repetition-9 BP-3 multiloss", [vec.a, repr(vec.accepted_iters), repr(trials)]
+
+
+def _wide_regime_parts(code):
+    config = attack.SearchConfig(batch_size=20, accepted_iters=5, max_trials=12, runs=13,
+                                 sigma=SIGMA, approach="3")
+    trials = []
+    vectors = attack.run_regime(code, bp.DecoderConfig(iters=3), "bpsk", config, seed=19,
+                                on_trial=trials.append)
+    yield "regime bpsk 13 runs", [*(v.a for v in vectors),
+                                  repr([(v.accepted_iters, v.approach) for v in vectors]),
+                                  repr(trials)]
+
+
+def _groups():
+    """The parts, group by group: each group yields (part name, values) pairs."""
+    code = codes.ldpc_64_32()
+    return (_search_parts(code), _regime_parts(code), _decoder_parts(code), _irregular_parts(),
+            _count_parts(code), _sweep_parts(code), _transfer_parts(code), _gradcheck_parts(),
+            _clamp_parts(code), _repetition_parts(), _wide_regime_parts(code))
+
+
+def _digest(values) -> str:
+    h = hashlib.sha256()
+    for value in values:
+        _feed(h, value)
+    return h.hexdigest()
+
+
 def _feed(h, value):
     if isinstance(value, str):
         h.update(value.encode())
@@ -210,24 +282,69 @@ def _feed(h, value):
         h.update(array.tobytes())
 
 
-def main(argv=None) -> None:
+def print_parts() -> None:
+    """Print "<digest>  <part name>" for each part that runs; a group that fails
+    prints its traceback to stderr, and the parts it had left do not run."""
+    for group in _groups():
+        try:
+            for name, values in group:
+                print(f"{_digest(values)}  {name}", flush=True)
+        except Exception:  # the other groups still run: their parts are compared
+            traceback.print_exc()
+
+
+def _parts_of(src: str) -> dict:
+    """Part name -> digest, from `print_parts` run on the package in `src` in a child
+    process; a child that fails, even to import the package, returns the parts it printed."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, TOOLS]))
+    out = subprocess.run([sys.executable, "-c", "import output_digest; output_digest.print_parts()"],
+                         env=env, stdout=subprocess.PIPE, text=True).stdout
+    return {name: digest for digest, name in (line.split("  ", 1) for line in out.splitlines())}
+
+
+def compare(rev: str) -> int:
+    """Run the parts here and on REV's `src/`, print both digests of each part, and
+    return 1 if any part REV runs differs, else 0."""
+    root = subprocess.run(["git", "-C", TOOLS, "rev-parse", "--show-toplevel"], check=True,
+                          stdout=subprocess.PIPE, text=True).stdout.strip()
+    here = {name: _digest(values) for group in _groups() for name, values in group}
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = os.path.join(tmp, "tree")
+        subprocess.run(["git", "-C", root, "worktree", "add", "--detach", "--quiet", tree, rev],
+                       check=True)
+        try:
+            there = _parts_of(os.path.join(tree, "src"))
+        finally:
+            subprocess.run(["git", "-C", root, "worktree", "remove", "--force", tree], check=True)
+    print(f"{rev[:16]:16}  {'this tree':16}")
+    differ = 0
+    for name, digest in here.items():
+        old = there.get(name)
+        status = "new" if old is None else "same" if old == digest else "DIFFERS"
+        differ += status == "DIFFERS"
+        print(f"{(old or '-')[:16]:16}  {digest[:16]}  {status:7}  {name}")
+    print(f"{len(here)} parts: {differ} differ, {sum(name not in there for name in here)} new")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--verbose", action="store_true", help="also print one digest per part")
+    parser.add_argument("--against", metavar="REV",
+                        help="compare each part with the same part run on REV's src/")
     args = parser.parse_args(argv)
-    code = codes.ldpc_64_32()
+    if args.against:
+        return compare(args.against)
     total = hashlib.sha256()
-    for parts in (_search_parts(code), _regime_parts(code), _decoder_parts(code),
-                  _irregular_parts(), _count_parts(code), _sweep_parts(code),
-                  _transfer_parts(code), _gradcheck_parts()):
-        for name, values in parts:
-            h = hashlib.sha256()
-            for value in values:
-                _feed(h, value)
-            total.update(h.digest())
+    for group in _groups():
+        for name, values in group:
+            digest = _digest(values)
+            total.update(bytes.fromhex(digest))
             if args.verbose:
-                print(f"{h.hexdigest()[:16]}  {name}")
+                print(f"{digest[:16]}  {name}")
     print(total.hexdigest())
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())
