@@ -273,6 +273,13 @@ def _digest(values) -> str:
     return h.hexdigest()
 
 
+def _digests():
+    """(part name, hex digest) of every part, in order."""
+    for group in _groups():
+        for name, values in group:
+            yield name, _digest(values)
+
+
 def _feed(h, value):
     if isinstance(value, str):
         h.update(value.encode())
@@ -307,7 +314,7 @@ def compare(rev: str) -> int:
     return 1 if any part REV runs differs, else 0."""
     root = subprocess.run(["git", "-C", TOOLS, "rev-parse", "--show-toplevel"], check=True,
                           stdout=subprocess.PIPE, text=True).stdout.strip()
-    here = {name: _digest(values) for group in _groups() for name, values in group}
+    here = dict(_digests())
     with tempfile.TemporaryDirectory() as tmp:
         tree = os.path.join(tmp, "tree")
         subprocess.run(["git", "-C", root, "worktree", "add", "--detach", "--quiet", tree, rev],
@@ -336,12 +343,10 @@ def main(argv=None) -> int:
     if args.against:
         return compare(args.against)
     total = hashlib.sha256()
-    for group in _groups():
-        for name, values in group:
-            digest = _digest(values)
-            total.update(bytes.fromhex(digest))
-            if args.verbose:
-                print(f"{digest[:16]}  {name}")
+    for name, digest in _digests():
+        total.update(bytes.fromhex(digest))
+        if args.verbose:
+            print(f"{digest[:16]}  {name}")
     print(total.hexdigest())
     return 0
 
