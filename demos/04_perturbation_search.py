@@ -3,7 +3,7 @@
 The search descends the decoding loss on batches of noisy all-zero
 transmissions, keeping only power-neutral steps that improve the batch
 error rate. The resulting vector transfers to every codeword by the
-per-symbol sign adaptation, which the transfer check verifies bit-exactly.
+per-coordinate sign adaptation, which the transfer check verifies bit-exactly.
 
 Takes a couple of minutes at these settings.
 """
@@ -32,7 +32,7 @@ for db_above in (1.0, 2.0):
     gain = (base.ber - att.ber) / base.ber
     print(f"Eb/N0 {ebn0:.2f} dB: BER {base.ber:.5f} -> {att.ber:.5f} ({gain:+.1%})")
 
-# all-zero -> random-codeword transfer is exact for BPSK/AWGN
+# all-zero -> random-codeword transfer is exact for BPSK and 4-QAM over AWGN
 rep = montecarlo.transfer_check(av, code, decoder, ebn0_db=eb_search + 1.0,
                                 frames=5_000, seed=9)
 print(f"transfer check ({rep.mode}): bit-exact = {rep.passed}")

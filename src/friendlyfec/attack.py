@@ -4,7 +4,7 @@ The search perturbs the modulated all-zero codeword, descending the decoding
 loss through channel + demapper + decoder on batches of noise realizations;
 a candidate step is kept only if it improves the measured batch error rate
 at constant transmit power. Code linearity then lets the same vector be
-applied to any codeword through a per-symbol sign/phase adaptation.
+applied to any codeword through a per-coordinate sign adaptation.
 
 A regime of many searches on small batches (approach 3: B = 20) runs its
 searches in lockstep groups, stacking the batches of a group's runs into
@@ -172,29 +172,22 @@ def normalize_power(s, coords_per_symbol: int = 1):
 def apply_attack(s, a, constellation: modem.Constellation) -> np.ndarray:
     """Adapt an all-zero-codeword perturbation to arbitrary modulated words.
 
-    out_i = s_i + s_i a_i / s0 per symbol (complex multiplication for qam4),
-    then renormalized to the power budget. For BPSK and for the all-zero
-    word this reduces to s + s * a, and the renormalization constant is 1
-    whenever the perturbed all-zero word already meets the budget. A
-    perturbation that zeroes a word (BPSK a_i = -1 everywhere) is rejected,
-    since no scale brings it to the budget.
+    out = s + s * a / A per coordinate, A the constellation's amplitude,
+    then renormalized to the power budget. Every coordinate of a modulated
+    word is exactly +-A, so each coordinate's perturbation enters with that
+    coordinate's sign (per-coordinate sign adaptation, the same rule for
+    BPSK and for the two Gray-mapped sub-channels of 4-QAM); on the
+    all-zero word this is s + a, to rounding. The renormalization
+    constant is 1 whenever the perturbed all-zero word already meets the
+    budget. A perturbation that zeroes a word (a = -A everywhere) is
+    rejected, since no scale brings it to the budget.
     """
     a = np.asarray(a, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
     if a.shape[-1] != s.shape[-1]:
         raise ValueError(f"attack length {a.shape[-1]} does not match symbols {s.shape[-1]}")
-    cps = constellation.coords_per_symbol
-    if cps == 1:
-        out = s + s * a
-    else:
-        sc = s[..., 0::2] + 1j * s[..., 1::2]
-        ac = a[0::2] + 1j * a[1::2]
-        s0 = complex(constellation.s0[0], constellation.s0[1])
-        oc = sc + sc * ac / s0
-        out = np.empty_like(s)
-        out[..., 0::2] = oc.real
-        out[..., 1::2] = oc.imag
-    n_symbols = s.shape[-1] // cps
+    out = s + s * (a / constellation.amplitude)
+    n_symbols = s.shape[-1] // constellation.coords_per_symbol
     norms = np.linalg.norm(out, axis=-1, keepdims=True)
     zero = np.flatnonzero(norms == 0)
     if zero.size:

@@ -312,33 +312,30 @@ def run_gradcheck(cfg: RunConfig, seed: int) -> GradcheckReport:
     rng = np.random.default_rng(seed)
     sigma = channel.ebn0_to_sigma(cfg.eval_ebn0_db, code.rate, const.bits_per_symbol)
     report = GradcheckReport(0.0, 0.0)
-    worst = 0.0  # largest error over both kinds; report.worst names where it is
 
     def rel(a, b):
         return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-9)
+
+    def note(kind, case, r, coords):
+        """Fold one case's relative errors r at `coords` into the report's max_rel_<kind>."""
+        top = float(r.max())
+        if top > max(report.max_rel_demod, report.max_rel_bp):  # the worst so far, of both kinds
+            report.worst = f"{kind} case {case} coordinate {int(coords[int(np.argmax(r))])}"
+        setattr(report, f"max_rel_{kind}", max(getattr(report, f"max_rel_{kind}"), top))
+        report.checks.append(f"{kind} case {case}: max rel {top:.3g}")
 
     for case in range(3):
         y = rng.normal(0.0, 1.0, code.n)
         weights = rng.normal(0.0, 1.0, code.n)
         analytic = modem.demodulate_adjoint(weights, sigma, const)
         fd = bp.finite_difference(lambda v: float(weights @ modem.demodulate_llr(v, sigma, const)), y)
-        r = rel(analytic, fd)
-        if float(r.max()) > worst:
-            worst = float(r.max())
-            report.worst = f"demod case {case} coordinate {int(np.argmax(r))}"
-        report.max_rel_demod = max(report.max_rel_demod, float(r.max()))
-        report.checks.append(f"demod case {case}: max rel {r.max():.3g}")
+        note("demod", case, rel(analytic, fd), range(code.n))
 
         llr = rng.normal(0.0, 2.0 / sigma, code.n)
         grad = receiver.decode(llr[None], gradient=True)[1][0]
         coords = rng.choice(code.n, size=min(10, code.n), replace=False)
         fd = bp.finite_difference(receiver.loss, llr, coords=coords)
-        r = rel(grad[coords], fd)
-        if float(r.max()) > worst:
-            worst = float(r.max())
-            report.worst = f"bp case {case} coordinate {int(coords[int(np.argmax(r))])}"
-        report.max_rel_bp = max(report.max_rel_bp, float(r.max()))
-        report.checks.append(f"bp case {case}: max rel {r.max():.3g}")
+        note("bp", case, rel(grad[coords], fd), coords)
     return report
 
 

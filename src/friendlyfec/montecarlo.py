@@ -227,52 +227,36 @@ def sweep(ebn0_grid, code, decoder: bp.DecoderConfig, scheme: str, frames: int,
 
 @dataclass(frozen=True)
 class TransferReport:
-    mode: str                 # "exact" | "statistical"
+    mode: str                 # always "exact"
     frames: int
     bit_errors_random: int
     block_errors_random: int
     bit_errors_allzero: int
     block_errors_allzero: int
     passed: bool
-    ber_random: float = 0.0
-    ber_allzero: float = 0.0
-    ci_sum: float = 0.0
 
 
 def transfer_check(attack, code, decoder: bp.DecoderConfig, ebn0_db: float,
                    frames: int, seed: int) -> TransferReport:
     """Verify that the all-zero-codeword perturbation transfers to random words.
 
-    BPSK/AWGN: per chunk, the random codewords with the adapted
+    The check is exact for BPSK and 4-QAM over AWGN (a raw array is taken
+    as BPSK). Per chunk, the random codewords with the adapted
     perturbation and the perturbed all-zero word are both sent through
     `channel.transmit` on the chunk's draws, the all-zero word on the
-    sign-coupled noise s * n; since s is exactly +-1, sigma (s n) equals
-    s (sigma n) bit for bit. The two decodes' errors must agree frame by
-    frame and bit for bit. qam4 falls back to a statistical check: the
-    BER confidence intervals of all-zero and random-codeword runs must
-    overlap.
+    sign-coupled noise (s / A) * n; since every coordinate of s is exactly
+    +-A, s / A is exactly +-1 and sigma (s / A) n equals (s / A) sigma n
+    bit for bit. The two decodes' errors must agree frame by frame and
+    bit for bit.
     """
     checks.count("frames", frames)
     if attack is None:
         raise ValueError("transfer_check needs an attack: an AttackVector or a raw array")
     scheme = attack.scheme if isinstance(attack, attack_mod.AttackVector) else "bpsk"
-    if scheme != "bpsk":
-        base = run_point(code, decoder, scheme, ebn0_db, frames=frames, seed=seed,
-                         attack=attack, message_source="all_zero")
-        rnd = run_point(code, decoder, scheme, ebn0_db, frames=frames,
-                        seed=channel.child_seed(seed, 77), attack=attack,
-                        message_source="random")
-        ci = base.ci95_ber + rnd.ci95_ber
-        return TransferReport(
-            mode="statistical", frames=frames,
-            bit_errors_random=rnd.bit_errors, block_errors_random=rnd.block_errors,
-            bit_errors_allzero=base.bit_errors, block_errors_allzero=base.block_errors,
-            passed=abs(base.ber - rnd.ber) <= ci,
-            ber_random=rnd.ber, ber_allzero=base.ber, ci_sum=ci)
-
-    const = modem.get_constellation("bpsk")
+    const = modem.get_constellation(scheme)
     receiver = bp.Receiver(code, decoder)
-    params = channel.ChannelParams(sigma=channel.ebn0_to_sigma(ebn0_db, code.rate, 1))
+    params = channel.ChannelParams(
+        sigma=channel.ebn0_to_sigma(ebn0_db, code.rate, const.bits_per_symbol))
     rng = channel.FrameRng(seed)
     a = attack_array(attack, scheme, code)
     s_zero = attack_mod.apply_attack(modem.modulate(np.zeros(code.n, dtype=np.uint8), const),
@@ -286,7 +270,7 @@ def transfer_check(attack, code, decoder: bp.DecoderConfig, ebn0_db: float,
         err_r = _decoded(receiver, const, params, attack_mod.apply_attack(s, a, const),
                          draws) != msgs
         err_z = _decoded(receiver, const, params, np.broadcast_to(s_zero, s.shape),
-                         draws._replace(noise=s * draws.noise)) != 0
+                         draws._replace(noise=(s / const.amplitude) * draws.noise)) != 0
         totals_r = tuple(map(sum, zip(totals_r, _counts(err_r))))
         totals_z = tuple(map(sum, zip(totals_z, _counts(err_z))))
         match = match and bool(np.array_equal(err_r, err_z))

@@ -130,18 +130,21 @@ def test_apply_attack_rejects_zeroed_word(ldpc):
                              attack=-np.ones(64))
 
 
-def test_apply_attack_qam4_rotates_per_symbol():
+@pytest.mark.parametrize("label", [(0, 0), (0, 1), (1, 0), (1, 1)],
+                         ids=["00", "01", "10", "11"])
+def test_apply_attack_qam4_signs_each_coordinate(label):
+    # each coordinate's perturbation enters with that coordinate's sign, on
+    # all four labels: for 01 and 10 a per-symbol phase rotation would swap
+    # the real and imaginary parts instead
     c = modem.get_constellation("qam4")
     a = np.array([0.1, -0.05])  # one complex symbol perturbation
+    s = modem.modulate(np.array(label), c)
+    sign = 1.0 - 2.0 * np.array(label)
+    out = attack.apply_attack(s, a, c)
+    want, _ = attack.normalize_power(s + sign * a, coords_per_symbol=2)
+    assert np.allclose(out, want, atol=1e-12)
     s0 = modem.modulate(np.array([0, 0]), c)
-    out0 = attack.apply_attack(s0, a, c)
-    want, _ = attack.normalize_power(s0 + a, coords_per_symbol=2)
-    assert np.allclose(out0, want, atol=1e-12)
-    # for the symbol labeled 11 (= -s0), the perturbation enters negated
-    s3 = modem.modulate(np.array([1, 1]), c)
-    out3 = attack.apply_attack(s3, a, c)
-    want3, _ = attack.normalize_power(s3 - a, coords_per_symbol=2)
-    assert np.allclose(out3, want3, atol=1e-12)
+    assert np.array_equal(out, sign * attack.apply_attack(s0, a, c))
 
 
 def test_check_fits_rejects_scheme_and_code_mismatch(ldpc):
@@ -190,22 +193,24 @@ def test_apply_attack_meets_the_power_budget_property(ldpc, scheme, data, msgs):
     assert np.all(np.abs(np.sum(out**2, axis=-1) / budget - 1.0) <= 1e-12)
 
 
-def test_sign_coupling_transfer_identity(ldpc):
+@pytest.mark.parametrize("scheme", ["bpsk", "qam4"])
+def test_sign_coupling_transfer_identity(ldpc, scheme):
     # decoding an attacked codeword under noise z matches decoding the
     # attacked all-zero word under sign-coupled noise, error for error
-    c = modem.get_constellation("bpsk")
+    c = modem.get_constellation(scheme)
     g = bp.TannerGraph(ldpc.H)
     dec = bp.DecoderConfig(iters=4)
     rng = np.random.default_rng(3)
+    s0 = modem.modulate(np.zeros(64, dtype=np.uint8), c)
     raw = 0.15 * rng.normal(0, 1, 64)
-    a = attack.normalize_power(np.ones(64) + raw)[0] - np.ones(64)
+    a = attack.normalize_power(s0 + raw, c.coords_per_symbol)[0] - s0
     for _ in range(20):
         m = rng.integers(0, 2, 32).astype(np.uint8)
         x = ((m @ ldpc.G.astype(np.int64)) & 1).astype(np.uint8)
         t = 1.0 - 2.0 * x.astype(float)
         z = 0.8 * rng.standard_normal(64)
         y_word = attack.apply_attack(modem.modulate(x, c), a, c) + z
-        y_zero = attack.apply_attack(np.ones(64), a, c) + t * z
+        y_zero = attack.apply_attack(s0, a, c) + t * z
         out_word = bp.bp_forward(modem.demodulate_llr(y_word, 0.8, c), g, dec.iters)
         out_zero = bp.bp_forward(modem.demodulate_llr(y_zero, 0.8, c), g, dec.iters)
         assert np.array_equal((out_word.soft[-1] < 0) ^ x, out_zero.soft[-1] < 0)

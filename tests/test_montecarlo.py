@@ -313,18 +313,34 @@ def test_transfer_check_sends_both_words_through_transmit_on_each_chunks_draws(
         assert np.array_equal(s_sent_zero, np.broadcast_to(s_zero, s.shape))
 
 
-def test_transfer_check_fails_unadapted_attack(ldpc, dec3, monkeypatch):
-    # adding the same a to every word, instead of adapting it to the word's
-    # signs, breaks the equivalence: the exact check must notice
-    def unadapted(s, a, constellation):
-        out = s + a
-        return out * np.sqrt(s.shape[-1] / np.sum(out * out, axis=-1, keepdims=True))
+def _unadapted(s, a, constellation):
+    # the same a added to every word, whatever the word's signs
+    out = s + a
+    return out * np.sqrt(s.shape[-1] / np.sum(out * out, axis=-1, keepdims=True))
 
+
+def _phase_rotated(s, a, constellation):
+    # each 4-QAM symbol's perturbation times the symbol's phase relative to
+    # s0, which swaps the perturbation's parts on the symbols labelled 01 and 10
+    sc = s[..., 0::2] + 1j * s[..., 1::2]
+    oc = sc + sc * (a[0::2] + 1j * a[1::2]) / complex(*constellation.s0)
+    out = np.empty_like(s)
+    out[..., 0::2], out[..., 1::2] = oc.real, oc.imag
+    return out * np.sqrt(s.shape[-1] / 2 / np.sum(out * out, axis=-1, keepdims=True))
+
+
+@pytest.mark.parametrize("scheme, adaptation", [("bpsk", _unadapted), ("qam4", _phase_rotated)])
+def test_transfer_check_fails_unadapted_attack(ldpc, dec3, monkeypatch, scheme, adaptation):
+    # an adaptation other than each coordinate's sign breaks the equivalence:
+    # the exact check must notice
+    c = modem.get_constellation(scheme)
+    s0 = modem.modulate(np.zeros(64, dtype=np.uint8), c)
     rng = np.random.default_rng(12)
-    a = attack.normalize_power(np.ones(64) + 0.2 * rng.normal(0, 1, 64))[0] - np.ones(64)
-    av = attack.AttackVector(a=a, code_id=ldpc.name, scheme="bpsk", n=64, n_symbols=64,
-                             search_sigma=0.75, seed=0, approach="1", accepted_iters=1)
-    monkeypatch.setattr(attack, "apply_attack", unadapted)
+    a = attack.normalize_power(s0 + 0.2 * rng.normal(0, 1, 64), c.coords_per_symbol)[0] - s0
+    av = attack.AttackVector(a=a, code_id=ldpc.name, scheme=scheme, n=64,
+                             n_symbols=64 // c.bits_per_symbol, search_sigma=0.75, seed=0,
+                             approach="1", accepted_iters=1)
+    monkeypatch.setattr(attack, "apply_attack", adaptation)
     rep = montecarlo.transfer_check(av, ldpc, dec3, ebn0_db=2.5, frames=1024, seed=3)
     assert rep.mode == "exact"
     assert not rep.passed
@@ -350,17 +366,18 @@ def test_transfer_check_zero_attack(ldpc, dec3):
     assert rep.passed
 
 
-def test_transfer_check_qam4_statistical(ldpc, dec3):
+def test_transfer_check_exact_qam4(ldpc, dec3):
     rng = np.random.default_rng(13)
     raw = 0.1 * rng.normal(0, 1, 64)
     base = modem.modulate(np.zeros(64, dtype=np.uint8), modem.get_constellation("qam4"))
     a = attack.normalize_power(base + raw, coords_per_symbol=2)[0] - base
     av = attack.AttackVector(a=a, code_id=ldpc.name, scheme="qam4", n=64, n_symbols=32,
                              search_sigma=0.75, seed=0, approach="1", accepted_iters=1)
-    rep = montecarlo.transfer_check(av, ldpc, dec3, ebn0_db=3.0, frames=20000, seed=5)
-    assert rep.mode == "statistical"
+    rep = montecarlo.transfer_check(av, ldpc, dec3, ebn0_db=3.0, frames=2000, seed=5)
+    assert rep.mode == "exact"
     assert rep.passed
-    assert abs(rep.ber_random - rep.ber_allzero) <= rep.ci_sum
+    assert rep.bit_errors_random == rep.bit_errors_allzero > 0
+    assert rep.block_errors_random == rep.block_errors_allzero > 0
 
 
 def test_csv_round_trip(ldpc, dec3, tmp_path):

@@ -24,8 +24,8 @@ The digest covers, on the bundled (64, 32) LDPC code:
 - the same forward and backward outputs on a small H with a variable on no
   check, a check on no variable and a degree-1 check, fed LLRs that hold
   exact zeros of both signs;
-- `transfer_check` reports: BPSK (exact) for BP-3 and BP-5 at a waterfall
-  and a high Eb/N0 point, and 4-QAM (statistical);
+- exact `transfer_check` reports for BP-3 and BP-5: BPSK at a waterfall
+  and a high Eb/N0 point, and 4-QAM;
 - `cli.run_gradcheck` reports for BPSK and for 4-QAM;
 - the forward and backward outputs of the bundled code at clamp 40, above
   the bound under which check messages cannot reach the clamp, so that
@@ -48,7 +48,9 @@ find which output differs. Takes a few seconds.
 checks REV out into a temporary `git worktree`, runs the same parts on
 that tree's `src/` in a child process, prints both digests of each part,
 and exits 1 if any part differs. A part that fails on REV, or that REV's
-code does not reach, is reported as new.
+code does not reach, is reported as new; a part that REV runs and this
+tree does not (one renamed or dropped) is reported as gone, and counts
+as a difference.
 """
 
 from __future__ import annotations
@@ -201,6 +203,11 @@ def _sweep_parts(code):
             yield "cli eval bursty workers=2 min_block_errors=40", [fh.read()]
 
 
+# the report's counts and verdict, without fields that only some versions carry
+_TRANSFER_FIELDS = ("frames", "bit_errors_random", "block_errors_random", "bit_errors_allzero",
+                    "block_errors_allzero", "passed")
+
+
 def _transfer_parts(code):
     a = 0.3 * np.random.default_rng(5).standard_normal(code.n)
     qam = attack.AttackVector(a=a, code_id=code.name, scheme="qam4", n=code.n,
@@ -211,7 +218,8 @@ def _transfer_parts(code):
         for vector, ebn0_db in ((a, 1.25), (a, 5.0), (qam, 4.0)):
             report = montecarlo.transfer_check(vector, code, decoder, ebn0_db=ebn0_db,
                                                frames=1100, seed=31)
-            yield f"transfer_check BP-{iters} {report.mode} {ebn0_db} dB", [repr(report)]
+            yield (f"transfer_check BP-{iters} {report.mode} {ebn0_db} dB",
+                   [repr([getattr(report, name) for name in _TRANSFER_FIELDS])])
 
 
 def _gradcheck_parts():
@@ -311,7 +319,7 @@ def _parts_of(src: str) -> dict:
 
 def compare(rev: str) -> int:
     """Run the parts here and on REV's `src/`, print both digests of each part, and
-    return 1 if any part REV runs differs, else 0."""
+    return 1 if any part REV runs differs here or is gone from this tree, else 0."""
     root = subprocess.run(["git", "-C", TOOLS, "rev-parse", "--show-toplevel"], check=True,
                           stdout=subprocess.PIPE, text=True).stdout.strip()
     here = dict(_digests())
@@ -330,7 +338,12 @@ def compare(rev: str) -> int:
         status = "new" if old is None else "same" if old == digest else "DIFFERS"
         differ += status == "DIFFERS"
         print(f"{(old or '-')[:16]:16}  {digest[:16]}  {status:7}  {name}")
-    print(f"{len(here)} parts: {differ} differ, {sum(name not in there for name in here)} new")
+    gone = [name for name in there if name not in here]
+    for name in gone:
+        print(f"{there[name][:16]:16}  {'-':16}  {'gone':7}  {name}")
+    differ += len(gone)
+    print(f"{len(here)} parts: {differ} differ ({len(gone)} gone), "
+          f"{sum(name not in there for name in here)} new")
     return 1 if differ else 0
 
 
