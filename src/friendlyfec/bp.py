@@ -16,17 +16,23 @@ reproducible under any worker split.
 
 `Receiver` holds the decoder of one code and is the one decode entry of
 Monte Carlo, the search and the gradient check. It calls `decode_blocks`,
-which decodes a large batch in blocks of `BLOCK_LANES` lanes, so the work
-arrays and the tape stay cache-sized. Every block's forward and backward
-pass writes each step into one set of work arrays with `out=`, and the
-receiver keeps that set across its decode calls, taped and untaped, so
-the arrays are allocated and faulted in once per receiver rather than
-once per use; the next block overwrites a block's tape once its gradient
-is taken. Since a lane's result does not depend on the other lanes of
-its batch, the blocked outputs and gradients equal those of one
-unblocked decode bit for bit, and a caller with many small batches may
-stack them into one decode call (up to one block of `BLOCK_LANES` lanes)
-and split the results.
+which decodes a large batch in blocks, so the work arrays and the tape
+stay cache-sized: taped and untaped decodes in blocks of `BLOCK_LANES`
+lanes, early-stopped ones in blocks of `EARLY_STOP_LANES`, twice as
+wide, so that their syndrome tests, compactions and straggler iterations
+are paid once per more lanes. An early-stopped forward compacts its lanes
+lazily: converged lanes keep computing at full width, their outputs held,
+until at least one eighth of the lanes it computes have converged. Every
+block's forward and backward pass writes each step into one set of work
+arrays with `out=`, and the receiver keeps that set across its decode
+calls, taped and untaped, so the arrays are allocated and faulted in
+once per receiver rather than once per use; the next block overwrites a
+block's tape once its gradient is taken. An untaped set holds only what
+the forward reads at one time (see `_WorkSet`). Since a lane's result
+does not depend on the other lanes of its batch, the blocked outputs and
+gradients equal those of one unblocked decode bit for bit, and a caller
+with many small batches may stack them into one decode call (up to one
+block of `BLOCK_LANES` lanes) and split the results.
 
 Inside the kernel the messages are laid out edge-major with the lanes
 last: per-edge arrays are (E, lanes) and per-variable arrays (n, lanes).
@@ -55,6 +61,9 @@ DEFAULT_CLAMP = 20.0
 # lanes per decode block: (128, E) float64 work arrays stay in cache, and
 # the tape of a BP-5 block of the bundled code is about 2 MB
 BLOCK_LANES = 128
+# lanes per early-stopped decode block: its untaped work set for BP-5 on the
+# bundled code is about 2.3 MB, so it stays cache-sized; 512 lanes would double it
+EARLY_STOP_LANES = 2 * BLOCK_LANES
 # the least 1 - tanh(clamp / 2) at which rounding cannot carry a check-to-variable
 # message to the clamp (see `_clamp_acts`): clamps up to about 28.4
 _CLAMP_TAIL = 2.0**-40
@@ -232,12 +241,23 @@ class _WorkSet:
     out of it, so nothing a call returns aliases the set; the outputs and
     tape of `bp_forward` do, and the next use of the set overwrites them.
     `iters` and `taped` size the per-iteration soft outputs and the arrays
-    the tape keeps. Without a tape `t` and `u` have one slot, and `v2c` and
-    `llr` have two, so that early stop compacts the running lanes of one
-    into the other; a taped set serves untaped decodes too. Where `clamp`
-    cannot act on the check-to-variable messages (see `_clamp_acts`), they
-    are the `u` plane itself: there is no `c2v` plane, and a taped set
-    keeps one `u` slot. A set serves decodes at the clamp it was built for.
+    the tape keeps; a taped set serves untaped decodes too. `llr` has two
+    planes, so that early stop compacts the running lanes of one into the
+    other. Where `clamp` cannot act on the check-to-variable messages (see
+    `_clamp_acts`), they are the `u` plane itself: there is no `c2v` plane,
+    and a taped set keeps one `u` slot. A set serves decodes at the clamp
+    it was built for.
+
+    Planes that are never read at the same time share a buffer. The
+    per-variable sums `acc` take the buffer of the prefix products `pre`,
+    which has one extra row for them: the exclusion products have read
+    `pre` when the sums are formed. An untaped decode forms its
+    variable-to-check messages in `suf`, which they leave once the tanh
+    terms are taken, and early stop compacts them into `pre`. An untaped
+    set holds only those planes the forward reads: it has no `v2c`
+    planes, its `u` is its `t`, which the scans have read when the
+    exclusion products are written, and it has none of the backward
+    pass's arrays.
     """
 
     def __init__(self, graph: TannerGraph, lanes: int, iters: int = 1, taped: bool = False,
@@ -247,17 +267,20 @@ class _WorkSet:
         kept = iters if taped else 1
         clamped = _clamp_acts(graph, clamp)
         self.soft = np.empty((iters, n, lanes))
-        self.v2c = np.empty((iters if taped else 2, E, lanes))  # pre-clamp variable-to-check
-        self.t = np.empty((kept, E, lanes))                     # tanh(clip(v2c) / 2)
-        self.u = np.empty((kept if clamped else 1, E, lanes))   # pre-clamp check-to-variable
+        self.v2c = np.empty((kept, E, lanes)) if taped else None  # pre-clamp variable-to-check
+        self.t = np.empty((kept, E, lanes))  # tanh(clip(v2c) / 2)
+        # pre-clamp check-to-variable
+        self.u = np.empty((kept if clamped else 1, E, lanes)) if taped else self.t
         self.c2v = np.empty((E, lanes)) if clamped else None
-        self.d_w, self.d_u, self.tmp, self.pre, self.suf, self.q, self.right = (
-            np.empty((E, lanes)) for _ in range(7))
-        self.inside = np.empty((E, lanes), dtype=bool)
-        self.scan = np.empty((graph.n_check, lanes))  # one run of a check slot
-        self.acc = np.empty((E + 1, lanes))           # per-variable sums, sorted variables
+        self.acc = np.empty((E + 1, lanes))  # per-variable sums, sorted variables
+        self.pre, self.suf = self.acc[:E], np.empty((E, lanes))
         self.llr = np.empty((2, n, lanes))
         self.marg, self.total = (np.empty((n, lanes)) for _ in range(2))
+        if taped:
+            self.d_w, self.d_u, self.tmp, self.q, self.right = (
+                np.empty((E, lanes)) for _ in range(5))
+            self.inside = np.empty((E, lanes), dtype=bool)
+            self.scan = np.empty((graph.n_check, lanes))  # one run of a check slot
 
 
 def _lanes(work_array, k):
@@ -336,18 +359,22 @@ def bp_forward(llr, graph: TannerGraph, iters: int, clamp: float = DEFAULT_CLAMP
     With `early_stop`, a frame stops decoding once its hard decision
     satisfies the syndrome and repeats that output in every later
     iteration, so its result equals a standalone early-stopped decode
-    regardless of batch composition; only unconverged frames are computed.
-    One `syndrome_ok` test runs between each two iterations, on the bool
-    plane of decisions, lanes last, and none after the last. When lanes
-    converge, the next iteration's variable-to-check messages are formed
-    at the current width, and only they and the LLR plane, all that the
-    next iteration reads, are compacted to the running lanes. Recording a
-    tape (for gradients) and early stopping are mutually exclusive.
+    regardless of batch composition. One `syndrome_ok` test runs between
+    each two iterations, on the bool plane of decisions, lanes last, and
+    none after the last. Compaction is lazy, since each one costs numpy
+    calls that a few lanes do not repay: a converged lane keeps computing
+    at the current width, and a masked copy from the previous plane holds
+    its output (and its decisions, which keep passing the test), until at
+    least one eighth of the lanes computed have converged. Then the next
+    iteration's variable-to-check messages, formed at the current width,
+    and the LLR plane, all that the next iteration reads, are compacted to
+    the running lanes. Recording a tape (for gradients) and early stopping
+    are mutually exclusive.
 
     The soft outputs and the tape live in `work`, which `decode_blocks`
-    passes to reuse across its blocks; without one a fresh set is built,
-    so the outputs alias nothing. The outputs are transposed views of the
-    set's (n, lanes) planes.
+    passes to reuse across its blocks, and which must hold a tape to record
+    one; without one a fresh set is built, so the outputs alias nothing.
+    The outputs are transposed views of the set's (n, lanes) planes.
     """
     L = np.asarray(llr, dtype=np.float64)
     squeeze = L.ndim == 1
@@ -367,6 +394,8 @@ def bp_forward(llr, graph: TannerGraph, iters: int, clamp: float = DEFAULT_CLAMP
     B, n = L.shape
     if work is None:
         work = _WorkSet(graph, B, iters, record_tape, clamp)
+    elif record_tape and not work.taped:
+        raise ValueError("recording a tape needs a work set built with one")
     clamped = _clamp_acts(graph, clamp)
     evar = graph.edge_var
     tape = BpTape(graph, clamp, L, [], [], [], [], squeeze) if record_tape else None
@@ -376,9 +405,12 @@ def bp_forward(llr, graph: TannerGraph, iters: int, clamp: float = DEFAULT_CLAMP
     out = soft.transpose(0, 2, 1)
     L_t = _lanes(work.llr[0], B)
     L_t[...] = L.T
-    v2c_pre = L_t.take(evar, axis=0, out=_lanes(work.v2c[0], B), mode="clip")
-    lanes = np.arange(B)  # batch columns still running (early stop drops converged ones)
-    side = 0              # which of the two LLR planes holds the running lanes
+    # an untaped decode forms each iteration's variable-to-check messages in `suf`
+    v2c_planes = work.v2c if record_tape else (work.suf,) * iters
+    v2c_pre = L_t.take(evar, axis=0, out=_lanes(v2c_planes[0], B), mode="clip")
+    lanes = np.arange(B)  # batch columns computed (compaction drops converged ones)
+    held = None           # which of them converged and hold their output, if any do
+    side = 0              # which of the two LLR planes holds the computed lanes
     for it in range(iters):
         k = len(lanes)
         kept = it if record_tape else 0
@@ -389,11 +421,15 @@ def bp_forward(llr, graph: TannerGraph, iters: int, clamp: float = DEFAULT_CLAMP
         u *= 2.0
         c2v = np.clip(u, -clamp, clamp, out=_lanes(work.c2v, k)) if clamped else u
         total = _sum_per_var(c2v, graph, work)
-        if k == B:  # every lane still runs: the output plane is the marginal
+        if k == B:  # every lane is computed: the output plane is the marginal
             marg = np.add(L_t, total, out=soft[it])
+            if held is not None:
+                np.copyto(marg, soft[it - 1], where=held)
         else:
-            soft[it] = soft[it - 1]  # converged lanes repeat their last output
+            soft[it] = soft[it - 1]  # dropped lanes repeat their last output
             marg = np.add(L_t, total, out=_lanes(work.marg, k))
+            if held is not None:
+                np.copyto(marg, soft[it][:, lanes], where=held)
             soft[it][:, lanes] = marg
         if record_tape:
             tape.v2c_pre.append(v2c_pre)
@@ -404,17 +440,19 @@ def bp_forward(llr, graph: TannerGraph, iters: int, clamp: float = DEFAULT_CLAMP
         if it + 1 == iters:
             break
         if early_stop:
-            done = graph.syndrome_ok((marg < 0).T)
+            done = graph.syndrome_ok((marg < 0).T)  # held lanes pass again
             if done.all():
                 break
-        v2c_pre = marg.take(evar, axis=0, mode="clip",
-                            out=_lanes(work.v2c[it + 1 if record_tape else 0], k))
+        v2c_pre = marg.take(evar, axis=0, out=_lanes(v2c_planes[it + 1], k), mode="clip")
         v2c_pre -= c2v
-        if early_stop and done.any():  # compact only what the next iteration reads
-            run = np.flatnonzero(~done)
-            lanes, side = lanes[run], 1 - side
-            v2c_pre = v2c_pre.take(run, axis=1, out=_lanes(work.v2c[1], len(run)), mode="clip")
-            L_t = L_t.take(run, axis=1, out=_lanes(work.llr[side], len(run)), mode="clip")
+        if early_stop:
+            converged = np.count_nonzero(done)
+            held = done if converged else None
+            if 8 * converged >= k:  # compact only what the next iteration reads
+                run = np.flatnonzero(~done)
+                lanes, side, held = lanes[run], 1 - side, None
+                v2c_pre = v2c_pre.take(run, axis=1, out=_lanes(work.pre, len(run)), mode="clip")
+                L_t = L_t.take(run, axis=1, out=_lanes(work.llr[side], len(run)), mode="clip")
 
     return BpOutput(out[:it + 1, 0] if squeeze else out[:it + 1], tape)
 
@@ -499,10 +537,11 @@ def bp_backward(tape: BpTape, target, mode: str = "final",
     The atanh/tanh adjoints reuse the forward's tanh terms and
     exclusion-product structure; the double-exclusion sums needed for
     d(loss)/d(tanh term) are built with two linear scans along each
-    check's edge list, again without division. Temporaries live in `work`
-    (a fresh set when none is given); the tape is only read. A tape with no
-    `c2v_pre` planes comes from a forward whose clamp could not act on
-    them, so their clamp mask and the 1 - prod**2 <= 0 guard are skipped.
+    check's edge list, again without division. Temporaries live in `work`,
+    a set built with a tape (a fresh one when none is given); the tape is
+    only read. A tape with no `c2v_pre` planes comes from a forward whose
+    clamp could not act on them, so their clamp mask and the
+    1 - prod**2 <= 0 guard are skipped.
     """
     if tape is None:
         raise ValueError("forward pass was run without a tape")
@@ -514,7 +553,9 @@ def bp_backward(tape: BpTape, target, mode: str = "final",
     evar = graph.edge_var
     x = _target_array(target, n)[:, None]  # (n, 1): the same bits for every lane
     if work is None:
-        work = _WorkSet(graph, B)
+        work = _WorkSet(graph, B, taped=True)
+    elif not work.taped:
+        raise ValueError("the backward pass needs a work set built with a tape")
     tmp, inside, d_u = (_lanes(a, B) for a in (work.tmp, work.inside, work.d_u))
     q, right, scan = (_lanes(a, B) for a in (work.q, work.right, work.scan))
     steps = graph.check_steps
@@ -573,20 +614,28 @@ def bp_backward(tape: BpTape, target, mode: str = "final",
     return dL[:, 0] if tape.squeeze else dL.T
 
 
+def _block_lanes(early_stop: bool) -> int:
+    """The lanes of one `decode_blocks` block."""
+    return EARLY_STOP_LANES if early_stop else BLOCK_LANES
+
+
 def decode_blocks(llr, graph: TannerGraph, decoder: DecoderConfig, early_stop: bool = False,
                   target=None, work: _WorkSet | None = None):
-    """Decode a (B, n) LLR batch in blocks of `BLOCK_LANES` lanes.
+    """Decode a (B, n) LLR batch in blocks of `_block_lanes(early_stop)` lanes.
 
     Each block runs the early-stopped forward (`early_stop`), or the taped
     forward then `bp_backward` against the codeword `target` (n bits, the
     same for every lane) under `decoder.loss_mode`, or else the untaped
-    forward. Returns the final soft output (B, n) and d(loss)/d(LLR)
-    (B, n), which is None without a target. A block's tape is dropped once
-    its gradient is taken, and a block whose soft output is not finite
-    raises RuntimeError before its backward pass. The blocks run in `work`
-    (a fresh set when none is given), which must hold min(B, BLOCK_LANES)
-    lanes of `decoder.iters` iterations at `decoder.clamp`, and a tape when
-    there is a target.
+    forward. Early-stopped blocks are `EARLY_STOP_LANES` wide, so a block
+    pays its syndrome tests, compactions and straggler iterations once per
+    that many lanes; the others are `BLOCK_LANES` wide, where the tape and
+    the backward's arrays stay cache-sized. Returns the final soft output
+    (B, n) and d(loss)/d(LLR) (B, n), which is None without a target. A
+    block's tape is dropped once its gradient is taken, and a block whose
+    soft output is not finite raises RuntimeError before its backward pass.
+    The blocks run in `work` (a fresh set when none is given), which must
+    hold min(B, block width) lanes of `decoder.iters` iterations at
+    `decoder.clamp`, and a tape when there is a target.
     """
     L = np.asarray(llr, dtype=np.float64)
     if L.ndim != 2 or L.shape[1] != graph.n_var:
@@ -596,10 +645,11 @@ def decode_blocks(llr, graph: TannerGraph, decoder: DecoderConfig, early_stop: b
         target = _target_array(target, graph.n_var)
     soft = np.empty_like(L)
     grad = np.empty_like(L) if taped else None
+    width = _block_lanes(early_stop)
     if work is None:
-        work = _WorkSet(graph, min(len(L), BLOCK_LANES), decoder.iters, taped, decoder.clamp)
-    for lo in range(0, len(L), BLOCK_LANES):
-        block = slice(lo, lo + BLOCK_LANES)
+        work = _WorkSet(graph, min(len(L), width), decoder.iters, taped, decoder.clamp)
+    for lo in range(0, len(L), width):
+        block = slice(lo, lo + width)
         out = bp_forward(L[block], graph, decoder.iters, decoder.clamp,
                          early_stop=early_stop, record_tape=taped, work=work)
         soft[block] = out.soft[-1]
@@ -634,7 +684,8 @@ class Receiver:
         if self.decoder.iters:
             soft, grad = decode_blocks(llr, self.graph, self.decoder, early_stop,
                                        self.target if gradient else None,
-                                       self._work_set(min(len(llr), BLOCK_LANES), gradient))
+                                       self._work_set(min(len(llr), _block_lanes(early_stop)),
+                                                      gradient))
         return self.code.message_from_codeword(soft < 0), grad
 
     def _work_set(self, lanes: int, taped: bool) -> _WorkSet:

@@ -70,20 +70,26 @@ class FrameRng:
         """An iterator over the generator of each frame in [start, stop).
 
         Frame i draws from Philox(key=seed) at counter [0, 0, i, stream].
-        One Philox is re-keyed per frame by resetting its state, which is
-        much cheaper than building a generator per frame. The same
-        generator object is yielded every time: draw from it before
-        advancing to the next frame. The range is checked at the call,
-        before any generator is made.
+        One Philox is re-keyed per frame by setting its state, which is
+        much cheaper than building a generator per frame. The state is a
+        dict of plain Python ints and lists, taken once from the fresh
+        generator (empty output buffer, no cached uint32), and only its
+        counter word 2 is written per frame, so the setter reads no numpy
+        array. The same generator object is yielded every time: draw from
+        it before advancing to the next frame. The range is checked at the
+        call, before any generator is made.
         """
         _check_frame_range(start, stop)
         bit_gen = np.random.Philox(key=self.seed)
-        state = bit_gen.state  # fresh: empty output buffer, no cached uint32
+        fresh = bit_gen.state
+        counter = [0, 0, 0, int(stream)]
+        state = {**fresh, "state": {"counter": counter, "key": fresh["state"]["key"].tolist()},
+                 "buffer": fresh["buffer"].tolist()}
         gen = np.random.Generator(bit_gen)
 
         def each_frame():
             for index in range(start, stop):
-                state["state"]["counter"][:] = (0, 0, index, stream)
+                counter[2] = index
                 bit_gen.state = state
                 yield gen
 

@@ -17,6 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -225,8 +226,11 @@ def sweep(ebn0_grid, code, decoder: bp.DecoderConfig, scheme: str, frames: int,
 # all-zero -> random-codeword transfer check
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TransferReport:
+class TransferReport(NamedTuple):
+    """The counts and verdict of `transfer_check`, as plain values: a kept report
+    keeps no module alive, as a dataclass's generated methods would through
+    their globals."""
+
     mode: str                 # always "exact"
     frames: int
     bit_errors_random: int

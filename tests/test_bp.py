@@ -484,21 +484,80 @@ def test_lane_results_do_not_depend_on_the_batch_property(B, iters, sigma, seed,
         assert grad_full[lane].tobytes() == grad_sub[pos].tobytes()
 
 
-def test_forward_tests_the_syndrome_only_to_stop_early(monkeypatch):
-    # decisions and the syndrome after the last iteration are the caller's
-    syndrome_ok, calls = bp.TannerGraph.syndrome_ok, []
+def _syndrome_widths(monkeypatch):
+    """The lane counts of every later `syndrome_ok` call, recorded into the returned list."""
+    syndrome_ok, widths = bp.TannerGraph.syndrome_ok, []
 
     def counted(self, bits):
-        calls.append(len(bits))
+        widths.append(len(bits))
         return syndrome_ok(self, bits)
 
     monkeypatch.setattr(bp.TannerGraph, "syndrome_ok", counted)
+    return widths
+
+
+def test_forward_tests_the_syndrome_only_to_stop_early(monkeypatch):
+    # decisions and the syndrome after the last iteration are the caller's
+    calls = _syndrome_widths(monkeypatch)
     L = (2.0 / 0.9**2) * (1.0 + 0.9 * np.random.default_rng(8).standard_normal((16, 64)))
     bp.bp_forward(L, _LDPC_GRAPH, 5)
     bp.bp_forward(L, _LDPC_GRAPH, 5, record_tape=False)
     assert calls == []
     out = bp.bp_forward(L, _LDPC_GRAPH, 5, early_stop=True, record_tape=False)
     assert out.iterations == 5 and len(calls) == 4  # one test between each two iterations
+
+
+def _converging_llrs(B, converging, seed):
+    """LLRs of the all-zero word: the lanes where `converging(lane)` holds are at
+    high SNR and stop after an iteration or two, the others deep in the waterfall."""
+    rng = np.random.default_rng(seed)
+    fast = np.array([converging(i) for i in range(B)])
+    sigma = np.where(fast, 0.4, 1.0)[:, None]
+    return (2.0 / sigma**2) * (1.0 + sigma * rng.standard_normal((B, 64)))
+
+
+# one lane in 12 converges, fewer than the eighth of the lanes computed at
+# which early stop compacts, so converged lanes keep computing and their
+# outputs are held; or seven lanes in 8 converge, so early stop compacts
+_LAZY_BATCHES = {"few converge": lambda i: i % 12 == 0, "most converge": lambda i: i % 8 != 0}
+
+
+@pytest.mark.parametrize("batch", list(_LAZY_BATCHES))
+def test_held_and_compacted_lanes_equal_standalone_decodes(batch, monkeypatch):
+    L = _converging_llrs(24, _LAZY_BATCHES[batch], 41)
+    rows = codes.ldpc_64_32().H.tolist()
+    widths = _syndrome_widths(monkeypatch)
+    out = bp.bp_forward(L, _LDPC_GRAPH, 5, early_stop=True, record_tape=False)
+    if batch == "few converge":  # held after the first test, not compacted
+        assert widths[:2] == [24, 24]
+    else:
+        assert widths[1] < widths[0] == 24
+    stops = []
+    for i, llr in enumerate(L):
+        alone = bp.bp_forward(llr, _LDPC_GRAPH, 5, early_stop=True, record_tape=False)
+        ran = alone.iterations
+        stops.append(ran)
+        assert out.soft[:ran, i].tobytes() == alone.soft.tobytes()
+        for t in range(ran, out.iterations):  # a lane that stopped repeats its last output
+            assert out.soft[t, i].tobytes() == alone.soft[-1].tobytes()
+        want = loop_sum_product(rows, llr, 5, early_stop=True)
+        assert len(want) == ran
+        np.testing.assert_allclose(out.soft[:ran, i], want, rtol=1e-12)
+    assert stops.count(1) >= 2 and out.iterations == max(stops) == 5
+
+
+@pytest.mark.parametrize("batch", list(_LAZY_BATCHES))
+def test_early_stopped_blocks_equal_per_lane_decodes(batch, monkeypatch):
+    # two full blocks and a short one of EARLY_STOP_LANES lanes
+    assert bp.EARLY_STOP_LANES == 2 * bp.BLOCK_LANES == 256
+    L = _converging_llrs(600, _LAZY_BATCHES[batch], 43)
+    widths = _syndrome_widths(monkeypatch)
+    soft, grad = bp.decode_blocks(L, _LDPC_GRAPH, bp.DecoderConfig(iters=5), early_stop=True)
+    assert grad is None and widths[0] == 256 and 88 in widths
+    assert widths[1] == 256 if batch == "few converge" else widths[1] < 256
+    for i in range(600):
+        alone = bp.bp_forward(L[i], _LDPC_GRAPH, 5, early_stop=True, record_tape=False)
+        assert soft[i].tobytes() == alone.soft[-1].tobytes()
 
 
 @pytest.mark.parametrize("B", [1, 127, 128, 129, 261, 300])
@@ -643,7 +702,7 @@ def test_receiver_reuses_one_work_set_across_decodes():
             got, want = shared.decode(L, **kwargs), bp.Receiver(code, dec).decode(L, **kwargs)
             assert [x.tobytes() for x in got if x is not None] == \
                 [x.tobytes() for x in want if x is not None]
-    assert shared._work.lanes == bp.BLOCK_LANES and shared._work.taped
+    assert shared._work.lanes == 2 * bp.BLOCK_LANES and shared._work.taped
     # the pickle a worker process receives holds no work arrays
     assert len(pickle.dumps(shared)) == len(pickle.dumps(bp.Receiver(code, dec)))
     assert pickle.loads(pickle.dumps(shared))._work is None
@@ -749,3 +808,16 @@ def test_a_taped_set_keeps_one_check_message_plane_where_the_clamp_cannot_act():
     work = bp._WorkSet(graph, bp.BLOCK_LANES, 5, taped=True)
     assert work.u.shape == (1, graph.n_edges, bp.BLOCK_LANES) and work.c2v is None
     assert work.t.shape[0] == work.v2c.shape[0] == 5
+
+
+def test_an_untaped_set_shares_its_planes_and_records_no_tape():
+    graph = _LDPC_GRAPH
+    work = bp._WorkSet(graph, bp.EARLY_STOP_LANES, 5)
+    assert work.u is work.t and work.v2c is None and not hasattr(work, "d_w")
+    assert np.shares_memory(work.pre, work.acc) and work.acc.shape[0] == graph.n_edges + 1
+    L = _noisy_llrs(8, 44)
+    with pytest.raises(ValueError, match="recording a tape needs a work set built with one"):
+        bp.bp_forward(L, graph, 5, work=work)
+    taped = bp.bp_forward(L, graph, 5)
+    with pytest.raises(ValueError, match="backward pass needs a work set built with a tape"):
+        bp.bp_backward(taped.tape, np.zeros(64), work=work)

@@ -140,6 +140,21 @@ def test_frame_range_draws_equal_frame(stream, start):
         next(rng.frames(-1, 2, stream))
 
 
+@pytest.mark.parametrize("seed", [5, 2**128 - 1, np.int64(2**63 - 1)])
+def test_frames_rekey_at_the_top_of_the_counter_range(seed):
+    # frames in a row, each drawing an odd integer count first, so that a
+    # cached uint32 or a buffered block left by one frame would show in the next
+    rng = channel.FrameRng(seed)
+    for stream in (channel.STREAM_MESSAGE, channel.STREAM_CHANNEL,
+                   channel.STREAM_SEARCH, channel.STREAM_PROBE):
+        for start in (2**63, 2**64 - 2):
+            for i, gen in enumerate(rng.frames(start, start + 2, stream), start):
+                counter = np.array([0, 0, i, stream], dtype=np.uint64)
+                ref = np.random.Generator(np.random.Philox(key=int(seed), counter=counter))
+                got, want = _transmit_draws(gen), _transmit_draws(ref)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_child_seed_deterministic():
     assert channel.child_seed(9, 1) == channel.child_seed(9, 1)
     assert channel.child_seed(9, 1) != channel.child_seed(9, 2)

@@ -34,7 +34,10 @@ The digest covers, on the bundled (64, 32) LDPC code:
 - a search on the (9, 1) repetition code, whose degree-2 checks keep the
   clipped path in a taped set;
 - `run_regime` vectors and records for 13 runs of 20-frame batches: two
-  lockstep groups that fill a decode block and one run on its own.
+  lockstep groups that fill a decode block and one run on its own;
+- early-stopped `decode_blocks` soft outputs for 600 lanes (two full
+  blocks and a short one) at the waterfall, a mid point and near 5 dB, so
+  that converged lanes are held in some iterations and compacted in others.
 
 Every value is hashed as its exact bytes (floats) or `repr` (records and
 counts), so a last-bit or signed-zero difference changes the digest. The
@@ -67,7 +70,7 @@ import traceback
 
 import numpy as np
 
-from friendlyfec import attack, bp, cli, codes, montecarlo
+from friendlyfec import attack, bp, channel, cli, codes, montecarlo
 
 SIGMA = 0.8  # search noise near BLER 0.3 for BP-5 on the bundled code
 TOOLS = os.path.dirname(os.path.abspath(__file__))
@@ -266,12 +269,24 @@ def _wide_regime_parts(code):
                                   repr(trials)]
 
 
+def _early_stop_parts(code):
+    graph, decoder = bp.TannerGraph(code.H), bp.DecoderConfig(iters=5)
+    rng = np.random.default_rng(37)
+    values = []
+    for ebn0_db in (1.25, 3.0, 5.0):
+        sigma = channel.ebn0_to_sigma(ebn0_db, code.rate, 1)
+        llr = (2.0 / sigma**2) * (1.0 + sigma * rng.standard_normal((600, code.n)))
+        values.append(bp.decode_blocks(llr, graph, decoder, early_stop=True)[0])
+    yield "early-stopped decode_blocks 600 lanes at 1.25, 3 and 5 dB", values
+
+
 def _groups():
     """The parts, group by group: each group yields (part name, values) pairs."""
     code = codes.ldpc_64_32()
     return (_search_parts(code), _regime_parts(code), _decoder_parts(code), _irregular_parts(),
             _count_parts(code), _sweep_parts(code), _transfer_parts(code), _gradcheck_parts(),
-            _clamp_parts(code), _repetition_parts(), _wide_regime_parts(code))
+            _clamp_parts(code), _repetition_parts(), _wide_regime_parts(code),
+            _early_stop_parts(code))
 
 
 def _digest(values) -> str:
