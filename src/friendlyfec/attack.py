@@ -34,9 +34,11 @@ ATTACK_FILE_VERSION = 1
 
 @dataclass(frozen=True)
 class AttackVector:
-    """A perturbation of the modulated all-zero codeword, plus the metadata
-    needed to reproduce the search (qam4 vectors hold 2N interleaved
-    re/im coordinates). Construction rejects an `a` that is not finite with
+    """A perturbation a of the modulated all-zero codeword, plus the metadata to
+    reproduce the search (qam4 vectors hold 2N interleaved re/im coordinates).
+    Every codeword sends its signs times `attacked_zero_word(a)`, so the attack
+    is one per-position power profile, on BPSK and on each Gray-mapped 4-QAM
+    sub-channel alike. Construction rejects an `a` that is not finite with
     shape (n,), an unknown scheme, N != n // bits per symbol, a search sigma
     that is not positive and finite, and a seed or accepted count that is
     not an integer >= 0. The attack file holds these fields in this order."""
@@ -133,7 +135,7 @@ def approach_config(number: int, **overrides) -> SearchConfig:
         4: dict(batch_size=2000, accepted_iters=3, runs=200, cluster="agglomerative",
                 linkage="ward", cluster_k=4),
     }
-    if number not in presets:
+    if checks.count("approach", number) not in presets:
         raise ValueError("approach must be 1, 2, 3 or 4")
     params = presets[number] | overrides
     return SearchConfig(approach=str(number), **params)
@@ -169,31 +171,24 @@ def normalize_power(s, coords_per_symbol: int = 1):
     return c * s, c
 
 
-def apply_attack(s, a, constellation: modem.Constellation) -> np.ndarray:
-    """Adapt an all-zero-codeword perturbation to arbitrary modulated words.
+def attacked_zero_word(a, constellation: modem.Constellation) -> np.ndarray:
+    """The word the all-zero codeword sends under `a`: s0 + s0 * a / A at the power
+    budget. A perturbation that zeroes it (a = -A everywhere) is rejected."""
+    s0 = np.full(np.shape(a), constellation.amplitude)
+    try:
+        return normalize_power(s0 + s0 * (a / s0), constellation.coords_per_symbol)[0]
+    except ValueError:
+        raise ValueError("the perturbation zeroes the sent word; "
+                         "it cannot be scaled to the power budget") from None
 
-    out = s + s * a / A per coordinate, A the constellation's amplitude,
-    then renormalized to the power budget. Every coordinate of a modulated
-    word is exactly +-A, so each coordinate's perturbation enters with that
-    coordinate's sign (per-coordinate sign adaptation, the same rule for
-    BPSK and for the two Gray-mapped sub-channels of 4-QAM); on the
-    all-zero word this is s + a, to rounding. The renormalization
-    constant is 1 whenever the perturbed all-zero word already meets the
-    budget. A perturbation that zeroes a word (a = -A everywhere) is
-    rejected, since no scale brings it to the budget.
-    """
-    a = np.asarray(a, dtype=np.float64)
+
+def apply_attack(s, a, constellation: modem.Constellation) -> np.ndarray:
+    """The words s sent under the all-zero-codeword perturbation a: their signs s / A
+    times `attacked_zero_word(a)`, one per-position power profile for every codeword."""
     s = np.asarray(s, dtype=np.float64)
-    if a.shape[-1] != s.shape[-1]:
-        raise ValueError(f"attack length {a.shape[-1]} does not match symbols {s.shape[-1]}")
-    out = s + s * (a / constellation.amplitude)
-    n_symbols = s.shape[-1] // constellation.coords_per_symbol
-    norms = np.linalg.norm(out, axis=-1, keepdims=True)
-    zero = np.flatnonzero(norms == 0)
-    if zero.size:
-        raise ValueError(f"the perturbation zeroes word {zero[0]}; "
-                         f"it cannot be scaled to the power budget")
-    return out * (np.sqrt(n_symbols * POWER) / norms)
+    if np.shape(a)[-1] != s.shape[-1]:
+        raise ValueError(f"attack length {np.shape(a)[-1]} does not match symbols {s.shape[-1]}")
+    return (s / constellation.amplitude) * attacked_zero_word(a, constellation)
 
 
 # ---------------------------------------------------------------------------

@@ -181,11 +181,7 @@ def ebn0_to_sigma(ebn0_db: float, rate: float, bits_per_symbol: int) -> float:
         raise ValueError("rate must lie in (0, 1]")
     if bits_per_symbol not in (1, 2):
         raise ValueError("bits_per_symbol must be 1 or 2")
-    checks.finite("ebn0_db", ebn0_db)
-    try:
-        return math.sqrt(1.0 / (2.0 * rate * bits_per_symbol * 10.0 ** (ebn0_db / 10.0)))
-    except (OverflowError, ZeroDivisionError):
-        raise ValueError(f"Eb/N0 {ebn0_db!r} dB is out of range") from None
+    return math.sqrt(1.0 / (2.0 * rate * bits_per_symbol * checks.decibels("ebn0_db", ebn0_db)))
 
 
 def sigma_to_ebn0(sigma: float, rate: float, bits_per_symbol: int) -> float:

@@ -1,7 +1,8 @@
 """The value rules that settings share: a count, a positive and finite level,
-a Philox seed and a finite Eb/N0. Each rule raises ValueError naming the
-setting it is given, and none takes a bool (which would act as 0 or 1) or a
-string, so every boundary rejects a bad value the same way before any numerics run.
+a Philox seed, a finite number and a level in dB. Each rule raises ValueError
+naming the setting it is given, and none takes a bool (which would act as 0 or
+1) or a string, so every boundary rejects a bad value the same way before any
+numerics run.
 """
 
 from __future__ import annotations
@@ -51,3 +52,12 @@ def finite(name: str, value) -> float:
     if x is None or not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return x
+
+
+def decibels(name: str, value) -> float:
+    """The power ratio 10^(value / 10) of a level in dB, such as an Eb/N0, if the
+    ratio is a normal float: for finite values in (-3076, 3082), else ValueError."""
+    x = finite(name, value)
+    if not -3076.0 < x < 3082.0:
+        raise ValueError(f"{name} {value!r} dB is out of range")
+    return 10.0 ** (x / 10.0)

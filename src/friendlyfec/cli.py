@@ -141,10 +141,11 @@ def _validate(cfg: RunConfig) -> None:
             checks.count("eval.min_block_errors", cfg.eval_min_block_errors)
         checks.seed("eval.seed", cfg.eval_seed)
         ebn0s = [("eval.ebn0_db", cfg.eval_ebn0_db),
-                 ("search.validation_ebn0_db", cfg.search_validation_ebn0_db)]
+                 ("search.validation_ebn0_db", cfg.search_validation_ebn0_db),
+                 ("code.design_ebn0_db", cfg.code_design_ebn0_db)]
         for key, ebn0 in ebn0s + [("eval.grid", x) for x in cfg.eval_grid]:
             if ebn0 is not None:
-                checks.finite(key, ebn0)
+                checks.decibels(key, ebn0)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     build_search(cfg)  # every search.* key, for every command

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import gf2
+from . import checks, gf2
 
 
 class AlistError(ValueError):
@@ -236,7 +236,7 @@ def design_z0(design_ebn0_db: float, rate: float) -> float:
     """Initial Bhattacharyya parameter exp(-Es/N0) for a BPSK AWGN design."""
     if not 0.0 < rate <= 1.0:
         raise ValueError("rate must lie in (0, 1]")
-    return float(np.exp(-rate * 10.0 ** (design_ebn0_db / 10.0)))
+    return float(np.exp(-rate * checks.decibels("design_ebn0_db", design_ebn0_db)))
 
 
 def polar_bhattacharyya(n: int, design_ebn0_db: float, rate: float) -> np.ndarray:

@@ -77,8 +77,8 @@ def _counts(errs) -> tuple[int, int, int]:
 def attack_array(attack, scheme, code) -> np.ndarray | None:
     """The perturbation as an array. An AttackVector must match scheme and code
     (its own checks make it finite with shape (n,)); a raw array must be
-    finite with shape (code.n,). Either must leave the modulated all-zero
-    word nonzero, or it zeroes every word."""
+    finite with shape (code.n,). Either must leave the word the all-zero
+    codeword sends nonzero, or it zeroes every word."""
     if attack is None:
         return None
     if isinstance(attack, attack_mod.AttackVector):
@@ -89,8 +89,7 @@ def attack_array(attack, scheme, code) -> np.ndarray | None:
         raise ValueError(f"raw attack array has shape {a.shape}, expected ({code.n},)")
     if not np.all(np.isfinite(a)):
         raise ValueError("raw attack array entries must be finite")
-    const = modem.get_constellation(scheme)
-    attack_mod.apply_attack(modem.modulate(np.zeros(code.n, dtype=np.uint8), const), a, const)
+    attack_mod.attacked_zero_word(a, modem.get_constellation(scheme))
     return a
 
 
@@ -245,13 +244,12 @@ def transfer_check(attack, code, decoder: bp.DecoderConfig, ebn0_db: float,
     """Verify that the all-zero-codeword perturbation transfers to random words.
 
     The check is exact for BPSK and 4-QAM over AWGN (a raw array is taken
-    as BPSK). Per chunk, the random codewords with the adapted
-    perturbation and the perturbed all-zero word are both sent through
-    `channel.transmit` on the chunk's draws, the all-zero word on the
-    sign-coupled noise (s / A) * n; since every coordinate of s is exactly
-    +-A, s / A is exactly +-1 and sigma (s / A) n equals (s / A) sigma n
-    bit for bit. The two decodes' errors must agree frame by frame and
-    bit for bit.
+    as BPSK). Per chunk, random codewords s sent with `apply_attack`
+    receive y = (s / A) w + sigma n on the chunk's draws, and the all-zero
+    side sends w = `attack.attacked_zero_word` on the noise (s / A) n. As
+    s / A is exactly +-1, it receives exactly (s / A) y, so the check's
+    exactness rests only on the receiver's sign symmetry: the two decodes'
+    errors must agree frame by frame and bit for bit.
     """
     checks.count("frames", frames)
     if attack is None:
@@ -263,8 +261,7 @@ def transfer_check(attack, code, decoder: bp.DecoderConfig, ebn0_db: float,
         sigma=channel.ebn0_to_sigma(ebn0_db, code.rate, const.bits_per_symbol))
     rng = channel.FrameRng(seed)
     a = attack_array(attack, scheme, code)
-    s_zero = attack_mod.apply_attack(modem.modulate(np.zeros(code.n, dtype=np.uint8), const),
-                                     a, const)
+    s_zero = attack_mod.attacked_zero_word(a, const)
 
     totals_r = totals_z = (0, 0, 0)
     match = True

@@ -48,6 +48,14 @@ def test_search_config_validation():
         attack.approach_config(5)
 
 
+def test_approach_config_takes_only_an_integer_approach():
+    # True and 1.0 would pick preset 1 and label it 'True' or '1.0'
+    for bad in (True, np.True_, 1.0, np.float64(2.0), "1"):
+        with pytest.raises(ValueError, match=re.escape(f"approach must be an integer >= 1, got {bad!r}")):
+            attack.approach_config(bad)
+    assert attack.approach_config(np.int64(3)).approach == "3"
+
+
 @pytest.mark.parametrize("name, message", [("sigma", "positive and finite"),
                                            ("epsilon0", "positive and finite"),
                                            ("decay", r"in \(0, 1\]")])
@@ -122,10 +130,10 @@ def test_apply_attack_zero_is_noop():
 def test_apply_attack_rejects_zeroed_word(ldpc):
     c = modem.get_constellation("bpsk")
     s = modem.modulate(np.array([[0, 1, 1, 0], [1, 1, 0, 0]]), c)
-    with pytest.raises(ValueError, match="zeroes word 0"):
+    with pytest.raises(ValueError, match="zeroes the sent word"):
         attack.apply_attack(s, -np.ones(4), c)
     # the Monte Carlo path fails at the attack, not in the decoder
-    with pytest.raises(ValueError, match="zeroes word"):
+    with pytest.raises(ValueError, match="zeroes the sent word"):
         montecarlo.run_point(ldpc, bp.DecoderConfig(iters=5), "bpsk", 2.0, frames=8, seed=0,
                              attack=-np.ones(64))
 
@@ -179,18 +187,22 @@ def test_power_conservation_many_words(ldpc):
 @given(scheme=st.sampled_from(["bpsk", "qam4"]), data=st.data(),
        msgs=st.lists(st.lists(st.integers(0, 1), min_size=32, max_size=32), min_size=1, max_size=5))
 def test_apply_attack_meets_the_power_budget_property(ldpc, scheme, data, msgs):
-    # every attacked codeword carries N P exactly, whatever the word and the vector
+    # every attacked codeword carries N P exactly, whatever the word and the vector,
+    # and sends its signs times the all-zero codeword's word: one power profile
     const = modem.get_constellation(scheme)
     s = modem.modulate(gf2.encode(np.array(msgs, dtype=np.uint8), ldpc.G), const)
     a = np.array(data.draw(st.lists(st.floats(-4.0, 4.0), min_size=64, max_size=64)))
     try:
         out = attack.apply_attack(s, a, const)
     except ValueError as exc:  # a zeroed word has its own test
-        if "zeroes word" not in str(exc):
+        if "zeroes the sent word" not in str(exc):
             raise
         reject()
     budget = (64 // const.bits_per_symbol) * attack.POWER
     assert np.all(np.abs(np.sum(out**2, axis=-1) / budget - 1.0) <= 1e-12)
+    word = attack.attacked_zero_word(a, const)
+    assert out.tobytes() == ((s / const.amplitude) * word).tobytes()
+    assert np.abs(out).tobytes() == np.tile(np.abs(word), (len(out), 1)).tobytes()
 
 
 @pytest.mark.parametrize("scheme", ["bpsk", "qam4"])
@@ -556,7 +568,7 @@ def test_select_best_checks_every_candidate_first(ldpc, monkeypatch):
                              accepted_iters=0)
     bad = [replace(ok, code_id="other_code"), replace(ok, scheme="qam4", n_symbols=32),
            replace(ok, a=np.full(64, -1.0))]
-    for last, match in zip(bad, ("other_code", "scheme", "zeroes word")):
+    for last, match in zip(bad, ("other_code", "scheme", "zeroes the sent word")):
         with pytest.raises(ValueError, match=match):
             attack.select_best([ok, ok, last], ldpc, bp.DecoderConfig(iters=3), ebn0_db=4.0,
                                frames=100, seed=5)

@@ -69,6 +69,7 @@ LIBRARY = {
     "ChannelParams.sigma_b inf": ("sigma_b", lambda: channel.ChannelParams(
         sigma=1.0, kind="bursty", sigma_b=np.inf)),
     "ebn0_to_sigma nan": ("ebn0_db", lambda: channel.ebn0_to_sigma(np.nan, 0.5, 1)),
+    "design_z0 design bool": ("design_ebn0_db", lambda: codes.design_z0(True, 0.5)),
     "finite beyond float range": ("ebn0_db", lambda: checks.finite("ebn0_db", 10**400)),
     "run_rows ebn0_db beyond float range": ("ebn0_db", lambda: montecarlo.run_point(
         REP3, DEC, "bpsk", -10**400, frames=10, seed=1)),
@@ -104,6 +105,9 @@ CLI = {
     "eval.grid inf": ("eval.grid", "eval.grid = 1.0, inf", []),
     "search.validation_ebn0_db -inf": ("search.validation_ebn0_db",
                                        "search.validation_ebn0_db = -inf", []),
+    "code.design_ebn0_db inf": ("code.design_ebn0_db", "code.design_ebn0_db = inf", []),
+    "code.design_ebn0_db -inf": ("code.design_ebn0_db", "code.design_ebn0_db = -inf", []),
+    "code.design_ebn0_db nan": ("code.design_ebn0_db", "code.design_ebn0_db = nan", []),
     "search.sigma negative": ("search.sigma", "search.sigma = -0.5", []),
     "--seed negative": ("--seed", "", ["--seed", "-1"]),
     "--workers zero": ("--workers", "", ["--workers", "0"]),
@@ -138,6 +142,26 @@ def test_cli_rejects_a_bad_key_or_flag_naming_it(no_numerics, tmp_path, capsys, 
             cli.parse_config(path.read_text())
     assert cli.main(["eval", "--config", str(path)] + flags) == cli.EXIT_CONFIG
     assert f"config error: {key} must be " in capsys.readouterr().err
+
+
+def test_decibels_is_the_power_ratio_of_a_level_in_range():
+    for db in (-3075.9, -3.0, 0, 2.5, 3081.9):
+        assert checks.decibels("ebn0_db", db) == 10.0 ** (db / 10.0)
+    for db in (-1e308, -3076, 3082, 1e308, 10**400):
+        with pytest.raises(ValueError, match="ebn0_db .* out of range|must be finite"):
+            checks.decibels("ebn0_db", db)
+
+
+@pytest.mark.parametrize("key", ["code.design_ebn0_db", "eval.ebn0_db", "eval.grid",
+                                 "search.validation_ebn0_db"])
+@pytest.mark.parametrize("value", ["1e308", "-1e308"])
+def test_cli_rejects_a_db_level_out_of_range_naming_it(no_numerics, tmp_path, capsys, key,
+                                                       value):
+    # 10^(value / 10) over- or underflows a float: a config error, not a traceback
+    path = tmp_path / "run.cfg"
+    path.write_text(f"code.family = polar\n{key} = {value}\n")
+    assert cli.main(["eval", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert f"config error: {key} {float(value)!r} dB is out of range" in capsys.readouterr().err
 
 
 def test_numpy_integers_are_counts_and_become_python_ints():

@@ -40,6 +40,7 @@ def test_parse_config_defaults_and_comments():
 _TEXT = st.text(alphabet=string.ascii_letters + string.digits + "./_-=", max_size=12)
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _NOISE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_DB = st.floats(-3075.0, 3081.0)  # a level whose power ratio is a normal float
 # a strategy per value parser, and for the keys parse_config validates
 _BY_PARSER = {int: st.integers(-10**12, 10**12), float: _FINITE, str: _TEXT,
               cli._parse_bool: st.booleans(),
@@ -54,6 +55,10 @@ _VALID = {
     "eval.frames": st.integers(1, 10**12),
     "search.validation_frames": st.integers(1, 10**12),
     "search.target_bler": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    "eval.ebn0_db": _DB,
+    "search.validation_ebn0_db": _DB,
+    "code.design_ebn0_db": _DB,
+    "eval.grid": st.lists(_DB, max_size=4).map(tuple),
     "search.sigma": _NOISE,
     "channel.sigma_b": _NOISE,
     "decoder.clamp": _NOISE,
@@ -344,7 +349,7 @@ def test_eval_bad_workers_or_attack_file_exit_2(tmp_path, monkeypatch, capsys, f
 @pytest.mark.parametrize("record, named", [
     ({"version": 1}, "missing field"),
     ({"a": "not a list"}, "field 'a'"),
-    ({"a": [-1.0] * 3}, "zeroes word"),  # s0 + s0 a = 0 for every word
+    ({"a": [-1.0] * 3}, "zeroes the sent word"),  # s0 + s0 a = 0 for every word
     ([1, 2, 3], "JSON object"),
 ])
 def test_malformed_attack_file_is_a_config_error_naming_the_file(tmp_path, capsys, record, named):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,18 @@ def test_polar_frozen_matches_recursive_oracle():
         [(i >> (m - 1 - lvl)) & 1 for lvl in range(m)], z0) for i in range(n)])
     expect = set(np.argsort(-oracle, kind="stable")[: n - k].tolist())
     assert set(code.frozen) == expect
+
+
+def test_polar_design_ebn0_must_be_a_finite_level_in_range():
+    # +-inf tie every Bhattacharyya parameter at 0 or 1, and 1e308 overflows 10^(x / 10)
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match=re.escape(f"design_ebn0_db must be finite, got {bad!r}")):
+            codes.polar_construct(64, 32, bad)
+    for bad in (1e308, -1e308):
+        with pytest.raises(ValueError, match=re.escape(f"design_ebn0_db {bad!r} dB is out of range")):
+            codes.polar_construct(64, 32, bad)
+        with pytest.raises(ValueError, match="design_ebn0_db"):
+            codes.design_z0(bad, rate=0.5)
 
 
 def test_polar_parity_consistency():

@@ -114,7 +114,7 @@ def test_zeroing_attack_rejected_before_any_point(ldpc, dec3, monkeypatch):
     calls = []
     monkeypatch.setattr(montecarlo, "run_rows", lambda *a, **kw: calls.append(a))
     for bad in (av, av.a):
-        with pytest.raises(ValueError, match="zeroes word"):
+        with pytest.raises(ValueError, match="zeroes the sent word"):
             montecarlo.sweep([1.0, 2.0], ldpc, dec3, "bpsk", frames=20000, seed=0, attack=bad)
     assert calls == []
 
@@ -131,7 +131,7 @@ def test_every_row_is_checked_before_anything_is_drawn(ldpc, dec3, monkeypatch):
     for pos in range(3):
         rows = [None, _MILD]
         rows.insert(pos, np.full(64, -1.0))  # sends every BPSK word to zero
-        with pytest.raises(ValueError, match="zeroes word"):
+        with pytest.raises(ValueError, match="zeroes the sent word"):
             montecarlo.run_rows(ldpc, dec3, "bpsk", 2.0, 1024, 0, rows)
     # burst settings on a channel that ignores them would only change the digest
     with pytest.raises(ValueError, match="rho applies to a bursty channel only"):

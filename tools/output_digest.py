@@ -37,7 +37,9 @@ The digest covers, on the bundled (64, 32) LDPC code:
   lockstep groups that fill a decode block and one run on its own;
 - early-stopped `decode_blocks` soft outputs for 600 lanes (two full
   blocks and a short one) at the waterfall, a mid point and near 5 dB, so
-  that converged lanes are held in some iterations and compacted in others.
+  that converged lanes are held in some iterations and compacted in others;
+- `attacked_zero_word` and `apply_attack` outputs for BPSK and 4-QAM on 300
+  random codewords under three vectors, one of them all zeros.
 
 Every value is hashed as its exact bytes (floats) or `repr` (records and
 counts), so a last-bit or signed-zero difference changes the digest. The
@@ -70,7 +72,7 @@ import traceback
 
 import numpy as np
 
-from friendlyfec import attack, bp, channel, cli, codes, montecarlo
+from friendlyfec import attack, bp, channel, cli, codes, gf2, modem, montecarlo
 
 SIGMA = 0.8  # search noise near BLER 0.3 for BP-5 on the bundled code
 TOOLS = os.path.dirname(os.path.abspath(__file__))
@@ -280,13 +282,27 @@ def _early_stop_parts(code):
     yield "early-stopped decode_blocks 600 lanes at 1.25, 3 and 5 dB", values
 
 
+def _apply_attack_parts(code):
+    rng = np.random.default_rng(41)
+    bits = gf2.encode(rng.integers(0, 2, (300, code.k)).astype(np.uint8), code.G)
+    vectors = (np.zeros(code.n), 0.3 * rng.standard_normal(code.n),
+               rng.uniform(-0.9, 0.9, code.n))
+    values = []
+    for scheme in ("bpsk", "qam4"):
+        const = modem.get_constellation(scheme)
+        for a in vectors:
+            values += [attack.attacked_zero_word(a, const),
+                       attack.apply_attack(modem.modulate(bits, const), a, const)]
+    yield "apply_attack bpsk and qam4, 300 words, 3 vectors", values
+
+
 def _groups():
     """The parts, group by group: each group yields (part name, values) pairs."""
     code = codes.ldpc_64_32()
     return (_search_parts(code), _regime_parts(code), _decoder_parts(code), _irregular_parts(),
             _count_parts(code), _sweep_parts(code), _transfer_parts(code), _gradcheck_parts(),
             _clamp_parts(code), _repetition_parts(), _wide_regime_parts(code),
-            _early_stop_parts(code))
+            _early_stop_parts(code), _apply_attack_parts(code))
 
 
 def _digest(values) -> str:
