@@ -160,12 +160,16 @@ def gradient_scheduler(i: int, config: SearchConfig) -> float:
 def normalize_power(s, coords_per_symbol: int = 1):
     """Scale s so that its squared norm equals n_symbols * POWER exactly.
 
-    Returns (scaled, C) with C = sqrt(N P) / ||s||.
+    Returns (scaled, C) with C = sqrt(N P) / ||s||. A norm that overflows
+    (huge finite entries) is rejected, as its scale would zero s.
     """
     s = np.asarray(s, dtype=np.float64)
-    norm = float(np.linalg.norm(s))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(s))
     if norm == 0.0:
         raise ValueError("cannot normalize a zero vector")
+    if not np.isfinite(norm):
+        raise ValueError(f"cannot normalize a vector whose norm is not finite ({norm})")
     n_symbols = s.shape[-1] // coords_per_symbol
     c = np.sqrt(n_symbols * POWER) / norm
     return c * s, c
@@ -173,13 +177,15 @@ def normalize_power(s, coords_per_symbol: int = 1):
 
 def attacked_zero_word(a, constellation: modem.Constellation) -> np.ndarray:
     """The word the all-zero codeword sends under `a`: s0 + s0 * a / A at the power
-    budget. A perturbation that zeroes it (a = -A everywhere) is rejected."""
+    budget. A perturbation that zeroes it (a = -A everywhere), or whose word's
+    norm overflows, is rejected."""
     s0 = np.full(np.shape(a), constellation.amplitude)
-    try:
-        return normalize_power(s0 + s0 * (a / s0), constellation.coords_per_symbol)[0]
-    except ValueError:
+    with np.errstate(over="ignore"):  # an entry that overflows makes the norm infinite
+        word = s0 + s0 * (a / s0)
+    if not np.any(word):
         raise ValueError("the perturbation zeroes the sent word; "
-                         "it cannot be scaled to the power budget") from None
+                         "it cannot be scaled to the power budget")
+    return normalize_power(word, constellation.coords_per_symbol)[0]
 
 
 def apply_attack(s, a, constellation: modem.Constellation) -> np.ndarray:

@@ -24,8 +24,8 @@ are paid once per more lanes. An early-stopped forward compacts its lanes
 lazily: converged lanes keep computing at full width, their outputs held,
 until at least one eighth of the lanes it computes have converged. Every
 block's forward and backward pass writes each step into one set of work
-arrays with `out=`, and the receiver keeps that set across its decode
-calls, taped and untaped, so the arrays are allocated and faulted in
+arrays with `out=`, and a receiver keeps one set per decode kind,
+early-stopped (untaped) or not (taped), so the arrays are faulted in
 once per receiver rather than once per use; the next block overwrites a
 block's tape once its gradient is taken. An untaped set holds only what
 the forward reads at one time (see `_WorkSet`). Since a lane's result
@@ -236,9 +236,9 @@ class _WorkSet:
     lanes, such as a short last block or the lanes early stopping leaves
     running, uses `_lanes(array, k)`: the leading elements of the array's
     buffer shaped (..., k), which stay C-contiguous. Reusing one set keeps
-    the large arrays mapped and faulted in. A `Receiver` keeps one set for
-    all its decode calls, and `decode_blocks` copies each block's results
-    out of it, so nothing a call returns aliases the set; the outputs and
+    the large arrays mapped and faulted in. A `Receiver` keeps one set per
+    decode kind, and `decode_blocks` copies each block's results out of
+    it, so nothing a call returns aliases the set; the outputs and
     tape of `bp_forward` do, and the next use of the set overwrites them.
     `iters` and `taped` size the per-iteration soft outputs and the arrays
     the tape keeps; a taped set serves untaped decodes too. `llr` has two
@@ -663,19 +663,19 @@ def decode_blocks(llr, graph: TannerGraph, decoder: DecoderConfig, early_stop: b
 class Receiver:
     """BP decoding of one code under one `DecoderConfig`; it pickles, for worker processes.
 
-    Its decode calls share one work set, built at the first call and built
-    again, larger or with a tape, when a call needs more than it holds, so
-    a receiver decodes for one thread at a time. The set is left out of
-    the pickle, so a worker process builds its own.
+    Its early-stopped decodes share an untaped work set and its others a
+    taped one, each built at its kind's first call and again, larger, when
+    a call has more lanes, so a receiver decodes for one thread at a time.
+    The sets are left out of the pickle, so a worker process builds its own.
     """
 
     def __init__(self, code, decoder: DecoderConfig):
         self.code, self.decoder = code, decoder
         self.graph, self.target = TannerGraph(code.H), np.zeros(code.n)  # all-zero design word
-        self._work = None
+        self._work = {}  # early_stop -> _WorkSet
 
     def __getstate__(self):
-        return self.__dict__ | {"_work": None}
+        return self.__dict__ | {"_work": {}}
 
     def decode(self, llr, early_stop: bool = False, gradient: bool = False):
         """Message bits (B, k) of (B, n) LLRs, and d(loss)/d(LLR) against the all-zero
@@ -684,18 +684,15 @@ class Receiver:
         if self.decoder.iters:
             soft, grad = decode_blocks(llr, self.graph, self.decoder, early_stop,
                                        self.target if gradient else None,
-                                       self._work_set(min(len(llr), _block_lanes(early_stop)),
-                                                      gradient))
+                                       self._work_set(early_stop, len(llr)))
         return self.code.message_from_codeword(soft < 0), grad
 
-    def _work_set(self, lanes: int, taped: bool) -> _WorkSet:
-        """The shared work set, rebuilt to hold `lanes` lanes and a tape if `taped`."""
-        work = self._work
-        if work is None or work.lanes < lanes or taped > work.taped:
-            if work is not None:  # the new set serves every decode the old one did
-                lanes, taped = max(lanes, work.lanes), taped or work.taped
-            self._work = work = _WorkSet(self.graph, lanes, self.decoder.iters, taped,
-                                         self.decoder.clamp)
+    def _work_set(self, early_stop: bool, frames: int) -> _WorkSet:
+        """The set of the decode kind, rebuilt to hold a block of `frames` frames."""
+        lanes, work = min(frames, _block_lanes(early_stop)), self._work.get(early_stop)
+        if work is None or work.lanes < lanes:
+            self._work[early_stop] = work = _WorkSet(self.graph, lanes, self.decoder.iters,
+                                                     not early_stop, self.decoder.clamp)
         return work
 
     def loss(self, llr):

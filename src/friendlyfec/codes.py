@@ -262,7 +262,9 @@ def polar_construct(n: int, k: int, design_ebn0_db: float) -> CodeSpec:
 
     Frozen indices are those with the largest Bhattacharyya parameters
     (ties freeze the lower index); the name ends in a digest of them, since
-    the design SNR can change them. G takes the non-frozen rows of the
+    the design SNR can change them. A design whose parameters tie at the
+    frozen/information boundary is rejected, as rounding alone would decide
+    which input is frozen. G takes the non-frozen rows of the
     polar transform; H takes its frozen columns, transposed, which is a
     parity basis because the transform is its own inverse over GF(2).
     """
@@ -272,6 +274,9 @@ def polar_construct(n: int, k: int, design_ebn0_db: float) -> CodeSpec:
         raise ValueError(f"k must lie in (0, n], got {k}")
     z = polar_bhattacharyya(n, design_ebn0_db, rate=k / n)
     order = np.argsort(-z, kind="stable")  # decreasing z, ties by lower index
+    if k < n and z[order[n - k - 1]] == z[order[n - k]]:
+        raise ValueError(f"design_ebn0_db = {design_ebn0_db} ties the Bhattacharyya parameters "
+                         f"at the frozen/information boundary of the ({n}, {k}) polar code")
     frozen = tuple(sorted(int(i) for i in order[: n - k]))
     info = sorted(set(range(n)) - set(frozen))
     m = n.bit_length() - 1

@@ -138,6 +138,25 @@ def test_apply_attack_rejects_zeroed_word(ldpc):
                              attack=-np.ones(64))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scheme, entry", [("bpsk", 1e300), ("qam4", 1e300), ("qam4", 1.7e308)])
+def test_perturbation_whose_norm_overflows_is_rejected(ldpc, monkeypatch, scheme, entry):
+    # the norm of the sent word overflows, and its scale to the power budget would be 0
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the channel was drawn")
+
+    monkeypatch.setattr(channel, "draw", no_draws)
+    c, a = modem.get_constellation(scheme), np.full(64, entry)
+    s = modem.modulate(np.zeros(64, dtype=np.uint8), c)
+    for call in (lambda: attack.attacked_zero_word(a, c), lambda: attack.apply_attack(s, a, c),
+                   lambda: montecarlo.run_point(ldpc, bp.DecoderConfig(iters=5), scheme, 2.0,
+                                                frames=512, seed=0, attack=a)):
+        with pytest.raises(ValueError, match="norm is not finite"):
+            call()
+    with pytest.raises(ValueError, match="norm is not finite"):
+        attack.normalize_power(np.full(4, 1e300))
+
+
 @pytest.mark.parametrize("label", [(0, 0), (0, 1), (1, 0), (1, 1)],
                          ids=["00", "01", "10", "11"])
 def test_apply_attack_qam4_signs_each_coordinate(label):

@@ -691,9 +691,9 @@ def test_pickled_receiver_decodes_the_same():
     assert copy.loss(L[0]) == rx.loss(L[0])
 
 
-def test_receiver_reuses_one_work_set_across_decodes():
-    # 300 lanes need a full block set, 20 run in its leading lanes, and a
-    # taped decode after untaped ones rebuilds the set with a tape
+def test_receiver_keeps_one_work_set_per_decode_kind():
+    # 300 lanes need a full block set, 20 run in its leading lanes; early-stopped
+    # decodes share an untaped set, and the others, taped or not, a taped one
     code, dec = codes.ldpc_64_32(), bp.DecoderConfig(iters=5, loss_mode="multiloss")
     batches = [_noisy_llrs(B, 30 + B) for B in (300, 20, 300)]
     shared = bp.Receiver(code, dec)
@@ -702,10 +702,11 @@ def test_receiver_reuses_one_work_set_across_decodes():
             got, want = shared.decode(L, **kwargs), bp.Receiver(code, dec).decode(L, **kwargs)
             assert [x.tobytes() for x in got if x is not None] == \
                 [x.tobytes() for x in want if x is not None]
-    assert shared._work.lanes == 2 * bp.BLOCK_LANES and shared._work.taped
-    # the pickle a worker process receives holds no work arrays
+    assert {kind: (work.lanes, work.taped) for kind, work in shared._work.items()} == \
+        {True: (bp.EARLY_STOP_LANES, False), False: (bp.BLOCK_LANES, True)}
+    # the pickle a worker process receives holds neither set
     assert len(pickle.dumps(shared)) == len(pickle.dumps(bp.Receiver(code, dec)))
-    assert pickle.loads(pickle.dumps(shared))._work is None
+    assert pickle.loads(pickle.dumps(shared))._work == {}
 
 
 def _cumprod_exclusion(t, H):

@@ -350,6 +350,7 @@ def test_eval_bad_workers_or_attack_file_exit_2(tmp_path, monkeypatch, capsys, f
     ({"version": 1}, "missing field"),
     ({"a": "not a list"}, "field 'a'"),
     ({"a": [-1.0] * 3}, "zeroes the sent word"),  # s0 + s0 a = 0 for every word
+    ({"a": [1e300] * 3}, "norm is not finite"),  # the norm overflows: the scale would be 0
     ([1, 2, 3], "JSON object"),
 ])
 def test_malformed_attack_file_is_a_config_error_naming_the_file(tmp_path, capsys, record, named):
@@ -373,6 +374,8 @@ def test_malformed_attack_file_is_a_config_error_naming_the_file(tmp_path, capsy
     ("eval", "", ["--seed", "-1"], "--seed"),
     ("eval", "modem.scheme = qam4\n", [], "divisible by 2"),
     ("eval", "code.n = 1\n", [], "repetition"),
+    ("eval", "code.family = polar\ncode.n = 64\ncode.k = 32\ncode.design_ebn0_db = 40\n", [],
+     "design_ebn0_db = 40.0 ties"),
     ("search", "decoder.iters = 0\n", [], "decoder.iters"),
 ])
 def test_settings_that_fail_inside_the_numerics_are_config_errors(tmp_path, capsys, command,

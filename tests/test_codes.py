@@ -142,6 +142,17 @@ def test_polar_design_ebn0_must_be_a_finite_level_in_range():
             codes.design_z0(bad, rate=0.5)
 
 
+def test_polar_design_that_ties_the_frozen_boundary_is_rejected():
+    # (64, 32) ties its 32nd and 33rd largest Bhattacharyya parameters from 22.75 dB
+    # up and from -20.25 dB down; from 29 dB up and at -200 dB every parameter ties
+    for bad in (25.0, 29.0, 40.0, -50.0, -200.0):
+        with pytest.raises(ValueError, match=re.escape(f"design_ebn0_db = {bad} ties")):
+            codes.polar_construct(64, 32, bad)
+    ids = {db: codes.polar_construct(64, 32, db).name for db in (0.0, 2.0, 3.0, 5.0, 10.0, 20.0)}
+    assert ids == dict.fromkeys((0.0, 2.0, 3.0), "polar_64_32_4328b462faee") | \
+        dict.fromkeys((5.0, 10.0, 20.0), "polar_64_32_72d0c5d6ac38")
+
+
 def test_polar_parity_consistency():
     for n, k in [(4, 2), (8, 4), (16, 11), (64, 32)]:
         code = codes.polar_construct(n, k, design_ebn0_db=2.0)

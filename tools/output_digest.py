@@ -39,7 +39,10 @@ The digest covers, on the bundled (64, 32) LDPC code:
   blocks and a short one) at the waterfall, a mid point and near 5 dB, so
   that converged lanes are held in some iterations and compacted in others;
 - `attacked_zero_word` and `apply_attack` outputs for BPSK and 4-QAM on 300
-  random codewords under three vectors, one of them all zeros.
+  random codewords under three vectors, one of them all zeros;
+- the message bits and gradients of one BP-5 multiloss `Receiver` that runs
+  early-stopped, gradient and untaped decodes of 300 and of 20 lanes in
+  turn, so that its work sets serve decodes of each kind and both widths.
 
 Every value is hashed as its exact bytes (floats) or `repr` (records and
 counts), so a last-bit or signed-zero difference changes the digest. The
@@ -296,13 +299,24 @@ def _apply_attack_parts(code):
     yield "apply_attack bpsk and qam4, 300 words, 3 vectors", values
 
 
+def _receiver_parts(code):
+    receiver = bp.Receiver(code, bp.DecoderConfig(iters=5, loss_mode="multiloss"))
+    rng = np.random.default_rng(43)
+    values = []
+    for frames in (300, 20):
+        for kwargs in (dict(early_stop=True), dict(gradient=True), dict()):
+            llr = (2.0 / SIGMA**2) * (1.0 + SIGMA * rng.standard_normal((frames, code.n)))
+            values += [x for x in receiver.decode(llr, **kwargs) if x is not None]
+    yield "one receiver: early-stopped, gradient and untaped decodes of 300 and 20 lanes", values
+
+
 def _groups():
     """The parts, group by group: each group yields (part name, values) pairs."""
     code = codes.ldpc_64_32()
     return (_search_parts(code), _regime_parts(code), _decoder_parts(code), _irregular_parts(),
             _count_parts(code), _sweep_parts(code), _transfer_parts(code), _gradcheck_parts(),
             _clamp_parts(code), _repetition_parts(), _wide_regime_parts(code),
-            _early_stop_parts(code), _apply_attack_parts(code))
+            _early_stop_parts(code), _apply_attack_parts(code), _receiver_parts(code))
 
 
 def _digest(values) -> str:
