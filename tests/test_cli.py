@@ -350,8 +350,8 @@ def test_eval_bad_workers_or_attack_file_exit_2(tmp_path, monkeypatch, capsys, f
     ({"version": 1}, "missing field"),
     ({"a": "not a list"}, "field 'a'"),
     ({"a": [-1.0] * 3}, "zeroes the sent word"),  # s0 + s0 a = 0 for every word
-    ({"a": [1e300] * 3}, "norm is not finite"),  # the norm overflows: the scale would be 0
     ([1, 2, 3], "JSON object"),
+    ({"a": [1e300] * 3}, "norm is not finite"),  # the norm overflows: the scale would be 0
 ])
 def test_malformed_attack_file_is_a_config_error_naming_the_file(tmp_path, capsys, record, named):
     cfg = write(tmp_path, "rep.cfg", REP_SEARCH_CFG)
