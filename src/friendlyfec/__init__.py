@@ -9,8 +9,8 @@ channel + demapper + decoder chain.
 
 from .attack import (AttackVector, SearchConfig, apply_attack, approach_config,
                      attacked_zero_word, cluster_attacks, find_search_sigma,
-                     gradient_scheduler, load_attack, normalize_power, run_regime,
-                     save_attack, search_attack, select_best)
+                     load_attack, normalize_power, run_regime, save_attack,
+                     search_attack, select_best)
 from .bp import (BpOutput, BpTape, DecoderConfig, TannerGraph, bp_backward,
                  bp_forward, bp_loss, finite_difference)
 from .channel import (ChannelParams, FrameRng, child_seed, ebn0_to_sigma,

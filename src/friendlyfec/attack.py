@@ -10,8 +10,9 @@ A regime of many searches on small batches (approach 3: B = 20) runs its
 searches in lockstep groups, stacking the batches of a group's runs into
 each decode call, so that the decoder's per-call overhead is shared by up
 to one decode block of `bp.BLOCK_LANES` lanes. Each run keeps its own
-draws, step sizes and stop rule, and its results equal those of a search
-on its own.
+draws, step size and stop rule, and its results equal those of a search
+on its own. `cluster_attacks` reduces a regime's vectors by k-means; with
+k = 1 (approach 4) its one centroid is the plain mean of the nonzero runs.
 """
 
 from __future__ import annotations
@@ -88,19 +89,15 @@ class SearchConfig:
     accepted_iters: int = 50          # I: budget of accepted updates
     max_trials: int | None = None     # default 20 * accepted_iters
     sigma: float | None = None        # None: caller resolves (see find_search_sigma)
-    scheduler: str = "constant"       # constant | exp_decay | step
-    epsilon0: float | None = None     # None: calibrated from the first batch gradient
-    decay: float = 0.99
-    step_len: int = 10
+    epsilon0: float | None = None     # step size of every trial; None: calibrated per run
     accept: str = "ber"               # ber | bler | both
     runs: int = 1
-    cluster: str = "none"             # none | kmeans | agglomerative
+    cluster: str = "none"             # none | kmeans (k = 1: the plain mean of the runs)
     cluster_k: int = 3
-    linkage: str = "ward"             # see check_linkage
     approach: str = "custom"
 
     def __post_init__(self):
-        counts = ["batch_size", "accepted_iters", "step_len", "runs", "cluster_k"]
+        counts = ["batch_size", "accepted_iters", "runs", "cluster_k"]
         if self.max_trials is not None:
             counts.append("max_trials")
         for name in counts:
@@ -108,15 +105,10 @@ class SearchConfig:
         for name in ("sigma", "epsilon0"):
             if getattr(self, name) is not None:  # None: resolved by the caller or the search
                 checks.positive(name, getattr(self, name))
-        if not (checks.is_real(self.decay) and 0 < self.decay <= 1):
-            raise ValueError(f"decay must be in (0, 1], got {self.decay!r}")
-        if self.scheduler not in ("constant", "exp_decay", "step"):
-            raise ValueError(f"unknown scheduler {self.scheduler!r}")
         if self.accept not in ("ber", "bler", "both"):
             raise ValueError(f"unknown accept criterion {self.accept!r}")
-        if self.cluster not in ("none", "kmeans", "agglomerative"):
+        if self.cluster not in ("none", "kmeans"):
             raise ValueError(f"unknown cluster method {self.cluster!r}")
-        check_linkage(self.linkage)
         if self.max_trials is not None and self.max_trials < self.accepted_iters:
             raise ValueError("max_trials must be >= accepted_iters")
 
@@ -126,35 +118,20 @@ class SearchConfig:
 
 
 def approach_config(number: int, **overrides) -> SearchConfig:
-    """Preset search shapes: (1) big batch, few iterations; (2) long decayed
-    descent; (3) many short runs + k-means; (4) many tiny runs + ward."""
+    """Preset search shapes: (1) big batch, few iterations; (3) many short runs +
+    k-means; (4) many tiny runs and their plain mean (k-means with k = 1)."""
     presets = {
         1: dict(batch_size=2000, accepted_iters=50),
-        2: dict(batch_size=200, accepted_iters=2000, scheduler="exp_decay", decay=0.999),
         3: dict(batch_size=20, accepted_iters=30, runs=2000, cluster="kmeans", cluster_k=3),
-        4: dict(batch_size=2000, accepted_iters=3, runs=200, cluster="agglomerative",
-                linkage="ward", cluster_k=4),
+        4: dict(batch_size=2000, accepted_iters=3, runs=200, cluster="kmeans", cluster_k=1),
     }
     if checks.count("approach", number) not in presets:
-        raise ValueError("approach must be 1, 2, 3 or 4")
+        raise ValueError("approach must be 1, 3 or 4")
     params = presets[number] | overrides
     return SearchConfig(approach=str(number), **params)
 
 
 EPSILON_GRAD_SCALE = 0.07  # auto epsilon0 = this / mean |gradient| of the first batch
-
-
-def gradient_scheduler(i: int, config: SearchConfig) -> float:
-    """Step size for accepted-iteration index i; always positive."""
-    if i < 0:
-        raise ValueError("iteration index must be >= 0")
-    if config.epsilon0 is None:
-        raise ValueError("epsilon0 is unresolved; search_attack calibrates it first")
-    if config.scheduler == "constant":
-        return config.epsilon0
-    if config.scheduler == "exp_decay":
-        return config.epsilon0 * config.decay ** i
-    return config.epsilon0 * 0.5 ** (i // config.step_len)
 
 
 def normalize_power(s, coords_per_symbol: int = 1):
@@ -229,14 +206,15 @@ def _search_runs(receiver: bp.Receiver, scheme: str, config: SearchConfig, runs,
     """The searches of `runs`, (seed, approach label) pairs, in lockstep; one vector per run.
 
     Each run is the search `search_attack` describes, with its own
-    `FrameRng(seed)` draws, step-size calibration, schedule and stop
-    rule. The step-size probes of every run go into one taped decode, and
-    each trial stacks the batches of the runs still searching, run after
-    run, into one taped decode and one untaped re-decode; a run leaves the
-    stack at its accepted-update budget or the trial cap. The probes, and
-    each trial's batches, are one `channel.draw` realization with one
-    generator per run, and both decodes of a trial send the words through
-    `channel.transmit` on that same realization. A lane's decode
+    `FrameRng(seed)` draws, step size and stop rule. Every trial of a run
+    steps by `epsilon0`, or, when that is None, by the step size its own
+    probe calibrates. The probes of every run go into one taped decode,
+    and each trial stacks the batches of the runs still searching, run
+    after run, into one taped decode and one untaped re-decode; a run
+    leaves the stack at its accepted-update budget or the trial cap. The
+    probes, and each trial's batches, are one `channel.draw` realization
+    with one generator per run, and both decodes of a trial send the words
+    through `channel.transmit` on that same realization. A lane's decode
     does not depend on the lanes beside it, so every run's records and
     vector are those of its search on its own, to the byte. The first
     run's records go to `on_trial` as they happen, the other runs' when
@@ -271,14 +249,14 @@ def _search_runs(receiver: bp.Receiver, scheme: str, config: SearchConfig, runs,
                 if gradient else None)
         return grad, errs.mean(axis=(1, 2)).tolist(), np.any(errs, axis=2).mean(axis=1).tolist()
 
-    configs = [config] * len(runs)
+    epsilons = [config.epsilon0] * len(runs)
     if config.epsilon0 is None:
         # calibrate each run's step size against this decoder's gradient scale
         probes = decode(np.tile(s_base, (len(runs), 1)),
                         draw([next(rng.frames(0, 1, channel.STREAM_PROBE)) for rng in rngs]),
                         gradient=True)[0]
-        configs = [replace(config, epsilon0=EPSILON_GRAD_SCALE /
-                           max(float(np.mean(np.abs(grad))), 1e-12)) for grad in probes]
+        epsilons = [EPSILON_GRAD_SCALE / max(float(np.mean(np.abs(grad))), 1e-12)
+                    for grad in probes]
 
     trials = [rng.frames(0, config.trial_cap, channel.STREAM_SEARCH) for rng in rngs]
     words = np.tile(s_base, (len(runs), 1))
@@ -286,7 +264,7 @@ def _search_runs(receiver: bp.Receiver, scheme: str, config: SearchConfig, runs,
     held = [[] for _ in runs]  # records of runs after the first, until every run stops
     live = list(range(len(runs)))
     for trial in range(1, config.trial_cap + 1):
-        eps = [gradient_scheduler(accepted[r], configs[r]) for r in live]
+        eps = [epsilons[r] for r in live]
         draws = draw([next(trials[r]) for r in live])
         grad, ber0, bler0 = decode(words[live], draws, gradient=True)
         # evaluate each candidate exactly as it would be transmitted: at the
@@ -369,56 +347,22 @@ def _kmeans(X, k, seed=0, iters=100):
     return centroids
 
 
-def check_linkage(linkage) -> None:
-    if linkage not in ("ward", "complete"):
-        raise ValueError(f"unknown linkage {linkage!r}")
-
-
-def _agglomerative(X, k, linkage):
-    """Bottom-up merging under ward or complete linkage until k clusters; the
-    closest pair (first in row-major order) merges into its lower index."""
-    n = len(X)
-    clusters = [[i] for i in range(n)]
-    # pairwise dissimilarity; ward uses the within-variance increase
-    diff = X[:, None, :] - X[None, :, :]
-    d2 = np.sum(diff * diff, axis=2)
-    D = 0.5 * d2 if linkage == "ward" else np.sqrt(d2)
-    np.fill_diagonal(D, np.inf)  # as are the rows and columns of merged-away clusters
-    sizes = np.ones(n)
-    for _ in range(n - k):
-        i, j = sorted(divmod(int(np.argmin(D)), n))
-        # Lance-Williams update of the merged row; +inf entries stay +inf
-        if linkage == "complete":
-            row = np.maximum(D[i], D[j])
-        else:
-            si, sj = sizes[i], sizes[j]
-            row = ((si + sizes) * D[i] + (sj + sizes) * D[j] - sizes * D[i, j]) / (si + sj + sizes)
-        D[i, :] = D[:, i] = row
-        D[j, :] = D[:, j] = np.inf
-        clusters[i], clusters[j] = clusters[i] + clusters[j], []
-        sizes[i] += sizes[j]
-    return np.array([X[c].mean(axis=0) for c in clusters if c])
-
-
 def cluster_attacks(vectors: list[AttackVector], method: str, k: int,
-                    seed: int = 0, linkage: str = "ward") -> list[AttackVector]:
-    """Cluster nonzero attack vectors and return per-cluster mean vectors.
+                    seed: int = 0) -> list[AttackVector]:
+    """Cluster nonzero attack vectors by k-means and return per-cluster mean vectors.
 
     Zero vectors from failed runs are dropped first, since they drag
-    centroids toward the no-op.
+    centroids toward the no-op; with k = 1 the one centroid is the plain
+    mean of the nonzero vectors. A method other than "kmeans" is rejected
+    before anything is clustered.
     """
     checks.count("cluster count k", k)
-    check_linkage(linkage)
+    if method != "kmeans":
+        raise ValueError(f"unknown cluster method {method!r}")
     nonzero = [v for v in vectors if not v.is_zero]
     if len(nonzero) < k:
         raise ValueError(f"need at least k={k} nonzero vectors, have {len(nonzero)}")
-    X = np.stack([v.a for v in nonzero])
-    if method == "kmeans":
-        centroids = _kmeans(X, k, seed=seed)
-    elif method == "agglomerative":
-        centroids = _agglomerative(X, k, linkage)
-    else:
-        raise ValueError(f"unknown cluster method {method!r}")
+    centroids = _kmeans(np.stack([v.a for v in nonzero]), k, seed=seed)
     proto = nonzero[0]
     return [replace(proto, a=c, approach=f"{method}-centroid-{i}",
                     accepted_iters=0) for i, c in enumerate(centroids)]

@@ -237,8 +237,7 @@ def cmd_search(cfg: RunConfig, out_path: str | None, seed: int) -> int:
         _log(f"{len(vectors)} runs, {len(nonzero)} nonzero vectors")
         if search_cfg.cluster != "none" and len(nonzero) >= search_cfg.cluster_k:
             candidates = attack_mod.cluster_attacks(vectors, search_cfg.cluster,
-                                                    search_cfg.cluster_k, seed=seed,
-                                                    linkage=search_cfg.linkage)
+                                                    search_cfg.cluster_k, seed=seed)
         else:
             candidates = nonzero or vectors[:1]
         val_ebn0 = cfg.search_validation_ebn0_db

@@ -1,4 +1,3 @@
-import itertools
 import re
 import tempfile
 from dataclasses import fields, replace
@@ -16,17 +15,17 @@ def ldpc():
     return codes.ldpc_64_32()
 
 
-def test_scheduler_values():
-    const = attack.SearchConfig(scheduler="constant", epsilon0=0.1)
-    assert all(attack.gradient_scheduler(i, const) == 0.1 for i in range(5))
-    dec = attack.SearchConfig(scheduler="exp_decay", epsilon0=0.1, decay=0.9)
-    assert attack.gradient_scheduler(2, dec) == pytest.approx(0.081)
-    step = attack.SearchConfig(scheduler="step", epsilon0=0.4, step_len=10)
-    assert attack.gradient_scheduler(25, step) == pytest.approx(0.1)
-    with pytest.raises(ValueError):
-        attack.gradient_scheduler(-1, const)
-    with pytest.raises(ValueError):
-        attack.gradient_scheduler(0, attack.SearchConfig())  # epsilon0 unresolved
+@pytest.mark.parametrize("epsilon0", [0.1, None])
+def test_every_trial_steps_by_one_step_size(ldpc, epsilon0):
+    # epsilon0, or the size calibrated from the first batch, for every trial, accepted or not
+    cfg = attack.approach_config(1, sigma=0.756, batch_size=100, accepted_iters=3,
+                                 max_trials=12, epsilon0=epsilon0)
+    trace = []
+    attack.search_attack(ldpc, bp.DecoderConfig(iters=3), "bpsk", cfg, seed=5,
+                         on_trial=trace.append)
+    steps = {rec["epsilon"] for rec in trace}
+    assert len(trace) > 3 and len(steps) == 1
+    assert steps == {0.1} if epsilon0 else 0 < steps.pop() != 0.1
 
 
 def test_search_config_validation():
@@ -34,18 +33,17 @@ def test_search_config_validation():
         attack.SearchConfig(batch_size=0)
     with pytest.raises(ValueError):
         attack.SearchConfig(epsilon0=-0.1)
-    for bad in ({"epsilon0": np.nan}, {"epsilon0": np.inf}, {"step_len": 0}, {"runs": 0},
-                {"cluster_k": 0}, {"decay": np.nan}, {"decay": -1.0}, {"decay": 0.0},
-                {"decay": 1.5}, {"sigma": np.nan}, {"sigma": np.inf}, {"sigma": -1.0},
-                {"sigma": 0.0}):
+    for bad in ({"epsilon0": np.nan}, {"epsilon0": np.inf}, {"runs": 0}, {"cluster_k": 0},
+                {"sigma": np.nan}, {"sigma": np.inf}, {"sigma": -1.0}, {"sigma": 0.0}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             attack.SearchConfig(**bad)
     with pytest.raises(ValueError):
         attack.SearchConfig(accepted_iters=10, max_trials=5)
-    with pytest.raises(ValueError):
-        attack.SearchConfig(scheduler="linear")
-    with pytest.raises(ValueError):
-        attack.approach_config(5)
+    with pytest.raises(ValueError, match="unknown cluster method 'agglomerative'"):
+        attack.SearchConfig(cluster="agglomerative")
+    for number in (2, 5):
+        with pytest.raises(ValueError, match="approach must be 1, 3 or 4"):
+            attack.approach_config(number)
 
 
 def test_approach_config_takes_only_an_integer_approach():
@@ -57,8 +55,7 @@ def test_approach_config_takes_only_an_integer_approach():
 
 
 @pytest.mark.parametrize("name, message", [("sigma", "positive and finite"),
-                                           ("epsilon0", "positive and finite"),
-                                           ("decay", r"in \(0, 1\]")])
+                                           ("epsilon0", "positive and finite")])
 def test_search_config_float_settings_are_numbers(name, message):
     # a bool would act as 1.0; a string would fail inside a comparison
     for bad in (True, np.True_, "0.5"):
@@ -74,8 +71,8 @@ def test_attack_vector_search_sigma_is_a_number():
     assert replace(_vec([0.0, 0.0]), search_sigma=2).search_sigma == 2
 
 
-@pytest.mark.parametrize("name", ["batch_size", "accepted_iters", "max_trials", "step_len",
-                                  "runs", "cluster_k"])
+@pytest.mark.parametrize("name", ["batch_size", "accepted_iters", "max_trials", "runs",
+                                  "cluster_k"])
 def test_search_config_counts_are_integers(name):
     # a fraction or a bool fails deep in the search, or silently means 1
     for bad in (1.5, 2.5, 100.0, True):
@@ -478,76 +475,35 @@ def _vec(arr, tag="v"):
 
 
 def test_cluster_single_cluster_is_mean():
-    vs = [_vec([1.0, 0.0]), _vec([3.0, 2.0]), _vec([2.0, 1.0])]
+    # k = 1 is approach 4's selection: bit for bit the plain mean of the nonzero vectors
+    vs = [_vec([1.0, 0.0]), _vec([3.0, 2.0]), _vec([0.0, 0.0]), _vec([2.0, 1.3])]
     out = attack.cluster_attacks(vs, "kmeans", 1)
-    assert np.allclose(out[0].a, [2.0, 1.0])
-    out = attack.cluster_attacks(vs, "agglomerative", 1)
-    assert np.allclose(out[0].a, [2.0, 1.0])
-    for method in ("kmeans", "agglomerative"):
-        with pytest.raises(ValueError, match="cluster count k must be an integer >= 1, got 0"):
-            attack.cluster_attacks(vs, method, 0)
+    assert len(out) == 1
+    assert out[0].a.tobytes() == np.mean([vs[0].a, vs[1].a, vs[3].a], axis=0).tobytes()
+    with pytest.raises(ValueError, match="cluster count k must be an integer >= 1, got 0"):
+        attack.cluster_attacks(vs, "kmeans", 0)
 
 
-@pytest.mark.parametrize("method,linkage", [("kmeans", "ward"),
-                                            ("agglomerative", "ward"),
-                                            ("agglomerative", "complete")])
-def test_cluster_two_blobs(method, linkage):
+def test_cluster_two_blobs():
     rng = np.random.default_rng(8)
     blob_a = rng.normal(+10.0, 0.3, (12, 5))
     blob_b = rng.normal(-10.0, 0.3, (12, 5))
     vs = [_vec(v) for v in np.concatenate([blob_a, blob_b])]
-    cents = sorted(attack.cluster_attacks(vs, method, 2, linkage=linkage),
-                   key=lambda v: v.a[0])
+    cents = sorted(attack.cluster_attacks(vs, "kmeans", 2), key=lambda v: v.a[0])
     assert np.linalg.norm(cents[0].a - blob_b.mean(axis=0)) < 0.5
     assert np.linalg.norm(cents[1].a - blob_a.mean(axis=0)) < 0.5
 
 
-def _agglomerative_reference(X, k, linkage):
-    """Merge the cheapest pair of clusters by brute force until k remain: complete
-    linkage costs the largest pairwise distance, ward the increase in within-cluster SSE."""
-    def sse(idx):
-        return float(np.sum((X[idx] - X[idx].mean(axis=0)) ** 2))
-
-    def cost(p, q):
-        if linkage == "complete":
-            return max(float(np.linalg.norm(X[i] - X[j])) for i in p for j in q)
-        return sse(p + q) - sse(p) - sse(q)
-
-    clusters = [[i] for i in range(len(X))]
-    while len(clusters) > k:
-        a, b = min(itertools.combinations(range(len(clusters)), 2),
-                   key=lambda ab: cost(clusters[ab[0]], clusters[ab[1]]))
-        clusters[a] += clusters.pop(b)
-    return np.array([X[c].mean(axis=0) for c in clusters])
-
-
-@pytest.mark.parametrize("linkage", ["ward", "complete"])
-def test_agglomerative_merges_match_brute_force(linkage):
-    # every k from n down to 1 pins the whole merge order, and the centroid order
-    rng = np.random.default_rng(3)
-    for n in range(2, 11):
-        X = rng.standard_normal((n, 3))
-        for k in range(1, n + 1):
-            got = attack._agglomerative(X, k, linkage)
-            assert got.shape == (k, 3)
-            assert np.allclose(got, _agglomerative_reference(X, k, linkage), rtol=0, atol=1e-12)
-
-
-def test_cluster_attacks_rejects_an_unknown_linkage(monkeypatch):
-    # by name, before any clustering runs: "average" once ran a silent ward/Euclidean hybrid
+def test_cluster_attacks_rejects_an_unknown_method(monkeypatch):
+    # by name, before any clustering runs
     def clustered(*args, **kwargs):
         raise AssertionError("clustering ran")
 
     monkeypatch.setattr(attack, "_kmeans", clustered)
-    monkeypatch.setattr(attack, "_agglomerative", clustered)
     vs = [_vec([1.0, 0.0]), _vec([3.0, 2.0]), _vec([2.0, 1.0])]
-    for linkage in ("average", "single", "Ward", None):
-        message = re.escape(f"unknown linkage {linkage!r}")
-        for method in ("kmeans", "agglomerative"):
-            with pytest.raises(ValueError, match=message):
-                attack.cluster_attacks(vs, method, 2, linkage=linkage)
-        with pytest.raises(ValueError, match=message):
-            attack.SearchConfig(batch_size=2, accepted_iters=1, linkage=linkage)
+    for method in ("agglomerative", "KMeans", "none", None):
+        with pytest.raises(ValueError, match=re.escape(f"unknown cluster method {method!r}")):
+            attack.cluster_attacks(vs, method, 2)
 
 
 def test_cluster_degenerate_k_equals_n():

@@ -43,7 +43,6 @@ LIBRARY = {
     "SearchConfig.accepted_iters bool": ("accepted_iters",
                                          lambda: attack.SearchConfig(accepted_iters=True)),
     "SearchConfig.max_trials string": ("max_trials", lambda: attack.SearchConfig(max_trials="99")),
-    "SearchConfig.step_len negative": ("step_len", lambda: attack.SearchConfig(step_len=-1)),
     "SearchConfig.runs fraction": ("runs", lambda: attack.SearchConfig(runs=3.0)),
     "SearchConfig.cluster_k bool": ("cluster_k", lambda: attack.SearchConfig(cluster_k=True)),
     "SearchConfig.sigma nan": ("sigma", lambda: attack.SearchConfig(sigma=np.nan)),

@@ -2,6 +2,7 @@ import json
 import string
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,19 +66,15 @@ _VALID = {
     "channel.rho": st.floats(0.0, 1.0),
     "eval.min_block_errors": st.integers(1, 10**12),
     "eval.seed": st.integers(0, 10**12),
-    "search.approach": st.integers(1, 4),
+    "search.approach": st.sampled_from([1, 3, 4]),
     "search.batch_size": st.integers(1, 10**12),
     "search.iters": st.integers(1, 2000),
     "search.max_trials": st.integers(2000, 10**12),  # >= search.iters under every preset
     "search.epsilon0": _NOISE,
-    "search.decay": st.floats(0.0, 1.0, exclude_min=True),
-    "search.step_len": st.integers(1, 10**12),
     "search.runs": st.integers(1, 10**12),
     "search.cluster_k": st.integers(1, 10**12),
-    "search.scheduler": st.sampled_from(["constant", "exp_decay", "step"]),
     "search.accept": st.sampled_from(["ber", "bler", "both"]),
-    "search.cluster": st.sampled_from(["none", "kmeans", "agglomerative"]),
-    "search.linkage": st.sampled_from(["ward", "complete"]),
+    "search.cluster": st.sampled_from(["none", "kmeans"]),
 }
 _BOOL_WORDS = {True: ["1", "true", "Yes", "ON"], False: ["0", "False", "no", "off"]}
 _BURST_KEYS = ("channel.sigma_b", "channel.rho")  # read on a bursty channel only
@@ -112,9 +109,11 @@ def test_parse_config_round_trip_property(data):
 
 
 def test_parse_config_rejects_unknown_key():
-    # a typo, a bare field name, an unknown section and a removed key
-    for key in ("search.bacth_size", "search_batch_size", "codes.n", "channel.si"):
-        with pytest.raises(cli.ConfigError, match=key):
+    # a typo, a bare field name, an unknown section and removed keys: the step
+    # schedules' and agglomerative clustering's
+    for key in ("search.bacth_size", "search_batch_size", "codes.n", "channel.si",
+                "search.scheduler", "search.decay", "search.step_len", "search.linkage"):
+        with pytest.raises(cli.ConfigError, match=f"line 1: unknown configuration key '{key}'"):
             cli.parse_config(f"{key} = 100\n")
 
 
@@ -133,7 +132,7 @@ def test_every_runconfig_field_is_a_key():
                lambda cfg, name=f.name: cfg.search[name])
               for f in fields(attack.SearchConfig) if f.name != "approach"]
     assert sorted(key for key, _, _ in cases) == sorted(cli._KEYS)
-    assert len(cli._KEYS) == 37
+    assert len(cli._KEYS) == 33
     for key, f, read in cases:
         text, want = by_key.get(key) or samples.get(f.type.removesuffix(" | None"), (None, None))
         if text is None:  # str: the default is a value that passes validation
@@ -161,7 +160,7 @@ def _parsed(cfg, attr):
 @pytest.mark.parametrize("line, attr, value", [
     ("search.require_nonzero = off", "search_require_nonzero", False),
     ("eval.grid = 1, 2", "eval_grid", (1.0, 2.0)),
-    ("search.scheduler = step", "search_scheduler", "step"),
+    ("search.cluster = kmeans", "search_cluster", "kmeans"),
     ("code.design_ebn0_db = 1.5", "code_design_ebn0_db", 1.5),
     ("eval.min_block_errors = 10", "eval_min_block_errors", 10),
 ])
@@ -392,9 +391,9 @@ def test_settings_that_fail_inside_the_numerics_are_config_errors(tmp_path, caps
     ("search.iters = 0", "search.iters must be an integer >= 1, got 0"),
     ("search.max_trials = 2", "search.max_trials must be >= search.iters"),
     ("search.cluster = bogus", "unknown search.cluster method 'bogus'"),
-    ("search.scheduler = runs", "unknown search.scheduler 'runs'"),  # a value is not renamed
-    ("search.decay = 2", "search.decay must be in (0, 1], got 2.0"),
-    ("search.approach = 5", "search.approach must be 1, 2, 3 or 4"),
+    ("search.cluster = runs", "unknown search.cluster method 'runs'"),  # a value is not renamed
+    ("search.approach = 2", "search.approach must be 1, 3 or 4"),
+    ("search.approach = 5", "search.approach must be 1, 3 or 4"),
 ])
 def test_every_search_key_is_checked_as_the_config_is_read(tmp_path, capsys, command, line,
                                                            message):
@@ -537,17 +536,27 @@ eval.seed = 7
 """
 
 
-@pytest.mark.parametrize("cluster", ["kmeans", "none"])
+@pytest.mark.parametrize("cluster", ["kmeans", "none", "approach4"])
 def test_search_runs_select_a_validated_candidate(tmp_path, capsys, cluster):
-    cfg = write(tmp_path, "regime.cfg", LDPC_REGIME_CFG + f"search.cluster = {cluster}\n")
+    text = LDPC_REGIME_CFG + f"search.cluster = {cluster}\n"
+    if cluster == "approach4":  # the preset's k-means with k = 1, on small runs
+        text = LDPC_REGIME_CFG.replace("search.cluster_k = 2\n", "search.approach = 4\n")
+    cfg = write(tmp_path, "regime.cfg", text)
     out = str(tmp_path / "attack.json")
     assert cli.main(["search", "--config", cfg, "--out", out]) == cli.EXIT_OK
     err = capsys.readouterr().err
     av = attack.load_attack(out)
     av.check_fits(codes.ldpc_64_32(), "bpsk")
     assert not av.is_zero
-    assert av.approach.startswith("kmeans-centroid-" if cluster == "kmeans" else "custom:run")
+    assert av.approach.startswith("custom:run" if cluster == "none" else "kmeans-centroid-")
     assert "3 runs, " in err
+    if cluster == "approach4":  # bit for bit the plain mean of the nonzero runs
+        parsed = cli.parse_config(text)
+        runs = attack.run_regime(codes.ldpc_64_32(), parsed.decoder, "bpsk",
+                                 cli.build_search(parsed), seed=7)
+        nonzero = [v.a for v in runs if not v.is_zero]
+        assert len(nonzero) >= 2 and av.approach == "kmeans-centroid-0"
+        assert av.a.tobytes() == np.mean(nonzero, axis=0).tobytes()
     # no validation Eb/N0 is set: it is 1 dB above the search point
     val_ebn0 = channel.sigma_to_ebn0(0.756, 0.5, 1) + 1.0
     assert f"selected candidate {av.approach!r} at validation Eb/N0 {val_ebn0:.3f} dB" in err
