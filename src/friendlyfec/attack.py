@@ -2,7 +2,7 @@
 
 The search perturbs the modulated all-zero codeword, descending the decoding
 loss through channel + demapper + decoder on batches of noise realizations;
-a candidate step is kept only if it improves the measured batch error rate
+a candidate step is kept only if it lowers the batch's bit error rate
 at constant transmit power. Code linearity then lets the same vector be
 applied to any codeword through a per-coordinate sign adaptation.
 
@@ -42,7 +42,8 @@ class AttackVector:
     sub-channel alike. Construction rejects an `a` that is not finite with
     shape (n,), an unknown scheme, N != n // bits per symbol, a search sigma
     that is not positive and finite, and a seed or accepted count that is
-    not an integer >= 0. The attack file holds these fields in this order."""
+    not an integer >= 0. A k-means centroid's `accepted_iters` is 0, as it
+    is a mean of searches. The attack file holds these fields in this order."""
 
     code_id: str
     scheme: str
@@ -86,11 +87,10 @@ class AttackVector:
 @dataclass(frozen=True)
 class SearchConfig:
     batch_size: int = 2000
-    accepted_iters: int = 50          # I: budget of accepted updates
+    accepted_iters: int = 50          # I: budget of updates that lowered the batch BER
     max_trials: int | None = None     # default 20 * accepted_iters
     sigma: float | None = None        # None: caller resolves (see find_search_sigma)
     epsilon0: float | None = None     # step size of every trial; None: calibrated per run
-    accept: str = "ber"               # ber | bler | both
     runs: int = 1
     cluster: str = "none"             # none | kmeans (k = 1: the plain mean of the runs)
     cluster_k: int = 3
@@ -105,8 +105,6 @@ class SearchConfig:
         for name in ("sigma", "epsilon0"):
             if getattr(self, name) is not None:  # None: resolved by the caller or the search
                 checks.positive(name, getattr(self, name))
-        if self.accept not in ("ber", "bler", "both"):
-            raise ValueError(f"unknown accept criterion {self.accept!r}")
         if self.cluster not in ("none", "kmeans"):
             raise ValueError(f"unknown cluster method {self.cluster!r}")
         if self.max_trials is not None and self.max_trials < self.accepted_iters:
@@ -178,14 +176,6 @@ def apply_attack(s, a, constellation: modem.Constellation) -> np.ndarray:
 # the search itself
 # ---------------------------------------------------------------------------
 
-def _improves(criterion, ber_new, bler_new, ber_old, bler_old) -> bool:
-    if criterion == "ber":
-        return ber_new < ber_old
-    if criterion == "bler":
-        return bler_new < bler_old
-    return ber_new < ber_old and bler_new < bler_old
-
-
 def search_attack(code, decoder: bp.DecoderConfig, scheme: str, config: SearchConfig,
                   seed: int, on_trial=None) -> AttackVector:
     """Iterative gradient search on the all-zero codeword over an AWGN channel.
@@ -193,8 +183,9 @@ def search_attack(code, decoder: bp.DecoderConfig, scheme: str, config: SearchCo
     Per trial: draw a batch of noise realizations at the search sigma,
     decode, take the mean over per-sample gradients of the decoding loss,
     step against it, re-decode the same noise with the renormalized
-    candidate, and accept only if the configured batch criterion strictly
-    improves. Stops after the accepted-update budget or the trial cap.
+    candidate, and accept it only if the batch BER strictly falls (the
+    batch BLER is recorded, not tested). Stops after the accepted-update
+    budget or the trial cap.
     Each trial's record goes to `on_trial` before the next trial runs.
     """
     return _search_runs(bp.Receiver(code, decoder), scheme, config,
@@ -273,7 +264,7 @@ def _search_runs(receiver: bp.Receiver, scheme: str, config: SearchConfig, runs,
                           for w, e, g in zip(words[live], eps, grad)])
         _, ber1, bler1 = decode(cands, draws, gradient=False)
         for i, r in enumerate(live):
-            ok = _improves(config.accept, ber1[i], bler1[i], ber0[i], bler0[i])
+            ok = ber1[i] < ber0[i]
             if ok:
                 accepted[r] += 1
                 words[r] = cands[i]

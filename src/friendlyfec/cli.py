@@ -236,16 +236,23 @@ def cmd_search(cfg: RunConfig, out_path: str | None, seed: int) -> int:
         nonzero = [v for v in vectors if not v.is_zero]
         _log(f"{len(vectors)} runs, {len(nonzero)} nonzero vectors")
         if search_cfg.cluster != "none" and len(nonzero) >= search_cfg.cluster_k:
-            candidates = attack_mod.cluster_attacks(vectors, search_cfg.cluster,
-                                                    search_cfg.cluster_k, seed=seed)
+            # a centroid names the regime: its seed, and its label under the preset's
+            candidates = [replace(c, seed=seed, approach=f"{search_cfg.approach}:{c.approach}")
+                          for c in attack_mod.cluster_attacks(vectors, search_cfg.cluster,
+                                                              search_cfg.cluster_k, seed=seed)]
         else:
             candidates = nonzero or vectors[:1]
-        val_ebn0 = cfg.search_validation_ebn0_db
-        if val_ebn0 is None:
-            val_ebn0 = channel.sigma_to_ebn0(search_cfg.sigma, code.rate, bits) + 1.0
-        best = attack_mod.select_best(candidates, code, decoder, ebn0_db=val_ebn0,
-                                      frames=cfg.search_validation_frames, seed=channel.child_seed(seed, 9))
-        _log(f"selected candidate {best.approach!r} at validation Eb/N0 {val_ebn0:.3f} dB")
+        if len(candidates) == 1:
+            best = candidates[0]
+            _log(f"one candidate {best.approach!r}: nothing to validate")
+        else:
+            val_ebn0 = cfg.search_validation_ebn0_db
+            if val_ebn0 is None:
+                val_ebn0 = channel.sigma_to_ebn0(search_cfg.sigma, code.rate, bits) + 1.0
+            best = attack_mod.select_best(candidates, code, decoder, ebn0_db=val_ebn0,
+                                          frames=cfg.search_validation_frames,
+                                          seed=channel.child_seed(seed, 9))
+            _log(f"selected candidate {best.approach!r} at validation Eb/N0 {val_ebn0:.3f} dB")
     else:
         best = attack_mod.search_attack(code, decoder, cfg.modem_scheme, search_cfg,
                                         seed, on_trial=trace)

@@ -73,7 +73,6 @@ _VALID = {
     "search.epsilon0": _NOISE,
     "search.runs": st.integers(1, 10**12),
     "search.cluster_k": st.integers(1, 10**12),
-    "search.accept": st.sampled_from(["ber", "bler", "both"]),
     "search.cluster": st.sampled_from(["none", "kmeans"]),
 }
 _BOOL_WORDS = {True: ["1", "true", "Yes", "ON"], False: ["0", "False", "no", "off"]}
@@ -110,9 +109,11 @@ def test_parse_config_round_trip_property(data):
 
 def test_parse_config_rejects_unknown_key():
     # a typo, a bare field name, an unknown section and removed keys: the step
-    # schedules' and agglomerative clustering's
+    # schedules', agglomerative clustering's and the accept rule's (a step is
+    # accepted when its batch BER falls)
     for key in ("search.bacth_size", "search_batch_size", "codes.n", "channel.si",
-                "search.scheduler", "search.decay", "search.step_len", "search.linkage"):
+                "search.scheduler", "search.decay", "search.step_len", "search.linkage",
+                "search.accept"):
         with pytest.raises(cli.ConfigError, match=f"line 1: unknown configuration key '{key}'"):
             cli.parse_config(f"{key} = 100\n")
 
@@ -132,7 +133,7 @@ def test_every_runconfig_field_is_a_key():
                lambda cfg, name=f.name: cfg.search[name])
               for f in fields(attack.SearchConfig) if f.name != "approach"]
     assert sorted(key for key, _, _ in cases) == sorted(cli._KEYS)
-    assert len(cli._KEYS) == 33
+    assert len(cli._KEYS) == 32
     for key, f, read in cases:
         text, want = by_key.get(key) or samples.get(f.type.removesuffix(" | None"), (None, None))
         if text is None:  # str: the default is a value that passes validation
@@ -537,29 +538,36 @@ eval.seed = 7
 
 
 @pytest.mark.parametrize("cluster", ["kmeans", "none", "approach4"])
-def test_search_runs_select_a_validated_candidate(tmp_path, capsys, cluster):
+def test_search_runs_select_a_validated_candidate(tmp_path, capsys, monkeypatch, cluster):
     text = LDPC_REGIME_CFG + f"search.cluster = {cluster}\n"
     if cluster == "approach4":  # the preset's k-means with k = 1, on small runs
         text = LDPC_REGIME_CFG.replace("search.cluster_k = 2\n", "search.approach = 4\n")
+        # its one candidate, the mean, is written without a validation run
+        monkeypatch.setattr(montecarlo, "run_rows", lambda *a, **k: pytest.fail("validated"))
     cfg = write(tmp_path, "regime.cfg", text)
     out = str(tmp_path / "attack.json")
-    assert cli.main(["search", "--config", cfg, "--out", out]) == cli.EXIT_OK
+    assert cli.main(["search", "--config", cfg, "--out", out, "--seed", "7"]) == cli.EXIT_OK
     err = capsys.readouterr().err
     av = attack.load_attack(out)
     av.check_fits(codes.ldpc_64_32(), "bpsk")
     assert not av.is_zero
-    assert av.approach.startswith("custom:run" if cluster == "none" else "kmeans-centroid-")
     assert "3 runs, " in err
+    if cluster == "none":
+        assert av.approach.startswith("custom:run")
+    else:  # a centroid carries the regime's seed and its label under the preset's
+        preset = "4" if cluster == "approach4" else "custom"
+        assert av.seed == 7 and av.approach.startswith(f"{preset}:kmeans-centroid-")
     if cluster == "approach4":  # bit for bit the plain mean of the nonzero runs
         parsed = cli.parse_config(text)
         runs = attack.run_regime(codes.ldpc_64_32(), parsed.decoder, "bpsk",
                                  cli.build_search(parsed), seed=7)
         nonzero = [v.a for v in runs if not v.is_zero]
-        assert len(nonzero) >= 2 and av.approach == "kmeans-centroid-0"
+        assert len(nonzero) >= 2 and av.approach == "4:kmeans-centroid-0"
         assert av.a.tobytes() == np.mean(nonzero, axis=0).tobytes()
-    # no validation Eb/N0 is set: it is 1 dB above the search point
-    val_ebn0 = channel.sigma_to_ebn0(0.756, 0.5, 1) + 1.0
-    assert f"selected candidate {av.approach!r} at validation Eb/N0 {val_ebn0:.3f} dB" in err
+        assert "one candidate '4:kmeans-centroid-0': nothing to validate" in err
+    else:  # no validation Eb/N0 is set: it is 1 dB above the search point
+        val_ebn0 = channel.sigma_to_ebn0(0.756, 0.5, 1) + 1.0
+        assert f"selected candidate {av.approach!r} at validation Eb/N0 {val_ebn0:.3f} dB" in err
 
 
 def test_search_without_sigma_finds_one(tmp_path, capsys):
