@@ -2,7 +2,8 @@
 
 The forward pass runs a flooding schedule and records pre-clamp messages on
 a tape; the backward pass replays the tape in reverse and returns the exact
-gradient of the decoding loss with respect to the input LLRs. Message
+gradient of the decoding loss, the BCE of the last iteration's soft output
+against a target codeword (`bp_loss`), with respect to the input LLRs. Message
 clamping differentiates as the identity inside the bound and zero outside.
 Where the check-to-variable messages provably stay inside the clamp (every
 check of degree >= 3 and a clamp up to about 28.4, see `_clamp_acts`),
@@ -70,23 +71,21 @@ _CLAMP_TAIL = 2.0**-40
 _LOG_PROB_FLOOR = float(np.log(1e-12))
 
 
-def check_loss_mode(mode) -> None:
-    if mode not in ("final", "multiloss"):
-        raise ValueError(f"unknown loss mode {mode!r}")
-
-
 @dataclass(frozen=True)
 class DecoderConfig:
+    """The BP decoder: `iters` flooding iterations, messages clamped to [-clamp, clamp].
+
+    The loss it is searched and checked against is fixed: `bp_loss`.
+    """
+
     iters: int
     clamp: float = DEFAULT_CLAMP
-    loss_mode: str = "final"  # see check_loss_mode
 
     def __post_init__(self):
         # a Python int, so repr (hashed into Monte Carlo digests) ignores the type given
         iters = checks.count("iteration count", self.iters, minimum=0)
         object.__setattr__(self, "iters", iters)
         checks.positive("clamp", self.clamp)
-        check_loss_mode(self.loss_mode)
 
 
 class TannerGraph:
@@ -509,31 +508,23 @@ def _target_array(target, n_var):
     return x
 
 
-def bp_loss(out: BpOutput, target, mode: str = "final"):
-    """BCE between the decoder's soft output and a target codeword.
+def bp_loss(out: BpOutput, target):
+    """BCE between the decoder's last soft output and a target codeword.
 
     The target is one codeword of n bits, each 0 or 1, scored against
-    every lane, as in `bp_backward` and `decode_blocks`. "final" scores
-    the last iteration; "multiloss" averages the BCE across iterations.
-    Returns a scalar for single-frame input, else (B,).
+    every lane, as in `bp_backward` and `decode_blocks`. Returns a scalar
+    for single-frame input, else (B,).
     """
-    check_loss_mode(mode)
-    soft = np.ascontiguousarray(out.soft)  # each lane's BCE sums one contiguous row
-    squeeze = soft.ndim == 2
-    x = _target_array(target, soft.shape[-1])
-    if mode == "final":
-        loss = _bce(soft[-1], x)
-    else:
-        loss = np.mean([_bce(s, x) for s in soft], axis=0)
-    return float(loss) if squeeze else loss
+    soft = np.ascontiguousarray(out.soft[-1])  # each lane's BCE sums one contiguous row
+    loss = _bce(soft, _target_array(target, soft.shape[-1]))
+    return float(loss) if soft.ndim == 1 else loss
 
 
-def bp_backward(tape: BpTape, target, mode: str = "final",
-                work: _WorkSet | None = None) -> np.ndarray:
+def bp_backward(tape: BpTape, target, *, work: _WorkSet | None = None) -> np.ndarray:
     """Exact gradient of bp_loss(bp_forward(L), target) with respect to L.
 
     Replays the taped messages in reverse, against a target that
-    `bp_loss` would take.
+    `bp_loss` would take; the loss seeds the last iteration's output only.
     The atanh/tanh adjoints reuse the forward's tanh terms and
     exclusion-product structure; the double-exclusion sums needed for
     d(loss)/d(tanh term) are built with two linear scans along each
@@ -545,7 +536,6 @@ def bp_backward(tape: BpTape, target, mode: str = "final",
     """
     if tape is None:
         raise ValueError("forward pass was run without a tape")
-    check_loss_mode(mode)
     graph, clamp = tape.graph, tape.clamp
     clamped = bool(tape.c2v_pre)
     B, n = tape.input_llr.shape
@@ -567,9 +557,7 @@ def bp_backward(tape: BpTape, target, mode: str = "final",
     d_w.fill(0.0)
     for t in range(T - 1, -1, -1):
         d_out = _sum_per_var(d_w, graph, work)
-        if mode == "multiloss":
-            d_out += _bce_grad(tape.soft[t].T, x) / T
-        elif t == T - 1:
+        if t == T - 1:
             d_out += _bce_grad(tape.soft[t].T, x)
         else:
             d_out += 0.0  # a -0.0 sum reads +0.0, as when a zero loss term was added
@@ -625,12 +613,12 @@ def decode_blocks(llr, graph: TannerGraph, decoder: DecoderConfig, early_stop: b
 
     Each block runs the early-stopped forward (`early_stop`), or the taped
     forward then `bp_backward` against the codeword `target` (n bits, the
-    same for every lane) under `decoder.loss_mode`, or else the untaped
-    forward. Early-stopped blocks are `EARLY_STOP_LANES` wide, so a block
-    pays its syndrome tests, compactions and straggler iterations once per
-    that many lanes; the others are `BLOCK_LANES` wide, where the tape and
-    the backward's arrays stay cache-sized. Returns the final soft output
-    (B, n) and d(loss)/d(LLR) (B, n), which is None without a target. A
+    same for every lane), or else the untaped forward. Early-stopped blocks
+    are `EARLY_STOP_LANES` wide, so a block pays its syndrome tests,
+    compactions and straggler iterations once per that many lanes; the
+    others are `BLOCK_LANES` wide, where the tape and the backward's arrays
+    stay cache-sized. Returns the final soft output (B, n) and
+    d(`bp_loss`)/d(LLR) (B, n), which is None without a target. A
     block's tape is dropped once its gradient is taken, and a block whose
     soft output is not finite raises RuntimeError before its backward pass.
     The blocks run in `work` (a fresh set when none is given), which must
@@ -656,7 +644,7 @@ def decode_blocks(llr, graph: TannerGraph, decoder: DecoderConfig, early_stop: b
         if taped:
             if not np.all(np.isfinite(soft[block])):
                 raise RuntimeError("decoder produced non-finite soft output during the search")
-            grad[block] = bp_backward(out.tape, target, decoder.loss_mode, work=work)
+            grad[block] = bp_backward(out.tape, target, work=work)
     return soft, grad
 
 
@@ -698,7 +686,7 @@ class Receiver:
     def loss(self, llr):
         """The loss of an untaped decode: what the finite-difference oracle differentiates."""
         out = bp_forward(llr, self.graph, self.decoder.iters, self.decoder.clamp, record_tape=False)
-        return bp_loss(out, self.target, self.decoder.loss_mode)
+        return bp_loss(out, self.target)
 
 
 def finite_difference(func, x, h: float = 1e-4, coords=None) -> np.ndarray:

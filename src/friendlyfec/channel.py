@@ -177,17 +177,16 @@ def child_seed(seed: int, *key: int) -> int:
 
 def ebn0_to_sigma(ebn0_db: float, rate: float, bits_per_symbol: int) -> float:
     """Noise std per real dimension at the given Eb/N0, under unit symbol energy."""
-    if not 0.0 < rate <= 1.0:
-        raise ValueError("rate must lie in (0, 1]")
-    if bits_per_symbol not in (1, 2):
-        raise ValueError("bits_per_symbol must be 1 or 2")
+    checks.rate("rate", rate)
+    checks.count("bits_per_symbol", bits_per_symbol)
     return math.sqrt(1.0 / (2.0 * rate * bits_per_symbol * checks.decibels("ebn0_db", ebn0_db)))
 
 
 def sigma_to_ebn0(sigma: float, rate: float, bits_per_symbol: int) -> float:
+    """The Eb/N0 in dB at which `ebn0_to_sigma` gives `sigma`."""
     checks.positive("sigma", sigma)
-    if not 0.0 < rate <= 1.0:
-        raise ValueError("rate must lie in (0, 1]")
+    checks.rate("rate", rate)
+    checks.count("bits_per_symbol", bits_per_symbol)
     return -10.0 * math.log10(2.0 * rate * bits_per_symbol * sigma * sigma)
 
 

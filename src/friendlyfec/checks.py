@@ -1,8 +1,8 @@
 """The value rules that settings share: a count, a positive and finite level,
-a Philox seed, a finite number and a level in dB. Each rule raises ValueError
-naming the setting it is given, and none takes a bool (which would act as 0 or
-1) or a string, so every boundary rejects a bad value the same way before any
-numerics run.
+a Philox seed, a finite number, a level in dB and a code rate. Each rule
+raises ValueError naming the setting it is given, and none takes a bool
+(which would act as 0 or 1) or a string, so every boundary rejects a bad
+value the same way before any numerics run.
 """
 
 from __future__ import annotations
@@ -52,6 +52,13 @@ def finite(name: str, value) -> float:
     if x is None or not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return x
+
+
+def rate(name: str, value) -> None:
+    """Raise ValueError unless `value` is a real number in (0, 1], as a code rate is."""
+    x = _as_float(value)
+    if x is None or not 0.0 < x <= 1.0:
+        raise ValueError(f"{name} must be a real number in (0, 1], got {value!r}")
 
 
 def decibels(name: str, value) -> float:

@@ -234,8 +234,7 @@ def bhattacharyya_recursion(n: int, z0: float) -> np.ndarray:
 
 def design_z0(design_ebn0_db: float, rate: float) -> float:
     """Initial Bhattacharyya parameter exp(-Es/N0) for a BPSK AWGN design."""
-    if not 0.0 < rate <= 1.0:
-        raise ValueError("rate must lie in (0, 1]")
+    checks.rate("rate", rate)
     return float(np.exp(-rate * checks.decibels("design_ebn0_db", design_ebn0_db)))
 
 

@@ -290,18 +290,6 @@ def test_search_repetition_never_hurts():
     assert att.ber <= base.ber
 
 
-def test_search_improves_ldpc_batch_criterion(ldpc):
-    # every accepted update strictly improved its own batch
-    dec = bp.DecoderConfig(iters=3)
-    cfg = attack.approach_config(1, sigma=0.756, batch_size=200, accepted_iters=6, max_trials=40)
-    trace = []
-    av = attack.search_attack(ldpc, dec, "bpsk", cfg, seed=42, on_trial=trace.append)
-    assert av.accepted_iters > 0
-    for rec in trace:
-        if rec["accepted"]:
-            assert rec["ber_new"] < rec["ber"]
-
-
 def test_search_accepts_exactly_the_trials_its_criterion_improves(ldpc):
     # the criterion is the batch BER; the batch BLER is recorded only
     dec = bp.DecoderConfig(iters=3)

@@ -190,7 +190,7 @@ def test_decoder_config_clamp_is_a_number():
             bp.DecoderConfig(iters=2, clamp=bad)
     for good in (5, 7.5, np.float32(5.0)):
         assert repr(bp.DecoderConfig(iters=2, clamp=good)) == \
-            f"DecoderConfig(iters=2, clamp={good!r}, loss_mode='final')"
+            f"DecoderConfig(iters=2, clamp={good!r})"
 
 
 @pytest.mark.parametrize("early_stop, record_tape", [(False, True), (False, False), (True, False)])
@@ -216,16 +216,6 @@ def test_loss_values():
 
     out = bp.bp_forward(np.full(3, 40.0), g, iters=2)
     assert bp.bp_loss(out, np.zeros(3)) < 1e-10
-
-
-def test_multiloss_averages_iterations():
-    g = bp.TannerGraph(codes.hamming_7_4().H)
-    rng = np.random.default_rng(2)
-    llr = rng.normal(0, 2, 7)
-    out = bp.bp_forward(llr, g, iters=3)
-    target = np.zeros(7)
-    per_iter = [bp.bp_loss(bp.BpOutput(out.soft[: t + 1], None), target) for t in range(3)]
-    assert bp.bp_loss(out, target, "multiloss") == pytest.approx(np.mean(per_iter), rel=1e-12)
 
 
 def test_backward_saturated_gradient_vanishes():
@@ -263,8 +253,7 @@ def test_bce_grad_tests_the_floor_only_where_it_can_fail():
     assert np.any(bp._bce_grad(soft, np.zeros((len(soft), 1))) == 0.0)  # some fail the test
 
 
-@pytest.mark.parametrize("mode", ["final", "multiloss"])
-def test_backward_matches_finite_differences_repetition(mode):
+def test_backward_matches_finite_differences_repetition():
     code = codes.repetition_code(3)
     g = bp.TannerGraph(code.H)
     rng = np.random.default_rng(3)
@@ -272,9 +261,9 @@ def test_backward_matches_finite_differences_repetition(mode):
     for _ in range(5):
         llr = rng.normal(0, 2, 3)
         out = bp.bp_forward(llr, g, iters=3)
-        grad = bp.bp_backward(out.tape, target, mode)
+        grad = bp.bp_backward(out.tape, target)
         fd = bp.finite_difference(
-            lambda v: bp.bp_loss(bp.bp_forward(v, g, 3), target, mode), llr, h=1e-4)
+            lambda v: bp.bp_loss(bp.bp_forward(v, g, 3), target), llr, h=1e-4)
         rel = np.abs(grad - fd) / np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-12)
         assert rel.max() < 1e-4
 
@@ -442,15 +431,13 @@ def test_nodes_of_degree_zero_and_one():
         assert batch.soft[..., 5].tobytes() == np.broadcast_to(L[:, 5], batch.soft.shape[:2]).tobytes()
     batch = bp.bp_forward(L, g, 4, 6.0)
     for target in (np.zeros(7), rng.integers(0, 2, 7).astype(np.float64)):
-        for mode in ("final", "multiloss"):
-            grad = bp.bp_backward(batch.tape, target, mode)
-            for i, llr in enumerate(L):
-                alone = bp.bp_forward(llr, g, 4, 6.0)
-                assert alone.soft.tobytes() == batch.soft[:, i].tobytes()
-                assert bp.bp_backward(alone.tape, target, mode).tobytes() == grad[i].tobytes()
-                fd = bp.finite_difference(
-                    lambda v: bp.bp_loss(bp.bp_forward(v, g, 4, 6.0), target, mode), llr)
-                np.testing.assert_allclose(grad[i], fd, rtol=1e-5, atol=1e-9)
+        grad = bp.bp_backward(batch.tape, target)
+        for i, llr in enumerate(L):
+            alone = bp.bp_forward(llr, g, 4, 6.0)
+            assert alone.soft.tobytes() == batch.soft[:, i].tobytes()
+            assert bp.bp_backward(alone.tape, target).tobytes() == grad[i].tobytes()
+            fd = bp.finite_difference(lambda v: bp.bp_loss(bp.bp_forward(v, g, 4, 6.0), target), llr)
+            np.testing.assert_allclose(grad[i], fd, rtol=1e-5, atol=1e-9)
 
 
 _LDPC_GRAPH = bp.TannerGraph(codes.ldpc_64_32().H)
@@ -458,9 +445,8 @@ _LDPC_GRAPH = bp.TannerGraph(codes.ldpc_64_32().H)
 
 @settings(max_examples=40, deadline=None)
 @given(B=st.integers(1, 8), iters=st.integers(1, 8), sigma=st.sampled_from([0.55, 0.75, 0.95]),
-       seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["final", "multiloss"]),
-       data=st.data())
-def test_lane_results_do_not_depend_on_the_batch_property(B, iters, sigma, seed, mode, data):
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_lane_results_do_not_depend_on_the_batch_property(B, iters, sigma, seed, data):
     # any batch holding a lane, in any order and with repeats, gives it the same bytes
     rng = np.random.default_rng(seed)
     L = (2.0 / sigma**2) * (1.0 + sigma * rng.standard_normal((B, 64)))
@@ -477,8 +463,8 @@ def test_lane_results_do_not_depend_on_the_batch_property(B, iters, sigma, seed,
             assert ok_full[lane] == ok_sub[pos]
     target = np.zeros(64)
     full, sub = (bp.bp_forward(x, _LDPC_GRAPH, iters) for x in (L, L[lanes]))
-    grad_full = bp.bp_backward(full.tape, target, mode)
-    grad_sub = bp.bp_backward(sub.tape, target, mode)
+    grad_full = bp.bp_backward(full.tape, target)
+    grad_sub = bp.bp_backward(sub.tape, target)
     for pos, lane in enumerate(lanes):
         assert full.soft[:, lane].tobytes() == sub.soft[:, pos].tobytes()
         assert grad_full[lane].tobytes() == grad_sub[pos].tobytes()
@@ -579,15 +565,13 @@ def test_decode_blocks_equals_one_unblocked_decode(B):
             alone = bp.bp_forward(L[i], _LDPC_GRAPH, 5, early_stop=early_stop, record_tape=False)
             assert soft[i].tobytes() == alone.soft[-1].tobytes()
     whole = bp.bp_forward(L, _LDPC_GRAPH, 5)
-    for mode in ("final", "multiloss"):
-        soft, grad = bp.decode_blocks(L, _LDPC_GRAPH, bp.DecoderConfig(iters=5, loss_mode=mode),
-                                      target=target)
-        assert soft.tobytes() == whole.soft[-1].tobytes()
-        assert grad.tobytes() == bp.bp_backward(whole.tape, target, mode).tobytes()
-        for i in range(B):
-            alone = bp.bp_forward(L[i], _LDPC_GRAPH, 5)
-            assert soft[i].tobytes() == alone.soft[-1].tobytes()
-            assert grad[i].tobytes() == bp.bp_backward(alone.tape, target, mode).tobytes()
+    soft, grad = bp.decode_blocks(L, _LDPC_GRAPH, dec, target=target)
+    assert soft.tobytes() == whole.soft[-1].tobytes()
+    assert grad.tobytes() == bp.bp_backward(whole.tape, target).tobytes()
+    for i in range(B):
+        alone = bp.bp_forward(L[i], _LDPC_GRAPH, 5)
+        assert soft[i].tobytes() == alone.soft[-1].tobytes()
+        assert grad[i].tobytes() == bp.bp_backward(alone.tape, target).tobytes()
     if B == 300:  # three blocks, the last one short
         stops = [bp.bp_forward(L[i], _LDPC_GRAPH, 5, early_stop=True, record_tape=False).iterations
                  for i in range(bp.BLOCK_LANES)]
@@ -644,7 +628,7 @@ def test_receiver_decode_is_decode_blocks_plus_message_extraction():
     # three blocks, the last one short; on this batch early stopping changes
     # the bits of two lanes under BP-5, so a dropped flag shows
     L = _noisy_llrs(300, 27)
-    for dec in (bp.DecoderConfig(iters=3, loss_mode="multiloss"), bp.DecoderConfig(iters=5)):
+    for dec in (bp.DecoderConfig(iters=3), bp.DecoderConfig(iters=5)):
         rx = bp.Receiver(code, dec)
         for kwargs in (dict(early_stop=True), dict(), dict(gradient=True)):
             bits, grad = rx.decode(L, **kwargs)
@@ -670,13 +654,12 @@ def test_receiver_without_iterations_reads_the_llr_signs():
         assert bits.tobytes() == code.message_from_codeword((L < 0).astype(np.uint8)).tobytes()
 
 
-@pytest.mark.parametrize("mode", ["final", "multiloss"])
-def test_receiver_loss_is_the_loss_of_a_plain_decode(mode):
+def test_receiver_loss_is_the_loss_of_a_plain_decode():
     code = codes.ldpc_64_32()
-    dec = bp.DecoderConfig(iters=4, clamp=9.0, loss_mode=mode)
+    dec = bp.DecoderConfig(iters=4, clamp=9.0)
     rx = bp.Receiver(code, dec)
     for llr in _noisy_llrs(5, 22):
-        want = bp.bp_loss(bp.bp_forward(llr, _LDPC_GRAPH, 4, 9.0), np.zeros(64), mode)
+        want = bp.bp_loss(bp.bp_forward(llr, _LDPC_GRAPH, 4, 9.0), np.zeros(64))
         assert isinstance(rx.loss(llr), float) and rx.loss(llr) == want
 
 
@@ -694,7 +677,7 @@ def test_pickled_receiver_decodes_the_same():
 def test_receiver_keeps_one_work_set_per_decode_kind():
     # 300 lanes need a full block set, 20 run in its leading lanes; early-stopped
     # decodes share an untaped set, and the others, taped or not, a taped one
-    code, dec = codes.ldpc_64_32(), bp.DecoderConfig(iters=5, loss_mode="multiloss")
+    code, dec = codes.ldpc_64_32(), bp.DecoderConfig(iters=5)
     batches = [_noisy_llrs(B, 30 + B) for B in (300, 20, 300)]
     shared = bp.Receiver(code, dec)
     for kwargs in (dict(early_stop=True), dict(), dict(gradient=True), dict(early_stop=True)):
@@ -776,8 +759,7 @@ def test_unclipped_check_messages_equal_the_clipped_path(code, clamp, monkeypatc
         taped = bp.bp_forward(llr, graph, 4, clamp)
         values = [taped.soft, bp.bp_forward(llr, graph, 4, clamp, record_tape=False).soft,
                   bp.bp_forward(llr, graph, 4, clamp, early_stop=True, record_tape=False).soft]
-        values += [bp.bp_backward(taped.tape, x, mode) for x in (np.zeros(code.n), target)
-                   for mode in ("final", "multiloss")]
+        values += [bp.bp_backward(taped.tape, x) for x in (np.zeros(code.n), target)]
         return taped.tape, [value.tobytes() for value in values]
 
     assert not bp._clamp_acts(graph, clamp)

@@ -74,6 +74,23 @@ LIBRARY = {
         REP3, DEC, "bpsk", -10**400, frames=10, seed=1)),
     "ebn0_to_sigma bool": ("ebn0_db", lambda: channel.ebn0_to_sigma(True, 0.5, 1)),
     "sigma_to_ebn0 bool": ("sigma", lambda: channel.sigma_to_ebn0(True, 0.5, 1)),
+    "ebn0_to_sigma bits_per_symbol bool": ("bits_per_symbol",
+                                           lambda: channel.ebn0_to_sigma(2.0, 0.5, True)),
+    "ebn0_to_sigma bits_per_symbol zero": ("bits_per_symbol",
+                                           lambda: channel.ebn0_to_sigma(2.0, 0.5, 0)),
+    "ebn0_to_sigma rate bool": ("rate", lambda: channel.ebn0_to_sigma(2.0, True, 1)),
+    "ebn0_to_sigma rate zero": ("rate", lambda: channel.ebn0_to_sigma(2.0, 0.0, 1)),
+    "sigma_to_ebn0 bits_per_symbol bool": ("bits_per_symbol",
+                                           lambda: channel.sigma_to_ebn0(0.8, 0.5, True)),
+    "sigma_to_ebn0 bits_per_symbol zero": ("bits_per_symbol",
+                                           lambda: channel.sigma_to_ebn0(0.8, 0.5, 0)),
+    "sigma_to_ebn0 bits_per_symbol fraction": ("bits_per_symbol",
+                                               lambda: channel.sigma_to_ebn0(0.8, 0.5, 1.5)),
+    "sigma_to_ebn0 bits_per_symbol negative": ("bits_per_symbol",
+                                               lambda: channel.sigma_to_ebn0(0.8, 0.5, -1)),
+    "sigma_to_ebn0 rate bool": ("rate", lambda: channel.sigma_to_ebn0(0.8, True, 1)),
+    "sigma_to_ebn0 rate negative": ("rate", lambda: channel.sigma_to_ebn0(0.8, -0.5, 1)),
+    "design_z0 rate bool": ("rate", lambda: codes.design_z0(2.0, True)),
     "demodulate_llr sigma bool": ("sigma", lambda: modem.demodulate_llr(np.ones(3), True, BPSK)),
     "demodulate_adjoint sigma zero": ("sigma",
                                       lambda: modem.demodulate_adjoint(np.ones(3), 0.0, BPSK)),

@@ -50,7 +50,6 @@ _VALID = {
     "code.family": st.sampled_from(["ldpc", "polar", "repetition", "hamming", "uncoded"]),
     "modem.scheme": st.sampled_from(["bpsk", "qam4"]),
     "channel.kind": st.sampled_from(["awgn", "rayleigh", "bursty"]),
-    "decoder.loss_mode": st.sampled_from(["final", "multiloss"]),
     "eval.message_source": st.sampled_from(["random", "all_zero"]),
     "decoder.iters": st.integers(0, 10**6),
     "eval.frames": st.integers(1, 10**12),
@@ -109,11 +108,12 @@ def test_parse_config_round_trip_property(data):
 
 def test_parse_config_rejects_unknown_key():
     # a typo, a bare field name, an unknown section and removed keys: the step
-    # schedules', agglomerative clustering's and the accept rule's (a step is
-    # accepted when its batch BER falls)
+    # schedules', agglomerative clustering's, the accept rule's (a step is
+    # accepted when its batch BER falls) and the loss's (the search scores the
+    # last iteration's output)
     for key in ("search.bacth_size", "search_batch_size", "codes.n", "channel.si",
                 "search.scheduler", "search.decay", "search.step_len", "search.linkage",
-                "search.accept"):
+                "search.accept", "decoder.loss_mode"):
         with pytest.raises(cli.ConfigError, match=f"line 1: unknown configuration key '{key}'"):
             cli.parse_config(f"{key} = 100\n")
 
@@ -133,7 +133,7 @@ def test_every_runconfig_field_is_a_key():
                lambda cfg, name=f.name: cfg.search[name])
               for f in fields(attack.SearchConfig) if f.name != "approach"]
     assert sorted(key for key, _, _ in cases) == sorted(cli._KEYS)
-    assert len(cli._KEYS) == 32
+    assert len(cli._KEYS) == 31
     for key, f, read in cases:
         text, want = by_key.get(key) or samples.get(f.type.removesuffix(" | None"), (None, None))
         if text is None:  # str: the default is a value that passes validation
@@ -201,7 +201,6 @@ def test_parse_config_rejects_bad_values():
 @pytest.mark.parametrize("line, reason", [
     ("decoder.clamp = 0", "clamp must be positive and finite, got 0.0"),
     ("decoder.iters = -1", "iteration count must be an integer >= 0, got -1"),
-    ("decoder.loss_mode = sum", "unknown loss mode 'sum'"),
 ])
 def test_bad_decoder_value_names_its_line_key_and_reason(line, reason):
     key, value = line.split(" = ")

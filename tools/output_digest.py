@@ -4,8 +4,8 @@
 
 The digest covers, on the bundled (64, 32) LDPC code:
 - `search_attack` vectors and every `on_trial` record, for BP-3 and BP-5
-  under the "final" and "multiloss" losses (a 300-frame batch, so two full
-  decode blocks and a short one, with the step size calibrated);
+  (a 300-frame batch, so two full decode blocks and a short one, with the
+  step size calibrated);
 - `bp_backward` against the all-zero target and a random codeword-length
   target, for a batch and for one frame;
 - untaped and early-stopped soft outputs of `bp_forward` and `decode_blocks`;
@@ -40,7 +40,7 @@ The digest covers, on the bundled (64, 32) LDPC code:
   that converged lanes are held in some iterations and compacted in others;
 - `attacked_zero_word` and `apply_attack` outputs for BPSK and 4-QAM on 300
   random codewords under three vectors, one of them all zeros;
-- the message bits and gradients of one BP-5 multiloss `Receiver` that runs
+- the message bits and gradients of one BP-5 `Receiver` that runs
   early-stopped, gradient and untaped decodes of 300 and of 20 lanes in
   turn, so that its work sets serve decodes of each kind and both widths.
 
@@ -83,14 +83,12 @@ TOOLS = os.path.dirname(os.path.abspath(__file__))
 
 def _search_parts(code):
     for iters in (3, 5):
-        for mode in ("final", "multiloss"):
-            decoder = bp.DecoderConfig(iters=iters, loss_mode=mode)
-            config = attack.SearchConfig(batch_size=300, accepted_iters=3, max_trials=5,
-                                         sigma=SIGMA)
-            trials = []
-            vec = attack.search_attack(code, decoder, "bpsk", config, seed=iters,
-                                       on_trial=trials.append)
-            yield f"search BP-{iters} {mode}", [vec.a, repr(vec.accepted_iters), repr(trials)]
+        decoder = bp.DecoderConfig(iters=iters)
+        config = attack.SearchConfig(batch_size=300, accepted_iters=3, max_trials=5, sigma=SIGMA)
+        trials = []
+        vec = attack.search_attack(code, decoder, "bpsk", config, seed=iters,
+                                   on_trial=trials.append)
+        yield f"search BP-{iters}", [vec.a, repr(vec.accepted_iters), repr(trials)]
 
 
 def _regime_parts(code):
@@ -115,14 +113,12 @@ def _decoder_parts(code):
     llr = (2.0 / sigma**2) * (1.0 + sigma * rng.standard_normal((200, code.n)))
     random_target = rng.integers(0, 2, code.n).astype(np.float64)
     for iters in (3, 5):
-        for mode in ("final", "multiloss"):
-            taped = bp.bp_forward(llr, graph, iters)
-            single = bp.bp_forward(llr[0], graph, iters)
-            values = [taped.soft]
-            for target in (np.zeros(code.n), random_target):
-                values += [bp.bp_backward(taped.tape, target, mode),
-                           bp.bp_backward(single.tape, target, mode)]
-            yield f"backward BP-{iters} {mode}", values
+        taped = bp.bp_forward(llr, graph, iters)
+        single = bp.bp_forward(llr[0], graph, iters)
+        values = [taped.soft]
+        for target in (np.zeros(code.n), random_target):
+            values += [bp.bp_backward(taped.tape, target), bp.bp_backward(single.tape, target)]
+        yield f"backward BP-{iters}", values
         decoder = bp.DecoderConfig(iters=iters)
         yield f"forward BP-{iters}", [
             bp.bp_forward(llr, graph, iters, record_tape=False).soft,
@@ -147,12 +143,10 @@ def _irregular_parts():
     llr[rng.random(llr.shape) < 0.2] = 0.0
     llr[rng.random(llr.shape) < 0.2] = -0.0
     target = rng.integers(0, 2, 7).astype(np.float64)
-    for mode in ("final", "multiloss"):
-        taped = bp.bp_forward(llr, graph, 4, clamp=6.0)
-        yield f"irregular {mode}", [
-            taped.soft, bp.bp_backward(taped.tape, np.zeros(7), mode),
-            bp.bp_backward(taped.tape, target, mode),
-            bp.bp_forward(llr, graph, 4, 6.0, early_stop=True, record_tape=False).soft]
+    taped = bp.bp_forward(llr, graph, 4, clamp=6.0)
+    yield "irregular", [
+        taped.soft, bp.bp_backward(taped.tape, np.zeros(7)), bp.bp_backward(taped.tape, target),
+        bp.bp_forward(llr, graph, 4, 6.0, early_stop=True, record_tape=False).soft]
 
 
 def _count_parts(code):
@@ -245,22 +239,21 @@ def _clamp_parts(code):
     llr[extreme > 0.95] = -1e3
     llr[:, :2] = [0.0, -0.0]
     target = rng.integers(0, 2, code.n).astype(np.float64)
-    for mode in ("final", "multiloss"):
-        taped = bp.bp_forward(llr, graph, 5, clamp=40.0)
-        yield f"clamp 40 BP-5 {mode}", [
-            taped.soft, bp.bp_backward(taped.tape, np.zeros(code.n), mode),
-            bp.bp_backward(taped.tape, target, mode),
-            bp.bp_forward(llr, graph, 5, 40.0, record_tape=False).soft,
-            bp.bp_forward(llr, graph, 5, 40.0, early_stop=True, record_tape=False).soft]
+    taped = bp.bp_forward(llr, graph, 5, clamp=40.0)
+    yield "clamp 40 BP-5", [
+        taped.soft, bp.bp_backward(taped.tape, np.zeros(code.n)),
+        bp.bp_backward(taped.tape, target),
+        bp.bp_forward(llr, graph, 5, 40.0, record_tape=False).soft,
+        bp.bp_forward(llr, graph, 5, 40.0, early_stop=True, record_tape=False).soft]
 
 
 def _repetition_parts():
     code = codes.repetition_code(9)
     config = attack.SearchConfig(batch_size=150, accepted_iters=3, max_trials=8, sigma=3.0)
     trials = []
-    vec = attack.search_attack(code, bp.DecoderConfig(iters=3, loss_mode="multiloss"), "bpsk",
-                               config, seed=5, on_trial=trials.append)
-    yield "search repetition-9 BP-3 multiloss", [vec.a, repr(vec.accepted_iters), repr(trials)]
+    vec = attack.search_attack(code, bp.DecoderConfig(iters=3), "bpsk", config, seed=5,
+                               on_trial=trials.append)
+    yield "search repetition-9 BP-3", [vec.a, repr(vec.accepted_iters), repr(trials)]
 
 
 def _wide_regime_parts(code):
@@ -300,7 +293,7 @@ def _apply_attack_parts(code):
 
 
 def _receiver_parts(code):
-    receiver = bp.Receiver(code, bp.DecoderConfig(iters=5, loss_mode="multiloss"))
+    receiver = bp.Receiver(code, bp.DecoderConfig(iters=5))
     rng = np.random.default_rng(43)
     values = []
     for frames in (300, 20):
