@@ -102,9 +102,10 @@ class SearchConfig:
             counts.append("max_trials")
         for name in counts:
             checks.count(name, getattr(self, name))
-        for name in ("sigma", "epsilon0"):
-            if getattr(self, name) is not None:  # None: resolved by the caller or the search
-                checks.positive(name, getattr(self, name))
+        if self.sigma is not None:  # None: resolved by the caller
+            checks.noise_std("sigma", self.sigma)
+        if self.epsilon0 is not None:  # None: calibrated by the search
+            checks.positive("epsilon0", self.epsilon0)
         if self.cluster not in ("none", "kmeans"):
             raise ValueError(f"unknown cluster method {self.cluster!r}")
         if self.max_trials is not None and self.max_trials < self.accepted_iters:
@@ -213,8 +214,6 @@ def _search_runs(receiver: bp.Receiver, scheme: str, config: SearchConfig, runs,
     """
     if config.sigma is None:
         raise ValueError("search sigma is unresolved; pass one or use find_search_sigma")
-    if receiver.decoder.iters < 1:
-        raise ValueError("the search needs a decoder with at least one iteration")
     code = receiver.code
     const = modem.get_constellation(scheme)
     cps = const.coords_per_symbol

@@ -3,10 +3,11 @@
 The forward pass runs a flooding schedule and records pre-clamp messages on
 a tape; the backward pass replays the tape in reverse and returns the exact
 gradient of the decoding loss, the BCE of the last iteration's soft output
-against a target codeword (`bp_loss`), with respect to the input LLRs. Message
-clamping differentiates as the identity inside the bound and zero outside.
-Where the check-to-variable messages provably stay inside the clamp (every
-check of degree >= 3 and a clamp up to about 28.4, see `_clamp_acts`),
+against a target codeword (`bp_loss`), with respect to the input LLRs. Every
+message is clamped to [-DEFAULT_CLAMP, DEFAULT_CLAMP], the one clamp of
+every decode, and the clamp differentiates as the identity inside the bound
+and zero outside. Where the check-to-variable messages provably stay inside
+the clamp (every check of the graph has degree >= 3, see `_clamp_acts`),
 neither pass clips or masks them, and the tape keeps none of them.
 
 All internals are batched: a decode over B frames runs as (..., B) arrays,
@@ -51,41 +52,35 @@ transposed views.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import checks, gf2
 
-DEFAULT_CLAMP = 20.0
+DEFAULT_CLAMP = 20.0  # every message of every decode lies in [-DEFAULT_CLAMP, DEFAULT_CLAMP]
 # lanes per decode block: (128, E) float64 work arrays stay in cache, and
 # the tape of a BP-5 block of the bundled code is about 2 MB
 BLOCK_LANES = 128
 # lanes per early-stopped decode block: its untaped work set for BP-5 on the
 # bundled code is about 2.3 MB, so it stays cache-sized; 512 lanes would double it
 EARLY_STOP_LANES = 2 * BLOCK_LANES
-# the least 1 - tanh(clamp / 2) at which rounding cannot carry a check-to-variable
-# message to the clamp (see `_clamp_acts`): clamps up to about 28.4
-_CLAMP_TAIL = 2.0**-40
 _LOG_PROB_FLOOR = float(np.log(1e-12))
 
 
 @dataclass(frozen=True)
 class DecoderConfig:
-    """The BP decoder: `iters` flooding iterations, messages clamped to [-clamp, clamp].
+    """The BP decoder: `iters` >= 1 flooding iterations, messages clamped to
+    [-DEFAULT_CLAMP, DEFAULT_CLAMP].
 
     The loss it is searched and checked against is fixed: `bp_loss`.
     """
 
     iters: int
-    clamp: float = DEFAULT_CLAMP
 
     def __post_init__(self):
         # a Python int, so repr (hashed into Monte Carlo digests) ignores the type given
-        iters = checks.count("iteration count", self.iters, minimum=0)
-        object.__setattr__(self, "iters", iters)
-        checks.positive("clamp", self.clamp)
+        object.__setattr__(self, "iters", checks.count("iteration count", self.iters))
 
 
 class TannerGraph:
@@ -104,7 +99,10 @@ class TannerGraph:
     `var_sum_row` the row that holds each variable's sum. `check_vars` is a
     (slots, checks) table of the variables of each check slot, the checks
     in sorted order, whose pads read a zero column at `n_var`, for the
-    syndrome test.
+    syndrome test. `clamp_acts` is False where no check-to-variable message
+    can reach the clamp (see `_clamp_acts`); setting it True before the work
+    sets of a decode are built forces the clipped path, which gives the same
+    bits.
     """
 
     def __init__(self, H):
@@ -120,6 +118,7 @@ class TannerGraph:
         # (run i, its leading rows: the checks that go on to slot i + 1, run i + 1)
         self.check_steps = [(a, slice(a.start, a.start + b.stop - b.start), b)
                             for a, b in zip(self.check_runs, self.check_runs[1:])]
+        self.clamp_acts = _clamp_acts(self.check_runs)
         self.check_vars = np.full((len(runs), self.n_check), self.n_var, dtype=np.int64)
         for slot, run in zip(self.check_vars, self.check_runs):
             slot[:run.stop - run.start] = self.edge_var[run]
@@ -171,24 +170,23 @@ def _slot_major(owner, n_nodes):
     return np.bincount(slot, minlength=1).tolist(), order, by_node[np.argsort(slot, kind="stable")]
 
 
-def _clamp_acts(graph: TannerGraph, clamp) -> bool:
+def _clamp_acts(check_runs) -> bool:
     """False where no check-to-variable message can reach the clamp, so that clipping
     them, and masking their gradient, leaves every bit as it is.
 
-    Let tau = tanh(clamp / 2) < 1. When every check that has an edge has
-    degree >= 3, each exclusion product multiplies at least two tanh terms
-    of clipped messages, each of size <= tau, so |u| = 2 atanh|prod| <=
-    2 atanh(tau**2) = ln cosh(clamp) < clamp. The gap clamp - ln cosh(clamp)
-    lies in (0, ln 2), about clamp (1 - clamp / 2) for small clamps.
-    Rounding in the product and in atanh's steep slope near 1 moves u by
-    about eps e**clamp / 8, far below the gap while 1 - tau >= 2**-40
-    (clamp <= 28.4). Then np.clip(u) returns u bit for bit, the backward's
-    |u| <= clamp mask is all True, and 1 - prod**2 > 0. A degree-1 or
-    degree-2 check, or a larger clamp, takes the clipped path.
+    Let tau = tanh(DEFAULT_CLAMP / 2) = tanh(10) < 1. When every check that
+    has an edge has degree >= 3, each exclusion product multiplies at least
+    two tanh terms of clipped messages, each of size <= tau, so |u| = 2
+    atanh|prod| <= 2 atanh(tau**2) = ln cosh(20), about 20 - ln 2. Rounding
+    in the product and in atanh's steep slope near 1 moves u by about
+    eps e**20 / 8, near 1.3e-8, far below that gap of ln 2. Then np.clip(u)
+    returns u bit for bit, the backward's |u| <= clamp mask is all True,
+    and 1 - prod**2 > 0. A graph with a degree-1 or degree-2 check, or with
+    no edges, takes the clipped path.
     """
-    runs = graph.check_runs  # run i holds the checks of degree > i
-    wide = len(runs) > 2 and runs[2].stop - runs[2].start == runs[0].stop - runs[0].start
-    return not (wide and 1.0 - math.tanh(0.5 * clamp) >= _CLAMP_TAIL)
+    # run i holds the checks of degree > i
+    return not (len(check_runs) > 2 and
+                check_runs[2].stop - check_runs[2].start == check_runs[0].stop - check_runs[0].start)
 
 
 @dataclass
@@ -199,13 +197,12 @@ class BpTape:
     check-to-variable messages per iteration, `tanh` the check nodes'
     tanh(clip(v2c_pre) / 2) terms, all in the kernel's edge order (see
     `TannerGraph`); `soft` the per-iteration output LLRs. `c2v_pre` stays
-    empty where the clamp cannot act on those messages (see `_clamp_acts`),
-    as the reverse pass then does not read them. Entries are appended
-    during the forward pass only.
+    empty where the clamp cannot act on those messages (the graph's
+    `clamp_acts`), as the reverse pass then does not read them. Entries are
+    appended during the forward pass only.
     """
 
     graph: TannerGraph
-    clamp: float
     input_llr: np.ndarray        # (B, n), not copied: the reverse pass reads its shape only
     v2c_pre: list[np.ndarray]    # T x (E, B)
     c2v_pre: list[np.ndarray]    # T x (E, B), or none
@@ -242,10 +239,10 @@ class _WorkSet:
     `iters` and `taped` size the per-iteration soft outputs and the arrays
     the tape keeps; a taped set serves untaped decodes too. `llr` has two
     planes, so that early stop compacts the running lanes of one into the
-    other. Where `clamp` cannot act on the check-to-variable messages (see
-    `_clamp_acts`), they are the `u` plane itself: there is no `c2v` plane,
-    and a taped set keeps one `u` slot. A set serves decodes at the clamp
-    it was built for.
+    other. Where the clamp cannot act on the check-to-variable messages
+    (the graph's `clamp_acts`, read when the set is built), they are the
+    `u` plane itself: there is no `c2v` plane, and a taped set keeps one
+    `u` slot.
 
     Planes that are never read at the same time share a buffer. The
     per-variable sums `acc` take the buffer of the prefix products `pre`,
@@ -259,12 +256,10 @@ class _WorkSet:
     pass's arrays.
     """
 
-    def __init__(self, graph: TannerGraph, lanes: int, iters: int = 1, taped: bool = False,
-                 clamp: float = DEFAULT_CLAMP):
+    def __init__(self, graph: TannerGraph, lanes: int, iters: int = 1, taped: bool = False):
         self.lanes, self.taped = lanes, taped
         E, n = graph.n_edges, graph.n_var
-        kept = iters if taped else 1
-        clamped = _clamp_acts(graph, clamp)
+        kept, clamped = (iters if taped else 1), graph.clamp_acts
         self.soft = np.empty((iters, n, lanes))
         self.v2c = np.empty((kept, E, lanes)) if taped else None  # pre-clamp variable-to-check
         self.t = np.empty((kept, E, lanes))  # tanh(clip(v2c) / 2)
@@ -314,9 +309,9 @@ def _sum_per_var(per_edge, graph, work):
     return acc.take(graph.var_sum_row, axis=0, out=_lanes(work.total, k), mode="clip")
 
 
-def _tanh_half(v2c_pre, clamp, out):
+def _tanh_half(v2c_pre, out):
     """The check nodes' terms tanh(clip(v2c_pre) / 2), in `out`."""
-    t = np.clip(v2c_pre, -clamp, clamp, out=out)
+    t = np.clip(v2c_pre, -DEFAULT_CLAMP, DEFAULT_CLAMP, out=out)
     t *= 0.5
     return np.tanh(t, out=t)
 
@@ -343,17 +338,17 @@ def _check_internals(t, graph, work, out):
     return pre, suf, np.multiply(pre, suf, out=out)
 
 
-def bp_forward(llr, graph: TannerGraph, iters: int, clamp: float = DEFAULT_CLAMP,
-               early_stop: bool = False, record_tape: bool = True,
-               work: _WorkSet | None = None) -> BpOutput:
+def bp_forward(llr, graph: TannerGraph, iters: int, *, early_stop: bool = False,
+               record_tape: bool = True, work: _WorkSet | None = None) -> BpOutput:
     """Sum-product decoding with a flooding schedule.
 
     Per iteration: check-to-variable messages 2 atanh(prod tanh(m/2)) over
     the other edges of the check, output LLR = input + sum of incoming
     check messages, and next variable-to-check messages = output minus the
-    edge's own incoming message. Messages are clamped to [-clamp, clamp];
-    the check-to-variable ones only where the clamp can act on them (see
-    `_clamp_acts`), which leaves every output as it would be with the clip.
+    edge's own incoming message. Messages are clamped to [-DEFAULT_CLAMP,
+    DEFAULT_CLAMP]; the check-to-variable ones only where the clamp can act
+    on them (the graph's `clamp_acts`), which leaves every output as it
+    would be with the clip.
 
     With `early_stop`, a frame stops decoding once its hard decision
     satisfies the syndrome and repeats that output in every later
@@ -386,18 +381,17 @@ def bp_forward(llr, graph: TannerGraph, iters: int, clamp: float = DEFAULT_CLAMP
     if not np.all(np.isfinite(L)):
         raise ValueError("input LLRs must be finite")
     checks.count("iteration count", iters)
-    checks.positive("clamp", clamp)
     if early_stop and record_tape:
         raise ValueError("early stopping would make the tape input-dependent; disable one")
 
     B, n = L.shape
     if work is None:
-        work = _WorkSet(graph, B, iters, record_tape, clamp)
+        work = _WorkSet(graph, B, iters, record_tape)
     elif record_tape and not work.taped:
         raise ValueError("recording a tape needs a work set built with one")
-    clamped = _clamp_acts(graph, clamp)
+    clamped = work.c2v is not None  # as the graph's `clamp_acts` was when the set was built
     evar = graph.edge_var
-    tape = BpTape(graph, clamp, L, [], [], [], [], squeeze) if record_tape else None
+    tape = BpTape(graph, L, [], [], [], [], squeeze) if record_tape else None
 
     # (iters, n, B), each iteration's plane C-contiguous; `out` is its (iters, B, n) view
     soft = work.soft.reshape(iters, -1)[:, :n * B].reshape(iters, n, B)
@@ -413,12 +407,12 @@ def bp_forward(llr, graph: TannerGraph, iters: int, clamp: float = DEFAULT_CLAMP
     for it in range(iters):
         k = len(lanes)
         kept = it if record_tape else 0
-        t = _tanh_half(v2c_pre, clamp, _lanes(work.t[kept], k))
+        t = _tanh_half(v2c_pre, _lanes(work.t[kept], k))
         u = _check_internals(t, graph, work, _lanes(work.u[kept if clamped else 0], k))[-1]
         with np.errstate(divide="ignore"):  # +-inf only for degree-1 checks
             np.arctanh(u, out=u)
         u *= 2.0
-        c2v = np.clip(u, -clamp, clamp, out=_lanes(work.c2v, k)) if clamped else u
+        c2v = np.clip(u, -DEFAULT_CLAMP, DEFAULT_CLAMP, out=_lanes(work.c2v, k)) if clamped else u
         total = _sum_per_var(c2v, graph, work)
         if k == B:  # every lane is computed: the output plane is the marginal
             marg = np.add(L_t, total, out=soft[it])
@@ -536,7 +530,7 @@ def bp_backward(tape: BpTape, target, *, work: _WorkSet | None = None) -> np.nda
     """
     if tape is None:
         raise ValueError("forward pass was run without a tape")
-    graph, clamp = tape.graph, tape.clamp
+    graph = tape.graph
     clamped = bool(tape.c2v_pre)
     B, n = tape.input_llr.shape
     T = len(tape.soft)
@@ -567,7 +561,7 @@ def bp_backward(tape: BpTape, target, *, work: _WorkSet | None = None) -> np.nda
 
         if clamped:
             np.abs(tape.c2v_pre[t], out=tmp)
-            d_u *= np.less_equal(tmp, clamp, out=inside)  # d loss / d u
+            d_u *= np.less_equal(tmp, DEFAULT_CLAMP, out=inside)  # d loss / d u
         t_e = tape.tanh[t]
         pre, suf, prod = _check_internals(t_e, graph, work, q)
         denom = np.multiply(prod, prod, out=prod)  # the product is not read again
@@ -596,7 +590,7 @@ def bp_backward(tape: BpTape, target, *, work: _WorkSet | None = None) -> np.nda
         np.multiply(t_e, t_e, out=tmp)
         d_w *= np.subtract(1.0, tmp, out=tmp)
         np.abs(tape.v2c_pre[t], out=tmp)
-        d_w *= np.less_equal(tmp, clamp, out=inside)
+        d_w *= np.less_equal(tmp, DEFAULT_CLAMP, out=inside)
 
     dL += _sum_per_var(d_w, graph, work)  # iteration-0 messages copy L
     return dL[:, 0] if tape.squeeze else dL.T
@@ -622,8 +616,8 @@ def decode_blocks(llr, graph: TannerGraph, decoder: DecoderConfig, early_stop: b
     block's tape is dropped once its gradient is taken, and a block whose
     soft output is not finite raises RuntimeError before its backward pass.
     The blocks run in `work` (a fresh set when none is given), which must
-    hold min(B, block width) lanes of `decoder.iters` iterations at
-    `decoder.clamp`, and a tape when there is a target.
+    hold min(B, block width) lanes of `decoder.iters` iterations, and a
+    tape when there is a target.
     """
     L = np.asarray(llr, dtype=np.float64)
     if L.ndim != 2 or L.shape[1] != graph.n_var:
@@ -635,11 +629,11 @@ def decode_blocks(llr, graph: TannerGraph, decoder: DecoderConfig, early_stop: b
     grad = np.empty_like(L) if taped else None
     width = _block_lanes(early_stop)
     if work is None:
-        work = _WorkSet(graph, min(len(L), width), decoder.iters, taped, decoder.clamp)
+        work = _WorkSet(graph, min(len(L), width), decoder.iters, taped)
     for lo in range(0, len(L), width):
         block = slice(lo, lo + width)
-        out = bp_forward(L[block], graph, decoder.iters, decoder.clamp,
-                         early_stop=early_stop, record_tape=taped, work=work)
+        out = bp_forward(L[block], graph, decoder.iters, early_stop=early_stop,
+                         record_tape=taped, work=work)
         soft[block] = out.soft[-1]
         if taped:
             if not np.all(np.isfinite(soft[block])):
@@ -666,13 +660,11 @@ class Receiver:
         return self.__dict__ | {"_work": {}}
 
     def decode(self, llr, early_stop: bool = False, gradient: bool = False):
-        """Message bits (B, k) of (B, n) LLRs, and d(loss)/d(LLR) against the all-zero
-        codeword or None; with no iterations, the bits of the LLR signs and no gradient."""
-        soft, grad = llr, None
-        if self.decoder.iters:
-            soft, grad = decode_blocks(llr, self.graph, self.decoder, early_stop,
-                                       self.target if gradient else None,
-                                       self._work_set(early_stop, len(llr)))
+        """Message bits (B, k) of (B, n) LLRs, decided on the last iteration's output, and
+        d(loss)/d(LLR) against the all-zero codeword with `gradient`, else None."""
+        soft, grad = decode_blocks(llr, self.graph, self.decoder, early_stop,
+                                   self.target if gradient else None,
+                                   self._work_set(early_stop, len(llr)))
         return self.code.message_from_codeword(soft < 0), grad
 
     def _work_set(self, early_stop: bool, frames: int) -> _WorkSet:
@@ -680,12 +672,12 @@ class Receiver:
         lanes, work = min(frames, _block_lanes(early_stop)), self._work.get(early_stop)
         if work is None or work.lanes < lanes:
             self._work[early_stop] = work = _WorkSet(self.graph, lanes, self.decoder.iters,
-                                                     not early_stop, self.decoder.clamp)
+                                                     not early_stop)
         return work
 
     def loss(self, llr):
         """The loss of an untaped decode: what the finite-difference oracle differentiates."""
-        out = bp_forward(llr, self.graph, self.decoder.iters, self.decoder.clamp, record_tape=False)
+        out = bp_forward(llr, self.graph, self.decoder.iters, record_tape=False)
         return bp_loss(out, self.target)
 
 

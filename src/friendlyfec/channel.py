@@ -184,7 +184,7 @@ def ebn0_to_sigma(ebn0_db: float, rate: float, bits_per_symbol: int) -> float:
 
 def sigma_to_ebn0(sigma: float, rate: float, bits_per_symbol: int) -> float:
     """The Eb/N0 in dB at which `ebn0_to_sigma` gives `sigma`."""
-    checks.positive("sigma", sigma)
+    checks.noise_std("sigma", sigma)
     checks.rate("rate", rate)
     checks.count("bits_per_symbol", bits_per_symbol)
     return -10.0 * math.log10(2.0 * rate * bits_per_symbol * sigma * sigma)

@@ -1,7 +1,7 @@
 """The value rules that settings share: a count, a positive and finite level,
-a Philox seed, a finite number, a level in dB and a code rate. Each rule
-raises ValueError naming the setting it is given, and none takes a bool
-(which would act as 0 or 1) or a string, so every boundary rejects a bad
+a noise std, a Philox seed, a finite number, a level in dB and a code rate.
+Each rule raises ValueError naming the setting it is given, and none takes a
+bool (which would act as 0 or 1) or a string, so every boundary rejects a bad
 value the same way before any numerics run.
 """
 
@@ -38,6 +38,17 @@ def positive(name: str, value) -> None:
     x = _as_float(value)
     if x is None or not 0 < x < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def noise_std(name: str, value) -> None:
+    """Raise ValueError unless `value` is a noise std sigma whose demapper scale
+    2 A / sigma^2 (amplitude A in [1/sqrt(2), 1]) is finite and nonzero: sigma
+    in about [1.1e-154, 1.3e154]."""
+    positive(name, value)
+    square = float(value) * float(value)  # inf, where ** would raise OverflowError
+    if not 0.0 < square < math.inf or not 2.0 / square < math.inf:
+        raise ValueError(f"{name} must be positive and finite, with a finite and nonzero "
+                         f"demapper scale 2 A / {name}^2, got {value!r}")
 
 
 def seed(name: str, value) -> None:

@@ -216,8 +216,6 @@ def cmd_search(cfg: RunConfig, out_path: str | None, seed: int) -> int:
     search_cfg = build_search(cfg)
     if cfg.channel_kind != "awgn":
         raise ConfigError("the perturbation search runs over the AWGN channel only")
-    if decoder.iters < 1:
-        raise ConfigError("the perturbation search needs decoder.iters >= 1")
     bits = modem.get_constellation(cfg.modem_scheme).bits_per_symbol
     if search_cfg.sigma is None:
         sigma = attack_mod.find_search_sigma(code, decoder, cfg.modem_scheme, seed=seed,
@@ -311,11 +309,8 @@ class GradcheckReport:
 def run_gradcheck(cfg: RunConfig, seed: int) -> GradcheckReport:
     """Finite-difference validation of the demapper adjoint and BP gradient."""
     code = build_code(cfg)
-    decoder = cfg.decoder
-    if decoder.iters < 1:
-        raise ConfigError("gradcheck needs decoder.iters >= 1")
     const = modem.get_constellation(cfg.modem_scheme)
-    receiver = bp.Receiver(code, decoder)
+    receiver = bp.Receiver(code, cfg.decoder)
     rng = np.random.default_rng(seed)
     sigma = channel.ebn0_to_sigma(cfg.eval_ebn0_db, code.rate, const.bits_per_symbol)
     report = GradcheckReport(0.0, 0.0)

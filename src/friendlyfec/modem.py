@@ -80,7 +80,7 @@ def modulate(bits, constellation: Constellation) -> np.ndarray:
 
 def _coordinate_scale(shape, sigma, constellation: Constellation, gains) -> np.ndarray | float:
     """The demapper's per-coordinate scale 2 A g / sigma^2 for an array of `shape`."""
-    checks.positive("sigma", sigma)
+    checks.noise_std("sigma", sigma)
     scale = 2.0 * constellation.amplitude / (sigma ** 2)
     if gains is None:
         return scale

@@ -1,6 +1,7 @@
 import itertools
 import math
 import pickle
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -36,11 +37,11 @@ def hard(out):
     return (out.soft[-1] < 0).astype(np.uint8)
 
 
-def loop_sum_product(H, llr, iters, clamp=20.0, early_stop=False):
+def loop_sum_product(H, llr, iters, early_stop=False):
     """Flooding sum-product for one frame, written edge by edge with Python loops.
 
     Shares no code with `bp`. Messages into a check node are clamped to
-    [-clamp, clamp] before tanh(m/2), and check-to-variable messages are
+    [-20, 20] before tanh(m/2), and check-to-variable messages are
     clamped after 2 atanh(product over the other edges). Near |product| = 1
     atanh turns a last-bit difference into a relative error of about 1e-9,
     so the product is taken in the order a prefix/suffix scan takes it: the
@@ -51,7 +52,7 @@ def loop_sum_product(H, llr, iters, clamp=20.0, early_stop=False):
     """
     n_check, n_var = len(H), len(H[0])
     edges = [(c, v) for c in range(n_check) for v in range(n_var) if H[c][v]]
-    clip = lambda x: min(max(x, -clamp), clamp)
+    clip = lambda x: min(max(x, -20.0), 20.0)
     v2c = {e: float(llr[e[1]]) for e in edges}
     outputs = []
     for _ in range(iters):
@@ -86,9 +87,8 @@ _IRREGULAR_H = np.array([[1, 0, 0, 0, 0, 0],
                          [0, 0, 1, 1, 1, 0]], dtype=np.uint8)
 
 
-@pytest.mark.parametrize("H, clamp", [(codes.ldpc_64_32().H, 20.0), (_IRREGULAR_H, 6.0)],
-                         ids=["ldpc_64_32", "irregular"])
-def test_forward_matches_a_plain_loop_decoder(H, clamp):
+@pytest.mark.parametrize("H", [codes.ldpc_64_32().H, _IRREGULAR_H], ids=["ldpc_64_32", "irregular"])
+def test_forward_matches_a_plain_loop_decoder(H):
     g = bp.TannerGraph(H)
     rng = np.random.default_rng(31)
     n = H.shape[1]
@@ -98,10 +98,10 @@ def test_forward_matches_a_plain_loop_decoder(H, clamp):
     L *= 1.0 - 2.0 * gf2.encode(rng.integers(0, 2, (6, G.shape[0])), G)
     rows = H.tolist()
     for early_stop in (False, True):
-        batch = bp.bp_forward(L, g, 8, clamp, early_stop=early_stop, record_tape=False)
+        batch = bp.bp_forward(L, g, 8, early_stop=early_stop, record_tape=False)
         stops = []
         for i, llr in enumerate(L):
-            want = loop_sum_product(rows, llr, 8, clamp, early_stop)
+            want = loop_sum_product(rows, llr, 8, early_stop)
             stops.append(len(want))
             np.testing.assert_allclose(batch.soft[:len(want), i], want, rtol=1e-12)
             # a lane that stopped repeats its last output
@@ -166,31 +166,29 @@ def test_forward_validation():
     g = bp.TannerGraph(codes.repetition_code(3).H)
     with pytest.raises(ValueError, match="finite"):
         bp.bp_forward(np.array([np.inf, 0.0, 0.0]), g, 2)
-    with pytest.raises(ValueError):
-        bp.bp_forward(np.zeros(3), g, 0)
-    for bad in (0.0, -1.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="clamp"):
-            bp.bp_forward(np.zeros(3), g, 2, clamp=bad)
-        with pytest.raises(ValueError, match="clamp"):
-            bp.DecoderConfig(iters=2, clamp=bad)
-    # the count is checked as an integer, not left to fail inside the decode
-    for bad in (2.5, True, -1, "3", None):
-        with pytest.raises(ValueError, match=r"iteration count must be an integer >= 0, got "):
+    # the count is checked as an integer >= 1, not left to fail inside the decode
+    for bad in (0, 2.5, True, -1, "3", None):
+        with pytest.raises(ValueError, match=r"iteration count must be an integer >= 1, got "):
             bp.DecoderConfig(iters=bad)
+        with pytest.raises(ValueError, match=r"iteration count must be an integer >= 1, got "):
+            bp.bp_forward(np.zeros(3), g, bad)
     assert type(bp.DecoderConfig(iters=np.int64(3)).iters) is int
     assert bp.DecoderConfig(iters=np.int64(3)).iters == 3
     with pytest.raises(ValueError, match="tape"):
         bp.bp_forward(np.zeros(3), g, 2, early_stop=True, record_tape=True)
 
 
-def test_decoder_config_clamp_is_a_number():
-    # a bool would decode with clamp 1 and read clamp=True in every config digest
-    for bad in (True, np.True_, "5", None):
-        with pytest.raises(ValueError, match=r"clamp must be positive and finite, got "):
-            bp.DecoderConfig(iters=2, clamp=bad)
-    for good in (5, 7.5, np.float32(5.0)):
-        assert repr(bp.DecoderConfig(iters=2, clamp=good)) == \
-            f"DecoderConfig(iters=2, clamp={good!r})"
+def test_decoder_config_is_its_iteration_count_alone():
+    # every decode clamps at DEFAULT_CLAMP: no config, forward or work set takes a clamp
+    assert [f.name for f in fields(bp.DecoderConfig)] == ["iters"]
+    assert repr(bp.DecoderConfig(iters=np.int64(2))) == "DecoderConfig(iters=2)"
+    g = bp.TannerGraph(codes.repetition_code(3).H)
+    for call in (lambda: bp.DecoderConfig(iters=2, clamp=20.0),
+                 lambda: bp.bp_forward(np.zeros(3), g, 2, clamp=20.0),
+                 lambda: bp.bp_forward(np.zeros(3), g, 2, False),  # flags are keywords
+                 lambda: bp._WorkSet(g, 4, 2, True, 20.0)):
+        with pytest.raises(TypeError):
+            call()
 
 
 @pytest.mark.parametrize("early_stop, record_tape", [(False, True), (False, False), (True, False)])
@@ -402,7 +400,7 @@ def test_zero_iteration_graphs_and_degree_one_checks():
     # a degree-1 check pins its variable; infinite pre-clamp message is clamped
     H = np.array([[1, 0], [1, 1]], dtype=np.uint8)
     g = bp.TannerGraph(H)
-    out = bp.bp_forward(np.array([-1.0, 0.5]), g, iters=2, clamp=10.0)
+    out = bp.bp_forward(np.array([-1.0, 0.5]), g, iters=2)
     assert np.isfinite(out.soft).all()
     grad = bp.bp_backward(out.tape, np.zeros(2))
     assert np.isfinite(grad).all()
@@ -422,21 +420,21 @@ def test_nodes_of_degree_zero_and_one():
     L = rng.normal(0.0, 3.0, (6, 7))
     rows = _SPARSE_H.tolist()
     for early_stop in (False, True):
-        batch = bp.bp_forward(L, g, 4, 6.0, early_stop=early_stop, record_tape=False)
+        batch = bp.bp_forward(L, g, 4, early_stop=early_stop, record_tape=False)
         for i, llr in enumerate(L):
-            want = loop_sum_product(rows, llr, 4, 6.0, early_stop)
+            want = loop_sum_product(rows, llr, 4, early_stop)
             np.testing.assert_allclose(batch.soft[:len(want), i], want, rtol=1e-12)
-            alone = bp.bp_forward(llr, g, 4, 6.0, early_stop=early_stop, record_tape=False)
+            alone = bp.bp_forward(llr, g, 4, early_stop=early_stop, record_tape=False)
             assert alone.soft.tobytes() == batch.soft[:alone.iterations, i].tobytes()
         assert batch.soft[..., 5].tobytes() == np.broadcast_to(L[:, 5], batch.soft.shape[:2]).tobytes()
-    batch = bp.bp_forward(L, g, 4, 6.0)
+    batch = bp.bp_forward(L, g, 4)
     for target in (np.zeros(7), rng.integers(0, 2, 7).astype(np.float64)):
         grad = bp.bp_backward(batch.tape, target)
         for i, llr in enumerate(L):
-            alone = bp.bp_forward(llr, g, 4, 6.0)
+            alone = bp.bp_forward(llr, g, 4)
             assert alone.soft.tobytes() == batch.soft[:, i].tobytes()
             assert bp.bp_backward(alone.tape, target).tobytes() == grad[i].tobytes()
-            fd = bp.finite_difference(lambda v: bp.bp_loss(bp.bp_forward(v, g, 4, 6.0), target), llr)
+            fd = bp.finite_difference(lambda v: bp.bp_loss(bp.bp_forward(v, g, 4), target), llr)
             np.testing.assert_allclose(grad[i], fd, rtol=1e-5, atol=1e-9)
 
 
@@ -644,22 +642,11 @@ def test_receiver_decode_is_decode_blocks_plus_message_extraction():
     assert np.any(rx.decode(L, early_stop=True)[0] != rx.decode(L)[0])  # rx is BP-5
 
 
-def test_receiver_without_iterations_reads_the_llr_signs():
-    code = codes.hamming_7_4()
-    rx = bp.Receiver(code, bp.DecoderConfig(iters=0))
-    L = np.random.default_rng(4).normal(0.5, 2.0, (40, 7))
-    for kwargs in (dict(), dict(early_stop=True), dict(gradient=True)):
-        bits, grad = rx.decode(L, **kwargs)
-        assert grad is None
-        assert bits.tobytes() == code.message_from_codeword((L < 0).astype(np.uint8)).tobytes()
-
-
 def test_receiver_loss_is_the_loss_of_a_plain_decode():
     code = codes.ldpc_64_32()
-    dec = bp.DecoderConfig(iters=4, clamp=9.0)
-    rx = bp.Receiver(code, dec)
+    rx = bp.Receiver(code, bp.DecoderConfig(iters=4))
     for llr in _noisy_llrs(5, 22):
-        want = bp.bp_loss(bp.bp_forward(llr, _LDPC_GRAPH, 4, 9.0), np.zeros(64))
+        want = bp.bp_loss(bp.bp_forward(llr, _LDPC_GRAPH, 4), np.zeros(64))
         assert isinstance(rx.loss(llr), float) and rx.loss(llr) == want
 
 
@@ -721,7 +708,7 @@ def test_scan_exclusion_products_equal_cumprod(H):
     h_order = np.lexsort((g.edge_var, g.edge_check))  # the kernel's rows in H's order
     m_kernel = np.empty_like(m)
     m_kernel[h_order] = m  # the kernel's edge order
-    tg = bp._tanh_half(m_kernel, 20.0, np.empty_like(m))
+    tg = bp._tanh_half(m_kernel, np.empty_like(m))
     pre, suf, prod = bp._check_internals(tg, g, bp._WorkSet(g, m.shape[1]), np.empty_like(m))
     tg, pre, suf, prod = (x[h_order] for x in (tg, pre, suf, prod))  # back to H's order
     want_pre, want_suf = _cumprod_exclusion(tg, H)
@@ -737,7 +724,7 @@ def test_scan_exclusion_products_equal_cumprod(H):
 
 
 # graphs whose checks all have degree >= 3, where no check-to-variable message reaches
-# a clamp up to 28.4, so the kernel neither clips nor masks them
+# the clamp, so the kernel neither clips nor masks them
 _WIDE_CHECK_CODES = [codes.ldpc_64_32(), codes.hamming_7_4(), codes.polar_construct(64, 32, 2.0)]
 
 
@@ -749,40 +736,49 @@ def _random_and_extreme_llrs(n, seed):
 
 
 @pytest.mark.parametrize("code", _WIDE_CHECK_CODES, ids=lambda code: code.name)
-@pytest.mark.parametrize("clamp", [0.5, 6.0, 20.0, 28.0])
-def test_unclipped_check_messages_equal_the_clipped_path(code, clamp, monkeypatch):
+@pytest.mark.parametrize("scale", [0.5, 6.0, 20.0, 28.0])
+def test_unclipped_check_messages_equal_the_clipped_path(code, scale):
+    # the LLRs times DEFAULT_CLAMP / scale: from most inputs at the clamp (0.5) to fewer (28)
     graph = bp.TannerGraph(code.H)
-    llr = _random_and_extreme_llrs(code.n, int(clamp * 10))
+    llr = _random_and_extreme_llrs(code.n, int(scale * 10)) * (bp.DEFAULT_CLAMP / scale)
     target = np.random.default_rng(3).integers(0, 2, code.n).astype(np.float64)
 
     def decode():
-        taped = bp.bp_forward(llr, graph, 4, clamp)
-        values = [taped.soft, bp.bp_forward(llr, graph, 4, clamp, record_tape=False).soft,
-                  bp.bp_forward(llr, graph, 4, clamp, early_stop=True, record_tape=False).soft]
+        taped = bp.bp_forward(llr, graph, 4)
+        values = [taped.soft, bp.bp_forward(llr, graph, 4, record_tape=False).soft,
+                  bp.bp_forward(llr, graph, 4, early_stop=True, record_tape=False).soft]
         values += [bp.bp_backward(taped.tape, x) for x in (np.zeros(code.n), target)]
         return taped.tape, [value.tobytes() for value in values]
 
-    assert not bp._clamp_acts(graph, clamp)
+    assert not graph.clamp_acts
     tape, skipped = decode()
     assert tape.c2v_pre == [] and len(tape.v2c_pre) == 4
-    monkeypatch.setattr(bp, "_clamp_acts", lambda graph, clamp: True)  # the general path
+    graph.clamp_acts = True  # the general path
     tape, clipped = decode()
-    assert len(tape.c2v_pre) == 4 and max(np.abs(u).max() for u in tape.c2v_pre) < clamp
+    assert len(tape.c2v_pre) == 4
+    assert max(np.abs(u).max() for u in tape.c2v_pre) < bp.DEFAULT_CLAMP
     assert skipped == clipped
 
 
-@pytest.mark.parametrize("H, clamp", [(codes.repetition_code(5).H, 0.5),
+@pytest.mark.parametrize("H, scale", [(codes.repetition_code(5).H, 0.5),
                                       (codes.repetition_code(5).H, 20.0),
                                       (_IRREGULAR_H, 6.0),  # a degree-1 check
-                                      (codes.ldpc_64_32().H, 28.5),  # above the proven bound
+                                      (codes.ldpc_64_32().H, 28.5),
                                       (codes.ldpc_64_32().H, 40.0)])
-def test_a_clamp_that_can_act_keeps_the_clipped_path(H, clamp):
+def test_a_clamp_that_can_act_keeps_the_clipped_path(H, scale):
+    # the LLRs times DEFAULT_CLAMP / scale; the LDPC graph's checks all have degree >= 3,
+    # so its messages cannot reach the clamp, and its decision is forced
     graph = bp.TannerGraph(H)
-    assert bp._clamp_acts(graph, clamp)
-    llr = _random_and_extreme_llrs(H.shape[1], 1)
-    tape = bp.bp_forward(llr, graph, 3, clamp).tape
+    wide = H.shape[1] == 64
+    assert graph.clamp_acts != wide
+    graph.clamp_acts = True
+    llr = _random_and_extreme_llrs(H.shape[1], 1) * (bp.DEFAULT_CLAMP / scale)
+    tape = bp.bp_forward(llr, graph, 3).tape
     assert len(tape.c2v_pre) == 3
-    work = bp._WorkSet(graph, 8, 3, taped=True, clamp=clamp)
+    # at most ln cosh(20), about 19.31, where the clamp cannot act; at it or beyond elsewhere
+    reach = max(np.abs(u).max() for u in tape.c2v_pre) > bp.DEFAULT_CLAMP - 0.5
+    assert reach != wide
+    work = bp._WorkSet(graph, 8, 3, taped=True)
     assert work.u.shape[0] == 3 and work.c2v is not None
 
 

@@ -1,5 +1,5 @@
-"""Each boundary that takes a count, a positive and finite level, a seed or an
-Eb/N0 rejects a bad value by the rules of `friendlyfec.checks`: a ValueError
+"""Each boundary that takes a count, a positive and finite level, a noise std, a
+seed or an Eb/N0 rejects a bad value by the rules of `friendlyfec.checks`: a ValueError
 that names the setting, or for a command-line key or flag exit code 2 with
 the key named, raised before any random stream is drawn or any block decoded."""
 
@@ -32,12 +32,10 @@ _VECTORS = [_vector(a=np.array([0.5, 0.0, 0.0])), _vector(a=np.array([0.0, 0.5, 
 LIBRARY = {
     "DecoderConfig.iters bool": ("iteration count", lambda: bp.DecoderConfig(iters=True)),
     "DecoderConfig.iters fraction": ("iteration count", lambda: bp.DecoderConfig(iters=2.5)),
-    "DecoderConfig.clamp string": ("clamp", lambda: bp.DecoderConfig(iters=2, clamp="5")),
+    "DecoderConfig.iters zero": ("iteration count", lambda: bp.DecoderConfig(iters=0)),
     "bp_forward iters bool": ("iteration count", lambda: bp.bp_forward(np.zeros(3), GRAPH, True)),
     "bp_forward iters fraction": ("iteration count",
                                   lambda: bp.bp_forward(np.zeros(3), GRAPH, 2.5)),
-    "bp_forward clamp bool": ("clamp", lambda: bp.bp_forward(np.zeros(3), GRAPH, 2, clamp=True)),
-    "bp_forward clamp string": ("clamp", lambda: bp.bp_forward(np.zeros(3), GRAPH, 2, clamp="5")),
     "SearchConfig.batch_size fraction": ("batch_size",
                                          lambda: attack.SearchConfig(batch_size=2.5)),
     "SearchConfig.accepted_iters bool": ("accepted_iters",
@@ -46,6 +44,8 @@ LIBRARY = {
     "SearchConfig.runs fraction": ("runs", lambda: attack.SearchConfig(runs=3.0)),
     "SearchConfig.cluster_k bool": ("cluster_k", lambda: attack.SearchConfig(cluster_k=True)),
     "SearchConfig.sigma nan": ("sigma", lambda: attack.SearchConfig(sigma=np.nan)),
+    "SearchConfig.sigma squared to zero": ("sigma", lambda: attack.SearchConfig(sigma=1e-200)),
+    "SearchConfig.sigma squared to inf": ("sigma", lambda: attack.SearchConfig(sigma=1e200)),
     "SearchConfig.epsilon0 bool": ("epsilon0", lambda: attack.SearchConfig(epsilon0=True)),
     "AttackVector.seed negative": ("attack field 'seed'", lambda: _vector(seed=-1)),
     "AttackVector.accepted_iters fraction": ("attack field 'accepted_iters'",
@@ -74,6 +74,10 @@ LIBRARY = {
         REP3, DEC, "bpsk", -10**400, frames=10, seed=1)),
     "ebn0_to_sigma bool": ("ebn0_db", lambda: channel.ebn0_to_sigma(True, 0.5, 1)),
     "sigma_to_ebn0 bool": ("sigma", lambda: channel.sigma_to_ebn0(True, 0.5, 1)),
+    "sigma_to_ebn0 sigma squared to zero": ("sigma",
+                                            lambda: channel.sigma_to_ebn0(1e-200, 0.5, 1)),
+    "sigma_to_ebn0 sigma squared to inf": ("sigma",
+                                           lambda: channel.sigma_to_ebn0(1e200, 0.5, 1)),
     "ebn0_to_sigma bits_per_symbol bool": ("bits_per_symbol",
                                            lambda: channel.ebn0_to_sigma(2.0, 0.5, True)),
     "ebn0_to_sigma bits_per_symbol zero": ("bits_per_symbol",
@@ -94,6 +98,10 @@ LIBRARY = {
     "demodulate_llr sigma bool": ("sigma", lambda: modem.demodulate_llr(np.ones(3), True, BPSK)),
     "demodulate_adjoint sigma zero": ("sigma",
                                       lambda: modem.demodulate_adjoint(np.ones(3), 0.0, BPSK)),
+    "demodulate_llr sigma squared to zero": ("sigma", lambda: modem.demodulate_llr(
+        np.ones(3), 1e-200, BPSK)),
+    "demodulate_adjoint sigma squared to inf": ("sigma", lambda: modem.demodulate_adjoint(
+        np.ones(3), 1e200, BPSK)),
     "run_rows frames fraction": ("frames", lambda: montecarlo.run_point(
         REP3, DEC, "bpsk", 2.0, frames=2.5, seed=1)),
     "run_rows workers bool": ("workers", lambda: montecarlo.run_point(
@@ -125,6 +133,8 @@ CLI = {
     "code.design_ebn0_db -inf": ("code.design_ebn0_db", "code.design_ebn0_db = -inf", []),
     "code.design_ebn0_db nan": ("code.design_ebn0_db", "code.design_ebn0_db = nan", []),
     "search.sigma negative": ("search.sigma", "search.sigma = -0.5", []),
+    "search.sigma squared to zero": ("search.sigma", "search.sigma = 1e-200", []),
+    "search.sigma squared to inf": ("search.sigma", "search.sigma = 1e200", []),
     "--seed negative": ("--seed", "", ["--seed", "-1"]),
     "--workers zero": ("--workers", "", ["--workers", "0"]),
 }

@@ -31,16 +31,16 @@ def test_numpy_integer_iterations_give_the_python_int_digest(ldpc):
     # the digest hashes repr(decoder); iters is stored as an int however it is given
     runs = [montecarlo.run_point(ldpc, bp.DecoderConfig(iters=iters), "bpsk", ebn0_db=2.0,
                                  frames=100, seed=0) for iters in (2, np.int64(2))]
-    assert runs[0].config_digest == runs[1].config_digest == "c14a3c78086f"
+    assert runs[0].config_digest == runs[1].config_digest == "f158c9232058"
     assert runs[0].bit_errors == runs[1].bit_errors == 530
     assert all(type(r.iters) is int for r in runs)
 
 
 def test_uncoded_bpsk_matches_q_function():
-    # hard decision on the LLR sign of uncoded BPSK at sigma = 1:
-    # BER = Q(1) = 0.158655...
+    # hard decision on the LLR sign of uncoded BPSK at sigma = 1 (its H has no
+    # edge, so BP-1 outputs the LLRs): BER = Q(1) = 0.158655...
     code = codes.uncoded(64)
-    dec = bp.DecoderConfig(iters=0)
+    dec = bp.DecoderConfig(iters=1)
     ebn0 = channel.sigma_to_ebn0(1.0, 1.0, 1)
     res = montecarlo.run_point(code, dec, "bpsk", ebn0, frames=15625, seed=9)
     q1 = 0.5 * math.erfc(1 / math.sqrt(2))
@@ -347,13 +347,14 @@ def test_transfer_check_fails_unadapted_attack(ldpc, dec3, monkeypatch, scheme, 
     assert rep.bit_errors_random != rep.bit_errors_allzero
 
 
-def test_transfer_check_uncoded_proxy(ldpc):
-    # iters = 0 decides straight off the LLR sign, as run_point does
+def test_transfer_check_uncoded_proxy():
+    # the uncoded code's H has no edge: BP-1 decides straight off the LLR sign
+    code = codes.uncoded(64)
     a = attack.normalize_power(np.ones(64) + np.linspace(-0.2, 0.2, 64))[0] - np.ones(64)
-    av = attack.AttackVector(a=a, code_id=ldpc.name, scheme="bpsk", n=64, n_symbols=64,
+    av = attack.AttackVector(a=a, code_id=code.name, scheme="bpsk", n=64, n_symbols=64,
                              search_sigma=0.75, seed=0, approach="1", accepted_iters=1)
-    dec0 = bp.DecoderConfig(iters=0)
-    rep = montecarlo.transfer_check(av, ldpc, dec0, ebn0_db=3.0, frames=600, seed=3)
+    rep = montecarlo.transfer_check(av, code, bp.DecoderConfig(iters=1), ebn0_db=3.0,
+                                    frames=600, seed=3)
     assert rep.mode == "exact" and rep.passed
     assert rep.bit_errors_random == rep.bit_errors_allzero > 0
 

@@ -22,15 +22,11 @@ The digest covers, on the bundled (64, 32) LDPC code:
   at different chunks, and the CSV that the CLI's `eval` writes for one
   point with an attack file;
 - the same forward and backward outputs on a small H with a variable on no
-  check, a check on no variable and a degree-1 check, fed LLRs that hold
-  exact zeros of both signs;
+  check, a check on no variable and a degree-1 check, whose check messages
+  take the clipped path, fed LLRs that hold exact zeros of both signs;
 - exact `transfer_check` reports for BP-3 and BP-5: BPSK at a waterfall
   and a high Eb/N0 point, and 4-QAM;
 - `cli.run_gradcheck` reports for BPSK and for 4-QAM;
-- the forward and backward outputs of the bundled code at clamp 40, above
-  the bound under which check messages cannot reach the clamp, so that
-  they are clipped on a graph whose checks all have degree >= 3, fed LLRs
-  that hold +-1e3 and exact zeros of both signs;
 - a search on the (9, 1) repetition code, whose degree-2 checks keep the
   clipped path in a taped set;
 - `run_regime` vectors and records for 13 runs of 20-frame batches: two
@@ -143,10 +139,10 @@ def _irregular_parts():
     llr[rng.random(llr.shape) < 0.2] = 0.0
     llr[rng.random(llr.shape) < 0.2] = -0.0
     target = rng.integers(0, 2, 7).astype(np.float64)
-    taped = bp.bp_forward(llr, graph, 4, clamp=6.0)
-    yield "irregular", [
+    taped = bp.bp_forward(llr, graph, 4)
+    yield "irregular BP-4", [
         taped.soft, bp.bp_backward(taped.tape, np.zeros(7)), bp.bp_backward(taped.tape, target),
-        bp.bp_forward(llr, graph, 4, 6.0, early_stop=True, record_tape=False).soft]
+        bp.bp_forward(llr, graph, 4, early_stop=True, record_tape=False).soft]
 
 
 def _count_parts(code):
@@ -230,23 +226,6 @@ def _gradcheck_parts():
         yield f"gradcheck {scheme}", [repr(cli.run_gradcheck(cfg, seed=3))]
 
 
-def _clamp_parts(code):
-    graph = bp.TannerGraph(code.H)
-    rng = np.random.default_rng(29)
-    llr = rng.normal(3.0, 8.0, (150, code.n))
-    extreme = rng.random(llr.shape)
-    llr[extreme < 0.15] = 1e3
-    llr[extreme > 0.95] = -1e3
-    llr[:, :2] = [0.0, -0.0]
-    target = rng.integers(0, 2, code.n).astype(np.float64)
-    taped = bp.bp_forward(llr, graph, 5, clamp=40.0)
-    yield "clamp 40 BP-5", [
-        taped.soft, bp.bp_backward(taped.tape, np.zeros(code.n)),
-        bp.bp_backward(taped.tape, target),
-        bp.bp_forward(llr, graph, 5, 40.0, record_tape=False).soft,
-        bp.bp_forward(llr, graph, 5, 40.0, early_stop=True, record_tape=False).soft]
-
-
 def _repetition_parts():
     code = codes.repetition_code(9)
     config = attack.SearchConfig(batch_size=150, accepted_iters=3, max_trials=8, sigma=3.0)
@@ -308,7 +287,7 @@ def _groups():
     code = codes.ldpc_64_32()
     return (_search_parts(code), _regime_parts(code), _decoder_parts(code), _irregular_parts(),
             _count_parts(code), _sweep_parts(code), _transfer_parts(code), _gradcheck_parts(),
-            _clamp_parts(code), _repetition_parts(), _wide_regime_parts(code),
+            _repetition_parts(), _wide_regime_parts(code),
             _early_stop_parts(code), _apply_attack_parts(code), _receiver_parts(code))
 
 
