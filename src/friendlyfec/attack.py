@@ -188,9 +188,13 @@ def search_attack(code, decoder: bp.DecoderConfig, scheme: str, config: SearchCo
     batch BLER is recorded, not tested). Stops after the accepted-update
     budget or the trial cap.
     Each trial's record goes to `on_trial` before the next trial runs.
+    Decodes of `bp.SPLIT_LANES` lanes or more split across the machine's
+    CPUs, with the same bytes (see `bp.Receiver`); the helper processes
+    stop when the search returns or raises.
     """
-    return _search_runs(bp.Receiver(code, decoder), scheme, config,
-                        [(seed, config.approach)], on_trial)[0]
+    receiver = bp.Receiver(code, decoder)
+    with receiver.split_decodes():
+        return _search_runs(receiver, scheme, config, [(seed, config.approach)], on_trial)[0]
 
 
 def _search_runs(receiver: bp.Receiver, scheme: str, config: SearchConfig, runs,
@@ -299,7 +303,8 @@ def run_regime(code, decoder: bp.DecoderConfig, scheme: str, config: SearchConfi
     The runs search in lockstep groups of bp.BLOCK_LANES // batch_size
     runs (at least one), so that a group's batches fill one decode block
     (6 runs, 120 lanes, at B = 20); at a batch size of BLOCK_LANES or more
-    every run searches on its own.
+    every run searches on its own. Decodes split across CPUs as in
+    `search_attack`, with helpers shared by every run until the regime ends.
     """
     if config.runs < 2:
         raise ValueError("run_regime needs runs >= 2; call search_attack directly")
@@ -307,8 +312,10 @@ def run_regime(code, decoder: bp.DecoderConfig, scheme: str, config: SearchConfi
     runs = [(channel.child_seed(seed, run), f"{config.approach}:run{run}")
             for run in range(config.runs)]
     width = max(1, bp.BLOCK_LANES // config.batch_size)
-    return [vector for lo in range(0, len(runs), width)
-            for vector in _search_runs(receiver, scheme, config, runs[lo:lo + width], on_trial)]
+    with receiver.split_decodes():
+        return [vector for lo in range(0, len(runs), width)
+                for vector in _search_runs(receiver, scheme, config, runs[lo:lo + width],
+                                           on_trial)]
 
 
 # ---------------------------------------------------------------------------

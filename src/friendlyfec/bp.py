@@ -36,6 +36,17 @@ gradients equal those of one unblocked decode bit for bit, and a caller
 with many small batches may stack them into one decode call (up to one
 block of `BLOCK_LANES` lanes) and split the results.
 
+A receiver also splits one large decode across the machine's CPUs, inside
+a `Receiver.split_decodes` scope, which the search opens: a decode of at
+least `SPLIT_LANES` lanes is cut at block boundaries into one part per CPU
+that `os.sched_getaffinity(0)` allows, each part runs `decode_blocks`, all
+but the first in helper processes that are forked at the scope's first
+such decode and joined when it ends, and the bits and gradients are put
+back in lane order. Since no lane depends on another, they are the bytes
+of the unsplit decode. Smaller decodes, every decode outside such a
+scope, and every decode where no CPU is spare or a fork is not safe (see
+`split.helper_count`) run in the calling process alone.
+
 Inside the kernel the messages are laid out edge-major with the lanes
 last: per-edge arrays are (E, lanes) and per-variable arrays (n, lanes).
 The edges are in a packed slot-major order (see `TannerGraph`): edge
@@ -52,6 +63,7 @@ transposed views.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +77,11 @@ BLOCK_LANES = 128
 # lanes per early-stopped decode block: its untaped work set for BP-5 on the
 # bundled code is about 2.3 MB, so it stays cache-sized; 512 lanes would double it
 EARLY_STOP_LANES = 2 * BLOCK_LANES
+# inside `Receiver.split_decodes`, a decode of this many lanes or more splits across
+# CPUs, into parts of at least SPLIT_LANES // 2 lanes. Split in two on 2 CPUs, a BP-5
+# decode of the bundled code breaks even near 384 lanes untaped and below 256 taped;
+# 1024 keeps a margin for a second CPU that is busy elsewhere
+SPLIT_LANES = 1024
 _LOG_PROB_FLOOR = float(np.log(1e-12))
 
 
@@ -649,23 +666,96 @@ class Receiver:
     taped one, each built at its kind's first call and again, larger, when
     a call has more lanes, so a receiver decodes for one thread at a time.
     The sets are left out of the pickle, so a worker process builds its own.
+
+    Inside `split_decodes`, a decode of at least `SPLIT_LANES` lanes splits
+    into one part per allowed CPU (see the module docstring). Helper
+    processes, forked at the scope's first such decode, run the parts
+    after the first, and stop when the scope ends, however it ends. The
+    LLRs go to them, and their message bits and gradients come back,
+    through memory shared before the fork. A split decode returns the
+    bytes of an unsplit one, since no lane depends on another, and a
+    part's error reaches the caller with its type and message, the first
+    part's first.
     """
 
     def __init__(self, code, decoder: DecoderConfig):
         self.code, self.decoder = code, decoder
         self.graph, self.target = TannerGraph(code.H), np.zeros(code.n)  # all-zero design word
         self._work = {}  # early_stop -> _WorkSet
+        self._split = False     # inside `split_decodes`
+        self._helpers = None    # the scope's `split.Helpers`, once a decode has started them
 
     def __getstate__(self):
-        return self.__dict__ | {"_work": {}}
+        return self.__dict__ | {"_work": {}, "_split": False, "_helpers": None}
+
+    @contextlib.contextmanager
+    def split_decodes(self):
+        """A scope in which large decodes split across CPUs (see the class); its helper
+        processes are joined when it ends."""
+        self._split = True
+        try:
+            yield
+        finally:
+            self._split = False
+            self._stop_helpers()
 
     def decode(self, llr, early_stop: bool = False, gradient: bool = False):
         """Message bits (B, k) of (B, n) LLRs, decided on the last iteration's output, and
         d(loss)/d(LLR) against the all-zero codeword with `gradient`, else None."""
-        soft, grad = decode_blocks(llr, self.graph, self.decoder, early_stop,
-                                   self.target if gradient else None,
-                                   self._work_set(early_stop, len(llr)))
-        return self.code.message_from_codeword(soft < 0), grad
+        L = np.asarray(llr, dtype=np.float64)
+        target = self.target if gradient else None
+        bounds = self._part_bounds(L, early_stop)
+        if len(bounds) == 2:
+            soft, grad = decode_blocks(L, self.graph, self.decoder, early_stop, target,
+                                       self._work_set(early_stop, len(L)))
+            return self.code.message_from_codeword(soft < 0), grad
+        try:
+            return self._split_decode(L, bounds, early_stop, target)
+        except BaseException:  # the next large decode starts helpers anew
+            self._stop_helpers()
+            raise
+
+    def _split_decode(self, L, bounds, early_stop: bool, target):
+        """`decode` of L split at `bounds`: the first part here, the others on helpers."""
+        helpers = self._start_helpers(len(bounds) - 2, len(L) - bounds[1])
+        helpers.send(L, bounds, early_stop, target is not None)
+        try:
+            soft, grad = decode_blocks(L[:bounds[1]], self.graph, self.decoder, early_stop,
+                                       target, self._work_set(early_stop, bounds[1]))
+        finally:  # the helpers' parts finish before anything is raised
+            errors = [error for error in helpers.answers(len(bounds) - 2) if error is not None]
+        if errors:
+            raise errors[0]
+        rest = slice(0, len(L) - bounds[1])
+        bits = np.concatenate([self.code.message_from_codeword(soft < 0), helpers.bits[rest]])
+        return bits, None if target is None else np.concatenate([grad, helpers.llr[rest]])
+
+    def _part_bounds(self, L, early_stop: bool) -> list[int]:
+        """The first lane of each part of the decode of L, and len(L): [0, len(L)] unsplit.
+
+        Parts hold whole blocks but the last, as evenly as the blocks allow,
+        at least SPLIT_LANES // 2 lanes each, one per CPU at most."""
+        if not self._split or len(L) < SPLIT_LANES or L.ndim != 2:
+            return [0, len(L)]
+        from . import split  # the process machinery, imported by a process that splits
+        parts = min(1 + split.helper_count(), len(L) // (SPLIT_LANES // 2))
+        width = _block_lanes(early_stop)
+        blocks = -(-len(L) // width)
+        return [width * (blocks * i // parts) for i in range(parts)] + [len(L)]
+
+    def _start_helpers(self, count: int, lanes: int):
+        """The scope's helpers, started anew unless there are `count` that hold `lanes` lanes."""
+        helpers = self._helpers
+        if helpers is None or len(helpers.pipes) < count or len(helpers.llr) < lanes:
+            self._stop_helpers()
+            from . import split
+            self._helpers = helpers = split.Helpers(self, count, lanes)
+        return helpers
+
+    def _stop_helpers(self) -> None:
+        helpers, self._helpers = self._helpers, None
+        if helpers is not None:
+            helpers.stop()
 
     def _work_set(self, early_stop: bool, frames: int) -> _WorkSet:
         """The set of the decode kind, rebuilt to hold a block of `frames` frames."""

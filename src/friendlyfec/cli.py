@@ -140,12 +140,8 @@ def _validate(cfg: RunConfig) -> None:
         if cfg.eval_min_block_errors is not None:
             checks.count("eval.min_block_errors", cfg.eval_min_block_errors)
         checks.seed("eval.seed", cfg.eval_seed)
-        ebn0s = [("eval.ebn0_db", cfg.eval_ebn0_db),
-                 ("search.validation_ebn0_db", cfg.search_validation_ebn0_db),
-                 ("code.design_ebn0_db", cfg.code_design_ebn0_db)]
-        for key, ebn0 in ebn0s + [("eval.grid", x) for x in cfg.eval_grid]:
-            if ebn0 is not None:
-                checks.decibels(key, ebn0)
+        for key, ebn0 in _channel_levels(cfg) + [("code.design_ebn0_db", cfg.code_design_ebn0_db)]:
+            checks.decibels(key, ebn0)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     build_search(cfg)  # every search.* key, for every command
@@ -158,9 +154,18 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("search.target_bler must be in (0, 1)")
 
 
+def _channel_levels(cfg: RunConfig) -> list[tuple[str, float]]:
+    """(key, Eb/N0 in dB) of each level that sets a channel's noise std."""
+    levels = [("eval.ebn0_db", cfg.eval_ebn0_db)] + [("eval.grid", x) for x in cfg.eval_grid]
+    if cfg.search_validation_ebn0_db is not None:
+        levels.append(("search.validation_ebn0_db", cfg.search_validation_ebn0_db))
+    return levels
+
+
 def build_code(cfg: RunConfig) -> codes.CodeSpec:
     """The configured code; a malformed alist raises `codes.AlistError`, and
-    a code the settings cannot build or the scheme cannot carry a ConfigError."""
+    a code the settings cannot build or the scheme cannot carry a ConfigError,
+    as does an Eb/N0 key whose noise std on this code the demapper cannot take."""
     if cfg.code_family == "ldpc" and cfg.code_alist:
         try:
             with open(cfg.code_alist) as fh:
@@ -178,6 +183,13 @@ def build_code(cfg: RunConfig) -> codes.CodeSpec:
         raise ConfigError(f"code {code.name} (n = {code.n}, k = {code.k}) carries no "
                           f"messages under {cfg.modem_scheme}: it needs k >= 1 and n "
                           f"divisible by {bits}")
+    for key, ebn0 in _channel_levels(cfg):
+        sigma = channel.ebn0_to_sigma(ebn0, code.rate, bits)
+        try:
+            checks.noise_std("sigma", sigma)
+        except ValueError:
+            raise ConfigError(f"{key} {ebn0!r} dB gives the noise std {sigma:.3g} on {code.name} "
+                              f"under {cfg.modem_scheme}, outside the demapper's range") from None
     return code
 
 

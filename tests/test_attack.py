@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import re
 import tempfile
 from dataclasses import fields, replace
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from friendlyfec import attack, bp, channel, codes, gf2, modem, montecarlo
+from friendlyfec import attack, bp, channel, codes, gf2, modem, montecarlo, split
 
 
 @pytest.fixture(scope="module")
@@ -338,6 +340,69 @@ def test_search_nonfinite_soft_output_stops_before_the_backward_pass(ldpc, monke
         attack.search_attack(ldpc, bp.DecoderConfig(iters=3), "bpsk", cfg, seed=1)
     assert len(taped_blocks) == 2 and taped_blocks[1].input_llr.shape == (128, 64)
     assert len(backward_tapes) == 1 and backward_tapes[0] is taped_blocks[0]
+
+
+class _CountedHelpers(split.Helpers):
+    """The helpers of split decodes, each start recorded as (helpers, lanes)."""
+    started = []
+
+    def __init__(self, receiver, count, lanes):
+        self.started.append((count, lanes))
+        super().__init__(receiver, count, lanes)
+
+
+@pytest.fixture
+def one_helper(monkeypatch):
+    """Split decodes use one helper process, however many CPUs there are; returns the starts."""
+    monkeypatch.setattr(split, "helper_count", lambda: 1)
+    monkeypatch.setattr(_CountedHelpers, "started", [])
+    monkeypatch.setattr(split, "Helpers", _CountedHelpers)
+    return _CountedHelpers.started
+
+
+def test_a_split_search_gives_the_bytes_of_a_search_in_one_process(ldpc, one_helper, monkeypatch):
+    # 1100 lanes, not a multiple of 128, split as 512 + 588; the probe calibrates the step size
+    cfg = attack.SearchConfig(batch_size=1100, accepted_iters=3, max_trials=4, sigma=0.8)
+    results = []
+    for helpers in (1, 0):
+        monkeypatch.setattr(split, "helper_count", lambda: helpers)
+        trials = []
+        vec = attack.search_attack(ldpc, bp.DecoderConfig(iters=5), "bpsk", cfg, seed=3,
+                                   on_trial=trials.append)
+        results.append((vec.a.tobytes(), vec.accepted_iters, repr(trials)))
+        assert len(trials) >= 3 and multiprocessing.active_children() == []
+    assert one_helper == [(1, 588)]  # one start, for the probe and every trial
+    assert results[0] == results[1]
+
+
+def test_searches_below_the_split_size_start_no_process(ldpc, one_helper):
+    dec = bp.DecoderConfig(iters=3)
+    attack.search_attack(ldpc, dec, "bpsk", attack.SearchConfig(
+        batch_size=bp.SPLIT_LANES - 1, accepted_iters=1, max_trials=2, sigma=0.8), seed=1)
+    attack.run_regime(ldpc, dec, "bpsk", attack.approach_config(
+        3, sigma=0.8, batch_size=20, accepted_iters=2, runs=6, max_trials=3), seed=1)
+    assert one_helper == []
+
+
+@pytest.mark.parametrize("where", ["helper", "caller"])
+def test_a_split_search_raises_a_part_error_and_leaves_no_process(ldpc, one_helper, where,
+                                                                  monkeypatch):
+    # the non-finite soft output of a taped block, in the helper's part or in the caller's
+    forward, caller = bp.bp_forward, os.getpid()
+
+    def poisoned_forward(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        if out.tape is not None and (os.getpid() == caller) == (where == "caller"):
+            out.soft[-1][5] = np.nan
+        return out
+
+    monkeypatch.setattr(bp, "bp_forward", poisoned_forward)
+    cfg = attack.SearchConfig(batch_size=1100, accepted_iters=2, sigma=0.8)
+    with pytest.raises(RuntimeError) as raised:
+        attack.search_attack(ldpc, bp.DecoderConfig(iters=3), "bpsk", cfg, seed=1)
+    assert type(raised.value) is RuntimeError
+    assert str(raised.value) == "decoder produced non-finite soft output during the search"
+    assert one_helper == [(1, 588)] and multiprocessing.active_children() == []
 
 
 def test_run_regime_deterministic_and_smoke(ldpc):

@@ -1,6 +1,9 @@
 import itertools
 import math
+import multiprocessing
+import os
 import pickle
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from friendlyfec import bp, codes, gf2
+from friendlyfec import bp, codes, gf2, split
 
 
 def map_bitwise_llr(code, llr):
@@ -677,6 +680,72 @@ def test_receiver_keeps_one_work_set_per_decode_kind():
     # the pickle a worker process receives holds neither set
     assert len(pickle.dumps(shared)) == len(pickle.dumps(bp.Receiver(code, dec)))
     assert pickle.loads(pickle.dumps(shared))._work == {}
+
+
+def test_split_points_fall_on_block_boundaries(monkeypatch):
+    monkeypatch.setattr(split, "helper_count", lambda: 2)
+    rx = bp.Receiver(codes.ldpc_64_32(), bp.DecoderConfig(iters=3))
+    L = np.zeros((1700, 64))
+    assert rx._part_bounds(L, False) == [0, 1700]  # outside the scope nothing splits
+    with rx.split_decodes():
+        assert rx._part_bounds(L[:bp.SPLIT_LANES - 1], False) == [0, bp.SPLIT_LANES - 1]
+        assert rx._part_bounds(L[:1100], False) == [0, 512, 1100]
+        assert rx._part_bounds(L, False) == [0, 512, 1152, 1700]
+        assert rx._part_bounds(L, True) == [0, 512, 1024, 1700]  # blocks of EARLY_STOP_LANES
+        monkeypatch.setattr(split, "helper_count", lambda: 0)
+        assert rx._part_bounds(L, False) == [0, 1700]
+    assert rx._helpers is None  # no decode ran: no helper started
+
+
+def test_no_helper_is_forked_beside_another_thread():
+    assert split.helper_count() == len(os.sched_getaffinity(0)) - 1
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert split.helper_count() == 0
+    finally:
+        release.set()
+        thread.join(10.0)
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("helpers", [1, 2])
+def test_a_split_decode_returns_the_bytes_of_an_unsplit_one(helpers, monkeypatch):
+    # 1700 lanes, not a multiple of 128: two parts on one helper, three on two
+    monkeypatch.setattr(split, "helper_count", lambda: helpers)
+    code, dec = codes.ldpc_64_32(), bp.DecoderConfig(iters=5)
+    L = _noisy_llrs(1700, 51)
+    parted, whole = bp.Receiver(code, dec), bp.Receiver(code, dec)
+    with parted.split_decodes():
+        for kwargs in (dict(gradient=True), dict(), dict(early_stop=True), dict(gradient=True)):
+            got, want = parted.decode(L, **kwargs), whole.decode(L, **kwargs)
+            assert [x.tobytes() for x in got if x is not None] == \
+                [x.tobytes() for x in want if x is not None]
+            assert (got[1] is None) == (want[1] is None)
+            assert not any(np.shares_memory(x, parted._helpers.llr) for x in got if x is not None)
+        assert len(multiprocessing.active_children()) == helpers
+    assert parted._helpers is None and multiprocessing.active_children() == []
+
+
+def test_a_receiver_whose_helper_died_raises_and_then_starts_new_ones(monkeypatch):
+    monkeypatch.setattr(split, "helper_count", lambda: 1)
+    code, dec = codes.ldpc_64_32(), bp.DecoderConfig(iters=3)
+    L = _noisy_llrs(1100, 52)
+    rx = bp.Receiver(code, dec)
+    want = rx.decode(L, gradient=True)
+    with rx.split_decodes():
+        rx.decode(L)
+        helper = rx._helpers.procs[0]
+        helper.kill()
+        helper.join(10.0)
+        with pytest.raises((OSError, RuntimeError)):
+            rx.decode(L, gradient=True)
+        assert rx._helpers is None
+        got = rx.decode(L, gradient=True)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+        assert rx._helpers.procs[0] is not helper
+    assert multiprocessing.active_children() == []
 
 
 def _cumprod_exclusion(t, H):

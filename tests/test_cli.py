@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 import string
 from dataclasses import fields
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from friendlyfec import attack, bp, channel, cli, codes, modem, montecarlo
+from friendlyfec import attack, bp, channel, cli, codes, modem, montecarlo, split
 
 REP_SEARCH_CFG = """\
 code.family = repetition
@@ -21,6 +23,8 @@ eval.ebn0_db = -8.0
 eval.frames = 1500
 eval.seed = 5
 """
+
+HAMMING_CFG = "code.family = hamming\ndecoder.iters = 3\nsearch.sigma = 0.8\neval.frames = 100\n"
 
 
 def write(tmp_path, name, text):
@@ -284,6 +288,25 @@ def test_search_nonfinite_output_exit_3(tmp_path, monkeypatch, capsys):
     assert "search failed: decoder produced non-finite" in capsys.readouterr().err
 
 
+def test_a_split_search_failure_exits_3(tmp_path, monkeypatch, capsys):
+    # the decoder's non-finite output in a helper process reaches the command's exit code
+    forward, caller = bp.bp_forward, os.getpid()
+
+    def poisoned_forward(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        if out.tape is not None and os.getpid() != caller:
+            out.soft[-1][0] = np.nan
+        return out
+
+    monkeypatch.setattr(split, "helper_count", lambda: 1)
+    monkeypatch.setattr(bp, "bp_forward", poisoned_forward)
+    cfg = write(tmp_path, "split.cfg", HAMMING_CFG + "search.batch_size = 1100\n")
+    rc = cli.main(["search", "--config", cfg, "--out", str(tmp_path / "a.json")])
+    assert rc == cli.EXIT_SEARCH and not (tmp_path / "a.json").exists()
+    assert "search failed: decoder produced non-finite" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
 def test_eval_emits_paired_csv(tmp_path, capsys):
     cfg = write(tmp_path, "rep.cfg", REP_SEARCH_CFG)
     out = str(tmp_path / "attack.json")
@@ -389,6 +412,32 @@ def test_settings_that_fail_inside_the_numerics_are_config_errors(tmp_path, caps
     assert cli.main([command, "--config", cfg] + argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err and named in err
+
+
+@pytest.mark.parametrize("command, cfg_text, key, sigma", [
+    # on the Hamming code under BPSK, 3081 dB is a level in dB, but its sigma is not one
+    ("eval", HAMMING_CFG + "eval.ebn0_db = 3081\n", "eval.ebn0_db", "8.34e-155"),
+    ("gradcheck", HAMMING_CFG + "eval.ebn0_db = 3081\n", "eval.ebn0_db", "8.34e-155"),
+    ("sweep", HAMMING_CFG + "eval.grid = 1 3081\n", "eval.grid", "8.34e-155"),
+    ("search", HAMMING_CFG + "search.validation_ebn0_db = 3081\nsearch.runs = 2\n",
+     "search.validation_ebn0_db", "8.34e-155"),
+    ("eval", HAMMING_CFG + "eval.ebn0_db = -3000\n", None, None),  # sigma 9.4e149 is one
+    # at rate 1/64, -3075 dB gives a sigma whose square overflows
+    ("eval", "code.family = repetition\ncode.n = 64\neval.ebn0_db = -3075\n", "eval.ebn0_db",
+     "inf"),
+])
+def test_an_ebn0_is_checked_against_the_sigma_it_gives_on_the_code(tmp_path, capsys, monkeypatch,
+                                                                   command, cfg_text, key, sigma):
+    if key is not None:  # the level is rejected before any numerics run
+        monkeypatch.setattr(modem, "demodulate_llr", None)
+        monkeypatch.setattr(attack, "find_search_sigma", None)
+    rc = cli.main([command, "--config", write(tmp_path, "levels.cfg", cfg_text)])
+    err = capsys.readouterr().err
+    if key is None:
+        assert rc == cli.EXIT_OK
+    else:
+        assert rc == cli.EXIT_CONFIG
+        assert err.startswith(f"config error: {key} ") and f"noise std {sigma} " in err
 
 
 @pytest.mark.parametrize("command", ["eval", "search"])

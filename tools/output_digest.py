@@ -39,6 +39,9 @@ The digest covers, on the bundled (64, 32) LDPC code:
 - the message bits and gradients of one BP-5 `Receiver` that runs
   early-stopped, gradient and untaped decodes of 300 and of 20 lanes in
   turn, so that its work sets serve decodes of each kind and both widths.
+- a BP-5 search on a 1100-frame batch, which reaches `bp.SPLIT_LANES`,
+  so that on a machine with two or more CPUs its decodes split across
+  helper processes (512 + 588 lanes on two), with the step size calibrated.
 
 Every value is hashed as its exact bytes (floats) or `repr` (records and
 counts), so a last-bit or signed-zero difference changes the digest. The
@@ -282,13 +285,22 @@ def _receiver_parts(code):
     yield "one receiver: early-stopped, gradient and untaped decodes of 300 and 20 lanes", values
 
 
+def _split_search_parts(code):
+    config = attack.SearchConfig(batch_size=1100, accepted_iters=3, max_trials=3, sigma=SIGMA)
+    trials = []
+    vec = attack.search_attack(code, bp.DecoderConfig(iters=5), "bpsk", config, seed=47,
+                               on_trial=trials.append)
+    yield "search BP-5 1100 frames", [vec.a, repr(vec.accepted_iters), repr(trials)]
+
+
 def _groups():
     """The parts, group by group: each group yields (part name, values) pairs."""
     code = codes.ldpc_64_32()
     return (_search_parts(code), _regime_parts(code), _decoder_parts(code), _irregular_parts(),
             _count_parts(code), _sweep_parts(code), _transfer_parts(code), _gradcheck_parts(),
             _repetition_parts(), _wide_regime_parts(code),
-            _early_stop_parts(code), _apply_attack_parts(code), _receiver_parts(code))
+            _early_stop_parts(code), _apply_attack_parts(code), _receiver_parts(code),
+            _split_search_parts(code))
 
 
 def _digest(values) -> str:
