@@ -215,6 +215,15 @@ def _search_runs(receiver: bp.Receiver, scheme: str, config: SearchConfig, runs,
     vector are those of its search on its own, to the byte. The first
     run's records go to `on_trial` as they happen, the other runs' when
     the last run stops, run after run.
+
+    Besides the trial's noise draw, each decode holds one batch-sized
+    float buffer: `channel.transmit` writes the received words into it,
+    and `modem.demodulate_llr`, `bp.Receiver.decode` (with `gradient`) and
+    `modem.demodulate_adjoint` overwrite them, through their `out=`, with
+    the LLRs, d(loss)/d(LLR) and d(loss)/d(s) in turn; the decode takes
+    its bit decisions block by block. A split decode adds the helpers'
+    shared mapping, which holds the later parts' LLRs and then their
+    gradients.
     """
     if config.sigma is None:
         raise ValueError("search sigma is unresolved; pass one or use find_search_sigma")
@@ -233,14 +242,17 @@ def _search_runs(receiver: bp.Receiver, scheme: str, config: SearchConfig, runs,
         """Send words[r] on run r's batch of `draws` and decode every run in one
         stacked call. Per run: the batch BER and BLER (the word sent is all-zero,
         so its decoded bits are its errors), and with `gradient` the batch mean of
-        d(loss)/d(s) (else None)."""
+        d(loss)/d(s) (else None). One buffer holds, in turn, the received words,
+        their LLRs, d(loss)/d(LLR) and d(loss)/d(s)."""
         shape = draws.noise.shape
-        y = channel.transmit(np.broadcast_to(words[:, None, :], shape), params, draws, cps)
-        llr = modem.demodulate_llr(y.reshape(-1, n_real), config.sigma, const)
-        errs, dj_dllr = receiver.decode(llr, gradient=gradient)
+        buf = channel.transmit(np.broadcast_to(words[:, None, :], shape), params, draws, cps,
+                               out=np.empty(shape))
+        llr = modem.demodulate_llr(buf.reshape(-1, n_real), config.sigma, const,
+                                   out=buf.reshape(-1, n_real))
+        errs, dj_dllr = receiver.decode(llr, gradient=gradient, out=llr if gradient else None)
         errs = errs.reshape(shape[0], shape[1], -1)
-        grad = (modem.demodulate_adjoint(dj_dllr, config.sigma, const).reshape(shape).mean(axis=1)
-                if gradient else None)
+        grad = (modem.demodulate_adjoint(dj_dllr, config.sigma, const, out=dj_dllr)
+                .reshape(shape).mean(axis=1) if gradient else None)
         return grad, errs.mean(axis=(1, 2)).tolist(), np.any(errs, axis=2).mean(axis=1).tolist()
 
     epsilons = [config.epsilon0] * len(runs)

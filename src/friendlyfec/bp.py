@@ -17,9 +17,9 @@ summed in a fixed slot order), which is what makes Monte Carlo counts
 reproducible under any worker split.
 
 `Receiver` holds the decoder of one code and is the one decode entry of
-Monte Carlo, the search and the gradient check. It calls `decode_blocks`,
-which decodes a large batch in blocks, so the work arrays and the tape
-stay cache-sized: taped and untaped decodes in blocks of `BLOCK_LANES`
+Monte Carlo, the search and the gradient check. It decodes a large batch
+in blocks, as `decode_blocks` does, so the work arrays and the tape stay
+cache-sized: taped and untaped decodes in blocks of `BLOCK_LANES`
 lanes, early-stopped ones in blocks of `EARLY_STOP_LANES`, twice as
 wide, so that their syndrome tests, compactions and straggler iterations
 are paid once per more lanes. An early-stopped forward compacts its lanes
@@ -39,7 +39,7 @@ block of `BLOCK_LANES` lanes) and split the results.
 A receiver also splits one large decode across the machine's CPUs, inside
 a `Receiver.split_decodes` scope, which the search opens: a decode of at
 least `SPLIT_LANES` lanes is cut at block boundaries into one part per CPU
-that `os.sched_getaffinity(0)` allows, each part runs `decode_blocks`, all
+that `os.sched_getaffinity(0)` allows, each part is decoded in blocks, all
 but the first in helper processes that are forked at the scope's first
 such decode and joined when it ends, and the bits and gradients are put
 back in lane order. Since no lane depends on another, they are the bytes
@@ -250,8 +250,8 @@ class _WorkSet:
     running, uses `_lanes(array, k)`: the leading elements of the array's
     buffer shaped (..., k), which stay C-contiguous. Reusing one set keeps
     the large arrays mapped and faulted in. A `Receiver` keeps one set per
-    decode kind, and `decode_blocks` copies each block's results out of
-    it, so nothing a call returns aliases the set; the outputs and
+    decode kind, and it and `decode_blocks` copy each block's results out
+    of it, so nothing a call returns aliases the set; the outputs and
     tape of `bp_forward` do, and the next use of the set overwrites them.
     `iters` and `taped` size the per-iteration soft outputs and the arrays
     the tape keeps; a taped set serves untaped decodes too. `llr` has two
@@ -619,7 +619,7 @@ def _block_lanes(early_stop: bool) -> int:
 
 
 def decode_blocks(llr, graph: TannerGraph, decoder: DecoderConfig, early_stop: bool = False,
-                  target=None, work: _WorkSet | None = None):
+                  target=None, work: _WorkSet | None = None, out=None):
     """Decode a (B, n) LLR batch in blocks of `_block_lanes(early_stop)` lanes.
 
     Each block runs the early-stopped forward (`early_stop`), or the taped
@@ -634,29 +634,49 @@ def decode_blocks(llr, graph: TannerGraph, decoder: DecoderConfig, early_stop: b
     soft output is not finite raises RuntimeError before its backward pass.
     The blocks run in `work` (a fresh set when none is given), which must
     hold min(B, block width) lanes of `decoder.iters` iterations, and a
-    tape when there is a target.
+    tape when there is a target. The gradient is written into `out`, a
+    float64 (B, n) array, or a fresh one when it is None; `out` may be the
+    LLR array itself, since a block's LLRs are copied into `work` before
+    its gradient is written.
     """
-    L = np.asarray(llr, dtype=np.float64)
-    if L.ndim != 2 or L.shape[1] != graph.n_var:
-        raise ValueError(f"LLR shape {L.shape} does not match {graph.n_var} variables")
-    taped = target is not None
-    if taped:
-        target = _target_array(target, graph.n_var)
+    L, target, grad = _checked_blocks(llr, graph.n_var, target, out)
     soft = np.empty_like(L)
-    grad = np.empty_like(L) if taped else None
+    _run_blocks(L, graph, decoder, early_stop, target, work, grad, soft.__setitem__)
+    return soft, grad
+
+
+def _checked_blocks(llr, n_var: int, target, out):
+    """The LLRs (B, n) as floats, the checked target, and the array the gradient goes
+    into (None without a target), each as `decode_blocks` takes them."""
+    L = np.asarray(llr, dtype=np.float64)
+    if L.ndim != 2 or L.shape[1] != n_var:
+        raise ValueError(f"LLR shape {L.shape} does not match {n_var} variables")
+    if target is None:
+        if out is not None:
+            raise ValueError("out receives the gradient, and this decode takes none")
+        return L, None, None
+    return L, _target_array(target, n_var), checks.out_array(out, L.shape)
+
+
+def _run_blocks(L, graph: TannerGraph, decoder: DecoderConfig, early_stop: bool, target,
+                work: _WorkSet | None, grad, take) -> None:
+    """`decode_blocks` on checked arrays: each block's final soft output goes to
+    take(block, soft) as the block ends, a view into `work` that the next block
+    overwrites, and its gradient into grad[block]."""
+    taped = target is not None
     width = _block_lanes(early_stop)
     if work is None:
         work = _WorkSet(graph, min(len(L), width), decoder.iters, taped)
     for lo in range(0, len(L), width):
         block = slice(lo, lo + width)
-        out = bp_forward(L[block], graph, decoder.iters, early_stop=early_stop,
+        fwd = bp_forward(L[block], graph, decoder.iters, early_stop=early_stop,
                          record_tape=taped, work=work)
-        soft[block] = out.soft[-1]
+        soft = fwd.soft[-1]
+        if taped and not np.all(np.isfinite(soft)):
+            raise RuntimeError("decoder produced non-finite soft output during the search")
+        take(block, soft)
         if taped:
-            if not np.all(np.isfinite(soft[block])):
-                raise RuntimeError("decoder produced non-finite soft output during the search")
-            grad[block] = bp_backward(out.tape, target, work=work)
-    return soft, grad
+            grad[block] = bp_backward(fwd.tape, target, work=work)
 
 
 class Receiver:
@@ -699,36 +719,56 @@ class Receiver:
             self._split = False
             self._stop_helpers()
 
-    def decode(self, llr, early_stop: bool = False, gradient: bool = False):
+    def decode(self, llr, early_stop: bool = False, gradient: bool = False, out=None):
         """Message bits (B, k) of (B, n) LLRs, decided on the last iteration's output, and
-        d(loss)/d(LLR) against the all-zero codeword with `gradient`, else None."""
-        L = np.asarray(llr, dtype=np.float64)
-        target = self.target if gradient else None
+        d(loss)/d(LLR) against the all-zero codeword with `gradient`, else None.
+
+        The gradient is written into `out` as in `decode_blocks`: a float64
+        (B, n) array, which may be `llr` itself, or a fresh one when it is
+        None. Only `out` is written. Each block's bits are decided as it
+        ends, so no (B, n) soft output is built."""
+        L, target, grad = _checked_blocks(llr, self.graph.n_var,
+                                          self.target if gradient else None, out)
+        bits = np.empty((len(L), self.code.k), np.uint8)
         bounds = self._part_bounds(L, early_stop)
         if len(bounds) == 2:
-            soft, grad = decode_blocks(L, self.graph, self.decoder, early_stop, target,
-                                       self._work_set(early_stop, len(L)))
-            return self.code.message_from_codeword(soft < 0), grad
+            self._decode_part(L, early_stop, target, grad, bits)
+            return bits, grad
         try:
-            return self._split_decode(L, bounds, early_stop, target)
+            self._split_decode(L, bounds, early_stop, target, grad, bits)
         except BaseException:  # the next large decode starts helpers anew
             self._stop_helpers()
             raise
+        return bits, grad
 
-    def _split_decode(self, L, bounds, early_stop: bool, target):
-        """`decode` of L split at `bounds`: the first part here, the others on helpers."""
+    def _decode_part(self, L, early_stop: bool, target, grad, bits) -> None:
+        """Decode the checked LLRs L in this process: their message bits into `bits`,
+        block by block, and their gradient against `target` into `grad` (each None
+        when there is no gradient)."""
+        def take(block, soft):
+            bits[block] = self.code.message_from_codeword(soft < 0)
+
+        _run_blocks(L, self.graph, self.decoder, early_stop, target,
+                    self._work_set(early_stop, len(L)), grad, take)
+
+    def _split_decode(self, L, bounds, early_stop: bool, target, grad, bits) -> None:
+        """`decode` of L split at `bounds`: the first part here, the others on helpers.
+        The gradient goes into `grad` (None without a target), which may be L: the
+        helpers' LLRs are copied out of L before any part is decoded."""
         helpers = self._start_helpers(len(bounds) - 2, len(L) - bounds[1])
         helpers.send(L, bounds, early_stop, target is not None)
+        first = slice(0, bounds[1])
         try:
-            soft, grad = decode_blocks(L[:bounds[1]], self.graph, self.decoder, early_stop,
-                                       target, self._work_set(early_stop, bounds[1]))
+            self._decode_part(L[first], early_stop, target,
+                              None if grad is None else grad[first], bits[first])
         finally:  # the helpers' parts finish before anything is raised
             errors = [error for error in helpers.answers(len(bounds) - 2) if error is not None]
         if errors:
             raise errors[0]
         rest = slice(0, len(L) - bounds[1])
-        bits = np.concatenate([self.code.message_from_codeword(soft < 0), helpers.bits[rest]])
-        return bits, None if target is None else np.concatenate([grad, helpers.llr[rest]])
+        bits[bounds[1]:] = helpers.bits[rest]
+        if grad is not None:
+            grad[bounds[1]:] = helpers.llr[rest]
 
     def _part_bounds(self, L, early_stop: bool) -> list[int]:
         """The first lane of each part of the decode of L, and len(L): [0, len(L)] unsplit.

@@ -2,13 +2,16 @@
 a noise std, a Philox seed, a finite number, a level in dB and a code rate.
 Each rule raises ValueError naming the setting it is given, and none takes a
 bool (which would act as 0 or 1) or a string, so every boundary rejects a bad
-value the same way before any numerics run.
+value the same way before any numerics run. `out_array` is the one rule for
+the `out=` array that a layer writes its result into.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+
+import numpy as np
 
 
 def is_real(value) -> bool:
@@ -79,3 +82,20 @@ def decibels(name: str, value) -> float:
     if not -3076.0 < x < 3082.0:
         raise ValueError(f"{name} {value!r} dB is out of range")
     return 10.0 ** (x / 10.0)
+
+
+def out_array(out, shape) -> np.ndarray:
+    """`out` if it is a writeable float64 array of `shape`, a fresh one if it is None,
+    else ValueError.
+
+    It is the array a layer writes its result into, which may be one of
+    that layer's inputs."""
+    shape = tuple(shape)
+    if out is None:
+        return np.empty(shape)
+    if (not isinstance(out, np.ndarray) or out.dtype != np.float64 or out.shape != shape
+            or not out.flags.writeable):
+        got = (f"{'a' if out.flags.writeable else 'a read-only'} {out.dtype} array of shape "
+               f"{out.shape}" if isinstance(out, np.ndarray) else type(out).__name__)
+        raise ValueError(f"out must be a writeable float64 array of shape {shape}, got {got}")
+    return out

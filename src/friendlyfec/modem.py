@@ -91,25 +91,31 @@ def _coordinate_scale(shape, sigma, constellation: Constellation, gains) -> np.n
     return scale * np.repeat(gains, constellation.coords_per_symbol, axis=-1)
 
 
-def demodulate_llr(y, sigma: float, constellation: Constellation, gains=None) -> np.ndarray:
+def demodulate_llr(y, sigma: float, constellation: Constellation, gains=None,
+                   out=None) -> np.ndarray:
     """Exact per-bit LLRs log Pr(bit=0|y) - log Pr(bit=1|y).
 
     Per coordinate with amplitude A and (known) gain g this is
     L = 2 A g y / sigma^2; positive LLR favors bit 0. `sigma` is the noise
     std per real dimension, and `gains` the per-symbol fading gains that
-    `channel.draw` made (None: no fading).
+    `channel.draw` made (None: no fading). The LLRs are written into
+    `out`, a float64 array of y's shape, which may be y itself, or into a
+    fresh array when it is None.
     """
     y = np.asarray(y, dtype=np.float64)
-    return _coordinate_scale(y.shape, sigma, constellation, gains) * y
+    out = checks.out_array(out, y.shape)
+    return np.multiply(_coordinate_scale(y.shape, sigma, constellation, gains), y, out=out)
 
 
 def demodulate_adjoint(dj_dllr, sigma: float, constellation: Constellation,
-                       gains=None) -> np.ndarray:
+                       gains=None, out=None) -> np.ndarray:
     """Jacobian-transpose product of the demapper: dJ/dy from dJ/dL.
 
     The demapper is coordinatewise linear, so the adjoint is the same
     diagonal scale as the forward map. Since y = s + a + z, this is also
-    dJ/ds for the additive-channel case.
+    dJ/ds for the additive-channel case. `out` is as in `demodulate_llr`,
+    and may be dj_dllr itself.
     """
     d = np.asarray(dj_dllr, dtype=np.float64)
-    return _coordinate_scale(d.shape, sigma, constellation, gains) * d
+    out = checks.out_array(out, d.shape)
+    return np.multiply(_coordinate_scale(d.shape, sigma, constellation, gains), d, out=out)

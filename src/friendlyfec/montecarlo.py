@@ -131,6 +131,20 @@ def _chunk_counts(receiver, const, params, attacks, message_source, rng, job):
     return counts
 
 
+_worker_job = None  # the chunk job of a `run_rows` worker process, set once by `_start_worker`
+
+
+def _start_worker(job) -> None:
+    """A `run_rows` worker's initializer: keep the job, and so one receiver and its work
+    sets, for every chunk the worker counts."""
+    global _worker_job
+    _worker_job = job
+
+
+def _worker_counts(chunk):
+    return _worker_job(chunk)
+
+
 def run_rows(code, decoder: bp.DecoderConfig, scheme: str, ebn0_db: float,
              frames: int, seed: int, attacks: list, message_source: str = "random",
              channel_kind: str = "awgn", channel_opts: dict | None = None,
@@ -171,13 +185,15 @@ def run_rows(code, decoder: bp.DecoderConfig, scheme: str, ebn0_db: float,
     wave = len(chunks) if min_block_errors is None else workers
     totals = [(0, 0, 0)] * len(arrays)
     live = list(range(len(arrays)))
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        mapper = pool.map if pool is not None else map
+    pool = (ProcessPoolExecutor(max_workers=workers, initializer=_start_worker, initargs=(job,))
+            if workers > 1 else nullcontext())
+    with pool:
+        run = partial(map, job) if workers == 1 else partial(pool.map, _worker_counts)
         for pos in range(0, len(chunks), wave):
             rows = tuple(live)  # fixed for the wave: each job's counts follow this order
             if not rows:
                 break
-            for counts in mapper(job, [(bounds, rows) for bounds in chunks[pos:pos + wave]]):
+            for counts in run([(bounds, rows) for bounds in chunks[pos:pos + wave]]):
                 for row, row_counts in zip(rows, counts):
                     if row in live:
                         totals[row] = tuple(map(sum, zip(totals[row], row_counts)))

@@ -96,12 +96,9 @@ def _serve(receiver: bp.Receiver, helpers: Helpers, pipe) -> None:
         while (job := pipe.recv()) is not None:
             lo, hi, early_stop, gradient = job
             try:
-                soft, grad = bp.decode_blocks(
-                    helpers.llr[lo:hi], receiver.graph, receiver.decoder, early_stop,
-                    receiver.target if gradient else None, receiver._work_set(early_stop, hi - lo))
-                helpers.bits[lo:hi] = receiver.code.message_from_codeword(soft < 0)
-                if gradient:
-                    helpers.llr[lo:hi] = grad
+                llr = helpers.llr[lo:hi]  # a gradient decode writes its gradient over its LLRs
+                receiver._decode_part(llr, early_stop, receiver.target if gradient else None,
+                                      llr if gradient else None, helpers.bits[lo:hi])
             except Exception as exc:  # the caller raises it
                 pipe.send(exc)
             else:

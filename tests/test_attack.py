@@ -2,6 +2,7 @@ import multiprocessing
 import os
 import re
 import tempfile
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -382,6 +383,23 @@ def test_searches_below_the_split_size_start_no_process(ldpc, one_helper):
     attack.run_regime(ldpc, dec, "bpsk", attack.approach_config(
         3, sigma=0.8, batch_size=20, accepted_iters=2, runs=6, max_trials=3), seed=1)
     assert one_helper == []
+
+
+def test_a_search_trial_holds_one_batch_buffer_beside_its_noise(ldpc, one_helper):
+    # 8192 lanes split as 4096 + 4096. The traced peak holds this process's arrays: the
+    # noise, the one buffer, the taped work set and the bits, near 3.2 batch buffers; the
+    # helper's part and the shared mapping are not traced
+    B = 8192
+    cfg = attack.SearchConfig(batch_size=B, accepted_iters=1, max_trials=1, sigma=0.8,
+                              epsilon0=0.05)
+    tracemalloc.start()
+    try:
+        attack.search_attack(ldpc, bp.DecoderConfig(iters=5), "bpsk", cfg, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert one_helper == [(1, B // 2)] and multiprocessing.active_children() == []
+    assert peak <= 4 * B * ldpc.n * 8
 
 
 @pytest.mark.parametrize("where", ["helper", "caller"])

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import multiprocessing
@@ -746,6 +747,56 @@ def test_a_receiver_whose_helper_died_raises_and_then_starts_new_ones(monkeypatc
         assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
         assert rx._helpers.procs[0] is not helper
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("split_lanes", [False, True])
+def test_a_gradient_decode_writes_into_out_the_bytes_of_the_allocating_form(split_lanes,
+                                                                           monkeypatch):
+    # 1100 lanes: unsplit, or split as 512 + 588 on one helper; `out` separate and the LLRs
+    monkeypatch.setattr(split, "helper_count", lambda: 1)
+    code, dec = codes.ldpc_64_32(), bp.DecoderConfig(iters=5)
+    L = _noisy_llrs(1100, 53)
+    bits, grad = bp.Receiver(code, dec).decode(L, gradient=True)
+    rx = bp.Receiver(code, dec)
+    with rx.split_decodes() if split_lanes else contextlib.nullcontext():
+        given = L.copy()
+        got = rx.decode(given, gradient=True)
+        assert given.tobytes() == L.tobytes()  # without `out`, the LLRs are left as they were
+        assert got[0].tobytes() == bits.tobytes() and got[1].tobytes() == grad.tobytes()
+        for out in (np.full_like(L, np.nan), given):
+            got = rx.decode(given, gradient=True, out=out)
+            assert got[1] is out
+            assert got[0].tobytes() == bits.tobytes() and out.tobytes() == grad.tobytes()
+            given[...] = L
+        assert (rx._helpers is not None) == split_lanes
+    assert bp.decode_blocks(given, _LDPC_GRAPH, dec, target=np.zeros(64), out=given)[1] is given
+    assert given.tobytes() == grad.tobytes()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("split_lanes", [False, True])
+def test_a_bad_decode_out_is_rejected_before_any_decode_runs(split_lanes, monkeypatch):
+    def no_forward(*args, **kwargs):
+        raise AssertionError("a decode ran")
+
+    monkeypatch.setattr(split, "helper_count", lambda: 1)
+    monkeypatch.setattr(bp, "bp_forward", no_forward)
+    rx = bp.Receiver(codes.ldpc_64_32(), bp.DecoderConfig(iters=3))
+    L = np.ones((1100, 64))
+    with rx.split_decodes() if split_lanes else contextlib.nullcontext():
+        for bad in (np.zeros((1100, 63)), np.zeros((1100, 64), np.float32),
+                    np.broadcast_to(L, L.shape)):
+            with pytest.raises(ValueError, match="^out must be a writeable float64 array"):
+                rx.decode(L, gradient=True, out=bad)
+        for kwargs in (dict(), dict(early_stop=True)):
+            with pytest.raises(ValueError, match="^out receives the gradient"):
+                rx.decode(L, out=L, **kwargs)
+        assert rx._helpers is None
+    with pytest.raises(ValueError, match="^out must be"):
+        bp.decode_blocks(L, _LDPC_GRAPH, rx.decoder, target=np.zeros(64), out=L.T)
+    with pytest.raises(ValueError, match="^out receives the gradient"):
+        bp.decode_blocks(L, _LDPC_GRAPH, rx.decoder, out=L)
+    assert np.all(L == 1.0)
 
 
 def _cumprod_exclusion(t, H):

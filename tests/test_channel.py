@@ -314,3 +314,55 @@ def test_transmit_rejects_draws_made_for_another_signal_or_kind():
     for kind in ("rayleigh", "bursty"):
         with pytest.raises(ValueError, match=f"a {kind} channel"):
             channel.transmit(np.zeros((4, 8)), channel.ChannelParams(sigma=1.0, kind=kind), draws)
+
+
+@pytest.mark.parametrize("kind", ["awgn", "rayleigh", "bursty"])
+@pytest.mark.parametrize("scheme", ["bpsk", "qam4"])
+def test_out_forms_give_the_bytes_of_the_allocating_forms(kind, scheme):
+    # transmit, the demapper and its adjoint, each into a separate `out` and into its own input
+    params = channel.ChannelParams(sigma=0.7, kind=kind)
+    const = modem.get_constellation(scheme)
+    cps = const.coords_per_symbol
+    bits = np.random.default_rng(9).integers(0, 2, (37, 64)).astype(np.uint8)
+    s = modem.modulate(bits, const)
+    draws = channel.draw(params, channel.FrameRng(32).frames(0, 37), s.shape, cps)
+    drawn = [None if a is None else a.tobytes() for a in draws]
+    steps = [lambda x, **out: channel.transmit(x, params, draws, cps, **out),
+             lambda x, **out: modem.demodulate_llr(x, 0.7, const, draws.gains, **out),
+             lambda x, **out: modem.demodulate_adjoint(x, 0.7, const, draws.gains, **out)]
+    x = s
+    for step in steps:
+        before = x.copy()
+        want = step(x)
+        assert x.tobytes() == before.tobytes()  # without `out`, the input is left as it was
+        separate = np.full_like(x, np.nan)
+        assert step(x, out=separate) is separate and separate.tobytes() == want.tobytes()
+        assert x.tobytes() == before.tobytes()
+        aliased = x.copy()
+        assert step(aliased, out=aliased) is aliased and aliased.tobytes() == want.tobytes()
+        x = want
+    assert [None if a is None else a.tobytes() for a in draws] == drawn
+
+
+def test_a_bad_out_is_rejected_before_anything_is_written():
+    params, const = channel.ChannelParams(sigma=0.7), modem.get_constellation("bpsk")
+    s = np.ones((4, 8))
+    draws = channel.draw(params, channel.FrameRng(1).frames(0, 4), s.shape)
+    steps = [lambda out: channel.transmit(s, params, draws, out=out),
+             lambda out: modem.demodulate_llr(s, 0.7, const, out=out),
+             lambda out: modem.demodulate_adjoint(s, 0.7, const, out=out)]
+    read_only = np.full((4, 8), 7.0)
+    read_only.flags.writeable = False
+    for step in steps:
+        for bad in (np.full((4, 7), 7.0), np.full((8, 4), 7.0), np.full((4, 8), 7.0, np.float32),
+                    read_only):
+            with pytest.raises(ValueError, match="^out must be a writeable float64 array"):
+                step(bad)
+            assert np.all(bad == 7.0)
+        with pytest.raises(ValueError, match="^out must be"):
+            step([[0.0] * 8] * 4)
+    noise = draws.noise.copy()
+    for drawn in (draws.noise, draws.noise[::-1]):
+        with pytest.raises(ValueError, match="^out must not share memory with the draws"):
+            channel.transmit(s, params, draws, out=drawn)
+    assert draws.noise.tobytes() == noise.tobytes()
