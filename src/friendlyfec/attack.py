@@ -217,9 +217,9 @@ def _search_runs(receiver: bp.Receiver, scheme: str, config: SearchConfig, runs,
     the last run stops, run after run.
 
     Besides the trial's noise draw, each decode holds one batch-sized
-    float buffer: `channel.transmit` writes the received words into it,
-    and `modem.demodulate_llr`, `bp.Receiver.decode` (with `gradient`) and
-    `modem.demodulate_adjoint` overwrite them, through their `out=`, with
+    float buffer: the received words that `channel.transmit` returns,
+    which `modem.demodulate_llr`, `bp.Receiver.decode` (with `gradient`)
+    and `modem.demodulate_adjoint` overwrite, through their `out=`, with
     the LLRs, d(loss)/d(LLR) and d(loss)/d(s) in turn; the decode takes
     its bit decisions block by block. A split decode adds the helpers'
     shared mapping, which holds the later parts' LLRs and then their
@@ -245,8 +245,7 @@ def _search_runs(receiver: bp.Receiver, scheme: str, config: SearchConfig, runs,
         d(loss)/d(s) (else None). One buffer holds, in turn, the received words,
         their LLRs, d(loss)/d(LLR) and d(loss)/d(s)."""
         shape = draws.noise.shape
-        buf = channel.transmit(np.broadcast_to(words[:, None, :], shape), params, draws, cps,
-                               out=np.empty(shape))
+        buf = channel.transmit(np.broadcast_to(words[:, None, :], shape), params, draws, cps)
         llr = modem.demodulate_llr(buf.reshape(-1, n_real), config.sigma, const,
                                    out=buf.reshape(-1, n_real))
         errs, dj_dllr = receiver.decode(llr, gradient=gradient, out=llr if gradient else None)

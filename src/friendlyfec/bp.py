@@ -619,7 +619,7 @@ def _block_lanes(early_stop: bool) -> int:
 
 
 def decode_blocks(llr, graph: TannerGraph, decoder: DecoderConfig, early_stop: bool = False,
-                  target=None, work: _WorkSet | None = None, out=None):
+                  target=None, work: _WorkSet | None = None):
     """Decode a (B, n) LLR batch in blocks of `_block_lanes(early_stop)` lanes.
 
     Each block runs the early-stopped forward (`early_stop`), or the taped
@@ -634,12 +634,9 @@ def decode_blocks(llr, graph: TannerGraph, decoder: DecoderConfig, early_stop: b
     soft output is not finite raises RuntimeError before its backward pass.
     The blocks run in `work` (a fresh set when none is given), which must
     hold min(B, block width) lanes of `decoder.iters` iterations, and a
-    tape when there is a target. The gradient is written into `out`, a
-    float64 (B, n) array, or a fresh one when it is None; `out` may be the
-    LLR array itself, since a block's LLRs are copied into `work` before
-    its gradient is written.
+    tape when there is a target.
     """
-    L, target, grad = _checked_blocks(llr, graph.n_var, target, out)
+    L, target, grad = _checked_blocks(llr, graph.n_var, target, None)
     soft = np.empty_like(L)
     _run_blocks(L, graph, decoder, early_stop, target, work, grad, soft.__setitem__)
     return soft, grad
@@ -647,7 +644,7 @@ def decode_blocks(llr, graph: TannerGraph, decoder: DecoderConfig, early_stop: b
 
 def _checked_blocks(llr, n_var: int, target, out):
     """The LLRs (B, n) as floats, the checked target, and the array the gradient goes
-    into (None without a target), each as `decode_blocks` takes them."""
+    into (None without a target): `out`, or a fresh one when it is None."""
     L = np.asarray(llr, dtype=np.float64)
     if L.ndim != 2 or L.shape[1] != n_var:
         raise ValueError(f"LLR shape {L.shape} does not match {n_var} variables")
@@ -723,9 +720,10 @@ class Receiver:
         """Message bits (B, k) of (B, n) LLRs, decided on the last iteration's output, and
         d(loss)/d(LLR) against the all-zero codeword with `gradient`, else None.
 
-        The gradient is written into `out` as in `decode_blocks`: a float64
-        (B, n) array, which may be `llr` itself, or a fresh one when it is
-        None. Only `out` is written. Each block's bits are decided as it
+        The gradient is written into `out`, a float64 (B, n) array, or a
+        fresh one when it is None. `out` may be `llr` itself, since each
+        block's LLRs are copied into the work set before its gradient is
+        written. Only `out` is written. Each block's bits are decided as it
         ends, so no (B, n) soft output is built."""
         L, target, grad = _checked_blocks(llr, self.graph.n_var,
                                           self.target if gradient else None, out)

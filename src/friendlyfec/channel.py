@@ -231,8 +231,7 @@ def draw(params: ChannelParams, rng, shape, coords_per_symbol: int = 1) -> Draws
     return Draws(gains, noise, burst_u, burst_z)
 
 
-def transmit(s, params: ChannelParams, draws: Draws, coords_per_symbol: int = 1,
-             out=None) -> np.ndarray:
+def transmit(s, params: ChannelParams, draws: Draws, coords_per_symbol: int = 1) -> np.ndarray:
     """Push symbol coordinates through the channel realization `draws`.
 
     awgn:     y = s + sigma z
@@ -242,10 +241,7 @@ def transmit(s, params: ChannelParams, draws: Draws, coords_per_symbol: int = 1,
 
     `draws` are what `draw` made for an array of s's shape and this
     channel kind; the formulas apply once to the whole array, and the
-    draws are not changed, so other signals can pass through them too. y
-    is written into `out`, a float64 array of s's shape that shares no
-    memory with the draws and may be s itself, or into a fresh array when
-    it is None.
+    draws are not changed, so other signals can pass through them too.
     """
     s = np.asarray(s, dtype=np.float64)
     gains, noise, burst_u, burst_z = draws
@@ -253,13 +249,8 @@ def transmit(s, params: ChannelParams, draws: Draws, coords_per_symbol: int = 1,
             or (burst_u is None) != (params.kind != "bursty")):
         raise ValueError(f"the draws do not fit a {params.kind} channel for a signal "
                          f"of shape {s.shape}")
-    y = checks.out_array(out, s.shape)
-    if any(a is not None and np.may_share_memory(y, a) for a in draws):
-        raise ValueError("out must not share memory with the draws")
-    if np.may_share_memory(y, s):  # s is read after y's first write
-        s = s.copy()
-    # sigma z first, so that y needs no temporary: a sum's bytes do not depend on its order
-    np.multiply(noise, params.sigma, out=y)
+    # sigma z first, so that y is the one new array: a sum's bytes do not depend on its order
+    y = params.sigma * noise
     y += s if gains is None else np.repeat(gains, coords_per_symbol, axis=-1) * s
     if params.kind == "bursty":
         y += np.where(burst_u < params.rho, params.sigma_b * burst_z, 0.0)

@@ -769,8 +769,6 @@ def test_a_gradient_decode_writes_into_out_the_bytes_of_the_allocating_form(spli
             assert got[0].tobytes() == bits.tobytes() and out.tobytes() == grad.tobytes()
             given[...] = L
         assert (rx._helpers is not None) == split_lanes
-    assert bp.decode_blocks(given, _LDPC_GRAPH, dec, target=np.zeros(64), out=given)[1] is given
-    assert given.tobytes() == grad.tobytes()
     assert multiprocessing.active_children() == []
 
 
@@ -792,10 +790,6 @@ def test_a_bad_decode_out_is_rejected_before_any_decode_runs(split_lanes, monkey
             with pytest.raises(ValueError, match="^out receives the gradient"):
                 rx.decode(L, out=L, **kwargs)
         assert rx._helpers is None
-    with pytest.raises(ValueError, match="^out must be"):
-        bp.decode_blocks(L, _LDPC_GRAPH, rx.decoder, target=np.zeros(64), out=L.T)
-    with pytest.raises(ValueError, match="^out receives the gradient"):
-        bp.decode_blocks(L, _LDPC_GRAPH, rx.decoder, out=L)
     assert np.all(L == 1.0)
 
 

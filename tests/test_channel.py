@@ -319,7 +319,7 @@ def test_transmit_rejects_draws_made_for_another_signal_or_kind():
 @pytest.mark.parametrize("kind", ["awgn", "rayleigh", "bursty"])
 @pytest.mark.parametrize("scheme", ["bpsk", "qam4"])
 def test_out_forms_give_the_bytes_of_the_allocating_forms(kind, scheme):
-    # transmit, the demapper and its adjoint, each into a separate `out` and into its own input
+    # the demapper and its adjoint, each into a separate `out` and into its own input
     params = channel.ChannelParams(sigma=0.7, kind=kind)
     const = modem.get_constellation(scheme)
     cps = const.coords_per_symbol
@@ -327,10 +327,11 @@ def test_out_forms_give_the_bytes_of_the_allocating_forms(kind, scheme):
     s = modem.modulate(bits, const)
     draws = channel.draw(params, channel.FrameRng(32).frames(0, 37), s.shape, cps)
     drawn = [None if a is None else a.tobytes() for a in draws]
-    steps = [lambda x, **out: channel.transmit(x, params, draws, cps, **out),
-             lambda x, **out: modem.demodulate_llr(x, 0.7, const, draws.gains, **out),
+    sent = s.copy()
+    x = channel.transmit(s, params, draws, cps)
+    assert s.tobytes() == sent.tobytes()
+    steps = [lambda x, **out: modem.demodulate_llr(x, 0.7, const, draws.gains, **out),
              lambda x, **out: modem.demodulate_adjoint(x, 0.7, const, draws.gains, **out)]
-    x = s
     for step in steps:
         before = x.copy()
         want = step(x)
@@ -345,11 +346,9 @@ def test_out_forms_give_the_bytes_of_the_allocating_forms(kind, scheme):
 
 
 def test_a_bad_out_is_rejected_before_anything_is_written():
-    params, const = channel.ChannelParams(sigma=0.7), modem.get_constellation("bpsk")
+    const = modem.get_constellation("bpsk")
     s = np.ones((4, 8))
-    draws = channel.draw(params, channel.FrameRng(1).frames(0, 4), s.shape)
-    steps = [lambda out: channel.transmit(s, params, draws, out=out),
-             lambda out: modem.demodulate_llr(s, 0.7, const, out=out),
+    steps = [lambda out: modem.demodulate_llr(s, 0.7, const, out=out),
              lambda out: modem.demodulate_adjoint(s, 0.7, const, out=out)]
     read_only = np.full((4, 8), 7.0)
     read_only.flags.writeable = False
@@ -361,8 +360,4 @@ def test_a_bad_out_is_rejected_before_anything_is_written():
             assert np.all(bad == 7.0)
         with pytest.raises(ValueError, match="^out must be"):
             step([[0.0] * 8] * 4)
-    noise = draws.noise.copy()
-    for drawn in (draws.noise, draws.noise[::-1]):
-        with pytest.raises(ValueError, match="^out must not share memory with the draws"):
-            channel.transmit(s, params, draws, out=drawn)
-    assert draws.noise.tobytes() == noise.tobytes()
+    assert np.all(s == 1.0)
