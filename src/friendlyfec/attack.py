@@ -91,9 +91,8 @@ class SearchConfig:
     max_trials: int | None = None     # default 20 * accepted_iters
     sigma: float | None = None        # None: caller resolves (see find_search_sigma)
     epsilon0: float | None = None     # step size of every trial; None: calibrated per run
-    runs: int = 1
-    cluster: str = "none"             # none | kmeans (k = 1: the plain mean of the runs)
-    cluster_k: int = 3
+    runs: int = 1                     # > 1: a regime, whose vectors the CLI reduces by k-means
+    cluster_k: int = 3                # its clusters (k = 1: the plain mean of the runs)
     approach: str = "custom"
 
     def __post_init__(self):
@@ -106,8 +105,6 @@ class SearchConfig:
             checks.noise_std("sigma", self.sigma)
         if self.epsilon0 is not None:  # None: calibrated by the search
             checks.positive("epsilon0", self.epsilon0)
-        if self.cluster not in ("none", "kmeans"):
-            raise ValueError(f"unknown cluster method {self.cluster!r}")
         if self.max_trials is not None and self.max_trials < self.accepted_iters:
             raise ValueError("max_trials must be >= accepted_iters")
 
@@ -121,8 +118,8 @@ def approach_config(number: int, **overrides) -> SearchConfig:
     k-means; (4) many tiny runs and their plain mean (k-means with k = 1)."""
     presets = {
         1: dict(batch_size=2000, accepted_iters=50),
-        3: dict(batch_size=20, accepted_iters=30, runs=2000, cluster="kmeans", cluster_k=3),
-        4: dict(batch_size=2000, accepted_iters=3, runs=200, cluster="kmeans", cluster_k=1),
+        3: dict(batch_size=20, accepted_iters=30, runs=2000, cluster_k=3),
+        4: dict(batch_size=2000, accepted_iters=3, runs=200, cluster_k=1),
     }
     if checks.count("approach", number) not in presets:
         raise ValueError("approach must be 1, 3 or 4")

@@ -16,13 +16,14 @@ batch (elementwise ops plus reductions along per-lane axes only, each
 summed in a fixed slot order), which is what makes Monte Carlo counts
 reproducible under any worker split.
 
-`Receiver` holds the decoder of one code and is the one decode entry of
-Monte Carlo, the search and the gradient check. It decodes a large batch
-in blocks, as `decode_blocks` does, so the work arrays and the tape stay
-cache-sized: taped and untaped decodes in blocks of `BLOCK_LANES`
-lanes, early-stopped ones in blocks of `EARLY_STOP_LANES`, twice as
-wide, so that their syndrome tests, compactions and straggler iterations
-are paid once per more lanes. An early-stopped forward compacts its lanes
+`Receiver` holds the decoder of one code and is the one blocked decoder:
+Monte Carlo, the search and the gradient check all decode through it. Below
+it is the unblocked kernel, `bp_forward`, `bp_backward` and `bp_loss`, which
+decodes and differentiates one batch at once. The receiver decodes a large
+batch in blocks, so the work arrays and the tape stay cache-sized: taped
+and untaped decodes in blocks of `BLOCK_LANES` lanes, early-stopped ones
+in blocks of `EARLY_STOP_LANES`, twice as wide, so that their syndrome
+tests, compactions and straggler iterations are paid once per more lanes. An early-stopped forward compacts its lanes
 lazily: converged lanes keep computing at full width, their outputs held,
 until at least one eighth of the lanes it computes have converged. Every
 block's forward and backward pass writes each step into one set of work
@@ -250,9 +251,9 @@ class _WorkSet:
     running, uses `_lanes(array, k)`: the leading elements of the array's
     buffer shaped (..., k), which stay C-contiguous. Reusing one set keeps
     the large arrays mapped and faulted in. A `Receiver` keeps one set per
-    decode kind, and it and `decode_blocks` copy each block's results out
-    of it, so nothing a call returns aliases the set; the outputs and
-    tape of `bp_forward` do, and the next use of the set overwrites them.
+    decode kind and copies each block's bits and gradient out of it, so
+    nothing a decode returns aliases the set; the outputs and tape of
+    `bp_forward` do, and the next use of the set overwrites them.
     `iters` and `taped` size the per-iteration soft outputs and the arrays
     the tape keeps; a taped set serves untaped decodes too. `llr` has two
     planes, so that early stop compacts the running lanes of one into the
@@ -382,7 +383,7 @@ def bp_forward(llr, graph: TannerGraph, iters: int, *, early_stop: bool = False,
     the running lanes. Recording a tape (for gradients) and early stopping
     are mutually exclusive.
 
-    The soft outputs and the tape live in `work`, which `decode_blocks`
+    The soft outputs and the tape live in `work`, which a `Receiver`
     passes to reuse across its blocks, and which must hold a tape to record
     one; without one a fresh set is built, so the outputs alias nothing.
     The outputs are transposed views of the set's (n, lanes) planes.
@@ -523,8 +524,9 @@ def bp_loss(out: BpOutput, target):
     """BCE between the decoder's last soft output and a target codeword.
 
     The target is one codeword of n bits, each 0 or 1, scored against
-    every lane, as in `bp_backward` and `decode_blocks`. Returns a scalar
-    for single-frame input, else (B,).
+    every lane, as in `bp_backward` and in a `Receiver`'s gradient decodes,
+    which take the all-zero word. Returns a scalar for single-frame input,
+    else (B,).
     """
     soft = np.ascontiguousarray(out.soft[-1])  # each lane's BCE sums one contiguous row
     loss = _bce(soft, _target_array(target, soft.shape[-1]))
@@ -614,66 +616,8 @@ def bp_backward(tape: BpTape, target, *, work: _WorkSet | None = None) -> np.nda
 
 
 def _block_lanes(early_stop: bool) -> int:
-    """The lanes of one `decode_blocks` block."""
+    """The lanes of one `Receiver` decode block."""
     return EARLY_STOP_LANES if early_stop else BLOCK_LANES
-
-
-def decode_blocks(llr, graph: TannerGraph, decoder: DecoderConfig, early_stop: bool = False,
-                  target=None, work: _WorkSet | None = None):
-    """Decode a (B, n) LLR batch in blocks of `_block_lanes(early_stop)` lanes.
-
-    Each block runs the early-stopped forward (`early_stop`), or the taped
-    forward then `bp_backward` against the codeword `target` (n bits, the
-    same for every lane), or else the untaped forward. Early-stopped blocks
-    are `EARLY_STOP_LANES` wide, so a block pays its syndrome tests,
-    compactions and straggler iterations once per that many lanes; the
-    others are `BLOCK_LANES` wide, where the tape and the backward's arrays
-    stay cache-sized. Returns the final soft output (B, n) and
-    d(`bp_loss`)/d(LLR) (B, n), which is None without a target. A
-    block's tape is dropped once its gradient is taken, and a block whose
-    soft output is not finite raises RuntimeError before its backward pass.
-    The blocks run in `work` (a fresh set when none is given), which must
-    hold min(B, block width) lanes of `decoder.iters` iterations, and a
-    tape when there is a target.
-    """
-    L, target, grad = _checked_blocks(llr, graph.n_var, target, None)
-    soft = np.empty_like(L)
-    _run_blocks(L, graph, decoder, early_stop, target, work, grad, soft.__setitem__)
-    return soft, grad
-
-
-def _checked_blocks(llr, n_var: int, target, out):
-    """The LLRs (B, n) as floats, the checked target, and the array the gradient goes
-    into (None without a target): `out`, or a fresh one when it is None."""
-    L = np.asarray(llr, dtype=np.float64)
-    if L.ndim != 2 or L.shape[1] != n_var:
-        raise ValueError(f"LLR shape {L.shape} does not match {n_var} variables")
-    if target is None:
-        if out is not None:
-            raise ValueError("out receives the gradient, and this decode takes none")
-        return L, None, None
-    return L, _target_array(target, n_var), checks.out_array(out, L.shape)
-
-
-def _run_blocks(L, graph: TannerGraph, decoder: DecoderConfig, early_stop: bool, target,
-                work: _WorkSet | None, grad, take) -> None:
-    """`decode_blocks` on checked arrays: each block's final soft output goes to
-    take(block, soft) as the block ends, a view into `work` that the next block
-    overwrites, and its gradient into grad[block]."""
-    taped = target is not None
-    width = _block_lanes(early_stop)
-    if work is None:
-        work = _WorkSet(graph, min(len(L), width), decoder.iters, taped)
-    for lo in range(0, len(L), width):
-        block = slice(lo, lo + width)
-        fwd = bp_forward(L[block], graph, decoder.iters, early_stop=early_stop,
-                         record_tape=taped, work=work)
-        soft = fwd.soft[-1]
-        if taped and not np.all(np.isfinite(soft)):
-            raise RuntimeError("decoder produced non-finite soft output during the search")
-        take(block, soft)
-        if taped:
-            grad[block] = bp_backward(fwd.tape, target, work=work)
 
 
 class Receiver:
@@ -724,9 +668,16 @@ class Receiver:
         fresh one when it is None. `out` may be `llr` itself, since each
         block's LLRs are copied into the work set before its gradient is
         written. Only `out` is written. Each block's bits are decided as it
-        ends, so no (B, n) soft output is built."""
-        L, target, grad = _checked_blocks(llr, self.graph.n_var,
-                                          self.target if gradient else None, out)
+        ends, so no (B, n) soft output is built. A block of a gradient
+        decode whose soft output is not finite raises RuntimeError before
+        its backward pass."""
+        L = np.asarray(llr, dtype=np.float64)
+        if L.ndim != 2 or L.shape[1] != self.graph.n_var:
+            raise ValueError(f"LLR shape {L.shape} does not match {self.graph.n_var} variables")
+        if not gradient and out is not None:
+            raise ValueError("out receives the gradient, and this decode takes none")
+        target = self.target if gradient else None
+        grad = checks.out_array(out, L.shape) if gradient else None
         bits = np.empty((len(L), self.code.k), np.uint8)
         bounds = self._part_bounds(L, early_stop)
         if len(bounds) == 2:
@@ -740,14 +691,23 @@ class Receiver:
         return bits, grad
 
     def _decode_part(self, L, early_stop: bool, target, grad, bits) -> None:
-        """Decode the checked LLRs L in this process: their message bits into `bits`,
-        block by block, and their gradient against `target` into `grad` (each None
-        when there is no gradient)."""
-        def take(block, soft):
+        """Decode the checked LLRs L in this process, in blocks of `_block_lanes(early_stop)`
+        lanes: each block's message bits into `bits` as the block ends, and its gradient
+        against `target` into `grad` (each None when there is no gradient). A block's
+        tape is overwritten by the next block once its gradient is taken."""
+        taped = target is not None
+        width = _block_lanes(early_stop)
+        work = self._work_set(early_stop, len(L))
+        for lo in range(0, len(L), width):
+            block = slice(lo, lo + width)
+            fwd = bp_forward(L[block], self.graph, self.decoder.iters, early_stop=early_stop,
+                             record_tape=taped, work=work)
+            soft = fwd.soft[-1]
+            if taped and not np.all(np.isfinite(soft)):
+                raise RuntimeError("decoder produced non-finite soft output during the search")
             bits[block] = self.code.message_from_codeword(soft < 0)
-
-        _run_blocks(L, self.graph, self.decoder, early_stop, target,
-                    self._work_set(early_stop, len(L)), grad, take)
+            if taped:
+                grad[block] = bp_backward(fwd.tape, target, work=work)
 
     def _split_decode(self, L, bounds, early_stop: bool, target, grad, bits) -> None:
         """`decode` of L split at `bounds`: the first part here, the others on helpers.
@@ -773,7 +733,7 @@ class Receiver:
 
         Parts hold whole blocks but the last, as evenly as the blocks allow,
         at least SPLIT_LANES // 2 lanes each, one per CPU at most."""
-        if not self._split or len(L) < SPLIT_LANES or L.ndim != 2:
+        if not self._split or len(L) < SPLIT_LANES:
             return [0, len(L)]
         from . import split  # the process machinery, imported by a process that splits
         parts = min(1 + split.helper_count(), len(L) // (SPLIT_LANES // 2))

@@ -197,14 +197,14 @@ def build_search(cfg: RunConfig) -> attack_mod.SearchConfig:
     """The `search.*` overrides on top of the approach preset, or of the defaults.
 
     A value SearchConfig rejects is a ConfigError whose message names
-    each field by its key, outside the quoted value (`accepted_iters` is
-    `search.iters`)."""
+    each field by its key (`accepted_iters` is `search.iters`); the
+    values the keys parse to are numbers, which name no field."""
     try:
         if cfg.search_approach is not None:
             return attack_mod.approach_config(cfg.search_approach, **cfg.search)
         return attack_mod.SearchConfig(**cfg.search)
     except ValueError as exc:
-        raise ConfigError(re.sub(r"'[^']*'|\w+", lambda m: _SEARCH_KEYS.get(m[0], m[0]),
+        raise ConfigError(re.sub(r"\w+", lambda m: _SEARCH_KEYS.get(m[0], m[0]),
                                  str(exc))) from None
 
 
@@ -245,10 +245,10 @@ def cmd_search(cfg: RunConfig, out_path: str | None, seed: int) -> int:
         vectors = attack_mod.run_regime(code, decoder, cfg.modem_scheme, search_cfg, seed)
         nonzero = [v for v in vectors if not v.is_zero]
         _log(f"{len(vectors)} runs, {len(nonzero)} nonzero vectors")
-        if search_cfg.cluster != "none" and len(nonzero) >= search_cfg.cluster_k:
+        if len(nonzero) >= search_cfg.cluster_k:
             # a centroid names the regime: its seed, and its label under the preset's
             candidates = [replace(c, seed=seed, approach=f"{search_cfg.approach}:{c.approach}")
-                          for c in attack_mod.cluster_attacks(vectors, search_cfg.cluster,
+                          for c in attack_mod.cluster_attacks(vectors, "kmeans",
                                                               search_cfg.cluster_k, seed=seed)]
         else:
             candidates = nonzero or vectors[:1]

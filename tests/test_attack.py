@@ -42,8 +42,8 @@ def test_search_config_validation():
             attack.SearchConfig(**bad)
     with pytest.raises(ValueError):
         attack.SearchConfig(accepted_iters=10, max_trials=5)
-    with pytest.raises(ValueError, match="unknown cluster method 'agglomerative'"):
-        attack.SearchConfig(cluster="agglomerative")
+    with pytest.raises(TypeError):  # a regime's runs are reduced by k-means alone
+        attack.SearchConfig(cluster="kmeans")
     for number in (2, 5):
         with pytest.raises(ValueError, match="approach must be 1, 3 or 4"):
             attack.approach_config(number)

@@ -200,10 +200,10 @@ def test_forward_rejects_an_empty_batch(early_stop, record_tape):
     graph = bp.TannerGraph(codes.ldpc_64_32().H)
     with pytest.raises(ValueError, match="the LLR batch is empty"):
         bp.bp_forward(np.zeros((0, 64)), graph, 3, early_stop=early_stop, record_tape=record_tape)
-    # the blocked decode never runs the kernel on no lanes
-    soft, grad = bp.decode_blocks(np.zeros((0, 64)), graph, bp.DecoderConfig(iters=3),
-                                  early_stop=early_stop, target=np.zeros(64) if record_tape else None)
-    assert soft.shape == (0, 64)
+    # the receiver never runs the kernel on no lanes
+    rx = bp.Receiver(codes.ldpc_64_32(), bp.DecoderConfig(iters=3))
+    bits, grad = rx.decode(np.zeros((0, 64)), early_stop=early_stop, gradient=record_tape)
+    assert bits.shape == (0, 32)
     assert (grad.shape == (0, 64)) if record_tape else grad is None
 
 
@@ -538,41 +538,50 @@ def test_held_and_compacted_lanes_equal_standalone_decodes(batch, monkeypatch):
 def test_early_stopped_blocks_equal_per_lane_decodes(batch, monkeypatch):
     # two full blocks and a short one of EARLY_STOP_LANES lanes
     assert bp.EARLY_STOP_LANES == 2 * bp.BLOCK_LANES == 256
+    code = codes.ldpc_64_32()
     L = _converging_llrs(600, _LAZY_BATCHES[batch], 43)
+    rx = bp.Receiver(code, bp.DecoderConfig(iters=5))
     widths = _syndrome_widths(monkeypatch)
-    soft, grad = bp.decode_blocks(L, _LDPC_GRAPH, bp.DecoderConfig(iters=5), early_stop=True)
+    bits, grad = rx.decode(L, early_stop=True)
     assert grad is None and widths[0] == 256 and 88 in widths
     assert widths[1] == 256 if batch == "few converge" else widths[1] < 256
+    whole = bp.bp_forward(L, _LDPC_GRAPH, 5, early_stop=True, record_tape=False)
+    assert bits.tobytes() == code.message_from_codeword(whole.soft[-1] < 0).tobytes()
     for i in range(600):
         alone = bp.bp_forward(L[i], _LDPC_GRAPH, 5, early_stop=True, record_tape=False)
-        assert soft[i].tobytes() == alone.soft[-1].tobytes()
+        assert bits[i].tobytes() == code.message_from_codeword(alone.soft[-1] < 0).tobytes()
 
 
-@pytest.mark.parametrize("B", [1, 127, 128, 129, 261, 300])
-def test_decode_blocks_equals_one_unblocked_decode(B):
+@pytest.mark.parametrize("B", [1, 127, 128, 129, 261, 300, 600])
+def test_receiver_equals_one_unblocked_decode(B):
     assert bp.BLOCK_LANES == 128  # the batch sizes straddle block edges
+    code = codes.ldpc_64_32()
     rng = np.random.default_rng(B)
     # lanes at different noise levels converge at different iterations, so
     # early stopping compacts the lanes of a block more than once
     sigma = rng.uniform(0.45, 1.0, (B, 1))
     L = (2.0 / sigma**2) * (1.0 + sigma * rng.standard_normal((B, 64)))
-    target = rng.integers(0, 2, 64).astype(np.float64)
-    dec = bp.DecoderConfig(iters=5)
+    target = np.zeros(64)  # the receiver's design word
+    rx = bp.Receiver(code, bp.DecoderConfig(iters=5))
+
+    def bits_of(out):
+        return code.message_from_codeword(out.soft[-1] < 0).tobytes()
+
     for early_stop in (True, False):
-        soft, grad = bp.decode_blocks(L, _LDPC_GRAPH, dec, early_stop=early_stop)
-        whole = bp.bp_forward(L, _LDPC_GRAPH, 5, early_stop=early_stop, record_tape=False)
+        bits, grad = rx.decode(L, early_stop=early_stop)
         assert grad is None
-        assert soft.tobytes() == whole.soft[-1].tobytes()
+        assert bits.tobytes() == bits_of(bp.bp_forward(L, _LDPC_GRAPH, 5, early_stop=early_stop,
+                                                       record_tape=False))
         for i in range(B):
             alone = bp.bp_forward(L[i], _LDPC_GRAPH, 5, early_stop=early_stop, record_tape=False)
-            assert soft[i].tobytes() == alone.soft[-1].tobytes()
+            assert bits[i].tobytes() == bits_of(alone)
     whole = bp.bp_forward(L, _LDPC_GRAPH, 5)
-    soft, grad = bp.decode_blocks(L, _LDPC_GRAPH, dec, target=target)
-    assert soft.tobytes() == whole.soft[-1].tobytes()
+    bits, grad = rx.decode(L, gradient=True)
+    assert bits.tobytes() == bits_of(whole)
     assert grad.tobytes() == bp.bp_backward(whole.tape, target).tobytes()
     for i in range(B):
         alone = bp.bp_forward(L[i], _LDPC_GRAPH, 5)
-        assert soft[i].tobytes() == alone.soft[-1].tobytes()
+        assert bits[i].tobytes() == bits_of(alone)
         assert grad[i].tobytes() == bp.bp_backward(alone.tape, target).tobytes()
     if B == 300:  # three blocks, the last one short
         stops = [bp.bp_forward(L[i], _LDPC_GRAPH, 5, early_stop=True, record_tape=False).iterations
@@ -581,15 +590,14 @@ def test_decode_blocks_equals_one_unblocked_decode(B):
 
 
 def test_decode_calls_share_no_memory():
-    # a call's work arrays are its own: results of one call survive the next
+    # a call's results are its own: those of one call survive the next
     rng = np.random.default_rng(3)
     L1, L2 = ((2.0 / 0.64) * (1.0 + 0.8 * rng.standard_normal((200, 64))) for _ in range(2))
-    target = np.zeros(64)
-    dec = bp.DecoderConfig(iters=5)
-    for kwargs in (dict(target=target), dict(), dict(early_stop=True)):
-        first = bp.decode_blocks(L1, _LDPC_GRAPH, dec, **kwargs)
+    rx = bp.Receiver(codes.ldpc_64_32(), bp.DecoderConfig(iters=5))
+    for kwargs in (dict(gradient=True), dict(), dict(early_stop=True)):
+        first = rx.decode(L1, **kwargs)
         kept = [x.copy() for x in first if x is not None]
-        second = bp.decode_blocks(L2, _LDPC_GRAPH, dec, **kwargs)
+        second = rx.decode(L2, **kwargs)
         for a in first:
             for b in second:
                 assert a is None or b is None or not np.shares_memory(a, b)
@@ -605,17 +613,16 @@ def test_decode_calls_share_no_memory():
         assert not any(np.shares_memory(a, b) for i, a in enumerate(kept) for b in kept[i + 1:])
 
 
-def test_decode_blocks_validation():
-    dec = bp.DecoderConfig(iters=2)
+def test_receiver_decode_validation():
+    rx = bp.Receiver(codes.ldpc_64_32(), bp.DecoderConfig(iters=2))
     with pytest.raises(ValueError, match="does not match 64 variables"):
-        bp.decode_blocks(np.zeros(64), _LDPC_GRAPH, dec)
-    with pytest.raises(ValueError, match="one codeword"):
-        bp.decode_blocks(np.zeros((3, 64)), _LDPC_GRAPH, dec, target=np.zeros((3, 64)))
+        rx.decode(np.zeros(64))
+    with pytest.raises(ValueError, match="^out receives the gradient"):
+        rx.decode(np.zeros((3, 64)), out=np.zeros((3, 64)))
     with pytest.raises(ValueError, match="tape"):
-        bp.decode_blocks(np.zeros((3, 64)), _LDPC_GRAPH, dec, early_stop=True,
-                         target=np.zeros(64))
-    soft, grad = bp.decode_blocks(np.zeros((0, 64)), _LDPC_GRAPH, dec, target=np.zeros(64))
-    assert soft.shape == grad.shape == (0, 64)
+        rx.decode(np.zeros((3, 64)), early_stop=True, gradient=True)
+    bits, grad = rx.decode(np.zeros((0, 64)), gradient=True)
+    assert bits.shape == (0, 32) and grad.shape == (0, 64)
 
 
 def _noisy_llrs(B, seed):
@@ -625,7 +632,7 @@ def _noisy_llrs(B, seed):
     return (2.0 / sigma**2) * (1.0 + sigma * rng.standard_normal((B, 64)))
 
 
-def test_receiver_decode_is_decode_blocks_plus_message_extraction():
+def test_receiver_decode_is_an_unblocked_decode_plus_message_extraction():
     code = codes.ldpc_64_32()
     # three blocks, the last one short; on this batch early stopping changes
     # the bits of two lanes under BP-5, so a dropped flag shows
@@ -634,13 +641,15 @@ def test_receiver_decode_is_decode_blocks_plus_message_extraction():
         rx = bp.Receiver(code, dec)
         for kwargs in (dict(early_stop=True), dict(), dict(gradient=True)):
             bits, grad = rx.decode(L, **kwargs)
-            target = np.zeros(64) if kwargs.get("gradient") else None
-            soft, want_grad = bp.decode_blocks(L, _LDPC_GRAPH, dec, kwargs.get("early_stop", False),
-                                               target)
-            want_bits = code.message_from_codeword((soft < 0).astype(np.uint8))
+            gradient = kwargs.get("gradient", False)
+            whole = bp.bp_forward(L, _LDPC_GRAPH, dec.iters,
+                                  early_stop=kwargs.get("early_stop", False), record_tape=gradient)
+            want_bits = code.message_from_codeword((whole.soft[-1] < 0).astype(np.uint8))
             assert bits.shape == (300, code.k) and bits.tobytes() == want_bits.tobytes()
-            assert (grad is None) == (want_grad is None)
-            assert grad is None or grad.tobytes() == want_grad.tobytes()
+            if gradient:
+                assert grad.tobytes() == bp.bp_backward(whole.tape, np.zeros(64)).tobytes()
+            else:
+                assert grad is None
         errors = rx.decode(L)[0]  # the word sent is all-zero: some bits, not all, are wrong
         assert np.any(errors) and not np.all(errors)
     assert np.any(rx.decode(L, early_stop=True)[0] != rx.decode(L)[0])  # rx is BP-5

@@ -76,7 +76,6 @@ _VALID = {
     "search.epsilon0": _NOISE,
     "search.runs": st.integers(1, 10**12),
     "search.cluster_k": st.integers(1, 10**12),
-    "search.cluster": st.sampled_from(["none", "kmeans"]),
 }
 _BOOL_WORDS = {True: ["1", "true", "Yes", "ON"], False: ["0", "False", "no", "off"]}
 _BURST_KEYS = ("channel.sigma_b", "channel.rho")  # read on a bursty channel only
@@ -114,10 +113,11 @@ def test_parse_config_rejects_unknown_key():
     # a typo, a bare field name, an unknown section and removed keys: the step
     # schedules', agglomerative clustering's, the accept rule's (a step is
     # accepted when its batch BER falls), the loss's (the search scores the
-    # last iteration's output) and the clamp's (every decode clamps at 20)
+    # last iteration's output), the clamp's (every decode clamps at 20) and the
+    # cluster method's (a regime's runs are reduced by k-means)
     for key in ("search.bacth_size", "search_batch_size", "codes.n", "channel.si",
                 "search.scheduler", "search.decay", "search.step_len", "search.linkage",
-                "search.accept", "decoder.loss_mode", "decoder.clamp"):
+                "search.accept", "decoder.loss_mode", "decoder.clamp", "search.cluster"):
         with pytest.raises(cli.ConfigError, match=f"line 1: unknown configuration key '{key}'"):
             cli.parse_config(f"{key} = 100\n")
 
@@ -137,7 +137,7 @@ def test_every_runconfig_field_is_a_key():
                lambda cfg, name=f.name: cfg.search[name])
               for f in fields(attack.SearchConfig) if f.name != "approach"]
     assert sorted(key for key, _, _ in cases) == sorted(cli._KEYS)
-    assert len(cli._KEYS) == 30
+    assert len(cli._KEYS) == 29
     for key, f, read in cases:
         text, want = by_key.get(key) or samples.get(f.type.removesuffix(" | None"), (None, None))
         if text is None:  # str: the default is a value that passes validation
@@ -165,7 +165,7 @@ def _parsed(cfg, attr):
 @pytest.mark.parametrize("line, attr, value", [
     ("search.require_nonzero = off", "search_require_nonzero", False),
     ("eval.grid = 1, 2", "eval_grid", (1.0, 2.0)),
-    ("search.cluster = kmeans", "search_cluster", "kmeans"),
+    ("search.cluster_k = 2", "search_cluster_k", 2),
     ("code.design_ebn0_db = 1.5", "code_design_ebn0_db", 1.5),
     ("eval.min_block_errors = 10", "eval_min_block_errors", 10),
 ])
@@ -445,8 +445,8 @@ def test_an_ebn0_is_checked_against_the_sigma_it_gives_on_the_code(tmp_path, cap
     ("search.batch_size = 0", "search.batch_size must be an integer >= 1, got 0"),
     ("search.iters = 0", "search.iters must be an integer >= 1, got 0"),
     ("search.max_trials = 2", "search.max_trials must be >= search.iters"),
-    ("search.cluster = bogus", "unknown search.cluster method 'bogus'"),
-    ("search.cluster = runs", "unknown search.cluster method 'runs'"),  # a value is not renamed
+    ("search.runs = 0", "search.runs must be an integer >= 1, got 0"),
+    ("search.cluster_k = 0", "search.cluster_k must be an integer >= 1, got 0"),
     ("search.approach = 2", "search.approach must be 1, 3 or 4"),
     ("search.approach = 5", "search.approach must be 1, 3 or 4"),
 ])
@@ -542,7 +542,7 @@ def test_build_search_approach_preset_with_overrides():
     sc = cli.build_search(cfg)
     assert sc.batch_size == 20 and sc.accepted_iters == 30  # preset 3 shape
     assert sc.runs == 12  # explicit override wins
-    assert sc.cluster == "kmeans"
+    assert sc.cluster_k == 3  # its runs are reduced to 3 k-means centroids
     assert sc.sigma == 0.8
 
 
@@ -582,9 +582,11 @@ eval.seed = 7
 """
 
 
-@pytest.mark.parametrize("cluster", ["kmeans", "none", "approach4"])
+@pytest.mark.parametrize("cluster", ["kmeans", "runs", "approach4"])
 def test_search_runs_select_a_validated_candidate(tmp_path, capsys, monkeypatch, cluster):
-    text = LDPC_REGIME_CFG + f"search.cluster = {cluster}\n"
+    text = LDPC_REGIME_CFG
+    if cluster == "runs":  # fewer nonzero runs than k: the runs are the candidates
+        text = LDPC_REGIME_CFG.replace("search.cluster_k = 2\n", "search.cluster_k = 4\n")
     if cluster == "approach4":  # the preset's k-means with k = 1, on small runs
         text = LDPC_REGIME_CFG.replace("search.cluster_k = 2\n", "search.approach = 4\n")
         # its one candidate, the mean, is written without a validation run
@@ -597,7 +599,7 @@ def test_search_runs_select_a_validated_candidate(tmp_path, capsys, monkeypatch,
     av.check_fits(codes.ldpc_64_32(), "bpsk")
     assert not av.is_zero
     assert "3 runs, " in err
-    if cluster == "none":
+    if cluster == "runs":
         assert av.approach.startswith("custom:run")
     else:  # a centroid carries the regime's seed and its label under the preset's
         preset = "4" if cluster == "approach4" else "custom"

@@ -8,7 +8,9 @@ The digest covers, on the bundled (64, 32) LDPC code:
   step size calibrated);
 - `bp_backward` against the all-zero target and a random codeword-length
   target, for a batch and for one frame;
-- untaped and early-stopped soft outputs of `bp_forward` and `decode_blocks`;
+- untaped and early-stopped soft outputs of `bp_forward`, and the message
+  bits and gradients of a `Receiver`'s untaped, early-stopped and gradient
+  decodes of the same batch;
 - `run_regime` vectors, accepted counts and approach labels and every
   `on_trial` record in the order delivered, for 7 runs of 20-frame batches
   that stop at different trials (BPSK with the step size given and
@@ -31,9 +33,11 @@ The digest covers, on the bundled (64, 32) LDPC code:
   clipped path in a taped set;
 - `run_regime` vectors and records for 13 runs of 20-frame batches: two
   lockstep groups that fill a decode block and one run on its own;
-- early-stopped `decode_blocks` soft outputs for 600 lanes (two full
-  blocks and a short one) at the waterfall, a mid point and near 5 dB, so
-  that converged lanes are held in some iterations and compacted in others;
+- the message bits of early-stopped `Receiver` decodes of 600 lanes (two
+  full blocks and a short one), and the final soft output of one unblocked
+  early-stopped `bp_forward` of the same lanes, at the waterfall, a mid
+  point and near 5 dB, so that converged lanes are held in some iterations
+  and compacted in others;
 - `attacked_zero_word` and `apply_attack` outputs for BPSK and 4-QAM on 300
   random codewords under three vectors, one of them all zeros;
 - the message bits and gradients of one BP-5 `Receiver` that runs
@@ -118,13 +122,13 @@ def _decoder_parts(code):
         for target in (np.zeros(code.n), random_target):
             values += [bp.bp_backward(taped.tape, target), bp.bp_backward(single.tape, target)]
         yield f"backward BP-{iters}", values
-        decoder = bp.DecoderConfig(iters=iters)
+        receiver = bp.Receiver(code, bp.DecoderConfig(iters=iters))
         yield f"forward BP-{iters}", [
             bp.bp_forward(llr, graph, iters, record_tape=False).soft,
             bp.bp_forward(llr, graph, iters, early_stop=True, record_tape=False).soft,
-            *bp.decode_blocks(llr, graph, decoder)[:1],
-            *bp.decode_blocks(llr, graph, decoder, early_stop=True)[:1],
-            *bp.decode_blocks(llr, graph, decoder, target=np.zeros(code.n))]
+            *receiver.decode(llr)[:1],
+            *receiver.decode(llr, early_stop=True)[:1],
+            *receiver.decode(llr, gradient=True)]
 
 
 # variable 5 is on no check and variable 6 on one, check 4 is on no variable and check 0 on one
@@ -250,14 +254,15 @@ def _wide_regime_parts(code):
 
 
 def _early_stop_parts(code):
-    graph, decoder = bp.TannerGraph(code.H), bp.DecoderConfig(iters=5)
+    graph, receiver = bp.TannerGraph(code.H), bp.Receiver(code, bp.DecoderConfig(iters=5))
     rng = np.random.default_rng(37)
     values = []
     for ebn0_db in (1.25, 3.0, 5.0):
         sigma = channel.ebn0_to_sigma(ebn0_db, code.rate, 1)
         llr = (2.0 / sigma**2) * (1.0 + sigma * rng.standard_normal((600, code.n)))
-        values.append(bp.decode_blocks(llr, graph, decoder, early_stop=True)[0])
-    yield "early-stopped decode_blocks 600 lanes at 1.25, 3 and 5 dB", values
+        values += [receiver.decode(llr, early_stop=True)[0],
+                   bp.bp_forward(llr, graph, 5, early_stop=True, record_tape=False).soft[-1]]
+    yield "early-stopped Receiver 600 lanes at 1.25, 3 and 5 dB", values
 
 
 def _apply_attack_parts(code):
